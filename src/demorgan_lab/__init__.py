@@ -14,7 +14,8 @@ from .matrix import (
 )
 from .frame import (
     Frame, FrameError, CompatiblePreorder, complex_matrix, dual_frame,
-    frame_isomorphic, is_reduced_frame, leibniz_subframe, roundtrip_check,
+    frame_isomorphic, frame_isomorphism, is_reduced_frame, leibniz_subframe,
+    roundtrip_check,
 )
 from .graph import (
     Graph, GraphError, GraphPair, graph_isomorphic, hom_search,

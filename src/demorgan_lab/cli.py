@@ -126,7 +126,7 @@ def cmd_antitheorem(args) -> int:
 def cmd_leibniz(args) -> int:
     m = load_matrix(args.matrix)
     part = matrix.leibniz_congruence(m)
-    red = matrix.leibniz_reduct(m)
+    red = matrix.quotient_by(m, part)
     blocks = [sorted(m.labels[i] for i in b) for b in part.block_sets()]
     _emit(args, {"blocks": blocks, "reduct": json.loads(red.to_json())},
           [f"blocks: {blocks}", f"reduct has {red.n} elements",

@@ -130,16 +130,18 @@ def _print(f: Formula) -> str:
 class ParseError(ValueError):
     """Syntax error; carries the byte offset and the expected-token set."""
 
-    def __init__(self, text: str, pos: int, expected: Iterable[str]):
+    def __init__(self, text: str, pos: int, expected: Iterable[str], problem: str = ""):
         self.pos = pos
         self.expected = sorted(set(expected))
         got = text[pos:pos + 10] or "end of input"
         super().__init__(
             f"syntax error at offset {pos} (near {got!r}): "
-            f"expected one of {', '.join(self.expected)}"
+            + (f"{problem}; " if problem else "")
+            + f"expected one of {', '.join(self.expected)}"
         )
 
 
+_FORMULA_START = ("atom", "~", "(", "T", "F")
 _TOKEN = re.compile(r"\s*(?:(?P<atom>[a-z][a-z0-9_]*)|(?P<op>[~&|()])|(?P<const>[TF]))")
 
 
@@ -151,7 +153,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         if not m:
             if text[i:].strip() == "":
                 break
-            raise ParseError(text, i, ["atom", "~", "(", "T", "F"])
+            raise ParseError(text, i, _FORMULA_START)
         kind = m.lastgroup
         toks.append((kind, m.group(kind), m.start(kind)))
         i = m.end()
@@ -194,7 +196,7 @@ class _Parser:
             return Neg(self.neg())
         t = self.peek()
         if t is None:
-            raise ParseError(self.text, self.pos(), ["atom", "~", "(", "T", "F"])
+            raise ParseError(self.text, self.pos(), _FORMULA_START)
         kind, value, _ = t
         if kind == "atom":
             self.i += 1
@@ -207,7 +209,7 @@ class _Parser:
             if not self.eat(")"):
                 raise ParseError(self.text, self.pos(), [")", "|", "&"])
             return f
-        raise ParseError(self.text, self.pos(), ["atom", "~", "(", "T", "F"])
+        raise ParseError(self.text, self.pos(), _FORMULA_START)
 
 
 def parse(text: str) -> Formula:
@@ -266,9 +268,22 @@ def parse_rule(text: str) -> RuleInstance:
     if "|-" not in text:
         raise ParseError(text, len(text), ["|-"])
     lhs, rhs = text.split("|-", 1)
-    prem = [parse(s) for s in lhs.split(",") if s.strip()]
-    conc = [parse(s) for s in rhs.split(",") if s.strip()]
-    return RuleInstance.of(prem, conc)
+    return RuleInstance.of(_rule_side(text, lhs, 0, "premise"),
+                           _rule_side(text, rhs, len(lhs) + 2, "conclusion"))
+
+
+def _rule_side(text: str, side: str, start: int, what: str) -> list[Formula]:
+    """The formulas of one side of a rule, which starts at offset start of
+    text.  A blank side is an empty list; a blank list item is an error."""
+    if not side.strip():
+        return []
+    out = []
+    for item in side.split(","):
+        if not item.strip():
+            raise ParseError(text, start, _FORMULA_START, f"empty {what}")
+        out.append(parse(item))
+        start += len(item) + 1
+    return out
 
 
 Substitution = Mapping[str, Formula]

@@ -17,15 +17,15 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .matrix import FinMatrix, MatrixError
+from .matrix import FinMatrix, MatrixError, _dual_partner, _point_sets
 
 __all__ = [
     "Frame", "FrameError", "CompatiblePreorder",
     "complex_matrix", "dual_frame", "roundtrip_check", "counit_check",
     "leibniz_subframe", "is_reduced_frame",
     "quotient", "generate_preorder", "immediate_quotients",
-    "components", "disjoint_union", "frame_isomorphic", "random_frame",
-    "singleton_frame",
+    "components", "disjoint_union", "frame_isomorphic", "frame_isomorphism",
+    "random_frame", "singleton_frame",
 ]
 
 MAX_COMPLEX_POINTS = 20
@@ -238,29 +238,18 @@ def dual_frame(m: FinMatrix) -> Frame:
     if m.enc is None or m.nbits > 64:
         raise MatrixError("dual_frame needs a matrix with a powerset encoding")
     jis = m.join_irreducibles()
-    e = m._enc_np()
-    neg_e = e[np.array(m.neg, dtype=np.int64)]
     idx = m._enc_index()
-    # the filter {a : ~a not in up(j)} is principal; find its generator by
-    # folding meets over its members
-    invol = []
-    for j in jis:
-        ej = e[j]
-        members = e[(neg_e & ej) != ej]  # a with not (j <= ~a)
-        if len(members) == 0:
-            raise MatrixError("dual involution left the prime filters")
-        acc = idx[int(np.bitwise_and.reduce(members))]
-        if acc not in jis:
-            raise MatrixError("dual involution left the prime filters")
-        invol.append(jis.index(acc))
+    invol = [jis.index(idx[_dual_partner(m, m.enc[j])]) for j in jis]
     # up(j1) included in up(j2) iff j2 <= j1
     leq = [
         (a, b) for a, b in itertools.product(range(len(jis)), repeat=2)
         if m.leq(jis[b], jis[a])
     ]
-    designated = [
-        a for a, j in enumerate(jis) if all(m.leq(j, f) for f in m.designated)
-    ]
+    # a filter contains the designated set iff it contains its meet
+    gen = m.enc[m.top]
+    for d in m.designated:
+        gen &= m.enc[d]
+    designated = [a for a, j in enumerate(jis) if m.enc[j] & gen == m.enc[j]]
     return Frame([m.labels[j] for j in jis], leq, invol, designated)
 
 
@@ -276,11 +265,7 @@ def roundtrip_check(m: FinMatrix) -> bool:
     c = complex_matrix(p)
     if c.n != m.n:
         return False
-    jis = m.join_irreducibles()
-    e = m._enc_np()
-    eta_np = np.zeros(m.n, dtype=np.uint64)
-    for k, j in enumerate(jis):
-        eta_np |= ((e & e[j]) == e[j]).astype(np.uint64) << np.uint64(k)
+    eta_np = _point_sets(m)
     eta = [int(x) for x in eta_np]
     if set(eta) != set(c.enc) or len(set(eta)) != m.n:
         return False
@@ -434,10 +419,16 @@ def immediate_quotients(p: Frame) -> Iterator[Frame]:
 
 
 def frame_isomorphic(p: Frame, q: Frame) -> bool:
+    return frame_isomorphism(p, q) is not None
+
+
+def frame_isomorphism(p: Frame, q: Frame) -> Optional[tuple[int, ...]]:
+    """A point bijection preserving order, involution and designation, or
+    None; backtracking over points with the fewest candidates first."""
     if p.n != q.n or len(p.designated) != len(q.designated):
-        return False
+        return None
     if len(p.leq) != len(q.leq):
-        return False
+        return None
 
     def key(f: Frame, u: int):
         below = sum(1 for v in range(f.n) if f.le(v, u))
@@ -446,7 +437,7 @@ def frame_isomorphic(p: Frame, q: Frame) -> bool:
                 f.invol[u] in f.designated)
 
     if sorted(key(p, u) for u in range(p.n)) != sorted(key(q, u) for u in range(q.n)):
-        return False
+        return None
     cands = [[v for v in range(q.n) if key(q, v) == key(p, u)] for u in range(p.n)]
     order = sorted(range(p.n), key=lambda u: len(cands[u]))
     mapping: list[Optional[int]] = [None] * p.n
@@ -481,7 +472,7 @@ def frame_isomorphic(p: Frame, q: Frame) -> bool:
             used[v] = False
         return False
 
-    return extend(0)
+    return tuple(mapping) if extend(0) else None  # type: ignore[arg-type]
 
 
 def random_frame(rng: random.Random, max_points: int = 8) -> Frame:

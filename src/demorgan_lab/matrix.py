@@ -205,13 +205,6 @@ class FinMatrix:
 
     # -- construction helpers --------------------------------------------
 
-    def _leq_matrix(self) -> np.ndarray:
-        if self.enc is not None and self.nbits <= 64:
-            e = self._enc_np()
-            return (e[:, None] & e[None, :]) == e[:, None]
-        mt = self.meet_table()
-        return mt == np.arange(self.n, dtype=np.int32)[:, None]
-
     def _compute_enc(self) -> tuple[int, ...]:
         """Birkhoff embedding: bit j of enc[x] says the j-th join-irreducible
         lies below x."""
@@ -243,6 +236,13 @@ class FinMatrix:
     def join_irreducibles(self) -> list[int]:
         """Indices of join-irreducible elements (the least element containing
         each encoding bit)."""
+        jis = self._cache.get("jis")
+        if jis is None:
+            jis = self._compute_join_irreducibles()
+            self._cache["jis"] = jis
+        return list(jis)
+
+    def _compute_join_irreducibles(self) -> list[int]:
         if self.enc is None:
             raise MatrixError("no encoding; matrix too large without one")
         idx = self._enc_index()
@@ -290,15 +290,13 @@ class FinMatrix:
                 raise MatrixError("encoding bounds broken")
         if n <= FULL_LAW_LIMIT:
             self._check_laws_exhaustive()
-        elif self.enc is not None:
-            # bitwise AND/OR satisfies every bounded-distributive-lattice law
-            # by set theory; the remaining content (carrier closure, table
-            # agreement) is checked on a sample here and again exactly at
-            # every use, since mask lookups reject escapes from the carrier
-            self._check_laws_sampled()
-        elif n <= TABLE_LIMIT:
-            self._check_laws_pairwise()
         else:
+            # with an encoding, bitwise AND/OR satisfies every
+            # bounded-distributive-lattice law by set theory; the remaining
+            # content (carrier closure, table agreement) is checked on a
+            # sample here and again exactly at every use, since mask lookups
+            # reject escapes from the carrier.  Without one (only above
+            # TABLE_LIMIT) the sample is all there is.
             self._check_laws_sampled()
         if "demorgan" in self.flags:
             self._check_demorgan()
@@ -341,31 +339,8 @@ class FinMatrix:
                 and np.array_equal(mt[self.top], idx) and np.array_equal(jt[self.bottom], idx)):
             raise MatrixError("bounds are not neutral/absorbing")
 
-    def _check_laws_pairwise(self) -> None:
-        """Exact n^2 laws plus sampled triple laws, via the tables."""
-        mt, jt = self.meet_table(), self.join_table()
-        n = self.n
-        idx = np.arange(n, dtype=np.int32)
-        if not (np.array_equal(mt, mt.T) and np.array_equal(jt, jt.T)):
-            raise MatrixError("commutativity fails")
-        if not (np.array_equal(mt[idx, idx], idx) and np.array_equal(jt[idx, idx], idx)):
-            raise MatrixError("idempotence fails")
-        if not np.array_equal(mt[idx[:, None], jt], np.broadcast_to(idx[:, None], (n, n))):
-            raise MatrixError("absorption fails")
-        if not np.array_equal(jt[idx[:, None], mt], np.broadcast_to(idx[:, None], (n, n))):
-            raise MatrixError("absorption fails")
-        if not (np.array_equal(mt[self.top], idx) and np.array_equal(jt[self.bottom], idx)):
-            raise MatrixError("bounds are not neutral")
-        x, y, z = self._sample_indices()
-        if not np.array_equal(mt[mt[x, y], z], mt[x, mt[y, z]]):
-            raise MatrixError("meet associativity fails")
-        if not np.array_equal(jt[jt[x, y], z], jt[x, jt[y, z]]):
-            raise MatrixError("join associativity fails")
-        if not np.array_equal(mt[x, jt[y, z]], jt[mt[x, y], mt[x, z]]):
-            raise MatrixError("distributivity fails")
-
     def _check_laws_sampled(self) -> None:
-        """Vectorized sampled laws for carriers without materialized tables."""
+        """Vectorized sampled laws for carriers above FULL_LAW_LIMIT."""
         x, y, z = self._sample_indices()
         mxy, jxy = self._op_arrays(x, y)
         myx, jyx = self._op_arrays(y, x)
@@ -399,9 +374,7 @@ class FinMatrix:
             raise MatrixError("negation is not an involution")
         if self.neg[self.top] != self.bottom:
             raise MatrixError("negation must swap the bounds")
-        exhaustive = n <= FULL_LAW_LIMIT or (
-            self.enc is None and n <= TABLE_LIMIT)
-        if exhaustive:
+        if n <= FULL_LAW_LIMIT:
             mt, jt = self.meet_table(), self.join_table()
             if not np.array_equal(ng[jt], mt[ng[:, None], ng[None, :]]):
                 raise MatrixError("De Morgan law fails")
@@ -465,16 +438,17 @@ class FinMatrix:
     @staticmethod
     def from_json(text: str) -> "FinMatrix":
         d = json.loads(text)
+        if not isinstance(d, dict):
+            raise MatrixError("matrix JSON must be an object")
+        missing = [k for k in ("elements", "meet", "join", "neg", "top", "bottom",
+                               "designated") if k not in d]
+        if missing:
+            raise MatrixError("matrix JSON lacks the key(s) " + ", ".join(map(repr, missing)))
         return FinMatrix(
             [str(x) for x in d["elements"]],
             d["neg"], d["top"], d["bottom"], d["designated"], d.get("flags", []),
             meet=d["meet"], join=d["join"],
         )
-
-    def relabel(self, labels: Sequence[str]) -> "FinMatrix":
-        return FinMatrix(labels, self.neg, self.top, self.bottom, self.designated,
-                         self.flags, meet=self._meet, join=self._join, enc=self.enc,
-                         validate=False)
 
     def __repr__(self) -> str:
         return f"<FinMatrix n={self.n} designated={sorted(self.designated)} flags={sorted(self.flags)}>"
@@ -523,11 +497,9 @@ class _Engine:
             dt = np.uint8 if m.nbits <= 8 else np.uint16
             self.neg_lut = np.zeros(size, dtype=dt)
             self.des_lut = np.zeros(size, dtype=bool)
-            self.elem_lut = np.full(size, -1, dtype=np.int32)
             for i, mask in enumerate(m.enc):
                 self.neg_lut[mask] = m.enc[m.neg[i]]
                 self.des_lut[mask] = i in m.designated
-                self.elem_lut[mask] = i
             self.values = np.array(m.enc, dtype=dt)
             self.top_v = dt(m.enc[m.top])
             self.bot_v = dt(m.enc[m.bottom])
@@ -571,11 +543,6 @@ class _Engine:
         if len(self.m.designated) == 1:
             return arr == np.int32(next(iter(self.m.designated)))
         return self.des_arr[arr]
-
-    def to_element(self, value) -> int:
-        if self.mask_mode:
-            return int(self.elem_lut[int(value)])
-        return int(value)
 
 
 def _engine(m: FinMatrix) -> _Engine:
@@ -747,13 +714,65 @@ def _induced_submatrix(m: FinMatrix, elems: Sequence[int]) -> FinMatrix:
 # -- congruences -------------------------------------------------------------
 
 
+def _filter_generator(m: FinMatrix) -> Optional[int]:
+    """Mask of the meet of the designated set when m qualifies for the
+    duality fast paths, else None.
+
+    It qualifies when it is a De Morgan matrix with a powerset encoding of at
+    most 64 bits whose non-empty designated set is the upset of its meet,
+    that is, a filter; then m is the complex matrix of its dual frame.
+    """
+    if "demorgan" not in m.flags or m.enc is None or m.nbits > 64 or not m.designated:
+        return None
+    e = m._enc_np()
+    gen = np.bitwise_and.reduce(e[sorted(m.designated)])
+    des = np.zeros(m.n, dtype=bool)
+    des[list(m.designated)] = True
+    if not np.array_equal((e & gen) == gen, des):
+        return None
+    return int(gen)
+
+
+def _dual_partner(m: FinMatrix, ej: int) -> int:
+    """Mask of the join-irreducible generating the prime filter
+    {a : ~a not above j}, the dual involution image of the join-irreducible
+    j with mask ej (the generator is the meet of the filter's members)."""
+    e = m._enc_np()
+    neg_e = e[np.array(m.neg, dtype=np.int64)]
+    members = e[(neg_e & np.uint64(ej)) != np.uint64(ej)]
+    partner = int(np.bitwise_and.reduce(members)) if len(members) else None
+    if partner not in {m.enc[j] for j in m.join_irreducibles()}:
+        raise MatrixError("dual involution left the prime filters")
+    return partner
+
+
 def leibniz_congruence(m: FinMatrix) -> Partition:
     """Largest congruence compatible with the designated set.
 
-    Computed as the greatest fixpoint of signature refinement: two elements
-    stay together while designation and all one-step contexts (meet/join
-    with a fixed argument, negation) agree blockwise.  This reaches the same
-    fixpoint as pairwise separation propagation.
+    When the designated set is a filter (see _filter_generator) this is
+    read off the dual frame: two elements are congruent iff they lie above
+    the same points of the Leibniz subframe, which are the join-irreducibles
+    maximal below the filter's generator and their dual involution images.
+    Other matrices go through _leibniz_refine.
+    """
+    gen = _filter_generator(m)
+    if gen is None:
+        return _leibniz_refine(m)
+    below = [m.enc[j] for j in m.join_irreducibles() if m.enc[j] & gen == m.enc[j]]
+    tops = [a for a in below if not any(b != a and a & b == a for b in below)]
+    points = set(tops) | {_dual_partner(m, a) for a in tops}
+    e = m._enc_np()
+    k = np.array(sorted(points), dtype=np.uint64)
+    _, ids = np.unique((e[:, None] & k) == k, axis=0, return_inverse=True)
+    return Partition.of(ids.ravel().tolist())
+
+
+def _leibniz_refine(m: FinMatrix) -> Partition:
+    """Leibniz congruence for any matrix, as the greatest fixpoint of
+    signature refinement: two elements stay together while designation and
+    all one-step contexts (meet/join with a fixed argument, negation) agree
+    blockwise.  This reaches the same fixpoint as pairwise separation
+    propagation.
     """
     n = m.n
     colours = np.array([1 if i in m.designated else 0 for i in range(n)], dtype=np.int64)
@@ -894,15 +913,61 @@ def _joint_colours(m1: FinMatrix, m2: FinMatrix) -> tuple[np.ndarray, np.ndarray
     return c1, c2
 
 
+def _point_sets(m: FinMatrix) -> np.ndarray:
+    """Per element, the points of the dual frame below it, as a bitmask: bit
+    a is set iff the a-th join-irreducible lies below the element."""
+    e = m._enc_np()
+    out = np.zeros(m.n, dtype=np.uint64)
+    for a, j in enumerate(m.join_irreducibles()):
+        out |= ((e & e[j]) == e[j]).astype(np.uint64) << np.uint64(a)
+    return out
+
+
 def find_isomorphism(m1: FinMatrix, m2: FinMatrix) -> Optional[tuple[int, ...]]:
     """A bijection preserving tables, constants and designation, or None.
 
-    Backtracking over elements ordered by colour class rarity; colour
-    classes come from iterated structural refinement run jointly on both
-    matrices.
+    When both matrices qualify for the duality fast path (see
+    _filter_generator) each is the complex matrix of its dual frame, so an
+    isomorphism of the dual frames, lifted to elements by permuting the
+    join-irreducibles below each element, is one of the matrices.  Other
+    pairs go through _find_isomorphism_generic.
     """
     if m1 is m2:
         return tuple(range(m1.n))
+    if m1.n != m2.n or len(m1.designated) != len(m2.designated):
+        return None
+    if _filter_generator(m1) is None or _filter_generator(m2) is None:
+        return _find_isomorphism_generic(m1, m2)
+    from .frame import dual_frame, frame_isomorphism
+    phi = frame_isomorphism(dual_frame(m1), dual_frame(m2))
+    if phi is None:
+        return None
+    src, dst = _point_sets(m1), _point_sets(m2)
+    moved = np.zeros_like(src)
+    for a, b in enumerate(phi):
+        moved |= (src >> np.uint64(a) & np.uint64(1)) << np.uint64(b)
+    order = np.argsort(dst)
+    pos = np.minimum(np.searchsorted(dst[order], moved), m2.n - 1)
+    mp = order[pos]
+    ng1, ng2 = np.array(m1.neg), np.array(m2.neg)
+    des1 = np.array([x in m1.designated for x in range(m1.n)])
+    des2 = np.array([x in m2.designated for x in range(m2.n)])
+    if not (np.array_equal(dst[mp], moved)
+            and np.array_equal(np.bincount(mp, minlength=m2.n), np.ones(m2.n))
+            and mp[m1.top] == m2.top and mp[m1.bottom] == m2.bottom
+            and np.array_equal(mp[ng1], ng2[mp]) and np.array_equal(des2[mp], des1)):
+        raise MatrixError("dual frame isomorphism did not lift to the matrices")
+    return tuple(mp.tolist())
+
+
+def _find_isomorphism_generic(m1: FinMatrix, m2: FinMatrix) -> Optional[tuple[int, ...]]:
+    """find_isomorphism for any pair of tabled matrices.
+
+    Backtracking over elements ordered by colour class rarity; colour
+    classes come from iterated structural refinement run jointly on both
+    matrices.  Complete mappings are confirmed on the whole tables, since
+    the incremental checks only see pairs whose images are already fixed.
+    """
     if m1.n != m2.n or len(m1.designated) != len(m2.designated):
         return None
     c1, c2 = _joint_colours(m1, m2)
@@ -924,7 +989,8 @@ def find_isomorphism(m1: FinMatrix, m2: FinMatrix) -> Optional[tuple[int, ...]]:
             return False
         if (x == m1.top) != (y == m2.top) or (x == m1.bottom) != (y == m2.bottom):
             return False
-        my = mapping[m1.neg[x]]
+        # for a negation fixpoint, ~x is x, whose image y is not recorded yet
+        my = y if m1.neg[x] == x else mapping[m1.neg[x]]
         if my is not None and my != m2.neg[y]:
             return False
         for z in order:
@@ -937,12 +1003,21 @@ def find_isomorphism(m1: FinMatrix, m2: FinMatrix) -> Optional[tuple[int, ...]]:
                 return False
         return True
 
+    def preserves_tables() -> bool:
+        mp = np.array(mapping)
+        return (np.array_equal(mp[mt1], mt2[mp[:, None], mp[None, :]])
+                and np.array_equal(mp[jt1], jt2[mp[:, None], mp[None, :]]))
+
     # iterative backtracking (carriers can exceed the recursion limit)
     choice_at: list[Optional[Iterator[int]]] = [None] * n
     i = 0
     while True:
         if i == n:
-            return tuple(mapping)  # type: ignore[arg-type]
+            if preserves_tables():
+                return tuple(mapping)  # type: ignore[arg-type]
+            i -= 1  # resume the last choice point
+            used[mapping[order[i]]] = False
+            mapping[order[i]] = None
         x = order[i]
         if choice_at[i] is None:
             choice_at[i] = iter(cand[x])

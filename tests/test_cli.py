@@ -40,6 +40,20 @@ def test_errors_exit_2(capsys):
     assert code == 2
 
 
+def test_matrix_file_missing_key(tmp_path, capsys):
+    data = json.loads(run(capsys, "--json", "leibniz", "--matrix", "K3")[1])["reduct"]
+    del data["neg"]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "check", "--matrix", f"@{path}", "--rule", "p |- p")
+    assert code == 2 and "lacks the key(s) 'neg'" in err
+
+
+def test_empty_premise(capsys):
+    code, _, err = run(capsys, "check", "--matrix", "BD4", "--rule", "p,, q |- p")
+    assert code == 2 and "empty premise" in err and "offset 2" in err
+
+
 def test_antitheorem(capsys):
     code, _, _ = run(capsys, "antitheorem", "--logic", "ETL", "--formulas", "p", "~p")
     assert code == 0

@@ -1,0 +1,102 @@
+"""The duality fast paths of leibniz_congruence and find_isomorphism against
+independent oracles: the generic refinement, pair elimination, and the
+generic backtracking isomorphism search."""
+
+import itertools
+import random
+
+import numpy as np
+
+from demorgan_lab.bridge import mu_minus, mu_plus
+from demorgan_lab.frame import complex_matrix, random_frame
+from demorgan_lab.graph import all_graphs
+from demorgan_lab.matrix import (
+    FinMatrix, Partition, _filter_generator, _find_isomorphism_generic,
+    _leibniz_refine, bd4, catalog, cl2, etl4, find_isomorphism,
+    is_matrix_isomorphism, k3, kminus8, leibniz_congruence, lp3, product,
+)
+
+
+def pair_elimination(m):
+    """Leibniz congruence by separating pairs: designation splits a pair,
+    and a pair is split once some one-step context maps it onto a split
+    pair; what is never split is congruent."""
+    des = np.zeros(m.n, dtype=bool)
+    des[list(m.designated)] = True
+    sep = des[:, None] != des[None, :]
+    mt, jt, ng = m.meet_table(), m.join_table(), np.array(m.neg)
+    while True:
+        new = sep | sep[np.ix_(ng, ng)]
+        for c in range(m.n):
+            a, b = mt[:, c], jt[:, c]
+            new |= sep[np.ix_(a, a)] | sep[np.ix_(b, b)]
+        if np.array_equal(new, sep):
+            return Partition.of([int(np.argmin(row)) for row in sep])
+        sep = new
+
+
+def filter_matrices():
+    rng = random.Random(7)
+    out = [complex_matrix(random_frame(rng, points))
+           for points in range(1, 8) for _ in range(8)]
+    for g in all_graphs(3, allow_isolated=True, allow_empty=True):
+        out += [mu_plus(g), mu_minus(g)]
+    out += list(catalog().values())
+    out += [product([etl4(), bd4()]), product([cl2(), k3()]),
+            product([lp3(), lp3()]), product([kminus8(), cl2()])]
+    return out
+
+
+def dm4_designating(labels):
+    m = bd4()
+    return FinMatrix(m.labels, m.neg, m.top, m.bottom,
+                     [m.labels.index(x) for x in labels], m.flags,
+                     meet=[[m.meet(x, y) for y in range(m.n)] for x in range(m.n)],
+                     join=[[m.join(x, y) for y in range(m.n)] for x in range(m.n)])
+
+
+def test_fast_leibniz_matches_refinement_and_pair_elimination():
+    for m in filter_matrices():
+        assert _filter_generator(m) is not None
+        fast = leibniz_congruence(m)
+        assert fast == _leibniz_refine(m) == pair_elimination(m), m
+
+
+def test_leibniz_falls_back_when_designated_set_is_no_filter():
+    m = dm4_designating(["n", "b"])  # n & b = bot is not designated
+    assert _filter_generator(m) is None
+    part = leibniz_congruence(m)
+    assert part == _leibniz_refine(m) == pair_elimination(m)
+    assert part.is_identity()  # e.g. the context x | n separates bot from top
+
+
+def test_fast_isomorphism_agrees_with_generic_search():
+    by_size: dict[int, list] = {}
+    for m in filter_matrices() + [dm4_designating(["n", "b"])]:
+        by_size.setdefault(m.n, []).append(m)
+    found = missed = 0
+    for group in by_size.values():
+        for m1, m2 in itertools.combinations(group[:8], 2):
+            fast = find_isomorphism(m1, m2)
+            generic = _find_isomorphism_generic(m1, m2)
+            assert (fast is None) == (generic is None)
+            for mapping in (fast, generic):
+                if mapping is not None:
+                    assert is_matrix_isomorphism(m1, m2, mapping)
+            found += fast is not None
+            missed += fast is None
+    assert found > 20 and missed > 20
+
+
+def test_fast_isomorphism_of_relabelled_copies():
+    rng = random.Random(3)
+    for m in filter_matrices()[::3]:
+        perm = list(range(m.n))
+        rng.shuffle(perm)
+        inv = {p: i for i, p in enumerate(perm)}
+        copy = FinMatrix([m.labels[p] for p in perm],
+                         [inv[m.neg[p]] for p in perm], inv[m.top], inv[m.bottom],
+                         [inv[d] for d in m.designated], m.flags,
+                         enc=[m.enc[p] for p in perm])
+        mapping = find_isomorphism(m, copy)
+        assert mapping is not None and is_matrix_isomorphism(m, copy, mapping)

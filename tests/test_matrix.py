@@ -4,7 +4,7 @@ import pytest
 
 from demorgan_lab.formula import RuleInstance, parse, parse_rule
 from demorgan_lab.matrix import (
-    FinMatrix, MatrixError, MatrixMap, Partition,
+    FinMatrix, MatrixError, MatrixMap, Partition, _find_isomorphism_generic,
     bd4, catalog, cl2, etl4, evaluate, find_countervaluation,
     find_isomorphism, free_dm_algebra, is_matrix_isomorphism, k3, kminus8,
     leibniz_congruence, leibniz_reduct, lp3, principal_congruence, product,
@@ -272,6 +272,16 @@ def test_find_isomorphism():
     iso = find_isomorphism(product([cl2(), k3()]), product([k3(), cl2()]))
     assert iso is not None
     assert is_matrix_isomorphism(product([cl2(), k3()]), product([k3(), cl2()]), iso)
+
+
+def test_generic_isomorphism_checks_negation_fixpoints():
+    # ETL4's n and b are negation fixpoints; CL2 x CL2 has none, so no
+    # bijection between them preserves negation
+    m1, m2 = etl4(), product([cl2(), cl2()])
+    assert _find_isomorphism_generic(m1, m2) is None
+    assert find_isomorphism(m1, m2) is None
+    mapping = _find_isomorphism_generic(bd4(), bd4())
+    assert mapping is not None and is_matrix_isomorphism(bd4(), bd4(), mapping)
 
 
 def test_split_at():
