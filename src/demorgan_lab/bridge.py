@@ -119,9 +119,9 @@ def gamma(g: Graph) -> FinMatrix:
     def lbl(m: int) -> str:
         return "{" + ",".join(g.labels[u] for u in range(n) if m >> u & 1) + "}"
 
-    return FinMatrix(
+    return FinMatrix._trusted(
         [lbl(m) for m in range(size)], neg, full, 0, [full],
-        ["demorgan"] if demorgan else [], enc=list(range(size)),
+        ["demorgan"] if demorgan else [], range(size),
     )
 
 

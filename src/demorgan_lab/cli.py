@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from typing import Optional
@@ -327,8 +326,7 @@ def cmd_verify(args) -> int:
             only = [int(x) for x in args.suite.split(",")]
         except ValueError:
             raise InputError("--suite takes 'all' or criterion numbers like '1,4,8'")
-    threads = int(os.environ.get("DEMORGAN_LAB_THREADS", "1") or "1")
-    results = _run_verify(args.seed, only, threads)
+    results = verify.run_all(args.seed, only)
     rows = []
     for r in results:
         rows.append(f"{r.number:2d} {'PASS' if r.passed else 'FAIL'} "
@@ -341,24 +339,6 @@ def cmd_verify(args) -> int:
         ok = sum(1 for r in results if r.passed)
         print(f"{ok}/{len(results)} criteria passed")
     return EXIT_TRUE if all(r.passed for r in results) else EXIT_FALSE
-
-
-def _run_verify(seed: int, only, threads: int):
-    if threads <= 1:
-        return verify.run_all(seed, only)
-    from concurrent.futures import ThreadPoolExecutor
-    numbers = [n for n, _, _ in verify.CRITERIA if only is None or n in only]
-    # criteria with wall-clock caps run alone, after the parallel batch,
-    # so contention cannot push them over their stated limits
-    timed = [n for n in numbers if n in verify.TIMED_CRITERIA]
-    rest = [n for n in numbers if n not in verify.TIMED_CRITERIA]
-    results = []
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        futures = [ex.submit(verify.run_all, seed, [n]) for n in rest]
-        results = [f.result()[0] for f in futures]
-    for n in timed:
-        results.extend(verify.run_all(seed, [n]))
-    return sorted(results, key=lambda r: r.number)
 
 
 def build_parser() -> argparse.ArgumentParser:

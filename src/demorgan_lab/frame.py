@@ -223,9 +223,9 @@ def complex_matrix(p: Frame) -> FinMatrix:
         labels = [lbl(m) for m in elem]
     else:
         labels = [f"U{i}" for i in range(len(elem))]
-    return FinMatrix(
+    return FinMatrix._trusted(
         labels, neg_idx.tolist(), len(elem) - 1, 0,
-        designated.tolist(), ["demorgan"], enc=elem,
+        designated.tolist(), ["demorgan"], elem,
     )
 
 
@@ -235,8 +235,8 @@ def dual_frame(m: FinMatrix) -> Frame:
     the designated set of m."""
     if "demorgan" not in m.flags:
         raise MatrixError("dual_frame needs a De Morgan matrix")
-    if m.enc is None or m.nbits > 64:
-        raise MatrixError("dual_frame needs a matrix with a powerset encoding")
+    if m.nbits > 64:
+        raise MatrixError("dual_frame needs a powerset encoding of at most 64 bits")
     jis = m.join_irreducibles()
     idx = m._enc_index()
     invol = [jis.index(idx[_dual_partner(m, m.enc[j])]) for j in jis]
@@ -258,8 +258,8 @@ def roundtrip_check(m: FinMatrix) -> bool:
 
     The candidate isomorphism is the canonical one sending a to the set of
     prime filters containing a; it is checked to be a designation- and
-    negation-preserving lattice bijection (exhaustively on small carriers,
-    on a large deterministic sample beyond that).
+    negation-preserving lattice bijection (on all pairs of elements up to
+    64 elements, on a deterministic sample of 4096 pairs beyond that).
     """
     p = dual_frame(m)
     c = complex_matrix(p)
@@ -280,24 +280,14 @@ def roundtrip_check(m: FinMatrix) -> bool:
             return False
     # Lattice-hom check for eta.  For matrices carried by a powerset
     # encoding this is a theorem (the bit below each join-irreducible
-    # distributes over bitwise meets and joins), so a sample suffices; small
-    # carriers are checked exhaustively anyway.
-    from .matrix import FULL_LAW_LIMIT
-    if m.n <= FULL_LAW_LIMIT:
-        mt, jt = m.meet_table(), m.join_table()
-        if not np.array_equal(eta_np[mt], eta_np[:, None] & eta_np[None, :]):
-            return False
-        if not np.array_equal(eta_np[jt], eta_np[:, None] | eta_np[None, :]):
-            return False
+    # distributes over bitwise meets and joins), so a sample suffices.
+    if m.n * m.n <= 4096:
+        a, b = np.divmod(np.arange(m.n * m.n), m.n)
     else:
-        rng = np.random.default_rng(0)
-        a, b = rng.integers(0, m.n, size=(2, 4096), dtype=np.int64)
-        ma, ja = m._op_arrays(a, b)
-        if not np.array_equal(eta_np[ma], eta_np[a] & eta_np[b]):
-            return False
-        if not np.array_equal(eta_np[ja], eta_np[a] | eta_np[b]):
-            return False
-    return True
+        a, b = np.random.default_rng(0).integers(0, m.n, size=(2, 4096), dtype=np.int64)
+    e = m._enc_np()
+    return (np.array_equal(eta_np[m._mask_lookup(e[a] & e[b])], eta_np[a] & eta_np[b])
+            and np.array_equal(eta_np[m._mask_lookup(e[a] | e[b])], eta_np[a] | eta_np[b]))
 
 
 def counit_check(p: Frame) -> bool:

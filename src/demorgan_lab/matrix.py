@@ -5,14 +5,21 @@ with a set of designated elements.  Rule validity is decided by exhaustive
 valuation of the rule's atoms; the enumeration is vectorized with numpy.
 
 Every matrix here is a bounded distributive lattice, so it embeds into a
-powerset lattice (Birkhoff).  We keep that embedding around as per-element
-bitmasks: meet and join become bitwise AND/OR, which is what makes sweeps
-over matrices with thousands of elements affordable.  Large matrices skip
-the n x n operation tables entirely and work from the masks.
+powerset lattice (Birkhoff).  That embedding is the only representation a
+FinMatrix stores: one bitmask per element, a Python int of any width.  Meet
+and join are bitwise AND/OR, and the n x n operation tables are caches
+derived from the masks when something asks for them.
+
+Data from outside is checked once, where it enters: the public constructor
+(and so from_json and the catalog) runs FinMatrix.validate.  Matrices that
+this package builds from matrices it already holds (products, quotients,
+submatrices, split intervals, free algebras, complex matrices, gamma) hold
+the laws by construction and go through FinMatrix._trusted, unchecked.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -31,18 +38,11 @@ __all__ = [
     "bd4", "k3", "lp3", "cl2", "etl4", "kminus8", "dm4_algebra", "catalog",
 ]
 
-# Above TABLE_LIMIT, operation tables are not materialized.  Algebra laws
-# are checked exhaustively in n^3 up to FULL_LAW_LIMIT, exhaustively in n^2
-# (with sampled triple laws) up to TABLE_LIMIT, and on deterministic samples
-# beyond; constructions above that size are correct by construction
-# (componentwise products, upset lattices).
+# Operation tables are derived from the masks only up to TABLE_LIMIT
+# elements; larger matrices work from the masks alone.
 TABLE_LIMIT = 1500
-FULL_LAW_LIMIT = 100
-LAW_SAMPLES = 1024
-
-DM4_MEET = ((0, 0, 0, 0), (0, 1, 0, 1), (0, 0, 2, 2), (0, 1, 2, 3))
-DM4_JOIN = ((0, 1, 2, 3), (1, 1, 3, 3), (2, 3, 2, 3), (3, 3, 3, 3))
-DM4_NEG = (3, 1, 2, 0)  # bottom<->top, both fixpoints stay put
+# pairs per chunk when validate sweeps all pairs of elements
+_PAIR_CHUNK = 1 << 18
 
 
 class MatrixError(ValueError):
@@ -82,8 +82,16 @@ class Partition:
         return self.blocks[a] == self.blocks[b]
 
 
+def _is_index(v: object, n: int) -> bool:
+    return isinstance(v, (int, np.integer)) and 0 <= v < n
+
+
 class FinMatrix:
-    """Immutable finite matrix; validated on construction."""
+    """Immutable finite matrix, carried by the Birkhoff masks `enc`.
+
+    The constructor takes the masks, or meet and join tables from which it
+    derives them, and validates; see validate.
+    """
 
     def __init__(
         self,
@@ -97,8 +105,26 @@ class FinMatrix:
         meet: Optional[Sequence[Sequence[int]]] = None,
         join: Optional[Sequence[Sequence[int]]] = None,
         enc: Optional[Sequence[int]] = None,
-        validate: bool = True,
     ):
+        tables = None
+        if enc is None:
+            if meet is None or join is None:
+                raise MatrixError("need meet and join tables or a powerset encoding")
+            tables = (_index_table(meet, len(labels), "meet"),
+                      _index_table(join, len(labels), "join"))
+            enc = _masks_from_tables(*tables, bottom)
+        elif meet is not None or join is not None:
+            raise MatrixError("give operation tables or a powerset encoding, not both")
+        else:
+            enc = list(enc)
+            if not all(isinstance(v, (int, np.integer)) and v >= 0 for v in enc):
+                raise MatrixError("the encoding needs a non-negative integer mask per element")
+        self._init(labels, neg, top, bottom, designated, flags, [int(v) for v in enc])
+        if tables is not None:
+            self._cache["meet"], self._cache["join"] = tables
+        self.validate()
+
+    def _init(self, labels, neg, top, bottom, designated, flags, enc) -> None:
         self.labels = tuple(labels)
         self.n = len(self.labels)
         self.neg = tuple(neg)
@@ -106,44 +132,30 @@ class FinMatrix:
         self.bottom = bottom
         self.designated = frozenset(designated)
         self.flags = frozenset(flags)
-        self._meet = tuple(tuple(row) for row in meet) if meet is not None else None
-        self._join = tuple(tuple(row) for row in join) if join is not None else None
-        self.enc = tuple(enc) if enc is not None else None
+        self.enc = tuple(enc)
+        self.nbits = max(self.enc, default=0).bit_length()
         self._cache: dict[str, object] = {}
-        if self._meet is None and self.enc is None:
-            raise MatrixError("need operation tables or a powerset encoding")
-        for table in (self._meet, self._join):
-            if table is not None and (
-                len(table) != self.n
-                or any(len(row) != self.n for row in table)
-                or any(not 0 <= v < self.n for row in table for v in row)
-            ):
-                raise MatrixError("operation table is not an n x n index table")
-        if self.enc is None and self.n <= TABLE_LIMIT:
-            self.enc = self._compute_enc()
-        if self.enc is not None:
-            self.nbits = max(self.enc).bit_length() if self.n else 0
-        else:
-            self.nbits = -1
-        if validate:
-            self.validate()
+
+    @classmethod
+    def _trusted(cls, labels: Sequence[str], neg: Sequence[int], top: int, bottom: int,
+                 designated: Iterable[int], flags: Iterable[str],
+                 enc: Sequence[int]) -> "FinMatrix":
+        """A matrix built by this package from matrices it already holds,
+        whose laws hold by construction; it is not validated again."""
+        m = cls.__new__(cls)
+        m._init(labels, neg, top, bottom, designated, flags, enc)
+        return m
 
     # -- basic operations ------------------------------------------------
 
     def meet(self, x: int, y: int) -> int:
-        if self._meet is not None:
-            return self._meet[x][y]
         return self._enc_index()[self.enc[x] & self.enc[y]]
 
     def join(self, x: int, y: int) -> int:
-        if self._join is not None:
-            return self._join[x][y]
         return self._enc_index()[self.enc[x] | self.enc[y]]
 
     def leq(self, x: int, y: int) -> bool:
-        if self.enc is not None:
-            return self.enc[x] & self.enc[y] == self.enc[x]
-        return self.meet(x, y) == x
+        return self.enc[x] & self.enc[y] == self.enc[x]
 
     def is_designated(self, x: int) -> bool:
         return x in self.designated
@@ -156,82 +168,48 @@ class FinMatrix:
         return idx
 
     def meet_table(self) -> np.ndarray:
-        t = self._cache.get("np_meet")
-        if t is None:
-            if self._meet is not None:
-                t = np.array(self._meet, dtype=np.int32)
-            else:
-                if self.n > TABLE_LIMIT:
-                    raise MatrixError(f"refusing to materialize {self.n}x{self.n} table")
-                e = self._enc_np()
-                t = self._mask_lookup(e[:, None] & e[None, :])
-            self._cache["np_meet"] = t
-        return t
+        return self._table("meet", np.bitwise_and)
 
     def join_table(self) -> np.ndarray:
-        t = self._cache.get("np_join")
+        return self._table("join", np.bitwise_or)
+
+    def _table(self, name: str, op: np.ufunc) -> np.ndarray:
+        t = self._cache.get(name)
         if t is None:
-            if self._join is not None:
-                t = np.array(self._join, dtype=np.int32)
-            else:
-                if self.n > TABLE_LIMIT:
-                    raise MatrixError(f"refusing to materialize {self.n}x{self.n} table")
-                e = self._enc_np()
-                t = self._mask_lookup(e[:, None] | e[None, :])
-            self._cache["np_join"] = t
+            if self.n > TABLE_LIMIT:
+                raise MatrixError(f"refusing to materialize {self.n}x{self.n} table")
+            e = self._enc_np()
+            t = self._mask_lookup(op(e[:, None], e[None, :]))
+            self._cache[name] = t
         return t
 
     def _enc_np(self) -> np.ndarray:
+        """The masks as an array: uint64 up to 64 bits, Python ints (object
+        dtype) beyond; bitwise operators and searchsorted work on both."""
         e = self._cache.get("np_enc")
         if e is None:
-            if self.enc is None or self.nbits > 64:
-                raise MatrixError("no machine-word encoding available")
-            e = np.array(self.enc, dtype=np.uint64)
+            e = np.array(self.enc, dtype=np.uint64 if self.nbits <= 64 else object)
             self._cache["np_enc"] = e
         return e
 
-    def _mask_lookup(self, masks: np.ndarray) -> np.ndarray:
-        """Map an array of masks to element indices."""
+    def _positions(self, masks: np.ndarray) -> np.ndarray:
+        """Element index of each mask in the array, -1 where a mask is not
+        one of the carrier's."""
         lut = self._cache.get("mask_lut")
         if lut is None:
             order = np.argsort(self._enc_np(), kind="stable")
             lut = (self._enc_np()[order], order.astype(np.int32))
             self._cache["mask_lut"] = lut
         sorted_masks, order = lut
-        pos = np.searchsorted(sorted_masks, masks)
-        if not np.array_equal(sorted_masks[pos], masks):
+        pos = np.minimum(np.searchsorted(sorted_masks, masks), self.n - 1)
+        return np.where(sorted_masks[pos] == masks, order[pos], np.int32(-1))
+
+    def _mask_lookup(self, masks: np.ndarray) -> np.ndarray:
+        """Map an array of masks to element indices."""
+        idx = self._positions(masks)
+        if (idx < 0).any():
             raise MatrixError("operation left the carrier (encoding not closed)")
-        return order[pos]
-
-    # -- construction helpers --------------------------------------------
-
-    def _compute_enc(self) -> tuple[int, ...]:
-        """Birkhoff embedding: bit j of enc[x] says the j-th join-irreducible
-        lies below x."""
-        mt = self.meet_table()
-        leq = mt == np.arange(self.n, dtype=np.int32)[:, None]
-        jt = self.join_table()
-        jis = []
-        for x in range(self.n):
-            if x == self.bottom:
-                continue
-            below = [y for y in range(self.n) if leq[y, x] and y != x]
-            if not below:
-                jis.append(x)
-                continue
-            j = below[0]
-            for y in below[1:]:
-                j = int(jt[j, y])
-            if j != x:
-                jis.append(x)
-        enc = []
-        for x in range(self.n):
-            m = 0
-            for b, j in enumerate(jis):
-                if leq[j, x]:
-                    m |= 1 << b
-            enc.append(m)
-        return tuple(enc)
+        return idx
 
     def join_irreducibles(self) -> list[int]:
         """Indices of join-irreducible elements (the least element containing
@@ -243,8 +221,6 @@ class FinMatrix:
         return list(jis)
 
     def _compute_join_irreducibles(self) -> list[int]:
-        if self.enc is None:
-            raise MatrixError("no encoding; matrix too large without one")
         idx = self._enc_index()
         if self.nbits <= 64 and self.n > 64:
             e = self._enc_np()
@@ -273,126 +249,65 @@ class FinMatrix:
     # -- validation --------------------------------------------------------
 
     def validate(self) -> None:
+        """Check the matrix exhaustively; MatrixError names what fails.
+
+        The masks must be distinct, bottom's must be 0, each must lie inside
+        top's, and the carrier must be closed under & and | on all pairs.
+        An injective map into a powerset that preserves & and | is a lattice
+        embedding, so this implies every bounded-distributive-lattice law.
+        Cached operation tables (the constructor's input tables) must agree
+        with the masks.  With the `demorgan` flag the negation must be an
+        involution swapping the bounds with ~(x | y) = ~x & ~y on all pairs.
+        """
         n = self.n
         if n == 0:
             raise MatrixError("empty carrier")
-        if len(self.neg) != n or not all(0 <= v < n for v in self.neg):
+        if len(self.neg) != n or not all(_is_index(v, n) for v in self.neg):
             raise MatrixError("bad negation vector")
-        if not (0 <= self.top < n and 0 <= self.bottom < n):
+        if not (_is_index(self.top, n) and _is_index(self.bottom, n)):
             raise MatrixError("bad bounds")
-        if not all(0 <= d < n for d in self.designated):
+        if not all(_is_index(d, n) for d in self.designated):
             raise MatrixError("bad designated set")
-        if self.enc is not None:
-            if len(set(self.enc)) != n:
-                raise MatrixError("encoding not injective")
-            full = self.enc[self.top]
-            if self.enc[self.bottom] != 0 or any(m & ~full for m in self.enc):
-                raise MatrixError("encoding bounds broken")
-        if n <= FULL_LAW_LIMIT:
-            self._check_laws_exhaustive()
-        else:
-            # with an encoding, bitwise AND/OR satisfies every
-            # bounded-distributive-lattice law by set theory; the remaining
-            # content (carrier closure, table agreement) is checked on a
-            # sample here and again exactly at every use, since mask lookups
-            # reject escapes from the carrier.  Without one (only above
-            # TABLE_LIMIT) the sample is all there is.
-            self._check_laws_sampled()
-        if "demorgan" in self.flags:
-            self._check_demorgan()
-
-    def _sample_indices(self, count: int = LAW_SAMPLES) -> np.ndarray:
-        rng = np.random.default_rng(0)
-        return rng.integers(0, self.n, size=(3, count), dtype=np.int64)
-
-    def _op_arrays(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized meet and join of index arrays."""
-        have_tables = self._meet is not None or "np_meet" in self._cache
-        if not have_tables and self.enc is not None and self.nbits <= 64:
-            e = self._enc_np()
-            return self._mask_lookup(e[x] & e[y]), self._mask_lookup(e[x] | e[y])
-        mt, jt = self.meet_table(), self.join_table()
-        return mt[x, y], jt[x, y]
-
-    def _check_laws_exhaustive(self) -> None:
-        mt, jt = self.meet_table(), self.join_table()
-        n = self.n
-        idx = np.arange(n, dtype=np.int32)
-        if not (np.array_equal(mt, mt.T) and np.array_equal(jt, jt.T)):
-            raise MatrixError("commutativity fails")
-        if not (np.array_equal(mt[idx, idx], idx) and np.array_equal(jt[idx, idx], idx)):
-            raise MatrixError("idempotence fails")
-        if not np.array_equal(mt[idx[:, None], jt], np.broadcast_to(idx[:, None], (n, n))):
-            raise MatrixError("absorption fails")
-        if not np.array_equal(jt[idx[:, None], mt], np.broadcast_to(idx[:, None], (n, n))):
-            raise MatrixError("absorption fails")
-        # associativity and distributivity, full n^3
-        if not np.array_equal(mt[mt, :], mt[:, mt]):
-            raise MatrixError("meet associativity fails")
-        if not np.array_equal(jt[jt, :], jt[:, jt]):
-            raise MatrixError("join associativity fails")
-        # x & (y | z) == (x & y) | (x & z)
-        if not np.array_equal(mt[:, jt], jt[mt[:, :, None], mt[:, None, :]]):
-            raise MatrixError("distributivity fails")
-        if not (np.array_equal(mt[self.bottom], np.full(n, self.bottom, dtype=np.int32))
-                and np.array_equal(jt[self.top], np.full(n, self.top, dtype=np.int32))
-                and np.array_equal(mt[self.top], idx) and np.array_equal(jt[self.bottom], idx)):
-            raise MatrixError("bounds are not neutral/absorbing")
-
-    def _check_laws_sampled(self) -> None:
-        """Vectorized sampled laws for carriers above FULL_LAW_LIMIT."""
-        x, y, z = self._sample_indices()
-        mxy, jxy = self._op_arrays(x, y)
-        myx, jyx = self._op_arrays(y, x)
-        if not (np.array_equal(mxy, myx) and np.array_equal(jxy, jyx)):
-            raise MatrixError("commutativity fails")
-        m_x_jxy, _ = self._op_arrays(x, jxy)
-        _, j_x_mxy = self._op_arrays(x, mxy)
-        if not (np.array_equal(m_x_jxy, x) and np.array_equal(j_x_mxy, x)):
-            raise MatrixError("absorption fails")
-        myz, jyz = self._op_arrays(y, z)
-        m_xy_z, _ = self._op_arrays(mxy, z)
-        m_x_yz, _ = self._op_arrays(x, myz)
-        if not np.array_equal(m_xy_z, m_x_yz):
-            raise MatrixError("meet associativity fails")
-        m_x_jyz, _ = self._op_arrays(x, jyz)
-        mxz, _ = self._op_arrays(x, z)
-        _, j_mm = self._op_arrays(mxy, mxz)
-        if not np.array_equal(m_x_jyz, j_mm):
-            raise MatrixError("distributivity fails")
-        tops = np.full_like(x, self.top)
-        bots = np.full_like(x, self.bottom)
-        m_top, _ = self._op_arrays(x, tops)
-        _, j_bot = self._op_arrays(x, bots)
-        if not (np.array_equal(m_top, x) and np.array_equal(j_bot, x)):
-            raise MatrixError("bounds fail")
-
-    def _check_demorgan(self) -> None:
-        n = self.n
-        ng = np.array(self.neg, dtype=np.int64)
-        if not np.array_equal(ng[ng], np.arange(n, dtype=np.int64)):
-            raise MatrixError("negation is not an involution")
-        if self.neg[self.top] != self.bottom:
-            raise MatrixError("negation must swap the bounds")
-        if n <= FULL_LAW_LIMIT:
-            mt, jt = self.meet_table(), self.join_table()
-            if not np.array_equal(ng[jt], mt[ng[:, None], ng[None, :]]):
-                raise MatrixError("De Morgan law fails")
-        elif self.enc is not None and self.nbits <= 64:
-            # vectorized on masks: ~(x | y) must be ~x & ~y elementwise
-            e = self._enc_np()
+        if len(self.enc) != n:
+            raise MatrixError("the encoding needs one mask per element")
+        if self.enc[self.bottom] != 0:
+            raise MatrixError("encoding bounds broken: the bottom's mask is not 0")
+        full = self.enc[self.top]
+        first: dict[int, int] = {}
+        for x, mask in enumerate(self.enc):
+            if first.setdefault(mask, x) != x:
+                raise MatrixError(f"encoding not injective: {self.labels[first[mask]]!r} "
+                                  f"and {self.labels[x]!r} share a mask")
+            if mask & ~full:
+                raise MatrixError(f"encoding bounds broken: the mask of {self.labels[x]!r} "
+                                  "is not inside the top's")
+        demorgan = "demorgan" in self.flags
+        e = self._enc_np()
+        if demorgan:
+            ng = np.array(self.neg, dtype=np.int64)
+            if not np.array_equal(ng[ng], np.arange(n)):
+                raise MatrixError("negation is not an involution")
+            if self.neg[self.top] != self.bottom:
+                raise MatrixError("negation must swap the bounds")
             neg_e = e[ng]
-            x, y, _ = self._sample_indices()
-            if not np.array_equal(
-                neg_e[self._mask_lookup(e[x] | e[y])], neg_e[x] & neg_e[y]
-            ):
-                raise MatrixError("De Morgan law fails")
-        else:
-            x, y, _ = self._sample_indices()
-            _, jxy = self._op_arrays(x, y)
-            m_neg, _ = self._op_arrays(ng[x], ng[y])
-            if not np.array_equal(ng[jxy], m_neg):
-                raise MatrixError("De Morgan law fails")
+        rows = max(1, _PAIR_CHUNK // n)
+        for start in range(0, n, rows):
+            x = np.arange(start, min(start + rows, n))
+            meets = self._positions(e[x, None] & e[None, :])
+            joins = self._positions(e[x, None] | e[None, :])
+            for name, sym, got in (("meet", "&", meets), ("join", "|", joins)):
+                self._fail_at(got < 0, x, f"carrier not closed under {sym}")
+                table = self._cache.get(name)
+                if table is not None:
+                    self._fail_at(table[x] != got, x, f"{name} table is not the lattice {name}")
+            if demorgan:
+                self._fail_at(neg_e[joins] != (neg_e[x, None] & neg_e[None, :]), x,
+                              "De Morgan law ~(x | y) = ~x & ~y fails")
+
+    def _fail_at(self, bad: np.ndarray, rows: np.ndarray, what: str) -> None:
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise MatrixError(f"{what} at ({self.labels[rows[i]]!r}, {self.labels[j]!r})")
 
     def designated_is_prime_filter(self) -> bool:
         """Lattice filter with a | b designated only if a or b is."""
@@ -454,6 +369,33 @@ class FinMatrix:
         return f"<FinMatrix n={self.n} designated={sorted(self.designated)} flags={sorted(self.flags)}>"
 
 
+def _index_table(rows: Sequence[Sequence[int]], n: int, name: str) -> np.ndarray:
+    """An input operation table as an n x n array of element indices."""
+    try:
+        t = np.array(rows)
+        ok = t.shape == (n, n) and t.dtype.kind in "iu" and bool(((0 <= t) & (t < n)).all())
+    except ValueError:  # ragged rows
+        ok = False
+    if not ok:
+        raise MatrixError(f"{name} table is not an n x n table of element indices")
+    return t.astype(np.int32)
+
+
+def _masks_from_tables(mt: np.ndarray, jt: np.ndarray, bottom: int) -> list[int]:
+    """Birkhoff masks read off input tables: bit b of a mask says the b-th
+    join-irreducible (an element other than bottom that is not the join of
+    the elements strictly below it) lies below the element.  validate then
+    checks that the tables are the lattice these masks describe."""
+    n = len(mt)
+    leq = mt == np.arange(n)[:, None]  # leq[x, y]: x & y == x
+    jis = []
+    for x in range(n):
+        below = [y for y in np.flatnonzero(leq[:, x]) if y != x]
+        if x != bottom and (not below or functools.reduce(lambda a, b: jt[a, b], below) != x):
+            jis.append(x)
+    return [sum(1 << b for b, j in enumerate(jis) if leq[j, x]) for x in range(n)]
+
+
 # -- evaluation and validity ----------------------------------------------
 
 
@@ -489,7 +431,7 @@ class _Engine:
 
     def __init__(self, m: FinMatrix):
         self.m = m
-        self.mask_mode = m.enc is not None and 0 <= m.nbits <= 16
+        self.mask_mode = m.nbits <= 16
         if self.mask_mode:
             size = 1 << m.nbits
             # the narrowest dtype that holds the masks: big sweeps move a
@@ -621,7 +563,8 @@ def find_countervaluation(m: FinMatrix, r: RuleInstance) -> Optional[dict[str, i
 
 
 def product(ms: Sequence[FinMatrix]) -> FinMatrix:
-    """Direct product; designated tuples are the products of designated sets."""
+    """Direct product; designated tuples are the products of designated
+    sets.  A tuple's mask is its components' masks side by side."""
     if not ms:
         raise MatrixError("product of an empty family")
     if len(ms) == 1:
@@ -636,28 +579,9 @@ def product(ms: Sequence[FinMatrix]) -> FinMatrix:
     designated = [pos[t] for t in index
                   if all(i in m.designated for m, i in zip(ms, t))]
     flags = ["demorgan"] if all("demorgan" in m.flags for m in ms) else []
-    encs = [m.enc for m in ms]
-    if all(e is not None for e in encs) and sum(m.nbits for m in ms) <= 64:
-        shifts = np.cumsum([0] + [m.nbits for m in ms[:-1]])
-        enc = [sum(m.enc[i] << int(sh) for m, i, sh in zip(ms, t, shifts)) for t in index]
-        if len(index) > TABLE_LIMIT:
-            return FinMatrix(labels, neg, top, bottom, designated, flags, enc=enc)
-        return FinMatrix(labels, neg, top, bottom, designated, flags, enc=enc,
-                         meet=_tuple_table(ms, index, pos, "meet"),
-                         join=_tuple_table(ms, index, pos, "join"))
-    return FinMatrix(labels, neg, top, bottom, designated, flags,
-                     meet=_tuple_table(ms, index, pos, "meet"),
-                     join=_tuple_table(ms, index, pos, "join"))
-
-
-def _tuple_table(ms, index, pos, op):
-    out = []
-    for t in index:
-        row = []
-        for u in index:
-            row.append(pos[tuple(getattr(m, op)(i, j) for m, i, j in zip(ms, t, u))])
-        out.append(row)
-    return out
+    shifts = list(itertools.accumulate((m.nbits for m in ms[:-1]), initial=0))
+    enc = [sum(m.enc[i] << sh for m, i, sh in zip(ms, t, shifts)) for t in index]
+    return FinMatrix._trusted(labels, neg, top, bottom, designated, flags, enc)
 
 
 def submatrices(m: FinMatrix) -> Iterator[FinMatrix]:
@@ -699,15 +623,13 @@ def submatrices(m: FinMatrix) -> Iterator[FinMatrix]:
 
 def _induced_submatrix(m: FinMatrix, elems: Sequence[int]) -> FinMatrix:
     pos = {e: i for i, e in enumerate(elems)}
-    return FinMatrix(
+    return FinMatrix._trusted(
         [m.labels[e] for e in elems],
         [pos[m.neg[e]] for e in elems],
         pos[m.top], pos[m.bottom],
         [pos[e] for e in elems if e in m.designated],
         m.flags,
-        meet=[[pos[m.meet(x, y)] for y in elems] for x in elems],
-        join=[[pos[m.join(x, y)] for y in elems] for x in elems],
-        validate=False,
+        [m.enc[e] for e in elems],
     )
 
 
@@ -722,7 +644,7 @@ def _filter_generator(m: FinMatrix) -> Optional[int]:
     most 64 bits whose non-empty designated set is the upset of its meet,
     that is, a filter; then m is the complex matrix of its dual frame.
     """
-    if "demorgan" not in m.flags or m.enc is None or m.nbits > 64 or not m.designated:
+    if "demorgan" not in m.flags or m.nbits > 64 or not m.designated:
         return None
     e = m._enc_np()
     gen = np.bitwise_and.reduce(e[sorted(m.designated)])
@@ -791,21 +713,13 @@ def _leibniz_refine(m: FinMatrix) -> Partition:
     # large carriers: same refinement, hashing rows chunk by chunk
     import hashlib
     e = m._enc_np()
-    ng = np.array([m.enc[m.neg[i]] for i in range(n)], dtype=np.uint64)
-    order = np.argsort(e, kind="stable")
-    sorted_enc = e[order]
-
-    def lookup(masks: np.ndarray) -> np.ndarray:
-        posn = np.searchsorted(sorted_enc, masks)
-        return order[posn]
-
-    neg_idx = lookup(ng)
+    neg_idx = np.array(m.neg)
     while True:
         digests = []
         for start in range(0, n, 256):
             chunk = slice(start, min(start + 256, n))
-            meets = lookup((e[chunk, None] & e[None, :]).ravel()).reshape(-1, n)
-            joins = lookup((e[chunk, None] | e[None, :]).ravel()).reshape(-1, n)
+            meets = m._mask_lookup(e[chunk, None] & e[None, :])
+            joins = m._mask_lookup(e[chunk, None] | e[None, :])
             block = np.concatenate(
                 [colours[chunk][:, None], colours[neg_idx[chunk]][:, None],
                  colours[meets], colours[joins]],
@@ -821,24 +735,53 @@ def _leibniz_refine(m: FinMatrix) -> Partition:
 
 
 def quotient_by(m: FinMatrix, part: Partition) -> FinMatrix:
-    """Quotient matrix; requires part to be a designation-compatible congruence."""
+    """Quotient matrix; part must be a congruence compatible with designation.
+
+    Each mask bit marks a prime filter of m, and the prime filters of a
+    quotient are those of m that are unions of blocks, so part is a lattice
+    congruence exactly when the mask bits constant on every block tell all
+    blocks apart.  Those bits, packed, are the quotient's masks; negation
+    and designation must be constant on blocks.
+    """
+    if len(part.blocks) != m.n:
+        raise MatrixError(f"partition of {len(part.blocks)} elements for a carrier of {m.n}")
     if part.is_identity():
         return m
-    blocks = part.block_sets()
-    reps = [min(b) for b in blocks]
-    for b in blocks:
-        des = {x in m.designated for x in b}
-        if len(des) > 1:
+    bid = Partition.of(part.blocks).blocks
+    reps: list[int] = []  # the first element of each block
+    ors: list[int] = []
+    ands: list[int] = []
+    for x, b in enumerate(bid):
+        if b == len(reps):
+            reps.append(x)
+            ors.append(0)
+            ands.append(m.enc[x])
+        ors[b] |= m.enc[x]
+        ands[b] &= m.enc[x]
+    varying = functools.reduce(int.__or__, (o ^ a for o, a in zip(ors, ands)), 0)
+    codes = _pack([m.enc[r] for r in reps], m.enc[m.top] & ~varying)
+    first: dict[int, int] = {}
+    for b, code in enumerate(codes):
+        if first.setdefault(code, b) != b:
+            raise MatrixError(f"partition is not a lattice congruence: the blocks of "
+                              f"{m.labels[reps[first[code]]]!r} and {m.labels[reps[b]]!r} "
+                              "are not separated")
+    for x, b in enumerate(bid):
+        if bid[m.neg[x]] != bid[m.neg[reps[b]]]:
+            raise MatrixError(f"partition not compatible with negation at {m.labels[x]!r}")
+        if (x in m.designated) != (reps[b] in m.designated):
             raise MatrixError("partition not compatible with designation")
-    bid = part.blocks
-    k = len(reps)
-    meet = [[bid[m.meet(reps[i], reps[j])] for j in range(k)] for i in range(k)]
-    join = [[bid[m.join(reps[i], reps[j])] for j in range(k)] for i in range(k)]
-    neg = [bid[m.neg[reps[i]]] for i in range(k)]
-    labels = [m.labels[r] for r in reps]
-    designated = [i for i, r in enumerate(reps) if r in m.designated]
-    return FinMatrix(labels, neg, bid[m.top], bid[m.bottom], designated, m.flags,
-                     meet=meet, join=join)
+    return FinMatrix._trusted(
+        [m.labels[r] for r in reps], [bid[m.neg[r]] for r in reps],
+        bid[m.top], bid[m.bottom],
+        [b for b, r in enumerate(reps) if r in m.designated], m.flags, codes)
+
+
+def _pack(masks: Sequence[int], keep: int) -> list[int]:
+    """Each mask's bits at the positions set in keep, moved down in order
+    into the lowest bits."""
+    bits = [b for b in range(keep.bit_length()) if keep >> b & 1]
+    return [sum((mask >> b & 1) << i for i, b in enumerate(bits)) for mask in masks]
 
 
 def leibniz_reduct(m: FinMatrix) -> FinMatrix:
@@ -1106,15 +1049,13 @@ def split_at(m: FinMatrix, a: int) -> tuple[FinMatrix, FinMatrix, tuple[int, ...
         raise MatrixError("split_at needs a | ~a = top")
 
     def interval(c: int) -> tuple[FinMatrix, dict[int, int]]:
-        elems = sorted(x for x in range(m.n) if m.leq(x, c))
+        elems = [x for x in range(m.n) if m.leq(x, c)]
         pos = {e: i for i, e in enumerate(elems)}
         neg = [pos[m.meet(c, m.neg[x])] for x in elems]
         designated = sorted({pos[m.meet(c, f)] for f in m.designated})
-        mm = FinMatrix(
+        mm = FinMatrix._trusted(
             [m.labels[e] for e in elems], neg, pos[c], pos[m.bottom], designated,
-            ["demorgan"],
-            meet=[[pos[m.meet(x, y)] for y in elems] for x in elems],
-            join=[[pos[m.join(x, y)] for y in elems] for x in elems],
+            ["demorgan"], _pack([m.enc[e] for e in elems], m.enc[c]),
         )
         return mm, pos
 
@@ -1153,41 +1094,31 @@ def free_dm_algebra(
     if len(gens) > 3:
         raise MatrixError("free algebra guard: at most 3 generators")
     gen_list = list(gens)
-
-    def ev(f: Formula, v: dict[str, int]) -> int:
-        if isinstance(f, Atom):
-            return v[f.name]
-        if isinstance(f, Neg):
-            return DM4_NEG[ev(f.arg, v)]
-        if isinstance(f, And):
-            return DM4_MEET[ev(f.left, v)][ev(f.right, v)]
-        if isinstance(f, Or):
-            return DM4_JOIN[ev(f.left, v)][ev(f.right, v)]
-        return 3 if isinstance(f, _Top) else 0
-
+    dm4 = dm4_algebra()
     S = []
     for vals in itertools.product(range(4), repeat=len(gen_list)):
         v = dict(zip(gen_list, vals))
-        if all(DM4_MEET[ev(l, v)][ev(r, v)] == ev(l, v) for l, r in relations):
+        if all(dm4.leq(evaluate(dm4, v, l), evaluate(dm4, v, r)) for l, r in relations):
             S.append(v)
     if not S:
         raise MatrixError("relations are unsatisfiable over DM4")
+    # An element of DM4^S is its coordinates' 2-bit DM4 masks side by side,
+    # the first coordinate highest so that masks sort like tuples; meet and
+    # join are bitwise, and negation swaps and complements each bit pair.
+    width = 2 * len(S)
+    full = (1 << width) - 1
+    low = full // 3  # the low bit of every coordinate
 
-    def tup(f) -> tuple[int, ...]:
-        return tuple(ev(f, v) for v in S)
+    def neg(x: int) -> int:
+        return full & ~((x >> 1 & low) | (x & low) << 1)
 
-    top_t = tuple(3 for _ in S)
-    bot_t = tuple(0 for _ in S)
-    elems = {bot_t, top_t}
-    for g in gen_list:
-        elems.add(tup(Atom(g)))
+    names = {sum(dm4.enc[v[g]] << (width - 2 - 2 * i) for i, v in enumerate(S)): g
+             for g in gen_list}
+    elems = {0, full, *names}
     frontier = list(elems)
     while frontier:
         x = frontier.pop()
-        new = [tuple(DM4_NEG[a] for a in x)]
-        for y in list(elems):
-            new.append(tuple(DM4_MEET[a][b] for a, b in zip(x, y)))
-            new.append(tuple(DM4_JOIN[a][b] for a, b in zip(x, y)))
+        new = [neg(x)] + [x & y for y in elems] + [x | y for y in elems]
         for t in new:
             if t not in elems:
                 if len(elems) >= FREE_SIZE_CAP:
@@ -1196,19 +1127,9 @@ def free_dm_algebra(
                 frontier.append(t)
     order = sorted(elems)
     pos = {t: i for i, t in enumerate(order)}
-    names = {tup(Atom(g)): g for g in gen_list}
     labels = [names.get(t, "e%d" % i) for i, t in enumerate(order)]
-    # DM4 values 0..3 are 2-bit masks (meet/join are bitwise), so a tuple
-    # packs into 2 bits per coordinate
-    enc = [sum(a << (2 * i) for i, a in enumerate(t)) for t in order]
-    return FinMatrix(
-        labels,
-        [pos[tuple(DM4_NEG[a] for a in t)] for t in order],
-        pos[top_t], pos[bot_t], [], ["demorgan"],
-        meet=[[pos[tuple(DM4_MEET[a][b] for a, b in zip(x, y))] for y in order] for x in order],
-        join=[[pos[tuple(DM4_JOIN[a][b] for a, b in zip(x, y))] for y in order] for x in order],
-        enc=enc if len(S) <= 32 else None,
-    )
+    return FinMatrix._trusted(labels, [pos[neg(t)] for t in order], pos[full], 0,
+                              [], ["demorgan"], order)
 
 
 # -- the catalog --------------------------------------------------------------
@@ -1231,13 +1152,15 @@ def _lattice_from_order(labels, hasse, neg_pairs, designated, name_top, name_bot
     def meet(x, y):
         lows = [z for z in range(n) if leq[z][x] and leq[z][y]]
         cand = [z for z in lows if all(leq[w][z] for w in lows)]
-        assert len(cand) == 1, f"not a lattice at meet({x},{y})"
+        if len(cand) != 1:
+            raise MatrixError(f"not a lattice: {labels[x]!r} and {labels[y]!r} have no meet")
         return cand[0]
 
     def join(x, y):
         ups = [z for z in range(n) if leq[x][z] and leq[y][z]]
         cand = [z for z in ups if all(leq[z][w] for w in ups)]
-        assert len(cand) == 1, f"not a lattice at join({x},{y})"
+        if len(cand) != 1:
+            raise MatrixError(f"not a lattice: {labels[x]!r} and {labels[y]!r} have no join")
         return cand[0]
 
     neg = [None] * n

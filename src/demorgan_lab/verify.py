@@ -326,9 +326,6 @@ def _c13_lattice_probe() -> tuple[bool, str]:
     return not bad, f"probe over {len(res.names)} logics; failing: {bad or 'none'}"
 
 
-# criteria whose pass condition includes a wall-clock bound
-TIMED_CRITERIA = frozenset({1, 3, 8})
-
 CRITERIA: list[tuple[int, str, Callable[..., tuple[bool, str]]]] = [
     (1, "catalog validity table", _c01_catalog_validity),
     (2, "explosive-part identities", _c02_explosive_parts),

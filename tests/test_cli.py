@@ -145,9 +145,3 @@ def test_verify_subset(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "1,6,10")
     assert code == 0
     assert out.count("PASS") == 3 and "3/3" in out
-
-
-def test_verify_threads_env(capsys, monkeypatch):
-    monkeypatch.setenv("DEMORGAN_LAB_THREADS", "2")
-    code, out, _ = run(capsys, "verify", "--suite", "1,10")
-    assert code == 0 and out.count("PASS") == 2

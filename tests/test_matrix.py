@@ -1,5 +1,7 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
 
 from demorgan_lab.formula import RuleInstance, parse, parse_rule
@@ -8,7 +10,7 @@ from demorgan_lab.matrix import (
     bd4, catalog, cl2, etl4, evaluate, find_countervaluation,
     find_isomorphism, free_dm_algebra, is_matrix_isomorphism, k3, kminus8,
     leibniz_congruence, leibniz_reduct, lp3, principal_congruence, product,
-    split_at, submatrices, validates,
+    quotient_by, split_at, submatrices, validates,
 )
 
 
@@ -367,3 +369,147 @@ def test_matrix_map_checks():
     # collapsing BD4 onto CL2 by designation is not an algebra homomorphism
     bad = MatrixMap(bd4(), cl2(), (0, 0, 1, 1))
     assert not bad.is_homomorphism()
+
+
+# -- entry validation and the trusted constructions ----------------------------
+
+
+def _tables_of_order(n, leq):
+    """Meet and join tables of a lattice order given as a predicate."""
+    def bound(x, y, up):
+        common = [z for z in range(n)
+                  if (leq(x, z) and leq(y, z) if up else leq(z, x) and leq(z, y))]
+        return next(z for z in common if all((leq(z, w) if up else leq(w, z)) for w in common))
+    return ([[bound(x, y, False) for y in range(n)] for x in range(n)],
+            [[bound(x, y, True) for y in range(n)] for x in range(n)])
+
+
+def test_entry_rejects_non_distributive_lattices():
+    # the diamond M3 and the pentagon N5, each as 0, a, b, c, 1
+    m3 = {(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4), (0, 4)}
+    n5 = {(0, 1), (1, 2), (2, 4), (0, 3), (3, 4), (0, 2), (1, 4), (0, 4)}
+    for order, pair in ((m3, "'a', 'b'"), (n5, "'a', 'c'")):
+        meet, join = _tables_of_order(5, lambda x, y: x == y or (x, y) in order)
+        with pytest.raises(MatrixError, match=rf"not closed under \| at \({pair}\)"):
+            FinMatrix(["0", "a", "b", "c", "1"], range(5), 4, 0, [4], meet=meet, join=join)
+
+
+def test_entry_rejects_non_commutative_table():
+    m = bd4()
+    meet = m.meet_table().tolist()
+    n, b = m.labels.index("n"), m.labels.index("b")
+    meet[n][b] = b  # the order read off the table is unchanged
+    with pytest.raises(MatrixError, match=r"meet table is not the lattice meet at \('n', 'b'\)"):
+        FinMatrix(m.labels, m.neg, m.top, m.bottom, m.designated, m.flags,
+                  meet=meet, join=m.join_table().tolist())
+
+
+def test_entry_rejects_bad_encodings():
+    labels = ["bot", "a", "b", "top"]
+    with pytest.raises(MatrixError, match="not injective: 'a' and 'b'"):
+        FinMatrix(labels, [3, 1, 2, 0], 3, 0, [3], enc=[0, 1, 1, 3])
+    with pytest.raises(MatrixError, match=r"not closed under \| at \('a', 'b'\)"):
+        FinMatrix(labels, [3, 1, 2, 0], 3, 0, [3], enc=[0, 1, 2, 7])
+    with pytest.raises(MatrixError, match="bottom's mask"):
+        FinMatrix(labels, [3, 1, 2, 0], 3, 0, [3], enc=[4, 1, 2, 7])
+    with pytest.raises(MatrixError, match="tables or a powerset encoding, not both"):
+        FinMatrix(["*"], [0], 0, 0, [0], meet=[[0]], join=[[0]], enc=[0])
+
+
+def test_entry_rejects_involution_breaking_de_morgan():
+    # the four-chain with an involution that fixes a and b
+    chain = ["bot", "a", "b", "top"]
+    with pytest.raises(MatrixError, match=r"De Morgan law .* at \('a', 'b'\)"):
+        FinMatrix(chain, [3, 1, 2, 0], 3, 0, [3], ["demorgan"], enc=[0, 1, 3, 7])
+    FinMatrix(chain, [3, 1, 2, 0], 3, 0, [3], enc=[0, 1, 3, 7])  # fine without the flag
+
+
+def test_catalog_rejects_non_lattice_order():
+    from demorgan_lab.matrix import _lattice_from_order
+    with pytest.raises(MatrixError, match="'a' and 'b' have no join"):
+        _lattice_from_order(("bot", "a", "b"), (("bot", "a"), ("bot", "b")),
+                            (("bot", "a"), ("b", "b")), ["a"], "a", "bot")
+
+
+def test_trusted_constructions_validate():
+    from demorgan_lab.bridge import TriplePresentation, gamma, mu_triple
+    from demorgan_lab.frame import complex_matrix, random_frame
+    from demorgan_lab.graph import complete, cycle, loop_graph, point
+    rng = random.Random(11)
+    out = [complex_matrix(random_frame(rng, 8)) for _ in range(40)]
+    assert max(m.n for m in out) > 100
+    out += [product([etl4(), bd4()]), product([kminus8(), cl2(), k3()])]
+    out += [leibniz_reduct(m) for m in out[:30]]
+    out += list(submatrices(product([bd4(), cl2()])))
+    for m in catalog().values():
+        for a in range(m.n):
+            if m.join(a, m.neg[a]) == m.top:
+                out += split_at(m, a)[:2]
+    a, b = parse("a"), parse("b")
+    out += [free_dm_algebra(["a"]), free_dm_algebra(["a", "b"], [(b, a), (a, parse("~a|b"))])]
+    out += [gamma(g) for g in (point(), loop_graph(), complete(3), cycle(4))]
+    out += [mu_triple(TriplePresentation(complete(2), point(), 1))]
+    for m in out:
+        m.validate()
+
+
+def _is_congruence(m, blocks):
+    same = lambda x, y: blocks[x] == blocks[y]
+    return all(
+        same(m.neg[x], m.neg[y]) and (x in m.designated) == (y in m.designated)
+        and all(same(m.meet(x, c), m.meet(y, c)) and same(m.join(x, c), m.join(y, c))
+                for c in range(m.n))
+        for x in range(m.n) for y in range(m.n) if same(x, y))
+
+
+def test_quotient_checks_the_partition_completely():
+    rng = random.Random(5)
+    mats = list(catalog().values()) + [product([cl2(), k3()]), product([lp3(), cl2()])]
+    accepted = rejected = 0
+    for _ in range(400):
+        m = rng.choice(mats)
+        if rng.random() < 0.5:
+            blocks = [rng.randrange(3) for _ in range(m.n)]
+        else:  # a principal congruence, coarsened at random
+            a, b = rng.randrange(m.n), rng.randrange(m.n)
+            blocks = list(principal_congruence(m, a, b).blocks)
+            blocks = [x if rng.random() < 0.8 else 0 for x in blocks]
+        part = Partition.of(blocks)
+        if _is_congruence(m, part.blocks):
+            q = quotient_by(m, part)
+            q.validate()
+            assert MatrixMap(m, q, part.blocks).is_strict()
+            accepted += 1
+        else:
+            with pytest.raises(MatrixError):
+                quotient_by(m, part)
+            rejected += 1
+    assert accepted > 50 and rejected > 50
+
+
+def test_quotient_rejects_named_failures():
+    m = bd4()  # bot, n, b, top with b and top designated
+    # bot ~ n respects designation, but bot | b = b and n | b = top differ
+    with pytest.raises(MatrixError, match="not a lattice congruence"):
+        quotient_by(m, Partition.of([0, 0, 1, 2]))
+    # {bot, n} and {b, top} is a lattice congruence, but ~bot = top, ~n = n
+    with pytest.raises(MatrixError, match="negation"):
+        quotient_by(m, Partition.of([0, 0, 1, 1]))
+
+
+def test_chain_above_64_mask_bits():
+    # 66 elements from tables: 65 join-irreducibles, so 65 mask bits and
+    # the paths for masks wider than a machine word
+    n = 66
+    idx = np.arange(n)
+    m = FinMatrix([f"c{i}" for i in range(n)], [n - 1 - i for i in range(n)], n - 1, 0,
+                  range(40, n), ["demorgan"],
+                  meet=np.minimum.outer(idx, idx).tolist(),
+                  join=np.maximum.outer(idx, idx).tolist())
+    assert m.nbits == 65
+    assert np.array_equal(m.meet_table(), np.minimum.outer(idx, idx))
+    assert np.array_equal(m.join_table(), np.maximum.outer(idx, idx))
+    for text in ["p, ~p|q |- q", "|- p|~p", "p & ~p |- q | ~q", "p |- p & ~p"]:
+        r = parse_rule(text)
+        assert validates(m, r) == brute_validates(m, r), text
+    assert leibniz_congruence(m) == brute_leibniz(m)
