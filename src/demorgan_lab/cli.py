@@ -3,7 +3,8 @@
 Inputs may be registry names (case-insensitive), inline rule strings, graph
 generator names (K3, C5, point, loop, G2, empty), or @file references to
 JSON in the formats the library reads and writes.  Exit status: 0 for a
-positive answer, 1 for a negative one, 2 for bad input.
+positive answer, 1 for a negative one, 2 for bad input, 3 for an internal
+failure (a self-check of the library failed; the message says which).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .formula import ParseError, parse, parse_rule
 EXIT_TRUE = 0
 EXIT_FALSE = 1
 EXIT_ERROR = 2
+EXIT_INTERNAL = 3
 
 
 class InputError(ValueError):
@@ -458,6 +460,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (InputError, ParseError, KeyError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
+    except RuntimeError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

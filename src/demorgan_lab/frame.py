@@ -232,7 +232,10 @@ def complex_matrix(p: Frame) -> FinMatrix:
 def dual_frame(m: FinMatrix) -> Frame:
     """Prime filters ordered by inclusion, with the involution sending a
     filter U to {a : ~a not in U}; designated are the filters containing
-    the designated set of m."""
+    the designated set of m.  Cached per matrix: both are immutable."""
+    p = m._cache.get("dual_frame")
+    if p is not None:
+        return p
     if "demorgan" not in m.flags:
         raise MatrixError("dual_frame needs a De Morgan matrix")
     if m.nbits > 64:
@@ -250,7 +253,8 @@ def dual_frame(m: FinMatrix) -> Frame:
     for d in m.designated:
         gen &= m.enc[d]
     designated = [a for a, j in enumerate(jis) if m.enc[j] & gen == m.enc[j]]
-    return Frame([m.labels[j] for j in jis], leq, invol, designated)
+    p = m._cache["dual_frame"] = Frame([m.labels[j] for j in jis], leq, invol, designated)
+    return p
 
 
 def roundtrip_check(m: FinMatrix) -> bool:

@@ -418,11 +418,18 @@ def evaluate(m: FinMatrix, v: Mapping[str, int], f: Formula) -> int:
     raise TypeError(f)
 
 
-_CHUNK_LIMIT = 1 << 22
+# Sweep block sizes in valuations: the first block is small, so a witness
+# near the start of the grid costs little; blocks then double up to a cap
+# whose uint8/uint16 intermediates stay in cache.
+_FIRST_BLOCK = 1 << 14
+_BLOCK_CAP = 1 << 19
 
 
 class _Engine:
-    """Vectorized valuation sweeps for one matrix.
+    """Vectorized valuation sweeps for one matrix, one block of the grid at
+    a time.  `_violation` takes contiguous blocks in lexicographic order,
+    growing from _FIRST_BLOCK to _BLOCK_CAP valuations, and stops at the
+    first block with a refuting valuation, so the witness is the least one.
 
     Values are carried either as powerset masks (meet/join are bitwise ops;
     needs <= 16 mask bits so negation/designation fit in lookup tables) or
@@ -443,18 +450,18 @@ class _Engine:
                 self.neg_lut[mask] = m.enc[m.neg[i]]
                 self.des_lut[mask] = i in m.designated
             self.values = np.array(m.enc, dtype=dt)
-            self.top_v = dt(m.enc[m.top])
-            self.bot_v = dt(m.enc[m.bottom])
         else:
             self.meet_flat = m.meet_table().astype(np.int32).ravel()
             self.join_flat = m.join_table().astype(np.int32).ravel()
             self.neg_arr = np.array(m.neg, dtype=np.int32)
-            self.des_arr = np.zeros(m.n, dtype=bool)
+            self.des_lut = np.zeros(m.n, dtype=bool)
             for d in m.designated:
-                self.des_arr[d] = True
+                self.des_lut[d] = True
             self.values = np.arange(m.n, dtype=np.int32)
-            self.top_v = np.int32(m.top)
-            self.bot_v = np.int32(m.bottom)
+        self.top_v = self.values[m.top]
+        self.bot_v = self.values[m.bottom]
+        # one designated value: a comparison beats a lookup-table gather
+        self.des_v = self.values[next(iter(m.designated))] if len(m.designated) == 1 else None
 
     def eval_formula(self, f: Formula, atom_arrays: Mapping[str, np.ndarray]) -> np.ndarray:
         if isinstance(f, Atom):
@@ -472,19 +479,26 @@ class _Engine:
             table = self.meet_flat if isinstance(f, And) else self.join_flat
             return table[a * np.int32(self.m.n) + b]
         if isinstance(f, _Top):
-            return np.broadcast_to(self.top_v, ())
+            return self.top_v
         if isinstance(f, _Bot):
-            return np.broadcast_to(self.bot_v, ())
+            return self.bot_v
         raise TypeError(f)
 
     def designated_mask(self, arr: np.ndarray) -> np.ndarray:
-        if self.mask_mode:
-            if len(self.m.designated) == 1:
-                return arr == self.values[next(iter(self.m.designated))]
-            return self.des_lut[arr]
-        if len(self.m.designated) == 1:
-            return arr == np.int32(next(iter(self.m.designated)))
-        return self.des_arr[arr]
+        if self.des_v is not None:
+            return arr == self.des_v
+        return self.des_lut[arr]
+
+    def first_bad(self, r: RuleInstance, arrays: Mapping[str, np.ndarray]) -> Optional[int]:
+        """C-order offset of the first valuation in a block refuting r.  Each
+        atom of r occurs in some mask, so `bad` has the block's whole shape."""
+        masks = [self.designated_mask(self.eval_formula(g, arrays)) for g in r.premises]
+        masks += [~self.designated_mask(self.eval_formula(d, arrays)) for d in r.conclusions]
+        # & commutes, so the order of the masks does not matter; numpy's bool
+        # & with a scalar operand is slow, so the fold starts from a mask
+        bad = functools.reduce(np.logical_and, masks) if masks else np.True_
+        hit = int(np.argmax(bad))
+        return hit if bad.flat[hit] else None
 
 
 def _engine(m: FinMatrix) -> _Engine:
@@ -498,53 +512,39 @@ def _engine(m: FinMatrix) -> _Engine:
 def _violation(m: FinMatrix, r: RuleInstance) -> Optional[dict[str, int]]:
     """First valuation designating all premises but no conclusion, or None.
 
-    Atoms are swept in sorted order, element 0 first, so the witness is the
-    lexicographically least one.
+    The grid of valuations of the sorted atoms, element 0 first, is swept
+    in contiguous blocks in lexicographic order, so the witness is the
+    lexicographically least one.  A block fixes the leading atoms, gives
+    the next one a range of values and leaves the rest free; blocks grow by
+    doubling from _FIRST_BLOCK valuations (a smaller grid is one block) to
+    _BLOCK_CAP.
     """
     eng = _engine(m)
     names = sorted(r.atom_names())
-    k = len(names)
-    n = m.n
-    # chunk leading atoms so in-memory grids stay bounded
-    lead = 0
-    grid = n ** k if k else 1
-    while grid > _CHUNK_LIMIT:
-        lead += 1
-        grid = n ** (k - lead)
-    tail = names[lead:]
-    shape = tuple(n for _ in tail)
-
-    def run_chunk(fixed: dict[str, np.ndarray]) -> Optional[int]:
-        arrays = dict(fixed)
-        for i, name in enumerate(tail):
-            s = (1,) * i + (n,) + (1,) * (len(tail) - 1 - i)
-            arrays[name] = eng.values.reshape(s)
-        prem_ok = np.broadcast_to(True, shape)
-        for g in sorted(r.premises, key=str):
-            prem_ok = prem_ok & eng.designated_mask(eng.eval_formula(g, arrays))
-        if not prem_ok.any():
-            return None
-        bad = prem_ok
-        if r.conclusions:
-            concl_ok = np.broadcast_to(False, shape)
-            for d in sorted(r.conclusions, key=str):
-                concl_ok = concl_ok | eng.designated_mask(eng.eval_formula(d, arrays))
-            bad = prem_ok & ~concl_ok
-        flat = np.broadcast_to(bad, shape).ravel()
-        hit = int(np.argmax(flat))
-        if not flat[hit]:
-            return None
-        return hit
-
-    for combo in itertools.product(range(n), repeat=lead):
-        fixed = {names[i]: eng.values[combo[i]].reshape(()) for i in range(lead)}
-        hit = run_chunk(fixed)
+    k, n = len(names), m.n
+    total, pos, size = n ** k, 0, _FIRST_BLOCK
+    while pos < total:
+        # free as many trailing atoms as fit in the block and keep it aligned
+        t = 0
+        while t + 1 < k and n ** (t + 1) <= size and pos % n ** (t + 1) == 0:
+            t += 1
+        stride = n ** t
+        lo = pos // stride % n
+        hi = min(n, lo + size // stride)
+        j = k - 1 - t  # the ranged atom
+        arrays = {names[i]: eng.values[pos // n ** (k - 1 - i) % n] for i in range(j)}
+        for i in range(min(k, t + 1)):
+            v = eng.values[lo:hi] if i == 0 else eng.values
+            arrays[names[j + i]] = v.reshape((1,) * i + (-1,) + (1,) * (t - i))
+        hit = eng.first_bad(r, arrays)
         if hit is not None:
-            out = {names[i]: combo[i] for i in range(lead)}
-            for i in reversed(range(len(tail))):
-                out[tail[i]] = hit % n
-                hit //= n
+            hit += pos
+            out = {}
+            for name in reversed(names):
+                hit, out[name] = divmod(hit, n)
             return out
+        pos += (hi - lo) * stride
+        size = min(2 * size, _BLOCK_CAP)
     return None
 
 

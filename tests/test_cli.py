@@ -117,6 +117,18 @@ def test_witness_command(capsys):
     assert code == 1 and "no witness" in out
 
 
+def test_internal_failure_exit_3(capsys, monkeypatch):
+    from demorgan_lab import logics
+
+    def broken(premises, conclusion):
+        raise RuntimeError("internal: combined witness failed verification")
+
+    monkeypatch.setattr(logics, "kminus_witness", broken)
+    code, out, err = run(capsys, "witness-kminus", "--premises", "p", "--conclusion", "q")
+    assert code == 3 and out == ""
+    assert err == "internal error: internal: combined witness failed verification\n"
+
+
 def test_sstar_command(capsys):
     code, out, _ = run(capsys, "--json", "sstar", "--graph", "K2", "--k", "0",
                        "--steps", "1")

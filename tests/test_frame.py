@@ -52,6 +52,9 @@ def test_dual_frames():
     d = dual_frame(k3())
     assert d.n == 2 and len(d.designated) == 2
     assert sum(1 for i in range(2) for j in range(2) if i != j and d.le(i, j)) == 1
+    # frames are immutable, so each matrix builds its dual frame once
+    m = complex_matrix(random_frame(random.Random(3), 5))
+    assert dual_frame(m) is dual_frame(m) and dual_frame(k3()) is d
 
 
 def test_roundtrip_on_catalog():

@@ -14,15 +14,20 @@ from demorgan_lab.matrix import (
 )
 
 
-def brute_validates(m, r):
-    """Reference validity by plain nested-loop valuation enumeration."""
+def brute_witness(m, r):
+    """Reference sweep: the first refuting valuation in lexicographic order
+    of the sorted atoms, by plain enumeration with scalar evaluate."""
     names = sorted(r.atom_names())
     for vals in itertools.product(range(m.n), repeat=len(names)):
         v = dict(zip(names, vals))
         if all(evaluate(m, v, g) in m.designated for g in r.premises):
             if not any(evaluate(m, v, d) in m.designated for d in r.conclusions):
-                return False
-    return True
+                return v
+    return None
+
+
+def brute_validates(m, r):
+    return brute_witness(m, r) is None
 
 
 RULES = [
@@ -46,6 +51,58 @@ def test_engine_matches_brute_force():
         for text in RULES:
             r = parse_rule(text)
             assert validates(m, r) == brute_validates(m, r), (m, text)
+
+
+SWEEP_RULES = RULES + [
+    "|- ", "T |- F", "|- p, q, r", "p, q, r, s |- ", "p, q, r, s |- p & q & r & s",
+    "p|q, ~q|r, r|s |- p|s", "~p, ~q |- ~(p|q), r", "p & q, r |- s, ~s",
+]
+
+
+def test_sweep_blocks_keep_the_least_witness(monkeypatch):
+    # blocks of 1, 2, 4 and then 7 valuations: every kind of block boundary
+    # (ranged atom, realignment, capped blocks) falls inside small grids
+    from demorgan_lab import matrix
+    from demorgan_lab.frame import Frame, complex_matrix, random_frame
+    monkeypatch.setattr(matrix, "_FIRST_BLOCK", 1)
+    monkeypatch.setattr(matrix, "_BLOCK_CAP", 7)
+    rng = random.Random(7)
+    mats = list(catalog().values()) + [product([cl2(), lp3()]), product([etl4(), bd4()])]
+    mats += [complex_matrix(random_frame(rng, 5)) for _ in range(8)]
+    chain = complex_matrix(Frame([f"c{i}" for i in range(17)],
+                                 [(i, j) for i in range(17) for j in range(i, 17)],
+                                 [16 - i for i in range(17)], range(5, 17)))
+    assert chain.nbits == 17 and not matrix._engine(chain).mask_mode
+    mats.append(chain)
+    rules = [parse_rule(t) for t in SWEEP_RULES]
+    assert {len(r.atom_names()) for r in rules} == {0, 1, 2, 3, 4}
+    checked = 0
+    for m in mats:
+        for r in rules:
+            if m.n ** len(r.atom_names()) <= 6000:
+                assert find_countervaluation(m, r) == brute_witness(m, r), (m.labels, str(r))
+                checked += 1
+    assert checked > 250
+
+
+def test_sweep_crossing_the_block_cap_agrees_with_hom_search(monkeypatch):
+    from demorgan_lab import matrix
+    from demorgan_lab.bridge import alpha_rule, mu_plus
+    from demorgan_lab.graph import Graph, complete, cycle, hom_search
+    # K4 has no homomorphism to C4, so the whole 35^4 grid is swept; the
+    # second pair's witness lies near the end of its 41^4 grid
+    loops = Graph("abcd", [(0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (0, 3), (1, 2)])
+    target = Graph("abcd", [(0, 0), (0, 1), (0, 3), (1, 2)])
+    for h, g in [(complete(4), cycle(4)), (loops, target)]:
+        m, r = mu_plus(h), alpha_rule(g)
+        assert m.n ** len(r.atom_names()) > 2 * matrix._BLOCK_CAP
+        w = find_countervaluation(m, r)
+        assert (w is None) == (hom_search(h, g) is None)
+    assert w is not None and all(evaluate(m, w, f) in m.designated for f in r.premises)
+    # the same witness from blocks of whole 41^3 slices
+    monkeypatch.setattr(matrix, "_FIRST_BLOCK", m.n ** 3)
+    monkeypatch.setattr(matrix, "_BLOCK_CAP", m.n ** 3)
+    assert find_countervaluation(m, r) == w
 
 
 def test_evaluate_examples():
