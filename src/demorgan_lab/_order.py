@@ -1,0 +1,153 @@
+"""Relations as bitmask rows (bit j of up[i] is set iff i R j), their
+closure, and the one isomorphism search for frames, matrices and graphs:
+each is a relation, a unary map and a colour per point."""
+
+from __future__ import annotations
+
+from collections import Counter
+from typing import Hashable, Iterator, NamedTuple, Optional, Sequence
+
+
+def bits(x: int) -> Iterator[int]:
+    """Positions of the set bits of x, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def closure(up: Sequence[int]) -> list[int]:
+    """Reflexive-transitive closure of a relation (Warshall on rows)."""
+    up = [r | 1 << i for i, r in enumerate(up)]
+    for k in range(len(up)):
+        bit, row = 1 << k, up[k]
+        for i, r in enumerate(up):
+            if r & bit:
+                up[i] = r | row
+    return up
+
+
+def transpose(up: Sequence[int]) -> list[int]:
+    """Rows of the converse relation."""
+    down = [0] * len(up)
+    for i, r in enumerate(up):
+        for j in bits(r):
+            down[j] |= 1 << i
+    return down
+
+
+def pairs(up: Sequence[int]) -> frozenset[tuple[int, int]]:
+    """The relation as a set of pairs."""
+    return frozenset((i, j) for i, r in enumerate(up) for j in bits(r))
+
+
+class Structure(NamedTuple):
+    """A relation, its converse (transpose(up)), a map and colours."""
+
+    up: Sequence[int]
+    down: Sequence[int]
+    f: Sequence[int]
+    colours: Sequence[Hashable]
+
+
+def _keys(s: Structure) -> list[tuple]:
+    """Per point, invariants that any isomorphism preserves."""
+    return [(s.colours[u], s.up[u].bit_count(), s.down[u].bit_count(),
+             s.up[u] >> u & 1, s.f[u] == u, s.colours[s.f[u]],
+             s.up[u] >> s.f[u] & 1, s.down[u] >> s.f[u] & 1)
+            for u in range(len(s.up))]
+
+
+def _search_order(p: Structure, cands: list[list[int]], pre: list[list[int]]) -> list[int]:
+    """The points of p in search order: each next point is tied (by the
+    relation either way, or by the map either way) to the latest point
+    ordered that still has unordered ties, so that its choice meets an
+    earlier one at once; among those, fewest candidates first."""
+    n = len(p.up)
+    tied = [p.up[u] | p.down[u] | 1 << p.f[u] | sum(1 << w for w in pre[u]) for u in range(n)]
+    groups = [sum(1 << u for u, c in enumerate(cands) if len(c) == k)
+              for k in sorted({len(c) for c in cands})]
+    left = (1 << n) - 1
+    order: list[int] = []
+    trail: list[int] = []
+    while left:
+        while trail and not tied[trail[-1]] & left:
+            trail.pop()
+        near = tied[trail[-1]] & left if trail else left
+        pick = next(g & near for g in groups if g & near)
+        u = (pick & -pick).bit_length() - 1
+        order.append(u)
+        trail.append(u)
+        left ^= 1 << u
+    return order
+
+
+def isomorphism(p: Structure, q: Structure) -> Optional[tuple[int, ...]]:
+    """A bijection phi with u R v iff phi(u) R phi(v), phi(f(u)) = f(phi(u))
+    and equal colours, or None.
+
+    Backtracking over the points of p in _search_order; the candidates of
+    a point are the points of q with the same _keys.  A candidate for u
+    must agree with the points already mapped on both rows and on the map
+    both ways: with the image of f(u) and with those of the preimages of u
+    under f, as f need not be an involution.  So a complete assignment is
+    an isomorphism.
+    """
+    n = len(p.up)
+    if len(q.up) != n:
+        return None
+    if n == 0:
+        return ()
+    kp, kq = _keys(p), _keys(q)
+    if Counter(kp) != Counter(kq):
+        return None
+    by_key: dict[tuple, list[int]] = {}
+    for v, k in enumerate(kq):
+        by_key.setdefault(k, []).append(v)
+    cands = [by_key[k] for k in kp]
+    pre: list[list[int]] = [[] for _ in range(n)]
+    for u, w in enumerate(p.f):
+        pre[w].append(u)
+    order = _search_order(p, cands, pre)
+    phi = [-1] * n
+    placed = img = 0  # the points of p mapped so far, and their images
+
+    def options(u: int) -> Iterator[int]:
+        up_img = down_img = 0
+        for w in bits(p.up[u] & placed):
+            up_img |= 1 << phi[w]
+        for w in bits(p.down[u] & placed):
+            down_img |= 1 << phi[w]
+        # f(v) must be phi(f(u)): unknown (-1) while f(u) is unmapped, as
+        # always when f(u) = u, but the keys pair fixpoints with fixpoints
+        want_f = phi[p.f[u]]
+        forced = {q.f[phi[w]] for w in pre[u] if phi[w] >= 0}
+        if len(forced) > 1:
+            return
+        for v in forced or cands[u]:
+            if (img >> v & 1 or q.up[v] & img != up_img or q.down[v] & img != down_img
+                    or kq[v] != kp[u] or want_f >= 0 and q.f[v] != want_f):
+                continue
+            yield v
+
+    stack: list[Iterator[int]] = []  # the untried options of each mapped point
+    it = options(order[0])
+    while True:
+        v = next(it, None)
+        if v is None:
+            if not stack:
+                return None
+            it = stack.pop()
+            u = order[len(stack)]
+            placed ^= 1 << u
+            img ^= 1 << phi[u]
+            phi[u] = -1
+            continue
+        u = order[len(stack)]
+        phi[u] = v
+        placed |= 1 << u
+        img |= 1 << v
+        if len(stack) == n - 1:
+            return tuple(phi)
+        stack.append(it)
+        it = options(order[len(stack)])

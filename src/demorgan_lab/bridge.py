@@ -203,7 +203,7 @@ def classify_reduced(m: FinMatrix) -> TriplePresentation:
         _normalized_union(plus_parts), _normalized_union(minus_parts), k
     )
     if not frame_isomorphic(p_triple(result), p):
-        raise MatrixError("classification failed its duality check")
+        raise RuntimeError("internal: classification failed its duality check")
     return result
 
 

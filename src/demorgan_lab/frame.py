@@ -12,12 +12,13 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .matrix import FinMatrix, MatrixError, _dual_partner, _point_sets
+from ._order import Structure, bits, closure, isomorphism, pairs, transpose
+from .matrix import (FinMatrix, MatrixError, _dual_partner, _is_index, _json_object,
+                     _pack, _point_sets)
 
 __all__ = [
     "Frame", "FrameError", "CompatiblePreorder",
@@ -35,57 +36,88 @@ class FrameError(ValueError):
     pass
 
 
-class Frame:
-    """Immutable involutive poset with designated upset; validated on build."""
+def _rows(n: int, leq: Iterable[tuple[int, int]]) -> list[int]:
+    """Reflexive bitmask rows of a relation given as pairs of points."""
+    up = [1 << i for i in range(n)]
+    for item in leq:
+        if not (isinstance(item, (list, tuple)) and len(item) == 2
+                and all(_is_index(x, n) for x in item)):
+            raise FrameError(f"'leq' item {item!r} is not a pair of point indices")
+        up[item[0]] |= 1 << item[1]
+    return up
 
-    def __init__(
-        self,
-        labels: Sequence[str],
-        leq: Iterable[tuple[int, int]],
-        invol: Sequence[int],
-        designated: Iterable[int],
-        *,
-        validate: bool = True,
-    ):
+
+def _mirror(up: Sequence[int], invol: Sequence[int]) -> list[int]:
+    """Rows of the relation {(invol(j), invol(i)) : i R j}."""
+    out = [0] * len(up)
+    for i, r in enumerate(up):
+        for j in bits(r):
+            out[invol[j]] |= 1 << invol[i]
+    return out
+
+
+def _compatible_closure(up: Sequence[int], invol: Sequence[int]) -> list[int]:
+    """Least compatible preorder containing a relation: the relation and its
+    involution mirror, closed.  The closure of a mirror-closed relation is
+    mirror-closed, since a chain u <= w <= v mirrors to a chain."""
+    return closure([a | b for a, b in zip(up, _mirror(up, invol))])
+
+
+class Frame:
+    """Immutable involutive poset with designated upset; validated on build.
+
+    The order is held as bitmask rows: bit j of up[i] is set iff i <= j.
+    The constructor takes the order as pairs and adds reflexivity.
+    """
+
+    def __init__(self, labels: Sequence[str], leq: Iterable[tuple[int, int]],
+                 invol: Sequence[int], designated: Iterable[int]):
+        self._init(labels, _rows(len(labels), leq), invol, designated)
+
+    def _init(self, labels, up, invol, designated) -> None:
         self.labels = tuple(labels)
         self.n = len(self.labels)
-        rel = {(i, i) for i in range(self.n)} | {tuple(p) for p in leq}
-        self.leq = frozenset(rel)
+        self.up = tuple(up)
         self.invol = tuple(invol)
         self.designated = frozenset(designated)
-        self.up = tuple(
-            frozenset(j for j in range(self.n) if (i, j) in self.leq)
-            for i in range(self.n)
-        )
-        if validate:
-            self.validate()
+        self.validate()
+
+    @classmethod
+    def _of_rows(cls, labels: Sequence[str], up: Sequence[int], invol: Sequence[int],
+                 designated: Iterable[int]) -> "Frame":
+        """A frame from reflexive bitmask rows; validated like any other."""
+        p = cls.__new__(cls)
+        p._init(labels, up, invol, designated)
+        return p
+
+    @property
+    def leq(self) -> frozenset[tuple[int, int]]:
+        """The order as a set of pairs."""
+        return pairs(self.up)
 
     def le(self, i: int, j: int) -> bool:
-        return (i, j) in self.leq
+        return bool(self.up[i] >> j & 1)
 
     def validate(self) -> None:
-        n = self.n
-        if len(self.invol) != n or sorted(self.invol) != list(range(n)):
+        n, up, invol = self.n, self.up, self.invol
+        points = set(range(n))
+        if len(invol) != n or set(invol) != points:
             raise FrameError("involution is not a permutation")
-        for i, j in self.leq:
-            if not (0 <= i < n and 0 <= j < n):
-                raise FrameError("order out of range")
-            if (j, i) in self.leq and i != j:
-                raise FrameError(f"antisymmetry fails at {i},{j}")
-            if (self.invol[j], self.invol[i]) not in self.leq:
-                raise FrameError("involution is not order-inverting")
-            for k in range(n):
-                if (j, k) in self.leq and (i, k) not in self.leq:
+        if any(invol[invol[i]] != i for i in range(n)):
+            raise FrameError("involution is not an involution")
+        if not self.designated <= points:
+            raise FrameError("designated point out of range")
+        for i, r in enumerate(up):
+            for j in bits(r & ~(1 << i)):  # i < j in the order
+                if up[j] >> i & 1:
+                    raise FrameError(f"antisymmetry fails at {i},{j}")
+                if up[j] & ~r:
                     raise FrameError("order is not transitive")
-        for i in range(n):
-            if self.invol[self.invol[i]] != i:
-                raise FrameError("involution is not an involution")
-        for d in self.designated:
-            if not (0 <= d < n):
-                raise FrameError("designated point out of range")
-            for j in self.up[d]:
-                if j not in self.designated:
-                    raise FrameError("designated set is not an upset")
+                if not up[invol[j]] >> invol[i] & 1:
+                    raise FrameError("involution is not order-inverting")
+        dmask = sum(1 << d for d in self.designated)
+        if any(up[d] & ~dmask for d in self.designated):
+            raise FrameError("designated set is not an upset")
 
     def min_of(self, points: Iterable[int]) -> frozenset[int]:
         pts = set(points)
@@ -101,12 +133,12 @@ class Frame:
 
     def restrict(self, points: Sequence[int]) -> "Frame":
         pts = sorted(points)
-        if any(self.invol[p] not in pts for p in pts):
-            raise FrameError("restriction set is not involution-closed")
         pos = {p: i for i, p in enumerate(pts)}
-        return Frame(
+        if any(self.invol[p] not in pos for p in pts):
+            raise FrameError("restriction set is not involution-closed")
+        return Frame._of_rows(
             [self.labels[p] for p in pts],
-            [(pos[i], pos[j]) for (i, j) in self.leq if i in pos and j in pos],
+            _pack([self.up[p] for p in pts], sum(1 << p for p in pts)),
             [pos[self.invol[p]] for p in pts],
             [pos[p] for p in pts if p in self.designated],
         )
@@ -122,17 +154,21 @@ class Frame:
 
     @staticmethod
     def from_json(text: str) -> "Frame":
-        d = json.loads(text)
-        n = len(d["points"])
-        rel = {(i, i) for i in range(n)} | {tuple(p) for p in d["leq"]}
-        changed = True  # reflexive-transitive closure of the generating pairs
-        while changed:
-            changed = False
-            for (i, j), (k, l) in itertools.product(list(rel), repeat=2):
-                if j == k and (i, l) not in rel:
-                    rel.add((i, l))
-                    changed = True
-        return Frame([str(x) for x in d["points"]], rel, d["invol"], d["designated"])
+        """A frame from JSON; "leq" may be any generating pairs, whose
+        reflexive-transitive closure is the order.  FrameError names the
+        missing key or the bad item."""
+        keys = ("points", "leq", "invol", "designated")
+        d = _json_object(text, "frame", keys, FrameError)
+        for key in keys:
+            if not isinstance(d[key], list):
+                raise FrameError(f"frame {key!r} must be a list")
+        for key in ("invol", "designated"):
+            bad = [x for x in d[key] if not _is_index(x, len(d["points"]))]
+            if bad:
+                raise FrameError(f"{key!r} item {bad[0]!r} is not a point index")
+        return Frame._of_rows([str(x) for x in d["points"]],
+                              closure(_rows(len(d["points"]), d["leq"])),
+                              d["invol"], d["designated"])
 
     def __repr__(self) -> str:
         return f"<Frame n={self.n} designated={sorted(self.designated)}>"
@@ -144,43 +180,26 @@ def singleton_frame(label: str = "*", designated: bool = True) -> Frame:
 
 def disjoint_union(ps: Sequence[Frame]) -> Frame:
     labels: list[str] = []
-    leq: list[tuple[int, int]] = []
+    up: list[int] = []
     invol: list[int] = []
     designated: list[int] = []
     off = 0
     for k, p in enumerate(ps):
         suffix = "" if len(ps) == 1 else f".{k}"
         labels.extend(l + suffix for l in p.labels)
-        leq.extend((i + off, j + off) for (i, j) in p.leq)
+        up.extend(r << off for r in p.up)
         invol.extend(i + off for i in p.invol)
         designated.extend(d + off for d in p.designated)
         off += p.n
-    return Frame(labels, leq, invol, designated)
+    return Frame._of_rows(labels, up, invol, designated)
 
 
 def components(p: Frame) -> list[Frame]:
     """Subframes closed upward, downward and under the involution."""
-    parent = list(range(p.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for i, j in p.leq:
-        union(i, j)
-    for i in range(p.n):
-        union(i, p.invol[i])
-    groups: dict[int, list[int]] = {}
-    for i in range(p.n):
-        groups.setdefault(find(i), []).append(i)
-    return [p.restrict(g) for _, g in sorted(groups.items())]
+    # the closure of a symmetric relation is an equivalence: its rows, by
+    # least point, are the components
+    link = [r | d | 1 << p.invol[i] for i, (r, d) in enumerate(zip(p.up, transpose(p.up)))]
+    return [p.restrict(list(bits(r))) for r in sorted(set(closure(link)), key=lambda r: r & -r)]
 
 
 # -- complex matrices and dual frames ----------------------------------------
@@ -195,10 +214,9 @@ def complex_matrix(p: Frame) -> FinMatrix:
         raise FrameError(f"complex matrix of {n} points would be too large")
     masks = np.arange(1 << n, dtype=np.uint32)
     ok = np.ones(1 << n, dtype=bool)
-    upmask = [sum(1 << j for j in p.up[i]) for i in range(n)]
     for u in range(n):
         has = (masks >> u & 1).astype(bool)
-        closed = (masks & np.uint32(upmask[u])) == np.uint32(upmask[u])
+        closed = (masks & np.uint32(p.up[u])) == np.uint32(p.up[u])
         ok &= ~has | closed
     upsets = masks[ok]
     full = np.uint32((1 << n) - 1)
@@ -244,16 +262,15 @@ def dual_frame(m: FinMatrix) -> Frame:
     idx = m._enc_index()
     invol = [jis.index(idx[_dual_partner(m, m.enc[j])]) for j in jis]
     # up(j1) included in up(j2) iff j2 <= j1
-    leq = [
-        (a, b) for a, b in itertools.product(range(len(jis)), repeat=2)
-        if m.leq(jis[b], jis[a])
-    ]
+    masks = [m.enc[j] for j in jis]
+    up = [sum(1 << b for b, eb in enumerate(masks) if eb & ea == eb) for ea in masks]
     # a filter contains the designated set iff it contains its meet
     gen = m.enc[m.top]
     for d in m.designated:
         gen &= m.enc[d]
     designated = [a for a, j in enumerate(jis) if m.enc[j] & gen == m.enc[j]]
-    p = m._cache["dual_frame"] = Frame([m.labels[j] for j in jis], leq, invol, designated)
+    p = m._cache["dual_frame"] = Frame._of_rows([m.labels[j] for j in jis], up, invol,
+                                                designated)
     return p
 
 
@@ -311,83 +328,61 @@ def leibniz_subframe(p: Frame) -> Frame:
 
 
 def is_reduced_frame(p: Frame) -> bool:
-    mind = p.min_of(p.designated)
-    return set(range(p.n)) == set(mind) | {p.invol[u] for u in mind}
+    return leibniz_subframe(p).n == p.n
 
 
 # -- quotients by compatible preorders ----------------------------------------
 
 
-@dataclass(frozen=True)
 class CompatiblePreorder:
     """A reflexive transitive relation extending the frame order, with
-    u <= v implying invol(v) <= invol(u)."""
+    u <= v implying invol(v) <= invol(u); held as bitmask rows like the
+    frame order.  The constructor takes pairs and checks all three laws."""
 
-    frame: Frame
-    rel: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        p, r = self.frame, self.rel
-        if not self.frame.leq <= r:
+    def __init__(self, frame: Frame, rel: Iterable[tuple[int, int]]):
+        up = _rows(frame.n, rel)
+        if any(a & ~b for a, b in zip(frame.up, up)):
             raise FrameError("preorder must extend the frame order")
-        for i, j in r:
-            if (p.invol[j], p.invol[i]) not in r:
-                raise FrameError("preorder not compatible with the involution")
-            for k in range(p.n):
-                if (j, k) in r and (i, k) not in r:
-                    raise FrameError("preorder not transitive")
+        if _compatible_closure(up, frame.invol) != up:
+            raise FrameError("preorder is not transitive or not compatible with the involution")
+        self.frame, self.up = frame, tuple(up)
 
-    def holds(self, i: int, j: int) -> bool:
-        return (i, j) in self.rel
+    @classmethod
+    def _of_rows(cls, frame: Frame, up: Sequence[int]) -> "CompatiblePreorder":
+        """A preorder that holds the laws by construction; not checked."""
+        q = cls.__new__(cls)
+        q.frame, q.up = frame, tuple(up)
+        return q
 
-
-def _preorder_closure(n: int, invol: Sequence[int], base: Iterable[tuple[int, int]]):
-    rel = {(i, i) for i in range(n)} | set(base)
-    changed = True
-    while changed:
-        changed = False
-        for i, j in list(rel):
-            t = (invol[j], invol[i])
-            if t not in rel:
-                rel.add(t)
-                changed = True
-        for (i, j), (k, l) in itertools.product(list(rel), repeat=2):
-            if j == k and (i, l) not in rel:
-                rel.add((i, l))
-                changed = True
-    return frozenset(rel)
+    @property
+    def rel(self) -> frozenset[tuple[int, int]]:
+        """The preorder as a set of pairs."""
+        return pairs(self.up)
 
 
 def generate_preorder(p: Frame, u: int, v: int) -> CompatiblePreorder:
     """Least compatible preorder containing the frame order and (u, v)."""
-    return CompatiblePreorder(p, _preorder_closure(p.n, p.invol, set(p.leq) | {(u, v)}))
+    up = list(p.up)
+    up[u] |= 1 << v
+    return CompatiblePreorder._of_rows(p, _compatible_closure(up, p.invol))
 
 
 def quotient(p: Frame, q: CompatiblePreorder) -> Frame:
     """Points are the equivalence classes of q, ordered by q; designated is
     the q-upward closure of the designated points."""
-    if q.frame is not p and q.frame.leq != p.leq:
+    if q.frame is not p and q.frame.up != p.up:
         raise FrameError("preorder belongs to a different frame")
-    rel = q.rel
-    classes: list[list[int]] = []
-    cls = [-1] * p.n
-    for i in range(p.n):
-        if cls[i] >= 0:
-            continue
-        members = [j for j in range(p.n) if (i, j) in rel and (j, i) in rel]
-        for j in members:
-            cls[j] = len(classes)
-        classes.append(members)
-    leq = [
-        (cls[i], cls[j]) for (i, j) in rel
-    ]
+    up, down = q.up, transpose(q.up)
+    eq = [r & d for r, d in zip(up, down)]  # the class of each point
+    masks = sorted(set(eq), key=lambda c: c & -c)  # by least member
+    cls = [masks.index(c) for c in eq]
+    classes = [list(bits(c)) for c in masks]
+    rows = [sum(1 << k for k in {cls[j] for j in bits(up[c[0]])}) for c in classes]
     invol = [cls[p.invol[c[0]]] for c in classes]
-    designated = [
-        k for k, c in enumerate(classes)
-        if any((d, c[0]) in rel for d in p.designated)
-    ]
-    labels = ["+".join(p.labels[j] for j in sorted(c)) for c in classes]
-    return Frame(labels, leq, invol, designated)
+    dmask = sum(1 << d for d in p.designated)
+    designated = [k for k, c in enumerate(classes) if down[c[0]] & dmask]
+    labels = ["+".join(p.labels[j] for j in c) for c in classes]
+    return Frame._of_rows(labels, rows, invol, designated)
 
 
 def immediate_quotients(p: Frame) -> Iterator[Frame]:
@@ -397,15 +392,14 @@ def immediate_quotients(p: Frame) -> Iterator[Frame]:
     generated by any of its new pairs, so the atoms are the minimal
     single-pair-generated preorders.
     """
-    gen: dict[frozenset, CompatiblePreorder] = {}
+    gen: dict[tuple[int, ...], CompatiblePreorder] = {}
     for u, v in itertools.product(range(p.n), repeat=2):
-        if (u, v) in p.leq:
-            continue
-        q = generate_preorder(p, u, v)
-        gen.setdefault(q.rel, q)
-    rels = sorted(gen, key=sorted)
+        if not p.le(u, v):
+            q = generate_preorder(p, u, v)
+            gen.setdefault(q.up, q)
+    rels = sorted(gen, key=lambda up: sorted(pairs(up)))
     for r in rels:
-        if not any(other < r for other in rels):
+        if not any(o != r and all(a & ~b == 0 for a, b in zip(o, r)) for o in rels):
             yield quotient(p, gen[r])
 
 
@@ -418,55 +412,12 @@ def frame_isomorphic(p: Frame, q: Frame) -> bool:
 
 def frame_isomorphism(p: Frame, q: Frame) -> Optional[tuple[int, ...]]:
     """A point bijection preserving order, involution and designation, or
-    None; backtracking over points with the fewest candidates first."""
-    if p.n != q.n or len(p.designated) != len(q.designated):
-        return None
-    if len(p.leq) != len(q.leq):
-        return None
+    None (see _order.isomorphism)."""
+    return isomorphism(_structure(p), _structure(q))
 
-    def key(f: Frame, u: int):
-        below = sum(1 for v in range(f.n) if f.le(v, u))
-        above = len(f.up[u])
-        return (u in f.designated, below, above, f.invol[u] == u,
-                f.invol[u] in f.designated)
 
-    if sorted(key(p, u) for u in range(p.n)) != sorted(key(q, u) for u in range(q.n)):
-        return None
-    cands = [[v for v in range(q.n) if key(q, v) == key(p, u)] for u in range(p.n)]
-    order = sorted(range(p.n), key=lambda u: len(cands[u]))
-    mapping: list[Optional[int]] = [None] * p.n
-    used = [False] * q.n
-
-    def ok(u: int, v: int) -> bool:
-        mi = mapping[p.invol[u]]
-        if mi is not None and mi != q.invol[v]:
-            return False
-        for w in range(p.n):
-            mw = mapping[w]
-            if mw is None:
-                continue
-            if p.le(u, w) != q.le(v, mw) or p.le(w, u) != q.le(mw, v):
-                return False
-        return True
-
-    def extend(i: int) -> bool:
-        if i == p.n:
-            return True
-        u = order[i]
-        if mapping[u] is not None:
-            return extend(i + 1)
-        for v in cands[u]:
-            if used[v] or not ok(u, v):
-                continue
-            mapping[u] = v
-            used[v] = True
-            if extend(i + 1):
-                return True
-            mapping[u] = None
-            used[v] = False
-        return False
-
-    return tuple(mapping) if extend(0) else None  # type: ignore[arg-type]
+def _structure(p: Frame) -> Structure:
+    return Structure(p.up, transpose(p.up), p.invol, [u in p.designated for u in range(p.n)])
 
 
 def random_frame(rng: random.Random, max_points: int = 8) -> Frame:
@@ -484,13 +435,13 @@ def random_frame(rng: random.Random, max_points: int = 8) -> Frame:
             invol[a], invol[b] = b, a
         for i in range(2 * k, n):
             invol[pts[i]] = pts[i]
-        base = set()
+        up = [0] * n
         for _ in range(rng.randint(0, n)):
-            base.add((rng.randrange(n), rng.randrange(n)))
-        rel = _preorder_closure(n, invol, base)
-        if any((i, j) in rel and (j, i) in rel and i != j
-               for i, j in itertools.product(range(n), repeat=2)):
+            i = rng.randrange(n)
+            up[i] |= 1 << rng.randrange(n)
+        up = _compatible_closure(up, invol)
+        if any(r & d != 1 << i for i, (r, d) in enumerate(zip(up, transpose(up)))):
             continue
-        seed = {u for u in range(n) if rng.random() < 0.5}
-        designated = {v for u in seed for v in range(n) if (u, v) in rel}
-        return Frame([f"u{i}" for i in range(n)], rel, invol, designated)
+        seed = [u for u in range(n) if rng.random() < 0.5]
+        designated = {v for u in seed for v in bits(up[u])}
+        return Frame._of_rows([f"u{i}" for i in range(n)], up, invol, designated)

@@ -9,6 +9,9 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
+from ._order import Structure, bits, closure, isomorphism
+from .matrix import _json_object
+
 __all__ = [
     "Graph", "GraphPair", "GraphError",
     "hom_search", "is_n_colorable", "weak_n_coloring",
@@ -81,15 +84,19 @@ class Graph:
 
     @staticmethod
     def from_json(text: str) -> "Graph":
-        d = json.loads(text)
+        d = _json_object(text, "graph", ("vertices", "edges"), GraphError)
+        for key in ("vertices", "edges"):
+            if not isinstance(d[key], list):
+                raise GraphError(f"graph {key!r} must be a list")
         labels = [str(x) for x in d["vertices"]]
         pos = {l: i for i, l in enumerate(labels)}
         if len(pos) != len(labels):
             raise GraphError("duplicate vertex labels")
-        try:
-            edges = [(pos[str(a)], pos[str(b)]) for a, b in d["edges"]]
-        except KeyError as e:
-            raise GraphError(f"edge mentions unknown vertex {e}")
+        edges = []
+        for item in d["edges"]:
+            if not (isinstance(item, list) and len(item) == 2 and all(str(x) in pos for x in item)):
+                raise GraphError(f"'edges' item {item!r} is not a pair of vertex labels")
+            edges.append((pos[str(item[0])], pos[str(item[1])]))
         return Graph(labels, edges)
 
     def __repr__(self) -> str:
@@ -161,23 +168,10 @@ def has_loop(g: Graph) -> bool:
 
 
 def components(g: Graph) -> list[Graph]:
-    parent = list(range(g.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in g.edges():
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-    groups: dict[int, list[int]] = {}
-    for u in range(g.n):
-        groups.setdefault(find(u), []).append(u)
     out = []
-    for _, vs in sorted(groups.items()):
+    # adjacency is symmetric, so its closure's rows are the components
+    for r in sorted(set(closure(_rows(g))), key=lambda r: r & -r):
+        vs = list(bits(r))
         pos = {v: i for i, v in enumerate(vs)}
         out.append(Graph([g.labels[v] for v in vs],
                          [(pos[u], pos[v]) for u, v in g.edges() if u in pos]))
@@ -261,12 +255,19 @@ def weak_n_coloring(g: Graph, n: int) -> Optional[dict[int, int]]:
 
 
 def graph_isomorphic(g: Graph, h: Graph) -> bool:
-    if g.n != h.n or len(g.edges()) != len(h.edges()):
-        return False
-    deg = sorted((len(g.adj[u]), g.is_loop(u)) for u in range(g.n))
-    if deg != sorted((len(h.adj[u]), h.is_loop(u)) for u in range(h.n)):
-        return False
-    return g.canonical_key() == h.canonical_key()
+    """True iff some vertex bijection preserves adjacency (see
+    _order.isomorphism)."""
+    return isomorphism(_structure(g), _structure(h)) is not None
+
+
+def _rows(g: Graph) -> list[int]:
+    """Adjacency as bitmask rows."""
+    return [sum(1 << v for v in g.adj[u]) for u in range(g.n)]
+
+
+def _structure(g: Graph) -> Structure:
+    rows = _rows(g)
+    return Structure(rows, rows, range(g.n), [0] * g.n)
 
 
 # -- surjective images and the pair rewriting ---------------------------------

@@ -8,7 +8,8 @@ Every matrix here is a bounded distributive lattice, so it embeds into a
 powerset lattice (Birkhoff).  That embedding is the only representation a
 FinMatrix stores: one bitmask per element, a Python int of any width.  Meet
 and join are bitwise AND/OR, and the n x n operation tables are caches
-derived from the masks when something asks for them.
+derived from the masks when something asks for them.  Isomorphism search
+needs no tables: it compares the orders read off the masks (_order).
 
 Data from outside is checked once, where it enters: the public constructor
 (and so from_json and the catalog) runs FinMatrix.validate.  Matrices that
@@ -27,6 +28,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
+from ._order import Structure, closure, isomorphism, transpose
 from .formula import And, Atom, Formula, Neg, Or, RuleInstance, _Bot, _Top
 
 __all__ = [
@@ -352,13 +354,8 @@ class FinMatrix:
 
     @staticmethod
     def from_json(text: str) -> "FinMatrix":
-        d = json.loads(text)
-        if not isinstance(d, dict):
-            raise MatrixError("matrix JSON must be an object")
-        missing = [k for k in ("elements", "meet", "join", "neg", "top", "bottom",
-                               "designated") if k not in d]
-        if missing:
-            raise MatrixError("matrix JSON lacks the key(s) " + ", ".join(map(repr, missing)))
+        d = _json_object(text, "matrix", ("elements", "meet", "join", "neg", "top",
+                                          "bottom", "designated"), MatrixError)
         return FinMatrix(
             [str(x) for x in d["elements"]],
             d["neg"], d["top"], d["bottom"], d["designated"], d.get("flags", []),
@@ -367,6 +364,19 @@ class FinMatrix:
 
     def __repr__(self) -> str:
         return f"<FinMatrix n={self.n} designated={sorted(self.designated)} flags={sorted(self.flags)}>"
+
+
+def _json_object(text: str, what: str, keys: Sequence[str],
+                 error: type[ValueError]) -> dict:
+    """Parsed JSON text that must be an object with the given keys; error
+    names what is missing."""
+    d = json.loads(text)
+    if not isinstance(d, dict):
+        raise error(f"{what} JSON must be an object")
+    missing = [k for k in keys if k not in d]
+    if missing:
+        raise error(f"{what} JSON lacks the key(s) " + ", ".join(map(repr, missing)))
+    return d
 
 
 def _index_table(rows: Sequence[Sequence[int]], n: int, name: str) -> np.ndarray:
@@ -818,44 +828,6 @@ def principal_congruence(m: FinMatrix, a: int, b: int) -> Partition:
 # -- isomorphism --------------------------------------------------------------
 
 
-def _joint_colours(m1: FinMatrix, m2: FinMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Iterated structural refinement run jointly on both carriers, so the
-    returned colour ids are directly comparable across the two matrices.
-
-    The per-element signature is (colour, colour of the negation, sorted
-    multiset of encoded (colour(y), colour(x&y), colour(x|y)) triples), all
-    of which any isomorphism preserves.
-    """
-    def base(m: FinMatrix) -> np.ndarray:
-        return np.array(
-            [(i in m.designated) * 4 + (i == m.top) * 2 + (i == m.bottom)
-             for i in range(m.n)],
-            dtype=np.int64,
-        )
-
-    data = []
-    for m in (m1, m2):
-        data.append((m.meet_table(), m.join_table(), np.array(m.neg, dtype=np.int32)))
-    c1, c2 = base(m1), base(m2)
-    for _ in range(max(m1.n, m2.n)):
-        k = int(max(c1.max(initial=0), c2.max(initial=0))) + 1
-        rows = []
-        for (mt, jt, ng), c in zip(data, (c1, c2)):
-            triple = c[None, :] * k * k + c[mt] * k + c[jt]
-            rows.append(np.concatenate(
-                [c[:, None], c[ng][:, None], np.sort(triple, axis=1)], axis=1))
-        if rows[0].shape[1] != rows[1].shape[1]:
-            break  # different carrier sizes; colours stop refining jointly
-        stacked = np.concatenate(rows, axis=0)
-        _, inv = np.unique(stacked, axis=0, return_inverse=True)
-        n1 = m1.n
-        new1, new2 = inv[:n1], inv[n1:]
-        if len(np.unique(inv)) == len(np.unique(np.concatenate([c1, c2]))):
-            break
-        c1, c2 = new1, new2
-    return c1, c2
-
-
 def _point_sets(m: FinMatrix) -> np.ndarray:
     """Per element, the points of the dual frame below it, as a bitmask: bit
     a is set iff the a-th join-irreducible lies below the element."""
@@ -899,107 +871,39 @@ def find_isomorphism(m1: FinMatrix, m2: FinMatrix) -> Optional[tuple[int, ...]]:
             and np.array_equal(np.bincount(mp, minlength=m2.n), np.ones(m2.n))
             and mp[m1.top] == m2.top and mp[m1.bottom] == m2.bottom
             and np.array_equal(mp[ng1], ng2[mp]) and np.array_equal(des2[mp], des1)):
-        raise MatrixError("dual frame isomorphism did not lift to the matrices")
+        raise RuntimeError("internal: dual frame isomorphism did not lift to the matrices")
     return tuple(mp.tolist())
 
 
 def _find_isomorphism_generic(m1: FinMatrix, m2: FinMatrix) -> Optional[tuple[int, ...]]:
-    """find_isomorphism for any pair of tabled matrices.
+    """find_isomorphism for any pair of matrices: an order isomorphism that
+    preserves negation and designation.  A lattice bijection is an
+    isomorphism iff it preserves the order, and then it keeps the bounds.
+    No operation tables are built, so there is no size limit."""
+    return isomorphism(_order_structure(m1), _order_structure(m2))
 
-    Backtracking over elements ordered by colour class rarity; colour
-    classes come from iterated structural refinement run jointly on both
-    matrices.  Complete mappings are confirmed on the whole tables, since
-    the incremental checks only see pairs whose images are already fixed.
-    """
-    if m1.n != m2.n or len(m1.designated) != len(m2.designated):
-        return None
-    c1, c2 = _joint_colours(m1, m2)
-    if sorted(np.bincount(c1, minlength=1).tolist()) != sorted(np.bincount(c2, minlength=1).tolist()):
-        return None
-    n = m1.n
-    mt1, jt1 = m1.meet_table(), m1.join_table()
-    mt2, jt2 = m2.meet_table(), m2.join_table()
-    cand = [np.flatnonzero(c2 == c1[x]).tolist() for x in range(n)]
-    if any(not c for c in cand):
-        return None
 
-    order = sorted(range(n), key=lambda x: (len(cand[x]), x))
-    mapping: list[Optional[int]] = [None] * n
-    used = [False] * m2.n
-
-    def ok(x: int, y: int) -> bool:
-        if (x in m1.designated) != (y in m2.designated):
-            return False
-        if (x == m1.top) != (y == m2.top) or (x == m1.bottom) != (y == m2.bottom):
-            return False
-        # for a negation fixpoint, ~x is x, whose image y is not recorded yet
-        my = y if m1.neg[x] == x else mapping[m1.neg[x]]
-        if my is not None and my != m2.neg[y]:
-            return False
-        for z in order:
-            mz = mapping[z]
-            if mz is None:
-                continue
-            if mapping[mt1[x, z]] is not None and mapping[mt1[x, z]] != mt2[y, mz]:
-                return False
-            if mapping[jt1[x, z]] is not None and mapping[jt1[x, z]] != jt2[y, mz]:
-                return False
-        return True
-
-    def preserves_tables() -> bool:
-        mp = np.array(mapping)
-        return (np.array_equal(mp[mt1], mt2[mp[:, None], mp[None, :]])
-                and np.array_equal(mp[jt1], jt2[mp[:, None], mp[None, :]]))
-
-    # iterative backtracking (carriers can exceed the recursion limit)
-    choice_at: list[Optional[Iterator[int]]] = [None] * n
-    i = 0
-    while True:
-        if i == n:
-            if preserves_tables():
-                return tuple(mapping)  # type: ignore[arg-type]
-            i -= 1  # resume the last choice point
-            used[mapping[order[i]]] = False
-            mapping[order[i]] = None
-        x = order[i]
-        if choice_at[i] is None:
-            choice_at[i] = iter(cand[x])
-        advanced = False
-        for y in choice_at[i]:
-            if used[y] or not ok(x, y):
-                continue
-            mapping[x] = y
-            used[y] = True
-            i += 1
-            advanced = True
-            break
-        if advanced:
-            continue
-        choice_at[i] = None
-        if i == 0:
-            return None
-        i -= 1
-        x = order[i]
-        used[mapping[x]] = False
-        mapping[x] = None
+def _order_structure(m: FinMatrix) -> Structure:
+    """The order of m as bitmask rows read off the masks, a chunk of rows at
+    a time, with negation as the map and designation as the colour."""
+    e = m._enc_np()
+    up: list[int] = []
+    down: list[int] = []
+    rows = max(1, _PAIR_CHUNK // m.n)
+    for start in range(0, m.n, rows):
+        x = e[start:start + rows, None]
+        meets = x & e[None, :]
+        for le, out in ((meets == x, up), (meets == e[None, :], down)):
+            packed = np.packbits(le, axis=1, bitorder="little")
+            out.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
+    return Structure(up, down, m.neg, [x in m.designated for x in range(m.n)])
 
 
 def is_matrix_isomorphism(m1: FinMatrix, m2: FinMatrix, mapping: Sequence[int]) -> bool:
-    if sorted(mapping) != list(range(m2.n)) or m1.n != m2.n:
-        return False
-    if mapping[m1.top] != m2.top or mapping[m1.bottom] != m2.bottom:
-        return False
-    for x in range(m1.n):
-        if (x in m1.designated) != (mapping[x] in m2.designated):
-            return False
-        if mapping[m1.neg[x]] != m2.neg[mapping[x]]:
-            return False
-        for y in range(m1.n):
-            if mapping[m1.meet(x, y)] != m2.meet(mapping[x], mapping[y]):
-                return False
-            if mapping[m1.join(x, y)] != m2.join(mapping[x], mapping[y]):
-                return False
-    return True
+    """True iff mapping is a bijection and a strict homomorphism, checked on
+    all pairs of elements."""
+    return (m1.n == m2.n and sorted(mapping) == list(range(m2.n))
+            and MatrixMap(m1, m2, tuple(mapping)).is_strict())
 
 
 @dataclass
@@ -1069,7 +973,7 @@ def split_at(m: FinMatrix, a: int) -> tuple[FinMatrix, FinMatrix, tuple[int, ...
         pair_pos[(pos1[m.meet(a, x)], pos2[m.meet(na, x)])] for x in range(m.n)
     )
     if not is_matrix_isomorphism(m, prod, witness):
-        raise MatrixError("split witness failed verification")
+        raise RuntimeError("internal: split witness failed verification")
     return m1, m2, witness
 
 
@@ -1139,39 +1043,28 @@ def _lattice_from_order(labels, hasse, neg_pairs, designated, name_top, name_bot
     """Build tables from a Hasse diagram given as label pairs (a < b)."""
     pos = {l: i for i, l in enumerate(labels)}
     n = len(labels)
-    leq = [[i == j for j in range(n)] for i in range(n)]
+    up = [0] * n
     for a, b in hasse:
-        leq[pos[a]][pos[b]] = True
-    for k in range(n):  # transitive closure
-        for i in range(n):
-            if leq[i][k]:
-                for j in range(n):
-                    if leq[k][j]:
-                        leq[i][j] = True
-
-    def meet(x, y):
-        lows = [z for z in range(n) if leq[z][x] and leq[z][y]]
-        cand = [z for z in lows if all(leq[w][z] for w in lows)]
-        if len(cand) != 1:
-            raise MatrixError(f"not a lattice: {labels[x]!r} and {labels[y]!r} have no meet")
-        return cand[0]
-
-    def join(x, y):
-        ups = [z for z in range(n) if leq[x][z] and leq[y][z]]
-        cand = [z for z in ups if all(leq[z][w] for w in ups)]
-        if len(cand) != 1:
-            raise MatrixError(f"not a lattice: {labels[x]!r} and {labels[y]!r} have no join")
-        return cand[0]
-
+        up[pos[a]] |= 1 << pos[b]
+    up = closure(up)
+    if len(set(up)) != n:
+        raise MatrixError("not a lattice: the Hasse diagram has a cycle")
+    tables = []
+    # the meet of x and y is the element whose downset is their common
+    # downset, if there is one; the join likewise with upsets
+    for rows, name in ((transpose(up), "meet"), (up, "join")):
+        of_row = {r: z for z, r in enumerate(rows)}
+        for x, y in itertools.product(range(n), repeat=2):
+            if rows[x] & rows[y] not in of_row:
+                raise MatrixError(f"not a lattice: {labels[x]!r} and {labels[y]!r} have no {name}")
+        tables.append([[of_row[rows[x] & rows[y]] for y in range(n)] for x in range(n)])
     neg = [None] * n
     for a, b in neg_pairs:
         neg[pos[a]] = pos[b]
         neg[pos[b]] = pos[a]
     return FinMatrix(
         labels, neg, pos[name_top], pos[name_bot],
-        [pos[d] for d in designated], ["demorgan"],
-        meet=[[meet(x, y) for y in range(n)] for x in range(n)],
-        join=[[join(x, y) for y in range(n)] for x in range(n)],
+        [pos[d] for d in designated], ["demorgan"], meet=tables[0], join=tables[1],
     )
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from demorgan_lab.cli import main
 
 
@@ -52,6 +54,28 @@ def test_matrix_file_missing_key(tmp_path, capsys):
 def test_empty_premise(capsys):
     code, _, err = run(capsys, "check", "--matrix", "BD4", "--rule", "p,, q |- p")
     assert code == 2 and "empty premise" in err and "offset 2" in err
+
+
+@pytest.mark.parametrize("text, problem", [
+    ('{"points": ["a"], "leq": [], "designated": []}', "lacks the key(s) 'invol'"),
+    ('["a", "b"]', "frame JSON must be an object"),
+    ('{"points": ["a"], "leq": [], "invol": ["a"], "designated": []}',
+     "'invol' item 'a' is not a point index"),
+    ('{"points": ["a", "b"], "leq": [[0, 1, 1]], "invol": [1, 0], "designated": []}',
+     "'leq' item [0, 1, 1] is not a pair of point indices"),
+])
+def test_frame_file_errors(tmp_path, capsys, text, problem):
+    path = tmp_path / "f.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "complex", "--frame", f"@{path}")
+    assert code == 2 and out == "" and problem in err
+
+
+def test_graph_file_missing_key(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text('{"vertices": ["u"]}')
+    code, _, err = run(capsys, "hom", f"@{path}", "K2")
+    assert code == 2 and "graph JSON lacks the key(s) 'edges'" in err
 
 
 def test_antitheorem(capsys):
@@ -129,6 +153,15 @@ def test_internal_failure_exit_3(capsys, monkeypatch):
     assert err == "internal error: internal: combined witness failed verification\n"
 
 
+def test_failed_self_check_exit_3(capsys, monkeypatch):
+    from demorgan_lab import bridge
+
+    monkeypatch.setattr(bridge, "frame_isomorphic", lambda p, q: False)
+    code, out, err = run(capsys, "classify", "--matrix", "BD4")
+    assert code == 3 and out == ""
+    assert err == "internal error: internal: classification failed its duality check\n"
+
+
 def test_sstar_command(capsys):
     code, out, _ = run(capsys, "--json", "sstar", "--graph", "K2", "--k", "0",
                        "--steps", "1")
@@ -157,3 +190,17 @@ def test_verify_subset(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "1,6,10")
     assert code == 0
     assert out.count("PASS") == 3 and "3/3" in out
+
+
+def test_dual_output_is_frozen(capsys):
+    want = {
+        "BD4": '{"points": ["n", "b"], "leq": [], "invol": [1, 0], "designated": [1]}',
+        "K3": '{"points": ["n", "top"], "leq": [[1, 0]], "invol": [1, 0], "designated": [0, 1]}',
+        "LP3": '{"points": ["n", "top"], "leq": [[1, 0]], "invol": [1, 0], "designated": [0]}',
+        "CL2": '{"points": ["top"], "leq": [], "invol": [0], "designated": [0]}',
+        "ETL4": '{"points": ["n", "b"], "leq": [], "invol": [1, 0], "designated": [0, 1]}',
+        "KMINUS8": '{"points": ["x", "c", "a", "b"], "leq": [[2, 0], [3, 0], [3, 1]], '
+                   '"invol": [3, 2, 1, 0], "designated": [0, 1, 2, 3]}',
+    }
+    for name, text in want.items():
+        assert run(capsys, "--json", "dual", "--matrix", name) == (0, text + "\n", "")

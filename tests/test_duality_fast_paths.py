@@ -1,6 +1,9 @@
 """The duality fast paths of leibniz_congruence and find_isomorphism against
-independent oracles: the generic refinement, pair elimination, and the
-generic backtracking isomorphism search."""
+independent oracles: the generic refinement and pair elimination.  The fast
+and the generic isomorphism paths both run the order search of _order (on
+the dual frames, on the matrices), so comparing them checks the lift from
+frames to matrices; the search itself is checked against all permutations
+in test_order, test_matrix and test_frame."""
 
 import itertools
 import random

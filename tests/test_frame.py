@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 
 import pytest
@@ -5,7 +7,7 @@ import pytest
 from demorgan_lab.frame import (
     CompatiblePreorder, Frame, FrameError,
     complex_matrix, components, counit_check, disjoint_union, dual_frame,
-    frame_isomorphic, generate_preorder, immediate_quotients,
+    frame_isomorphic, frame_isomorphism, generate_preorder, immediate_quotients,
     is_reduced_frame, leibniz_subframe, quotient, random_frame,
     roundtrip_check, singleton_frame,
 )
@@ -237,3 +239,55 @@ def test_frame_json_roundtrip():
     assert fr.le(0, 2)
     with pytest.raises(FrameError):
         Frame.from_json(raw.replace('"invol": [2, 1, 0]', '"invol": [0, 1, 2]'))
+
+
+def _frames_digest(frames, with_labels=False):
+    h = hashlib.sha256()
+    for p in frames:
+        data = (sorted(p.leq), p.invol, sorted(p.designated))
+        h.update(repr((p.labels, *data) if with_labels else data).encode())
+    return h.hexdigest()
+
+
+def test_random_frames_and_quotients_are_frozen():
+    # random_frame draws the inputs of the duality criteria and
+    # immediate_quotients' order fixes later searches: both stay put
+    want = ["f3e250b083c8f3c317b2d2aeb88abb315b9ac2b8b72bdeb1dbd88515a465115a",
+            "178c058ee628b6ebbfb06c0abba3a81e0e2f28cad21966df25fc0e7b801ebdf0",
+            "2494ea670c442cce2700c9692c583f485429701346345de26907e7279c2901ff"]
+    for seed, digest in enumerate(want):
+        rng = random.Random(seed)
+        assert _frames_digest([random_frame(rng, 8) for _ in range(100)]) == digest
+    rng = random.Random(0)
+    quotients = [q for _ in range(30) for q in immediate_quotients(random_frame(rng, 7))]
+    assert len(quotients) == 133
+    assert (_frames_digest(quotients, with_labels=True)
+            == "0ca91334932b263eaab4d32fed05e7176db169e29cf546b92832dc9ae70dd190")
+
+
+def _relabelled(p, perm):
+    inv = {u: i for i, u in enumerate(perm)}
+    return Frame([p.labels[u] for u in perm], [(inv[i], inv[j]) for i, j in p.leq],
+                 [inv[p.invol[u]] for u in perm], [inv[d] for d in p.designated])
+
+
+def test_frame_isomorphism_against_all_permutations():
+    rng = random.Random(9)
+    found = missed = 0
+    for _ in range(150):
+        p = random_frame(rng, 6)
+        perm = list(range(p.n))
+        rng.shuffle(perm)
+        q = _relabelled(p, perm) if rng.random() < 0.5 else random_frame(rng, 6)
+        isos = {
+            s for s in itertools.permutations(range(p.n)) if q.n == p.n
+            and all(p.le(i, j) == q.le(s[i], s[j]) for i in range(p.n) for j in range(p.n))
+            and all(s[p.invol[u]] == q.invol[s[u]]
+                    and (u in p.designated) == (s[u] in q.designated) for u in range(p.n))
+        }
+        mapping = frame_isomorphism(p, q)
+        assert (mapping is not None) == bool(isos) == frame_isomorphic(p, q)
+        assert mapping is None or mapping in isos
+        found += bool(isos)
+        missed += not isos
+    assert found > 40 and missed > 40

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -187,6 +188,30 @@ def test_graph_isomorphic():
                      [(1, 4), (4, 2), (2, 5), (5, 0), (0, 3), (3, 1)])
     assert graph_isomorphic(cycle(6), shuffled)
     assert not graph_isomorphic(cycle(6), disjoint_union([complete(3), complete(3)]))
+
+
+def test_graph_isomorphic_against_canonical_keys():
+    rng = random.Random(4)
+    same = differ = 0
+    for _ in range(400):
+        n = rng.randint(0, 5)
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        g = Graph([f"v{i}" for i in range(n)], [e for e in pairs if rng.random() < 0.4])
+        if rng.random() < 0.5:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            edges = [(perm[u], perm[v]) for u, v in g.edges()]
+            if edges and rng.random() < 0.3:
+                edges.pop(rng.randrange(len(edges)))
+                edges.append(rng.choice(pairs))
+        else:
+            edges = rng.sample(pairs, len(g.edges()))
+        h = Graph([f"w{i}" for i in range(n)], edges)
+        agree = g.canonical_key() == h.canonical_key()
+        assert graph_isomorphic(g, h) == agree
+        same += agree
+        differ += not agree
+    assert same > 100 and differ > 100
 
 
 def test_json_roundtrip():

@@ -343,6 +343,84 @@ def test_generic_isomorphism_checks_negation_fixpoints():
     assert mapping is not None and is_matrix_isomorphism(bd4(), bd4(), mapping)
 
 
+def test_isomorphism_checks_negation_both_ways():
+    # negation need not be an involution, so a mapping must also agree with
+    # it at points mapped after their negation; here the identity does not
+    # and swapping the two atoms does
+    m1 = FinMatrix(list("0123"), [1, 2, 1, 3], 3, 0, [3], enc=[0, 1, 2, 3])
+    m2 = FinMatrix(list("0123"), [2, 2, 1, 3], 3, 0, [3], enc=[0, 1, 2, 3])
+    assert not is_matrix_isomorphism(m1, m2, (0, 1, 2, 3))
+    for mapping in (_find_isomorphism_generic(m1, m2), find_isomorphism(m1, m2)):
+        assert mapping == (0, 2, 1, 3) and is_matrix_isomorphism(m1, m2, mapping)
+
+
+def _small_lattices():
+    """Birkhoff masks (bottom first, top last) of lattices of 1-8 elements."""
+    chains = [[(1 << k) - 1 for k in range(n)] for n in range(1, 9)]
+    grids = [sorted(x | y << (a - 1) for x in chains[a - 1] for y in chains[b - 1])
+             for a, b in ((2, 2), (2, 3), (2, 4), (3, 2))]
+    return chains + grids + [list(range(8)), sorted(kminus8().enc)]
+
+
+def test_isomorphism_against_all_permutations():
+    # matrices of at most 8 elements with arbitrary negations and
+    # designated sets, against every permutation of the carrier
+    rng = random.Random(5)
+    perms = {n: np.array(list(itertools.permutations(range(n)))) for n in range(1, 9)}
+    found = missed = 0
+    for enc in _small_lattices() * 12:
+        n = len(enc)
+        neg = [rng.randrange(n) for _ in range(n)]
+        des = [x for x in range(n) if rng.random() < 0.4]
+        m1 = FinMatrix([f"e{x}" for x in range(n)], neg, n - 1, 0, des, enc=enc)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        inv = {p: i for i, p in enumerate(perm)}
+        # a relabelled copy, with one negation value changed, or with
+        # another negation
+        neg2 = list(neg)
+        kind = rng.randrange(3)
+        if kind == 1:
+            neg2[rng.randrange(n)] = rng.randrange(n)
+        elif kind == 2:
+            neg2 = [rng.randrange(n) for _ in range(n)]
+        m2 = FinMatrix([f"e{p}" for p in perm], [inv[neg2[p]] for p in perm],
+                       inv[n - 1], inv[0], [inv[d] for d in des],
+                       enc=[enc[p] for p in perm])
+        le = [np.array([[m.leq(x, y) for y in range(n)] for x in range(n)]) for m in (m1, m2)]
+        ng = [np.array(m.neg) for m in (m1, m2)]
+        ds = [np.array([x in m.designated for x in range(n)]) for m in (m1, m2)]
+        P = perms[n]
+        ok = ((le[1][P[:, :, None], P[:, None, :]] == le[0]).all(axis=(1, 2))
+              & (P[:, ng[0]] == ng[1][P]).all(axis=1) & (ds[1][P] == ds[0]).all(axis=1))
+        isos = {tuple(row) for row in P[ok].tolist()}
+        for mapping in (_find_isomorphism_generic(m1, m2), find_isomorphism(m1, m2)):
+            assert (mapping is not None) == bool(isos)
+            assert mapping is None or mapping in isos
+        found += bool(isos)
+        missed += not isos
+    assert found > 40 and missed > 40
+
+
+def test_generic_isomorphism_has_no_size_limit():
+    # 1536 elements, above the operation tables' TABLE_LIMIT
+    m = product([kminus8(), bd4(), bd4(), bd4(), k3()])
+    rng = random.Random(1)
+    perm = list(range(m.n))
+    rng.shuffle(perm)
+    inv = {p: i for i, p in enumerate(perm)}
+    copy = FinMatrix([m.labels[p] for p in perm], [inv[m.neg[p]] for p in perm],
+                     inv[m.top], inv[m.bottom], [inv[d] for d in m.designated],
+                     m.flags, enc=[m.enc[p] for p in perm])
+    assert m.n > 1500
+    mp = np.array(_find_isomorphism_generic(m, copy))
+    le = [(e[:, None] & e[None, :]) == e[:, None] for e in (m._enc_np(), copy._enc_np())]
+    assert sorted(mp.tolist()) == list(range(m.n))
+    assert np.array_equal(le[1][mp[:, None], mp[None, :]], le[0])
+    assert np.array_equal(mp[np.array(m.neg)], np.array(copy.neg)[mp])
+    assert {int(mp[d]) for d in m.designated} == set(copy.designated)
+
+
 def test_split_at():
     p = product([cl2(), cl2()])
     a = p.labels.index("(top,bot)")
@@ -361,6 +439,17 @@ def test_split_at():
     s1, s2, w2 = split_at(q, at)
     assert s1.n == s2.n == 4
     assert is_matrix_isomorphism(q, product([s1, s2]), w2)
+
+
+def test_failed_self_checks_are_internal_errors(monkeypatch):
+    from demorgan_lab import frame, matrix
+    k3_copy = FinMatrix.from_json(k3().to_json())
+    monkeypatch.setattr(frame, "frame_isomorphism", lambda p, q: (1, 0))  # reverses a chain
+    with pytest.raises(RuntimeError, match="internal: dual frame isomorphism did not lift"):
+        find_isomorphism(k3(), k3_copy)
+    monkeypatch.setattr(matrix, "is_matrix_isomorphism", lambda m1, m2, mapping: False)
+    with pytest.raises(RuntimeError, match="internal: split witness failed verification"):
+        split_at(bd4(), bd4().top)
 
 
 def test_split_at_all_eligible_catalog_elements():
@@ -570,3 +659,8 @@ def test_chain_above_64_mask_bits():
         r = parse_rule(text)
         assert validates(m, r) == brute_validates(m, r), text
     assert leibniz_congruence(m) == brute_leibniz(m)
+    # the order search reads the order off masks wider than 64 bits too
+    copy = FinMatrix(m.labels[::-1], [n - 1 - x for x in m.neg[::-1]], 0, n - 1,
+                     [n - 1 - d for d in m.designated], m.flags, enc=m.enc[::-1])
+    mapping = find_isomorphism(m, copy)
+    assert mapping == tuple(range(n - 1, -1, -1)) and is_matrix_isomorphism(m, copy, mapping)
