@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from ._order import bits
 from .formula import Atom, Formula, Neg, RuleInstance, conj, disj
 from .frame import Frame, complex_matrix, components, disjoint_union, dual_frame, frame_isomorphic, singleton_frame
 from .graph import Graph, empty_graph
@@ -116,11 +117,11 @@ def gamma(g: Graph) -> FinMatrix:
         neg[a | b] == neg[a] & neg[b] for a in range(size) for b in range(size)
     )
 
-    def lbl(m: int) -> str:
-        return "{" + ",".join(g.labels[u] for u in range(n) if m >> u & 1) + "}"
+    def label(m: int) -> str:
+        return "{" + ",".join(g.labels[u] for u in bits(m)) + "}"
 
     return FinMatrix._trusted(
-        [lbl(m) for m in range(size)], neg, full, 0, [full],
+        label, neg, full, 0, [full],
         ["demorgan"] if demorgan else [], range(size),
     )
 

@@ -88,7 +88,7 @@ def load_frame(spec: str) -> frame.Frame:
 
 
 def _valuation_text(m: matrix.FinMatrix, v: dict[str, int]) -> str:
-    return ", ".join(f"{a}={m.labels[v[a]]}" for a in sorted(v))
+    return ", ".join(f"{a}={m.label(v[a])}" for a in sorted(v))
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -109,7 +109,7 @@ def cmd_check(args) -> int:
     payload = {"matrix": args.matrix, "rule": str(r), "valid": valid}
     lines = [f"{'valid' if valid else 'invalid'}: {r}"]
     if witness is not None:
-        payload["witness"] = {a: m.labels[i] for a, i in witness.items()}
+        payload["witness"] = {a: m.label(i) for a, i in witness.items()}
         lines.append(f"witness valuation: {_valuation_text(m, witness)}")
     _emit(args, payload, lines)
     return EXIT_TRUE if valid else EXIT_FALSE
@@ -128,7 +128,7 @@ def cmd_leibniz(args) -> int:
     m = load_matrix(args.matrix)
     part = matrix.leibniz_congruence(m)
     red = matrix.quotient_by(m, part)
-    blocks = [sorted(m.labels[i] for i in b) for b in part.block_sets()]
+    blocks = [sorted(m.label(i) for i in b) for b in part.block_sets()]
     _emit(args, {"blocks": blocks, "reduct": json.loads(red.to_json())},
           [f"blocks: {blocks}", f"reduct has {red.n} elements",
            red.to_json()])

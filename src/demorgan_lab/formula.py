@@ -245,13 +245,14 @@ class RuleInstance:
         return RuleInstance(frozenset(premises), frozenset())
 
     def atom_names(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for f in self.premises | self.conclusions:
-            out |= atoms(f)
+        """The atoms of all premises and conclusions, computed on first call
+        and kept in the instance dict; equality and hashing use only the
+        fields."""
+        out = self.__dict__.get("_atom_names")
+        if out is None:
+            out = self.__dict__["_atom_names"] = frozenset().union(
+                *map(atoms, self.premises | self.conclusions))
         return out
-
-    def is_single_conclusion(self) -> bool:
-        return len(self.conclusions) == 1
 
     def __str__(self) -> str:
         lhs = ", ".join(sorted(str(f) for f in self.premises))

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from ._order import Structure, bits, closure, isomorphism, pairs, transpose
-from .matrix import (FinMatrix, MatrixError, _dual_partner, _is_index, _json_object,
+from .matrix import (FinMatrix, MatrixError, _dual_partners, _is_index, _json_object,
                      _pack, _point_sets)
 
 __all__ = [
@@ -212,37 +212,30 @@ def complex_matrix(p: Frame) -> FinMatrix:
     n = p.n
     if n > MAX_COMPLEX_POINTS:
         raise FrameError(f"complex matrix of {n} points would be too large")
-    masks = np.arange(1 << n, dtype=np.uint32)
-    ok = np.ones(1 << n, dtype=bool)
+    # for every point set S, indexed by its mask and built up one point at a
+    # time: the union of the principal upsets of its points, which is S iff
+    # S is an upset, and its involution image
+    hull = img = np.zeros(1, dtype=np.uint32)
     for u in range(n):
-        has = (masks >> u & 1).astype(bool)
-        closed = (masks & np.uint32(p.up[u])) == np.uint32(p.up[u])
-        ok &= ~has | closed
-    upsets = masks[ok]
-    full = np.uint32((1 << n) - 1)
-
-    img = np.zeros_like(upsets)
-    for u in range(n):
-        img |= ((upsets >> np.uint32(u)) & np.uint32(1)) << np.uint32(p.invol[u])
-    negmasks = full & ~img
+        hull = np.concatenate((hull, hull | np.uint32(p.up[u])))
+        img = np.concatenate((img, img | np.uint32(1 << p.invol[u])))
+    upsets = np.flatnonzero(hull == np.arange(1 << n, dtype=np.uint32)).astype(np.uint32)
+    negmasks = np.uint32((1 << n) - 1) & ~img[upsets]
     neg_idx = np.searchsorted(upsets, negmasks)
     if not np.array_equal(upsets[neg_idx], negmasks):
         raise FrameError("negation left the upset lattice")
     dmask = np.uint32(sum(1 << d for d in p.designated))
     designated = np.flatnonzero((upsets & dmask) == dmask)
 
-    elem = upsets.tolist()
+    elem = tuple(upsets.tolist())
+    names = p.labels
 
-    def lbl(m: int) -> str:
-        return "{" + ",".join(p.labels[u] for u in range(n) if m >> u & 1) + "}"
+    def label(i: int) -> str:
+        return "{" + ",".join(names[u] for u in bits(elem[i])) + "}"
 
     # set-notation labels are for reading; skip them on huge carriers
-    if len(elem) <= 2048:
-        labels = [lbl(m) for m in elem]
-    else:
-        labels = [f"U{i}" for i in range(len(elem))]
     return FinMatrix._trusted(
-        labels, neg_idx.tolist(), len(elem) - 1, 0,
+        label if len(elem) <= 2048 else "U{}".format, neg_idx.tolist(), len(elem) - 1, 0,
         designated.tolist(), ["demorgan"], elem,
     )
 
@@ -259,17 +252,19 @@ def dual_frame(m: FinMatrix) -> Frame:
     if m.nbits > 64:
         raise MatrixError("dual_frame needs a powerset encoding of at most 64 bits")
     jis = m.join_irreducibles()
-    idx = m._enc_index()
-    invol = [jis.index(idx[_dual_partner(m, m.enc[j])]) for j in jis]
-    # up(j1) included in up(j2) iff j2 <= j1
     masks = [m.enc[j] for j in jis]
+    at = {mask: a for a, mask in enumerate(masks)}
+    invol = [at.get(x) for x in _dual_partners(m, masks)]
+    if None in invol:
+        raise FrameError("dual involution left the prime filters")
+    # up(j1) included in up(j2) iff j2 <= j1
     up = [sum(1 << b for b, eb in enumerate(masks) if eb & ea == eb) for ea in masks]
     # a filter contains the designated set iff it contains its meet
     gen = m.enc[m.top]
     for d in m.designated:
         gen &= m.enc[d]
     designated = [a for a, j in enumerate(jis) if m.enc[j] & gen == m.enc[j]]
-    p = m._cache["dual_frame"] = Frame._of_rows([m.labels[j] for j in jis], up, invol,
+    p = m._cache["dual_frame"] = Frame._of_rows([m.label(j) for j in jis], up, invol,
                                                 designated)
     return p
 
@@ -281,24 +276,28 @@ def roundtrip_check(m: FinMatrix) -> bool:
     prime filters containing a; it is checked to be a designation- and
     negation-preserving lattice bijection (on all pairs of elements up to
     64 elements, on a deterministic sample of 4096 pairs beyond that).
+    False also when the dual is not a frame, which happens only to a
+    matrix built unchecked whose negation breaks a De Morgan law.
     """
-    p = dual_frame(m)
+    try:
+        p = dual_frame(m)
+    except FrameError:
+        return False
     c = complex_matrix(p)
     if c.n != m.n:
         return False
     eta_np = _point_sets(m)
-    eta = [int(x) for x in eta_np]
-    if set(eta) != set(c.enc) or len(set(eta)) != m.n:
+    idx = c._enc_index()
+    h = [idx.get(x, -1) for x in eta_np.tolist()]  # the element of c with that point set
+    if -1 in h or len(set(h)) != m.n:
         return False
-    idx = {mask: i for i, mask in enumerate(c.enc)}
-    h = [idx[x] for x in eta]
     if h[m.top] != c.top or h[m.bottom] != c.bottom:
         return False
-    for a in range(m.n):
-        if h[m.neg[a]] != c.neg[h[a]]:
-            return False
-        if (a in m.designated) != (h[a] in c.designated):
-            return False
+    if [h[x] for x in m.neg] != [c.neg[y] for y in h]:
+        return False
+    # h is a bijection, so it keeps designation iff it maps one set onto the other
+    if {h[d] for d in m.designated} != c.designated:
+        return False
     # Lattice-hom check for eta.  For matrices carried by a powerset
     # encoding this is a theorem (the bit below each join-irreducible
     # distributes over bitwise meets and joins), so a sample suffices.

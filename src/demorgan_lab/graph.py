@@ -56,9 +56,6 @@ class Graph:
     def has_isolated_vertex(self) -> bool:
         return any(self.is_isolated(u) for u in range(self.n))
 
-    def relabel(self, labels: Sequence[str]) -> "Graph":
-        return Graph(labels, self.edges())
-
     def canonical_key(self) -> tuple:
         """Iso-invariant key: minimum edge bitmask over all permutations,
         preceded by the vertex count.  Exponential; for desk-scale graphs."""

@@ -8,8 +8,9 @@ Every matrix here is a bounded distributive lattice, so it embeds into a
 powerset lattice (Birkhoff).  That embedding is the only representation a
 FinMatrix stores: one bitmask per element, a Python int of any width.  Meet
 and join are bitwise AND/OR, and the n x n operation tables are caches
-derived from the masks when something asks for them.  Isomorphism search
-needs no tables: it compares the orders read off the masks (_order).
+derived from the masks when something asks for them.  So is the tuple of
+element names: a matrix keeps a function naming one element.  Isomorphism
+search needs no tables: it compares the orders read off the masks (_order).
 
 Data from outside is checked once, where it enters: the public constructor
 (and so from_json and the catalog) runs FinMatrix.validate.  Matrices that
@@ -43,12 +44,20 @@ __all__ = [
 # Operation tables are derived from the masks only up to TABLE_LIMIT
 # elements; larger matrices work from the masks alone.
 TABLE_LIMIT = 1500
-# pairs per chunk when validate sweeps all pairs of elements
+# cells per block when numpy works through a rows x columns grid a block of
+# rows at a time (pairs of elements, elements x join-irreducibles)
 _PAIR_CHUNK = 1 << 18
 
 
 class MatrixError(ValueError):
     pass
+
+
+def _row_chunks(n: int, width: int) -> Iterator[slice]:
+    """Slices of range(n), each a block of rows of about _PAIR_CHUNK cells
+    when a row has width cells."""
+    rows = max(1, _PAIR_CHUNK // max(1, width))
+    return (slice(start, start + rows) for start in range(0, n, rows))
 
 
 @dataclass(frozen=True)
@@ -108,6 +117,7 @@ class FinMatrix:
         join: Optional[Sequence[Sequence[int]]] = None,
         enc: Optional[Sequence[int]] = None,
     ):
+        labels = tuple(labels)
         tables = None
         if enc is None:
             if meet is None or join is None:
@@ -121,32 +131,48 @@ class FinMatrix:
             enc = list(enc)
             if not all(isinstance(v, (int, np.integer)) and v >= 0 for v in enc):
                 raise MatrixError("the encoding needs a non-negative integer mask per element")
-        self._init(labels, neg, top, bottom, designated, flags, [int(v) for v in enc])
+            if len(enc) != len(labels):
+                raise MatrixError("the encoding needs one mask per element")
+        self._init(labels.__getitem__, neg, top, bottom, designated, flags, [int(v) for v in enc])
+        self._cache["labels"] = labels
         if tables is not None:
             self._cache["meet"], self._cache["join"] = tables
         self.validate()
 
-    def _init(self, labels, neg, top, bottom, designated, flags, enc) -> None:
-        self.labels = tuple(labels)
-        self.n = len(self.labels)
+    def _init(self, label, neg, top, bottom, designated, flags, enc) -> None:
+        self._label = label
+        self.enc = tuple(enc)
+        self.n = len(self.enc)
         self.neg = tuple(neg)
         self.top = top
         self.bottom = bottom
         self.designated = frozenset(designated)
         self.flags = frozenset(flags)
-        self.enc = tuple(enc)
         self.nbits = max(self.enc, default=0).bit_length()
         self._cache: dict[str, object] = {}
 
     @classmethod
-    def _trusted(cls, labels: Sequence[str], neg: Sequence[int], top: int, bottom: int,
+    def _trusted(cls, label: Callable[[int], str], neg: Sequence[int], top: int, bottom: int,
                  designated: Iterable[int], flags: Iterable[str],
                  enc: Sequence[int]) -> "FinMatrix":
         """A matrix built by this package from matrices it already holds,
-        whose laws hold by construction; it is not validated again."""
+        whose laws hold by construction; it is not validated again.  The
+        carrier has one element per mask, and label names element i."""
         m = cls.__new__(cls)
-        m._init(labels, neg, top, bottom, designated, flags, enc)
+        m._init(label, neg, top, bottom, designated, flags, enc)
         return m
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """The element names, a cache derived on first read like the tables."""
+        t = self._cache.get("labels")
+        if t is None:
+            t = self._cache["labels"] = tuple(map(self._label, range(self.n)))
+        return t
+
+    def label(self, x: int) -> str:
+        """The name of element x, without building the label tuple."""
+        return self._label(x)
 
     # -- basic operations ------------------------------------------------
 
@@ -158,9 +184,6 @@ class FinMatrix:
 
     def leq(self, x: int, y: int) -> bool:
         return self.enc[x] & self.enc[y] == self.enc[x]
-
-    def is_designated(self, x: int) -> bool:
-        return x in self.designated
 
     def _enc_index(self) -> dict[int, int]:
         idx = self._cache.get("enc_index")
@@ -270,18 +293,16 @@ class FinMatrix:
             raise MatrixError("bad bounds")
         if not all(_is_index(d, n) for d in self.designated):
             raise MatrixError("bad designated set")
-        if len(self.enc) != n:
-            raise MatrixError("the encoding needs one mask per element")
         if self.enc[self.bottom] != 0:
             raise MatrixError("encoding bounds broken: the bottom's mask is not 0")
         full = self.enc[self.top]
         first: dict[int, int] = {}
         for x, mask in enumerate(self.enc):
             if first.setdefault(mask, x) != x:
-                raise MatrixError(f"encoding not injective: {self.labels[first[mask]]!r} "
-                                  f"and {self.labels[x]!r} share a mask")
+                raise MatrixError(f"encoding not injective: {self.label(first[mask])!r} "
+                                  f"and {self.label(x)!r} share a mask")
             if mask & ~full:
-                raise MatrixError(f"encoding bounds broken: the mask of {self.labels[x]!r} "
+                raise MatrixError(f"encoding bounds broken: the mask of {self.label(x)!r} "
                                   "is not inside the top's")
         demorgan = "demorgan" in self.flags
         e = self._enc_np()
@@ -292,9 +313,8 @@ class FinMatrix:
             if self.neg[self.top] != self.bottom:
                 raise MatrixError("negation must swap the bounds")
             neg_e = e[ng]
-        rows = max(1, _PAIR_CHUNK // n)
-        for start in range(0, n, rows):
-            x = np.arange(start, min(start + rows, n))
+        for rows in _row_chunks(n, n):
+            x = np.arange(*rows.indices(n))
             meets = self._positions(e[x, None] & e[None, :])
             joins = self._positions(e[x, None] | e[None, :])
             for name, sym, got in (("meet", "&", meets), ("join", "|", joins)):
@@ -309,7 +329,7 @@ class FinMatrix:
     def _fail_at(self, bad: np.ndarray, rows: np.ndarray, what: str) -> None:
         if bad.any():
             i, j = np.argwhere(bad)[0]
-            raise MatrixError(f"{what} at ({self.labels[rows[i]]!r}, {self.labels[j]!r})")
+            raise MatrixError(f"{what} at ({self.label(rows[i])!r}, {self.label(j)!r})")
 
     def designated_is_prime_filter(self) -> bool:
         """Lattice filter with a | b designated only if a or b is."""
@@ -575,6 +595,7 @@ def find_countervaluation(m: FinMatrix, r: RuleInstance) -> Optional[dict[str, i
 def product(ms: Sequence[FinMatrix]) -> FinMatrix:
     """Direct product; designated tuples are the products of designated
     sets.  A tuple's mask is its components' masks side by side."""
+    ms = tuple(ms)  # the labels read it later
     if not ms:
         raise MatrixError("product of an empty family")
     if len(ms) == 1:
@@ -582,7 +603,6 @@ def product(ms: Sequence[FinMatrix]) -> FinMatrix:
     sizes = [m.n for m in ms]
     index = list(itertools.product(*(range(s) for s in sizes)))
     pos = {t: i for i, t in enumerate(index)}
-    labels = ["(" + ",".join(m.labels[i] for m, i in zip(ms, t)) + ")" for t in index]
     neg = [pos[tuple(m.neg[i] for m, i in zip(ms, t))] for t in index]
     top = pos[tuple(m.top for m in ms)]
     bottom = pos[tuple(m.bottom for m in ms)]
@@ -591,7 +611,9 @@ def product(ms: Sequence[FinMatrix]) -> FinMatrix:
     flags = ["demorgan"] if all("demorgan" in m.flags for m in ms) else []
     shifts = list(itertools.accumulate((m.nbits for m in ms[:-1]), initial=0))
     enc = [sum(m.enc[i] << sh for m, i, sh in zip(ms, t, shifts)) for t in index]
-    return FinMatrix._trusted(labels, neg, top, bottom, designated, flags, enc)
+    return FinMatrix._trusted(
+        lambda x: "(" + ",".join(m.label(i) for m, i in zip(ms, index[x])) + ")",
+        neg, top, bottom, designated, flags, enc)
 
 
 def submatrices(m: FinMatrix) -> Iterator[FinMatrix]:
@@ -634,7 +656,7 @@ def submatrices(m: FinMatrix) -> Iterator[FinMatrix]:
 def _induced_submatrix(m: FinMatrix, elems: Sequence[int]) -> FinMatrix:
     pos = {e: i for i, e in enumerate(elems)}
     return FinMatrix._trusted(
-        [m.labels[e] for e in elems],
+        lambda x: m.label(elems[x]),
         [pos[m.neg[e]] for e in elems],
         pos[m.top], pos[m.bottom],
         [pos[e] for e in elems if e in m.designated],
@@ -665,17 +687,23 @@ def _filter_generator(m: FinMatrix) -> Optional[int]:
     return int(gen)
 
 
-def _dual_partner(m: FinMatrix, ej: int) -> int:
-    """Mask of the join-irreducible generating the prime filter
-    {a : ~a not above j}, the dual involution image of the join-irreducible
-    j with mask ej (the generator is the meet of the filter's members)."""
+def _dual_partners(m: FinMatrix, masks: Sequence[int]) -> list[int]:
+    """Per join-irreducible mask ej, the mask of the join-irreducible
+    generating the prime filter {a : ~a not above j}: the dual involution
+    image of j.  The generator is the meet of the filter's members; top is
+    one of them, so the meets start from its mask.  All masks in one numpy
+    pass, a chunk of elements at a time.  A partner that is not the mask of
+    a join-irreducible means the negation breaks a De Morgan law; the
+    callers check."""
+    if not masks:
+        return []
     e = m._enc_np()
-    neg_e = e[np.array(m.neg, dtype=np.int64)]
-    members = e[(neg_e & np.uint64(ej)) != np.uint64(ej)]
-    partner = int(np.bitwise_and.reduce(members)) if len(members) else None
-    if partner not in {m.enc[j] for j in m.join_irreducibles()}:
-        raise MatrixError("dual involution left the prime filters")
-    return partner
+    neg_e = e[np.array(m.neg)]
+    ej = np.array(masks, dtype=np.uint64)
+    return functools.reduce(np.bitwise_and, [
+        np.bitwise_and.reduce(np.where((neg_e[rows, None] & ej) != ej, e[rows, None], e[m.top]),
+                              axis=0)
+        for rows in _row_chunks(m.n, len(ej))]).tolist()
 
 
 def leibniz_congruence(m: FinMatrix) -> Partition:
@@ -692,7 +720,10 @@ def leibniz_congruence(m: FinMatrix) -> Partition:
         return _leibniz_refine(m)
     below = [m.enc[j] for j in m.join_irreducibles() if m.enc[j] & gen == m.enc[j]]
     tops = [a for a in below if not any(b != a and a & b == a for b in below)]
-    points = set(tops) | {_dual_partner(m, a) for a in tops}
+    partners = _dual_partners(m, tops)
+    if not {m.enc[j] for j in m.join_irreducibles()}.issuperset(partners):
+        raise MatrixError("dual involution left the prime filters")
+    points = set(tops) | set(partners)
     e = m._enc_np()
     k = np.array(sorted(points), dtype=np.uint64)
     _, ids = np.unique((e[:, None] & k) == k, axis=0, return_inverse=True)
@@ -774,15 +805,15 @@ def quotient_by(m: FinMatrix, part: Partition) -> FinMatrix:
     for b, code in enumerate(codes):
         if first.setdefault(code, b) != b:
             raise MatrixError(f"partition is not a lattice congruence: the blocks of "
-                              f"{m.labels[reps[first[code]]]!r} and {m.labels[reps[b]]!r} "
+                              f"{m.label(reps[first[code]])!r} and {m.label(reps[b])!r} "
                               "are not separated")
     for x, b in enumerate(bid):
         if bid[m.neg[x]] != bid[m.neg[reps[b]]]:
-            raise MatrixError(f"partition not compatible with negation at {m.labels[x]!r}")
+            raise MatrixError(f"partition not compatible with negation at {m.label(x)!r}")
         if (x in m.designated) != (reps[b] in m.designated):
             raise MatrixError("partition not compatible with designation")
     return FinMatrix._trusted(
-        [m.labels[r] for r in reps], [bid[m.neg[r]] for r in reps],
+        lambda b: m.label(reps[b]), [bid[m.neg[r]] for r in reps],
         bid[m.top], bid[m.bottom],
         [b for b, r in enumerate(reps) if r in m.designated], m.flags, codes)
 
@@ -832,9 +863,11 @@ def _point_sets(m: FinMatrix) -> np.ndarray:
     """Per element, the points of the dual frame below it, as a bitmask: bit
     a is set iff the a-th join-irreducible lies below the element."""
     e = m._enc_np()
-    out = np.zeros(m.n, dtype=np.uint64)
-    for a, j in enumerate(m.join_irreducibles()):
-        out |= ((e & e[j]) == e[j]).astype(np.uint64) << np.uint64(a)
+    ej = e[m.join_irreducibles()]
+    shifts = np.arange(len(ej), dtype=np.uint64)
+    out = np.empty(m.n, dtype=np.uint64)
+    for rows in _row_chunks(m.n, len(ej)):
+        out[rows] = (((e[rows, None] & ej) == ej) << shifts).sum(axis=1, dtype=np.uint64)
     return out
 
 
@@ -889,9 +922,8 @@ def _order_structure(m: FinMatrix) -> Structure:
     e = m._enc_np()
     up: list[int] = []
     down: list[int] = []
-    rows = max(1, _PAIR_CHUNK // m.n)
-    for start in range(0, m.n, rows):
-        x = e[start:start + rows, None]
+    for rows in _row_chunks(m.n, m.n):
+        x = e[rows, None]
         meets = x & e[None, :]
         for le, out in ((meets == x, up), (meets == e[None, :], down)):
             packed = np.packbits(le, axis=1, bitorder="little")
@@ -958,7 +990,7 @@ def split_at(m: FinMatrix, a: int) -> tuple[FinMatrix, FinMatrix, tuple[int, ...
         neg = [pos[m.meet(c, m.neg[x])] for x in elems]
         designated = sorted({pos[m.meet(c, f)] for f in m.designated})
         mm = FinMatrix._trusted(
-            [m.labels[e] for e in elems], neg, pos[c], pos[m.bottom], designated,
+            lambda x: m.label(elems[x]), neg, pos[c], pos[m.bottom], designated,
             ["demorgan"], _pack([m.enc[e] for e in elems], m.enc[c]),
         )
         return mm, pos
@@ -1031,8 +1063,8 @@ def free_dm_algebra(
                 frontier.append(t)
     order = sorted(elems)
     pos = {t: i for i, t in enumerate(order)}
-    labels = [names.get(t, "e%d" % i) for i, t in enumerate(order)]
-    return FinMatrix._trusted(labels, [pos[neg(t)] for t in order], pos[full], 0,
+    return FinMatrix._trusted(lambda i: names.get(order[i], "e%d" % i),
+                              [pos[neg(t)] for t in order], pos[full], 0,
                               [], ["demorgan"], order)
 
 

@@ -1,5 +1,6 @@
 """The duality fast paths of leibniz_congruence and find_isomorphism against
-independent oracles: the generic refinement and pair elimination.  The fast
+independent oracles: the generic refinement and pair elimination, and the
+batched dual involution against one join-irreducible at a time.  The fast
 and the generic isomorphism paths both run the order search of _order (on
 the dual frames, on the matrices), so comparing them checks the lift from
 frames to matrices; the search itself is checked against all permutations
@@ -9,13 +10,15 @@ import itertools
 import random
 
 import numpy as np
+import pytest
 
+from demorgan_lab import matrix
 from demorgan_lab.bridge import mu_minus, mu_plus
 from demorgan_lab.frame import complex_matrix, random_frame
 from demorgan_lab.graph import all_graphs
 from demorgan_lab.matrix import (
-    FinMatrix, Partition, _filter_generator, _find_isomorphism_generic,
-    _leibniz_refine, bd4, catalog, cl2, etl4, find_isomorphism,
+    FinMatrix, Partition, _dual_partners, _filter_generator, _find_isomorphism_generic,
+    _leibniz_refine, _point_sets, bd4, catalog, cl2, etl4, find_isomorphism,
     is_matrix_isomorphism, k3, kminus8, leibniz_congruence, lp3, product,
 )
 
@@ -103,3 +106,28 @@ def test_fast_isomorphism_of_relabelled_copies():
                          enc=[m.enc[p] for p in perm])
         mapping = find_isomorphism(m, copy)
         assert mapping is not None and is_matrix_isomorphism(m, copy, mapping)
+
+
+def dual_partner(m, ej):
+    """The dual involution image of one join-irreducible, one numpy pass per
+    call: the meet of the members of the prime filter {a : ~a not above j}."""
+    e = m._enc_np()
+    neg_e = e[np.array(m.neg, dtype=np.int64)]
+    members = e[(neg_e & np.uint64(ej)) != np.uint64(ej)]
+    return int(np.bitwise_and.reduce(members))
+
+
+@pytest.mark.parametrize("chunk", [matrix._PAIR_CHUNK, 5])
+def test_batched_dual_partners_match_one_at_a_time(monkeypatch, chunk):
+    # a tiny chunk splits every matrix into blocks of a row or two
+    monkeypatch.setattr(matrix, "_PAIR_CHUNK", chunk)
+    rng = random.Random(17)
+    for _ in range(200):
+        m = complex_matrix(random_frame(rng, 8))
+        jis = m.join_irreducibles()
+        masks = [m.enc[j] for j in jis]
+        assert _dual_partners(m, masks) == [dual_partner(m, ej) for ej in masks]
+        assert _dual_partners(m, masks[::-1]) == [dual_partner(m, ej) for ej in masks[::-1]]
+        # bit a of an element's point set: the a-th join-irreducible is below it
+        assert _point_sets(m).tolist() == [
+            sum(1 << a for a, j in enumerate(jis) if m.leq(j, x)) for x in range(m.n)]

@@ -12,7 +12,7 @@ from demorgan_lab.frame import (
     roundtrip_check, singleton_frame,
 )
 from demorgan_lab.matrix import (
-    MatrixMap, bd4, catalog, cl2, etl4, find_isomorphism, k3,
+    FinMatrix, MatrixError, MatrixMap, bd4, catalog, cl2, etl4, find_isomorphism, k3,
     leibniz_reduct, lp3, product,
 )
 
@@ -67,6 +67,63 @@ def test_roundtrip_on_catalog():
 def test_roundtrip_on_products():
     assert roundtrip_check(product([etl4(), bd4()]))
     assert roundtrip_check(product([cl2(), lp3()]))
+
+
+def designation_is_filter(m):
+    """The designated set is non-empty and the upset of its meet."""
+    if not m.designated:
+        return False
+    gen = m.enc[m.top]
+    for d in m.designated:
+        gen &= m.enc[d]
+    return m.designated == {x for x in range(m.n) if m.enc[x] & gen == gen}
+
+
+def swapped(neg, x, y):
+    out = list(neg)
+    out[x], out[y] = out[y], out[x]
+    return out
+
+
+def test_roundtrip_rejects_trusted_mutants():
+    # one designation flipped, the negation values of two elements swapped,
+    # a negation pair off a fixpoint swapped into two fixpoints, or top's
+    # negation moved off bottom (the dual frame stays the same, so only the
+    # comparison of negations sees it): the mutant is a complex matrix iff
+    # its negation still passes validate and its designated set is a filter
+    rng = random.Random(9)
+    seen = {"designation": set(), "negation": set(), "pair": set(), "top": set()}
+    for _ in range(150):
+        m = complex_matrix(random_frame(rng, 6))
+        x, y = rng.randrange(m.n), rng.randrange(m.n)
+        top_neg = list(m.neg)
+        top_neg[m.top] = x
+        mutants = [("designation", m.designated ^ {x}, m.neg),
+                   ("negation", m.designated, swapped(m.neg, x, y)),
+                   ("top", m.designated, top_neg)]
+        off = [a for a in range(m.n) if m.neg[a] != a]
+        if off:
+            a = rng.choice(off)
+            mutants.append(("pair", m.designated, swapped(m.neg, a, m.neg[a])))
+        for kind, des, ng in mutants:
+            mutant = FinMatrix._trusted(m.label, ng, m.top, m.bottom, des, m.flags, m.enc)
+            try:
+                FinMatrix(m.labels, ng, m.top, m.bottom, des, m.flags, enc=m.enc)
+                want = designation_is_filter(mutant)
+            except MatrixError:
+                want = False
+            assert roundtrip_check(mutant) == want, (kind, m.enc, ng, sorted(des))
+            seen[kind].add(want)
+    assert seen == {"designation": {False, True}, "negation": {False, True},
+                    "pair": {False, True}, "top": {False, True}}
+
+
+def test_complex_matrix_does_not_seed_its_dual_frame():
+    # a seeded cache would make counit_check compare p with itself
+    p = random_frame(random.Random(4), 6)
+    m = complex_matrix(p)
+    assert "dual_frame" not in m._cache
+    assert dual_frame(m) is not p and frame_isomorphic(dual_frame(m), p)
 
 
 def test_counit_on_random_frames():
