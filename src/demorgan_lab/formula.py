@@ -6,9 +6,11 @@ atoms, ``~``, ``&``, ``|``, ``T`` and ``F``, with precedence ``~ > & > |``.
 
 from __future__ import annotations
 
+import functools
+import operator
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 __all__ = [
     "Formula", "Atom", "Neg", "And", "Or", "TOP", "BOT",
@@ -16,7 +18,7 @@ __all__ = [
     "parse", "parse_rule", "substitute", "rename_apart", "fresh_renaming",
     "normal_form", "nnf", "classical_status", "chi", "atoms",
     "TAUTOLOGY", "CONTRADICTION", "CONTINGENT",
-    "conj", "disj", "neg_literal",
+    "conj", "disj", "Program", "compile_program", "fold",
 ]
 
 
@@ -38,6 +40,10 @@ class Formula:
         return f"parse({_print(self)!r})"
 
 
+# the operation nodes of a compiled program; an atom's node is its leaf index
+_NEG, _AND, _OR, _TOP, _BOT = range(-1, -6, -1)
+
+
 @dataclass(frozen=True, repr=False)
 class Atom(Formula):
     name: str
@@ -46,10 +52,17 @@ class Atom(Formula):
         if not re.fullmatch(r"[a-z][a-z0-9_]*", self.name):
             raise ValueError(f"bad atom name: {self.name!r}")
 
+    def _emit(self, nodes: list) -> None:
+        nodes.append(self.name)
+
 
 @dataclass(frozen=True, repr=False)
 class Neg(Formula):
     arg: Formula
+
+    def _emit(self, nodes: list) -> None:
+        self.arg._emit(nodes)
+        nodes.append(_NEG)
 
 
 @dataclass(frozen=True, repr=False)
@@ -57,21 +70,33 @@ class And(Formula):
     left: Formula
     right: Formula
 
+    def _emit(self, nodes: list) -> None:
+        self.left._emit(nodes)
+        self.right._emit(nodes)
+        nodes.append(_AND)
+
 
 @dataclass(frozen=True, repr=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
+    def _emit(self, nodes: list) -> None:
+        self.left._emit(nodes)
+        self.right._emit(nodes)
+        nodes.append(_OR)
+
 
 @dataclass(frozen=True, repr=False)
 class _Top(Formula):
-    pass
+    def _emit(self, nodes: list) -> None:
+        nodes.append(_TOP)
 
 
 @dataclass(frozen=True, repr=False)
 class _Bot(Formula):
-    pass
+    def _emit(self, nodes: list) -> None:
+        nodes.append(_BOT)
 
 
 TOP = _Top()
@@ -85,18 +110,61 @@ CONTINGENT = "contingent"
 
 def atoms(f: Formula) -> frozenset[str]:
     """Set of atom names occurring in f."""
-    out: set[str] = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, Atom):
-            out.add(g.name)
-        elif isinstance(g, Neg):
-            stack.append(g.arg)
-        elif isinstance(g, (And, Or)):
-            stack.append(g.left)
-            stack.append(g.right)
-    return frozenset(out)
+    return frozenset(compile_program([f]).names)
+
+
+class Program(NamedTuple):
+    """Formulas compiled to straight-line postfix code for a stack machine
+    (see fold).  An atom's node is its leaf, the index of its name in the
+    sorted `names`, and pushes the leaf's value; an operation's node is a
+    negative opcode and replaces its operands on the stack by its value.
+    The code leaves one value per formula, the first `n_premises` of them
+    premises."""
+
+    names: tuple[str, ...]
+    nodes: tuple[int, ...]
+    n_premises: int
+
+
+def compile_program(premises: Sequence[Formula], conclusions: Sequence[Formula] = ()) -> Program:
+    """The program of the formulas, one node per occurrence of a subformula;
+    each formula class appends its own nodes, operands first, in `_emit`.
+    Repeated subformulas are not merged: a Formula hashes its whole tree on
+    every call, and most rules are swept in one or a few blocks, so even a
+    merge by object identity costs more than it saves."""
+    nodes: list[int | str] = []
+    for f in (*premises, *conclusions):
+        f._emit(nodes)
+    # atoms were emitted as their names; make those leaf indices
+    atom_at = [k for k, node in enumerate(nodes) if type(node) is str]
+    names = tuple(sorted({nodes[k] for k in atom_at}))
+    leaf = {name: i for i, name in enumerate(names)}
+    for k in atom_at:
+        nodes[k] = leaf[nodes[k]]
+    return Program(names, tuple(nodes), len(premises))
+
+
+def fold(prog: Program, leaves: Sequence[Any], neg: Callable[[Any], Any],
+         meet: Callable[[Any, Any], Any], join: Callable[[Any, Any], Any],
+         top: Any, bot: Any) -> list:
+    """The value of each formula of prog, premises first, given a value per
+    atom name in leaves and the operations of the algebra the values live
+    in.  An operand leaves the stack when it is used, so a large
+    intermediate value is freed as soon as it is consumed."""
+    stack: list = []
+    push, pop = stack.append, stack.pop
+    for op in prog.nodes:
+        if op >= 0:
+            push(leaves[op])
+        elif op == _NEG:
+            stack[-1] = neg(stack[-1])
+        elif op == _AND:
+            stack[-1] = meet(stack[-2], pop())
+        elif op == _OR:
+            stack[-1] = join(stack[-2], pop())
+        else:
+            push(top if op == _TOP else bot)
+    return stack
 
 
 def _print(f: Formula) -> str:
@@ -106,23 +174,19 @@ def _print(f: Formula) -> str:
         # level: 0 = or-context, 1 = and-context, 2 = neg-context
         if isinstance(g, Atom):
             return g.name
-        if g is TOP or isinstance(g, _Top):
+        if isinstance(g, _Top):
             return "T"
-        if g is BOT or isinstance(g, _Bot):
+        if isinstance(g, _Bot):
             return "F"
         if isinstance(g, Neg):
             return "~" + go(g.arg, 2)
         if isinstance(g, And):
-            s = go(g.left, 1) + " & " + _wrap(g.right, And, 1)
+            s = go(g.left, 1) + " & " + go(g.right, 2 if isinstance(g.right, And) else 1)
             return "(" + s + ")" if level >= 2 else s
         if isinstance(g, Or):
-            s = go(g.left, 0) + " | " + _wrap(g.right, Or, 0)
+            s = go(g.left, 0) + " | " + go(g.right, 1 if isinstance(g.right, Or) else 0)
             return "(" + s + ")" if level >= 1 else s
         raise TypeError(g)
-
-    def _wrap(g: Formula, op: type, level: int) -> str:
-        s = go(g, level + 1 if isinstance(g, op) else level)
-        return s
 
     return go(f, 0)
 
@@ -245,13 +309,16 @@ class RuleInstance:
         return RuleInstance(frozenset(premises), frozenset())
 
     def atom_names(self) -> frozenset[str]:
-        """The atoms of all premises and conclusions, computed on first call
-        and kept in the instance dict; equality and hashing use only the
-        fields."""
-        out = self.__dict__.get("_atom_names")
+        """The atoms of all premises and conclusions."""
+        return frozenset(self.program().names)
+
+    def program(self) -> Program:
+        """The premises and conclusions compiled, on first call, and kept in
+        the instance dict; equality and hashing use only the fields."""
+        out = self.__dict__.get("_program")
         if out is None:
-            out = self.__dict__["_atom_names"] = frozenset().union(
-                *map(atoms, self.premises | self.conclusions))
+            out = self.__dict__["_program"] = compile_program(tuple(self.premises),
+                                                              tuple(self.conclusions))
         return out
 
     def __str__(self) -> str:
@@ -290,24 +357,23 @@ def _rule_side(text: str, side: str, start: int, what: str) -> list[Formula]:
 Substitution = Mapping[str, Formula]
 
 
+def _substituted(prog: Program, s: Substitution) -> list[Formula]:
+    """The homomorphic images of prog's formulas: the fold that rebuilds
+    each formula, with the atoms in s replaced."""
+    return fold(prog, [s[name] if name in s else Atom(name) for name in prog.names],
+                Neg, And, Or, TOP, BOT)
+
+
 def substitute(f: Formula, s: Substitution) -> Formula:
     """Homomorphic image of f; atoms not in s are left alone."""
-    if isinstance(f, Atom):
-        return s.get(f.name, f)
-    if isinstance(f, Neg):
-        return Neg(substitute(f.arg, s))
-    if isinstance(f, And):
-        return And(substitute(f.left, s), substitute(f.right, s))
-    if isinstance(f, Or):
-        return Or(substitute(f.left, s), substitute(f.right, s))
-    return f
+    (out,) = _substituted(compile_program([f]), s)
+    return out
 
 
 def _substitute_rule(r: RuleInstance, s: Substitution) -> RuleInstance:
-    return RuleInstance(
-        frozenset(substitute(f, s) for f in r.premises),
-        frozenset(substitute(f, s) for f in r.conclusions),
-    )
+    prog = r.program()
+    images = _substituted(prog, s)
+    return RuleInstance.of(images[:prog.n_premises], images[prog.n_premises:])
 
 
 def fresh_renaming(names: Iterable[str], avoid: Iterable[str]) -> dict[str, str]:
@@ -369,10 +435,6 @@ def nnf(f: Formula) -> Formula:
 Literal = tuple[str, bool]
 
 
-def _literal_key(lit: Literal) -> tuple[str, bool]:
-    return lit
-
-
 def _clauses(f: Formula, mode: str) -> frozenset[frozenset[Literal]] | None:
     """Clause sets of nnf(f); None encodes the absorbing constant.
 
@@ -414,12 +476,8 @@ def _clauses(f: Formula, mode: str) -> frozenset[frozenset[Literal]] | None:
 
 
 def _clause_formula(clause: frozenset[Literal], inner_or: bool) -> Formula:
-    lits = sorted(clause, key=_literal_key)
-    parts = [Atom(n) if pos else Neg(Atom(n)) for n, pos in lits]
-    out = parts[0]
-    for p in parts[1:]:
-        out = Or(out, p) if inner_or else And(out, p)
-    return out
+    return (disj if inner_or else conj)(
+        Atom(n) if pos else Neg(Atom(n)) for n, pos in sorted(clause))
 
 
 def normal_form(f: Formula, mode: str = "cnf") -> Formula:
@@ -436,76 +494,37 @@ def normal_form(f: Formula, mode: str = "cnf") -> Formula:
         return BOT if mode == "cnf" else TOP
     if not cs:
         return TOP if mode == "cnf" else BOT
-    clause_forms = sorted(
-        (sorted(c, key=_literal_key), c) for c in cs
-    )
-    parts = [_clause_formula(c, inner_or=(mode == "cnf")) for _, c in clause_forms]
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p) if mode == "cnf" else Or(out, p)
-    return out
-
-
-def _eval2(f: Formula, v: Mapping[str, bool]) -> bool:
-    if isinstance(f, Atom):
-        return v[f.name]
-    if isinstance(f, Neg):
-        return not _eval2(f.arg, v)
-    if isinstance(f, And):
-        return _eval2(f.left, v) and _eval2(f.right, v)
-    if isinstance(f, Or):
-        return _eval2(f.left, v) or _eval2(f.right, v)
-    return isinstance(f, _Top)
+    return (conj if mode == "cnf" else disj)(
+        _clause_formula(c, inner_or=(mode == "cnf")) for c in sorted(cs, key=sorted))
 
 
 def classical_status(f: Formula) -> str:
     """Tautology/contradiction/contingent by exhaustive two-valued evaluation."""
-    names = sorted(atoms(f))
-    seen_true = seen_false = False
-    for bits in range(1 << len(names)):
-        v = {n: bool(bits >> i & 1) for i, n in enumerate(names)}
-        if _eval2(f, v):
-            seen_true = True
-        else:
-            seen_false = True
-        if seen_true and seen_false:
-            return CONTINGENT
-    return TAUTOLOGY if seen_true else CONTRADICTION
+    prog = compile_program([f])
+    # one fold over whole truth tables: bit v of a value is its truth under
+    # valuation v, whose bit i is the truth of atom i, so the table of atom i
+    # is runs of 2^i zeros and 2^i ones
+    size = 1 << len(prog.names)
+    full = (1 << size) - 1
+    leaves = [full // ((1 << (1 << i)) + 1) << (1 << i) for i in range(len(prog.names))]
+    (table,) = fold(prog, leaves, full.__xor__, operator.and_, operator.or_, full, 0)
+    return TAUTOLOGY if table == full else CONTRADICTION if table == 0 else CONTINGENT
 
 
 def chi(n: int) -> Formula:
     """(p1 & ~p1) | ... | (pn & ~pn), the n-atom classical contradiction."""
     if n < 1:
         raise ValueError("chi requires n >= 1")
-    parts = [And(Atom(f"p{i}"), Neg(Atom(f"p{i}"))) for i in range(1, n + 1)]
-    out = parts[0]
-    for p in parts[1:]:
-        out = Or(out, p)
-    return out
+    return disj(And(Atom(f"p{i}"), Neg(Atom(f"p{i}"))) for i in range(1, n + 1))
 
 
 def conj(fs: Iterable[Formula]) -> Formula:
     """Left-associated conjunction; empty = T."""
     fs = list(fs)
-    if not fs:
-        return TOP
-    out = fs[0]
-    for f in fs[1:]:
-        out = And(out, f)
-    return out
+    return functools.reduce(And, fs) if fs else TOP
 
 
 def disj(fs: Iterable[Formula]) -> Formula:
     """Left-associated disjunction; empty = F."""
     fs = list(fs)
-    if not fs:
-        return BOT
-    out = fs[0]
-    for f in fs[1:]:
-        out = Or(out, f)
-    return out
-
-
-def neg_literal(f: Formula) -> Formula:
-    """Negation that cancels a leading ~ instead of stacking one."""
-    return f.arg if isinstance(f, Neg) else Neg(f)
+    return functools.reduce(Or, fs) if fs else BOT

@@ -3,6 +3,9 @@
 A matrix is a finite algebra (meet, join, negation, top, bottom) together
 with a set of designated elements.  Rule validity is decided by exhaustive
 valuation of the rule's atoms; the enumeration is vectorized with numpy.
+A rule is compiled once to a straight-line program (formula.compile_program)
+and one fold (formula.fold) runs every program: the sweep's in both engine
+modes, evaluate's over the elements, and classical_status's over truth tables.
 
 Every matrix here is a bounded distributive lattice, so it embeds into a
 powerset lattice (Birkhoff).  That embedding is the only representation a
@@ -24,13 +27,14 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
 from ._order import Structure, closure, isomorphism, transpose
-from .formula import And, Atom, Formula, Neg, Or, RuleInstance, _Bot, _Top
+from .formula import Formula, Program, RuleInstance, compile_program, fold
 
 __all__ = [
     "FinMatrix", "MatrixError", "Partition", "MatrixMap",
@@ -332,39 +336,41 @@ class FinMatrix:
             raise MatrixError(f"{what} at ({self.label(rows[i])!r}, {self.label(j)!r})")
 
     def designated_is_prime_filter(self) -> bool:
-        """Lattice filter with a | b designated only if a or b is."""
+        """Lattice filter with a | b designated only if a or b is: the upset
+        of a join-irreducible, or of bottom (the whole carrier)."""
         if not self.is_bd_model():
             return False
-        for a in range(self.n):
-            for b in range(self.n):
-                if self.join(a, b) in self.designated:
-                    if a not in self.designated and b not in self.designated:
-                        return False
-        return True
+        gen = self._designated_meet()
+        return gen == 0 or self._enc_index()[gen] in self.join_irreducibles()
 
     def is_bd_model(self) -> bool:
-        """De Morgan matrix whose designated set is a lattice filter."""
-        if "demorgan" not in self.flags:
+        """De Morgan matrix whose designated set is a lattice filter, that
+        is, the upset of the meet of its members."""
+        if "demorgan" not in self.flags or not self.designated:
             return False
-        des = self.designated
-        if not des or self.top not in des:
-            return False
-        for a in des:
-            for b in des:
-                if self.meet(a, b) not in des:
-                    return False
-            for x in range(self.n):
-                if self.leq(a, x) and x not in des:
-                    return False
-        return True
+        e = self._enc_np()
+        gen = self._designated_meet()
+        des = np.zeros(self.n, dtype=bool)
+        des[list(self.designated)] = True
+        return np.array_equal((e & gen) == gen, des)
+
+    def _designated_meet(self) -> int:
+        """The mask of the meet of the designated elements."""
+        return functools.reduce(int.__and__, (self.enc[d] for d in self.designated))
 
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> str:
+        e = self._enc_np()
+        meet: list[list[int]] = []
+        join: list[list[int]] = []
+        for rows in _row_chunks(self.n, self.n):
+            meet += self._mask_lookup(e[rows, None] & e).tolist()
+            join += self._mask_lookup(e[rows, None] | e).tolist()
         return json.dumps({
             "elements": list(self.labels),
-            "meet": [[self.meet(x, y) for y in range(self.n)] for x in range(self.n)],
-            "join": [[self.join(x, y) for y in range(self.n)] for x in range(self.n)],
+            "meet": meet,
+            "join": join,
             "neg": list(self.neg),
             "top": self.top,
             "bottom": self.bottom,
@@ -430,22 +436,15 @@ def _masks_from_tables(mt: np.ndarray, jt: np.ndarray, bottom: int) -> list[int]
 
 
 def evaluate(m: FinMatrix, v: Mapping[str, int], f: Formula) -> int:
-    """Value of f under the valuation v (a structural fold)."""
-    if isinstance(f, Atom):
-        if f.name not in v:
-            raise KeyError(f"valuation missing atom {f.name!r}")
-        return v[f.name]
-    if isinstance(f, Neg):
-        return m.neg[evaluate(m, v, f.arg)]
-    if isinstance(f, And):
-        return m.meet(evaluate(m, v, f.left), evaluate(m, v, f.right))
-    if isinstance(f, Or):
-        return m.join(evaluate(m, v, f.left), evaluate(m, v, f.right))
-    if isinstance(f, _Top):
-        return m.top
-    if isinstance(f, _Bot):
-        return m.bottom
-    raise TypeError(f)
+    """Value of f under the valuation v: the fold of f's program over the
+    matrix's operations."""
+    prog = compile_program([f])
+    for name in prog.names:
+        if name not in v:
+            raise KeyError(f"valuation missing atom {name!r}")
+    (value,) = fold(prog, [v[name] for name in prog.names],
+                    m.neg.__getitem__, m.meet, m.join, m.top, m.bottom)
+    return value
 
 
 # Sweep block sizes in valuations: the first block is small, so a witness
@@ -463,67 +462,51 @@ class _Engine:
 
     Values are carried either as powerset masks (meet/join are bitwise ops;
     needs <= 16 mask bits so negation/designation fit in lookup tables) or
-    as element indices with table gathers.
+    as element indices with table gathers.  The mode fixes the operations
+    `ops` once; a block folds the rule's program over them.
     """
 
     def __init__(self, m: FinMatrix):
-        self.m = m
         self.mask_mode = m.nbits <= 16
         if self.mask_mode:
             size = 1 << m.nbits
             # the narrowest dtype that holds the masks: big sweeps move a
             # lot of these arrays around
             dt = np.uint8 if m.nbits <= 8 else np.uint16
-            self.neg_lut = np.zeros(size, dtype=dt)
+            neg_lut = np.zeros(size, dtype=dt)
             self.des_lut = np.zeros(size, dtype=bool)
             for i, mask in enumerate(m.enc):
-                self.neg_lut[mask] = m.enc[m.neg[i]]
+                neg_lut[mask] = m.enc[m.neg[i]]
                 self.des_lut[mask] = i in m.designated
             self.values = np.array(m.enc, dtype=dt)
+            ops = (neg_lut.__getitem__, operator.and_, operator.or_)
         else:
-            self.meet_flat = m.meet_table().astype(np.int32).ravel()
-            self.join_flat = m.join_table().astype(np.int32).ravel()
-            self.neg_arr = np.array(m.neg, dtype=np.int32)
+            n = np.int32(m.n)
+            meet_flat = m.meet_table().astype(np.int32).ravel()
+            join_flat = m.join_table().astype(np.int32).ravel()
             self.des_lut = np.zeros(m.n, dtype=bool)
             for d in m.designated:
                 self.des_lut[d] = True
             self.values = np.arange(m.n, dtype=np.int32)
-        self.top_v = self.values[m.top]
-        self.bot_v = self.values[m.bottom]
+            ops = (np.array(m.neg, dtype=np.int32).__getitem__,
+                   lambda a, b: meet_flat[a * n + b], lambda a, b: join_flat[a * n + b])
+        # neg, meet, join, top, bottom: the arguments fold takes after the leaves
+        self.ops = ops + (self.values[m.top], self.values[m.bottom])
         # one designated value: a comparison beats a lookup-table gather
         self.des_v = self.values[next(iter(m.designated))] if len(m.designated) == 1 else None
-
-    def eval_formula(self, f: Formula, atom_arrays: Mapping[str, np.ndarray]) -> np.ndarray:
-        if isinstance(f, Atom):
-            return atom_arrays[f.name]
-        if isinstance(f, Neg):
-            a = self.eval_formula(f.arg, atom_arrays)
-            if self.mask_mode:
-                return self.neg_lut[a]
-            return self.neg_arr[a]
-        if isinstance(f, (And, Or)):
-            a = self.eval_formula(f.left, atom_arrays)
-            b = self.eval_formula(f.right, atom_arrays)
-            if self.mask_mode:
-                return (a & b) if isinstance(f, And) else (a | b)
-            table = self.meet_flat if isinstance(f, And) else self.join_flat
-            return table[a * np.int32(self.m.n) + b]
-        if isinstance(f, _Top):
-            return self.top_v
-        if isinstance(f, _Bot):
-            return self.bot_v
-        raise TypeError(f)
 
     def designated_mask(self, arr: np.ndarray) -> np.ndarray:
         if self.des_v is not None:
             return arr == self.des_v
         return self.des_lut[arr]
 
-    def first_bad(self, r: RuleInstance, arrays: Mapping[str, np.ndarray]) -> Optional[int]:
-        """C-order offset of the first valuation in a block refuting r.  Each
-        atom of r occurs in some mask, so `bad` has the block's whole shape."""
-        masks = [self.designated_mask(self.eval_formula(g, arrays)) for g in r.premises]
-        masks += [~self.designated_mask(self.eval_formula(d, arrays)) for d in r.conclusions]
+    def first_bad(self, prog: Program, leaves: Sequence[np.ndarray]) -> Optional[int]:
+        """C-order offset of the first valuation in a block refuting the
+        rule compiled to prog, given the block's value array per atom.  Each
+        atom occurs in some mask, so `bad` has the block's whole shape."""
+        vals = fold(prog, leaves, *self.ops)
+        masks = [self.designated_mask(v) for v in vals[:prog.n_premises]]
+        masks += [~self.designated_mask(v) for v in vals[prog.n_premises:]]
         # & commutes, so the order of the masks does not matter; numpy's bool
         # & with a scalar operand is slow, so the fold starts from a mask
         bad = functools.reduce(np.logical_and, masks) if masks else np.True_
@@ -550,8 +533,8 @@ def _violation(m: FinMatrix, r: RuleInstance) -> Optional[dict[str, int]]:
     _BLOCK_CAP.
     """
     eng = _engine(m)
-    names = sorted(r.atom_names())
-    k, n = len(names), m.n
+    prog = r.program()
+    k, n = len(prog.names), m.n
     total, pos, size = n ** k, 0, _FIRST_BLOCK
     while pos < total:
         # free as many trailing atoms as fit in the block and keep it aligned
@@ -562,15 +545,15 @@ def _violation(m: FinMatrix, r: RuleInstance) -> Optional[dict[str, int]]:
         lo = pos // stride % n
         hi = min(n, lo + size // stride)
         j = k - 1 - t  # the ranged atom
-        arrays = {names[i]: eng.values[pos // n ** (k - 1 - i) % n] for i in range(j)}
+        leaves = [eng.values[pos // n ** (k - 1 - i) % n] for i in range(j)]
         for i in range(min(k, t + 1)):
             v = eng.values[lo:hi] if i == 0 else eng.values
-            arrays[names[j + i]] = v.reshape((1,) * i + (-1,) + (1,) * (t - i))
-        hit = eng.first_bad(r, arrays)
+            leaves.append(v.reshape((1,) * i + (-1,) + (1,) * (t - i)))
+        hit = eng.first_bad(prog, leaves)
         if hit is not None:
             hit += pos
             out = {}
-            for name in reversed(names):
+            for name in reversed(prog.names):
                 hit, out[name] = divmod(hit, n)
             return out
         pos += (hi - lo) * stride
@@ -676,15 +659,9 @@ def _filter_generator(m: FinMatrix) -> Optional[int]:
     most 64 bits whose non-empty designated set is the upset of its meet,
     that is, a filter; then m is the complex matrix of its dual frame.
     """
-    if "demorgan" not in m.flags or m.nbits > 64 or not m.designated:
+    if m.nbits > 64 or not m.is_bd_model():
         return None
-    e = m._enc_np()
-    gen = np.bitwise_and.reduce(e[sorted(m.designated)])
-    des = np.zeros(m.n, dtype=bool)
-    des[list(m.designated)] = True
-    if not np.array_equal((e & gen) == gen, des):
-        return None
-    return int(gen)
+    return m._designated_meet()
 
 
 def _dual_partners(m: FinMatrix, masks: Sequence[int]) -> list[int]:

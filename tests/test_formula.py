@@ -87,6 +87,49 @@ def test_nnf_is_dm4_equivalent_and_negation_free_inside(f):
     assert negs_on_atoms_only(g)
 
 
+@given(formulas)
+def test_evaluate_is_the_dm4_term_function(f):
+    from demorgan_lab.matrix import dm4_algebra, evaluate
+
+    m = dm4_algebra()  # elements bot, n, b, top, as in the oracle
+    for vals in itertools.product(range(4), repeat=3):
+        v = dict(zip("pqr", vals))
+        assert evaluate(m, v, f) == dm4_eval(f, v)
+
+
+@given(formulas)
+def test_classical_status_is_the_two_valued_brute_force(f):
+    # DM4 restricted to {bot, top} is the two-element Boolean algebra
+    values = {dm4_eval(f, dict(zip("pqr", vals)))
+              for vals in itertools.product((_BOT, _TOP), repeat=3)}
+    want = {frozenset([_TOP]): TAUTOLOGY, frozenset([_BOT]): CONTRADICTION}.get(
+        frozenset(values), CONTINGENT)
+    assert classical_status(f) == want
+
+
+def struct_substitute(f, s):
+    if isinstance(f, Atom):
+        return s.get(f.name, f)
+    if isinstance(f, Neg):
+        return Neg(struct_substitute(f.arg, s))
+    if isinstance(f, (And, Or)):
+        return type(f)(struct_substitute(f.left, s), struct_substitute(f.right, s))
+    return f
+
+
+def struct_atoms(f):
+    if isinstance(f, Atom):
+        return {f.name}
+    return set().union(*map(struct_atoms, vars(f).values()))
+
+
+@given(formulas, formulas)
+def test_substitute_and_atoms_match_structural_recursion(f, g):
+    assert atoms(f) == struct_atoms(f)
+    for s in ({}, {"p": g}, {"q": TOP, "r": Neg(g)}):
+        assert substitute(f, s) == struct_substitute(f, s)
+
+
 def test_substitute():
     assert substitute(parse("p|q"), {"p": TOP}) == parse("T|q")
     assert substitute(parse("~p"), {"p": parse("q&r")}) == parse("~(q&r)")

@@ -16,8 +16,8 @@ from demorgan_lab.matrix import (
     submatrices,
 )
 
-# to_json builds the n x n tables one pair at a time, so the digest takes
-# it only up to this size and the labels alone beyond
+# the digest was recorded with the JSON of matrices up to this size and the
+# labels alone beyond; test_matrix checks to_json on larger matrices
 JSON_LIMIT = 256
 
 

@@ -1,10 +1,11 @@
 import itertools
+import json
 import random
 
 import numpy as np
 import pytest
 
-from demorgan_lab.formula import RuleInstance, parse, parse_rule
+from demorgan_lab.formula import BOT, TOP, And, Atom, Neg, Or, RuleInstance, parse, parse_rule
 from demorgan_lab.matrix import (
     FinMatrix, MatrixError, MatrixMap, Partition, _find_isomorphism_generic,
     bd4, catalog, cl2, etl4, evaluate, find_countervaluation,
@@ -14,14 +15,35 @@ from demorgan_lab.matrix import (
 )
 
 
+def struct_eval(m, v, f):
+    """Value of f by structural recursion, independent of the package's
+    compiled fold."""
+    if isinstance(f, Atom):
+        return v[f.name]
+    if isinstance(f, Neg):
+        return m.neg[struct_eval(m, v, f.arg)]
+    if isinstance(f, And):
+        return m.meet(struct_eval(m, v, f.left), struct_eval(m, v, f.right))
+    if isinstance(f, Or):
+        return m.join(struct_eval(m, v, f.left), struct_eval(m, v, f.right))
+    assert f in (TOP, BOT)
+    return m.top if f == TOP else m.bottom
+
+
+def struct_atoms(f):
+    if isinstance(f, Atom):
+        return {f.name}
+    return set().union(*map(struct_atoms, vars(f).values()))
+
+
 def brute_witness(m, r):
     """Reference sweep: the first refuting valuation in lexicographic order
-    of the sorted atoms, by plain enumeration with scalar evaluate."""
-    names = sorted(r.atom_names())
+    of the sorted atoms, by plain enumeration with structural evaluation."""
+    names = sorted(set().union(*map(struct_atoms, r.premises | r.conclusions)))
     for vals in itertools.product(range(m.n), repeat=len(names)):
         v = dict(zip(names, vals))
-        if all(evaluate(m, v, g) in m.designated for g in r.premises):
-            if not any(evaluate(m, v, d) in m.designated for d in r.conclusions):
+        if all(struct_eval(m, v, g) in m.designated for g in r.premises):
+            if not any(struct_eval(m, v, d) in m.designated for d in r.conclusions):
                 return v
     return None
 
@@ -83,6 +105,42 @@ def test_sweep_blocks_keep_the_least_witness(monkeypatch):
                 assert find_countervaluation(m, r) == brute_witness(m, r), (m.labels, str(r))
                 checked += 1
     assert checked > 250
+
+
+def chain17():
+    """The complex matrix of a 17-point chain: 17 mask bits, so its sweeps
+    run in table mode."""
+    from demorgan_lab import matrix
+    from demorgan_lab.frame import Frame, complex_matrix
+    m = complex_matrix(Frame([f"c{i}" for i in range(17)],
+                             [(i, j) for i in range(17) for j in range(i, 17)],
+                             [16 - i for i in range(17)], range(5, 17)))
+    assert m.nbits == 17 and not matrix._engine(m).mask_mode
+    return m
+
+
+def test_sweep_folds_constants_negated_compounds_and_shared_subformulas():
+    from demorgan_lab import matrix
+    mats = list(catalog().values()) + [chain17()]
+    assert {matrix._engine(m).mask_mode for m in mats} == {True, False}
+    texts = [
+        "~(p | q) |- ~p & ~q", "~(p & F) |- ~(q | ~T)", "T |- ~(~p | F) & (q | T)",
+        "~(~(p & q) | r) |- ~r & F", "F | ~(p & ~p) |- ~(q | ~q), T & ~F",
+        "~(p & ~(q | ~r)) |- ~~p | r", "~T, p |- ", "|- ~F, F",
+    ]
+    rules = [parse_rule(t) for t in texts]
+    # one subformula object on both sides, and twice within one formula
+    shared = parse("~(p & ~q) | T & ~r")
+    rules += [RuleInstance.single([shared], shared),
+              RuleInstance.of([shared, parse("q")], [And(shared, Neg(shared)), parse("~p")]),
+              RuleInstance.of([Or(shared, Neg(shared))], [Neg(shared), BOT])]
+    verdicts = set()
+    for m in mats:
+        for r in rules:
+            w = find_countervaluation(m, r)
+            assert w == brute_witness(m, r), (m.labels, str(r))
+            verdicts.add((matrix._engine(m).mask_mode, w is None))
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_sweep_crossing_the_block_cap_agrees_with_hom_search(monkeypatch):
@@ -493,6 +551,74 @@ def test_explosive_validity_antitone_in_designation():
         r = parse_rule(text)
         if validates(m, r):
             assert validates(smaller, r)
+
+
+def pairwise_is_bd_model(m):
+    """The pairwise filter test is_bd_model ran before it was one mask test."""
+    des = m.designated
+    if "demorgan" not in m.flags or not des or m.top not in des:
+        return False
+    return all(m.meet(a, b) in des for a in des for b in des) and all(
+        x in des for a in des for x in range(m.n) if m.leq(a, x))
+
+
+def pairwise_is_prime_filter(m):
+    return pairwise_is_bd_model(m) and all(
+        a in m.designated or b in m.designated
+        for a in range(m.n) for b in range(m.n) if m.join(a, b) in m.designated)
+
+
+def test_filter_tests_match_the_pairwise_loops():
+    from demorgan_lab.frame import complex_matrix, random_frame
+    from demorgan_lab.matrix import _filter_generator, dm4_algebra
+    rng = random.Random(13)
+    mats = list(catalog().values()) + [dm4_algebra()]
+    mats += [complex_matrix(random_frame(rng, 5)) for _ in range(40)]
+    seen = set()
+    for m in mats:
+        upset = lambda a: [x for x in range(m.n) if m.leq(a, x)]
+        variants = [m.designated, [], range(m.n), upset(rng.randrange(m.n)),
+                    rng.sample(range(m.n), rng.randint(1, m.n))]
+        variants += [upset(j) for j in m.join_irreducibles()[:3]]
+        for des in variants:
+            for flags in (m.flags, ()):
+                mm = FinMatrix(m.labels, m.neg, m.top, m.bottom, des, flags, enc=m.enc)
+                want = (pairwise_is_bd_model(mm), pairwise_is_prime_filter(mm))
+                assert (mm.is_bd_model(), mm.designated_is_prime_filter()) == want, \
+                    (m.labels, sorted(des), flags)
+                gen = _filter_generator(mm)
+                assert (gen is not None) == want[0]
+                if gen is not None:
+                    assert gen == np.bitwise_and.reduce([mm.enc[d] for d in mm.designated])
+                seen.add(want)
+    assert seen == {(False, False), (True, False), (True, True)}
+
+
+def test_to_json_matches_the_per_pair_tables(monkeypatch):
+    from demorgan_lab import matrix
+    from demorgan_lab.frame import Frame, complex_matrix
+
+    def per_pair_json(m):
+        return json.dumps({
+            "elements": list(m.labels),
+            "meet": [[m.meet(x, y) for y in range(m.n)] for x in range(m.n)],
+            "join": [[m.join(x, y) for y in range(m.n)] for x in range(m.n)],
+            "neg": list(m.neg), "top": m.top, "bottom": m.bottom,
+            "designated": sorted(m.designated), "flags": sorted(m.flags),
+        })
+
+    # 512 elements, read in uneven blocks of rows; and masks over 64 bits
+    monkeypatch.setattr(matrix, "_PAIR_CHUNK", 5000)
+    antichain = complex_matrix(Frame([f"a{i}" for i in range(9)], [], list(range(9)), [3]))
+    n = 70
+    idx = np.arange(n)
+    chain = FinMatrix([f"c{i}" for i in range(n)], [n - 1 - i for i in range(n)], n - 1, 0,
+                      range(40, n), ["demorgan"],
+                      meet=np.minimum.outer(idx, idx).tolist(),
+                      join=np.maximum.outer(idx, idx).tolist())
+    assert antichain.n == 512 and chain.nbits > 64
+    for m in [antichain, chain, *catalog().values()]:
+        assert m.to_json() == per_pair_json(m)
 
 
 def test_json_roundtrip():
