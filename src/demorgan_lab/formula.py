@@ -39,6 +39,14 @@ class Formula:
     def __repr__(self) -> str:
         return f"parse({_print(self)!r})"
 
+    def program(self) -> Program:
+        """The formula compiled, on first call, and kept in the instance
+        dict; equality and hashing use only the fields."""
+        out = self.__dict__.get("_program")
+        if out is None:
+            out = self.__dict__["_program"] = compile_program([self])
+        return out
+
 
 # the operation nodes of a compiled program; an atom's node is its leaf index
 _NEG, _AND, _OR, _TOP, _BOT = range(-1, -6, -1)

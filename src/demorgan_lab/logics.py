@@ -547,10 +547,20 @@ def probe_lattice(
         pool = probe_pool()
     if names is None:
         names = PROBE_NAMES
-    logics = {n: registry(n) for n in names}
-    valid: dict[str, frozenset[int]] = {}
-    for n, l in logics.items():
-        valid[n] = frozenset(i for i, r in enumerate(pool) if l.valid(r))
+    # registry logics share matrix objects (KO, KOVECQ and KOMINUS reuse
+    # those of K, LP and KMINUS), so each (matrix, rule) pair is swept once;
+    # all() keeps NamedLogic.valid's order and short circuit
+    memo: dict[tuple[int, int], bool] = {}
+
+    def holds(m: FinMatrix, i: int) -> bool:
+        key = (id(m), i)
+        if key not in memo:
+            memo[key] = validates(m, pool[i])
+        return memo[key]
+
+    valid = {n: frozenset(i for i in range(len(pool))
+                          if all(holds(m, i) for m in registry(n).semantics))
+             for n in names}
     inclusions = [
         (a, b) for a in names for b in names
         if a != b and valid[a] <= valid[b]

@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
@@ -34,7 +35,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from ._order import Structure, closure, isomorphism, transpose
-from .formula import Formula, Program, RuleInstance, compile_program, fold
+from .formula import Formula, Program, RuleInstance, fold
 
 __all__ = [
     "FinMatrix", "MatrixError", "Partition", "MatrixMap",
@@ -438,7 +439,7 @@ def _masks_from_tables(mt: np.ndarray, jt: np.ndarray, bottom: int) -> list[int]
 def evaluate(m: FinMatrix, v: Mapping[str, int], f: Formula) -> int:
     """Value of f under the valuation v: the fold of f's program over the
     matrix's operations."""
-    prog = compile_program([f])
+    prog = f.program()
     for name in prog.names:
         if name not in v:
             raise KeyError(f"valuation missing atom {name!r}")
@@ -449,7 +450,11 @@ def evaluate(m: FinMatrix, v: Mapping[str, int], f: Formula) -> int:
 
 # Sweep block sizes in valuations: the first block is small, so a witness
 # near the start of the grid costs little; blocks then double up to a cap
-# whose uint8/uint16 intermediates stay in cache.
+# whose uint8/uint16 intermediates stay in cache.  In mask mode, the blocks
+# after the first write their block-shaped intermediates into one set of
+# buffers per sweep (_Workspace): malloc serves a fresh array of this size
+# with a new mmap that is zero-filled page by page, so fresh arrays made the
+# big sweeps fault in every page of every intermediate of every block.
 _FIRST_BLOCK = 1 << 14
 _BLOCK_CAP = 1 << 19
 
@@ -490,28 +495,124 @@ class _Engine:
             self.values = np.arange(m.n, dtype=np.int32)
             ops = (np.array(m.neg, dtype=np.int32).__getitem__,
                    lambda a, b: meet_flat[a * n + b], lambda a, b: join_flat[a * n + b])
+        # a conclusion's mask is one gather, not a gather and a negation
+        self.undes_lut = ~self.des_lut
         # neg, meet, join, top, bottom: the arguments fold takes after the leaves
         self.ops = ops + (self.values[m.top], self.values[m.bottom])
         # one designated value: a comparison beats a lookup-table gather
         self.des_v = self.values[next(iter(m.designated))] if len(m.designated) == 1 else None
 
-    def designated_mask(self, arr: np.ndarray) -> np.ndarray:
+    def designated_mask(self, arr: np.ndarray, premise: bool,
+                        out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Where arr is designated, or for a conclusion where it is not.  A
+        comparison writes to out when one is given; a gather makes a fresh
+        array."""
         if self.des_v is not None:
-            return arr == self.des_v
-        return self.des_lut[arr]
+            return (np.equal if premise else np.not_equal)(arr, self.des_v, out=out)
+        return (self.des_lut if premise else self.undes_lut)[arr]
 
-    def first_bad(self, prog: Program, leaves: Sequence[np.ndarray]) -> Optional[int]:
+    def first_bad(self, prog: Program, leaves: Sequence[np.ndarray],
+                  ws: Optional[_Workspace] = None) -> Optional[int]:
         """C-order offset of the first valuation in a block refuting the
         rule compiled to prog, given the block's value array per atom.  Each
-        atom occurs in some mask, so `bad` has the block's whole shape."""
-        vals = fold(prog, leaves, *self.ops)
-        masks = [self.designated_mask(v) for v in vals[:prog.n_premises]]
-        masks += [~self.designated_mask(v) for v in vals[prog.n_premises:]]
-        # & commutes, so the order of the masks does not matter; numpy's bool
-        # & with a scalar operand is slow, so the fold starts from a mask
-        bad = functools.reduce(np.logical_and, masks) if masks else np.True_
+        atom occurs in some mask, so `bad` has the block's whole shape.
+        With a workspace, the block's intermediates go to its buffers."""
+        if ws is not None:
+            bad = ws.bad(prog, leaves)
+        else:
+            vals = fold(prog, leaves, *self.ops)
+            masks = [self.designated_mask(v, i < prog.n_premises) for i, v in enumerate(vals)]
+            # & commutes, so the order of the masks does not matter; numpy's
+            # bool & with a scalar operand is slow, so the fold starts from a mask
+            bad = functools.reduce(np.logical_and, masks) if masks else np.True_
         hit = int(np.argmax(bad))
         return hit if bad.flat[hit] else None
+
+
+class _Workspace:
+    """The buffers of one mask-mode sweep, reused by every block after the
+    first.  A buffer is flat, _BLOCK_CAP values long, and viewed in the
+    block's shape.  A fold step whose result has the block's whole shape
+    writes it through the ufunc's `out=`, into an operand the workspace
+    owns (the step consumes its operands) or into a free buffer; a consumed
+    operand's buffer is free again.  Leaves and constants are never
+    written: they are views of the engine's values, or scalars.  Negation
+    still gathers into a fresh array.  A block-shaped designation mask
+    overwrites its one-byte value, or goes to a buffer viewed as bool, and
+    the masks are ANDed as uint8 through the same steps."""
+
+    def __init__(self, eng: _Engine):
+        self.eng = eng
+        self.owned: dict[int, np.ndarray] = {}  # id -> every buffer
+        self.free: list[np.ndarray] = []
+
+    def _buffer(self) -> np.ndarray:
+        return np.empty(_BLOCK_CAP, dtype=self.eng.values.dtype)
+
+    def start(self, shape: tuple[int, ...]) -> None:
+        """Free every buffer for a block of the given shape."""
+        self.shape, self.size = shape, math.prod(shape)
+        self.free = list(self.owned.values())
+
+    def _take(self, dtype) -> np.ndarray:
+        if self.free:
+            flat = self.free.pop()
+        else:
+            flat = self._buffer()
+            self.owned[id(flat)] = flat
+        return flat.view(dtype)[:self.size].reshape(self.shape)
+
+    def _release(self, a) -> None:
+        flat = self.owned.get(id(a.base))
+        if flat is not None:
+            self.free.append(flat)
+
+    def neg(self, a):
+        out = self.eng.ops[0](a)
+        self._release(a)
+        return out
+
+    def _step(self, ufunc, a, b):
+        if a.size * b.size < self.size:  # the result is smaller than the block
+            return ufunc(a, b)
+        if id(a.base) in self.owned:
+            self._release(b)
+            return ufunc(a, b, out=a)
+        if id(b.base) in self.owned:
+            return ufunc(a, b, out=b)
+        sa, sb = a.shape, b.shape
+        # operands are scalars or arrays with one axis per free atom
+        if (tuple(map(max, sa, sb)) if sa and sb else sa or sb) != self.shape:
+            return ufunc(a, b)
+        return ufunc(a, b, out=self._take(a.dtype))
+
+    def bad(self, prog: Program, leaves: Sequence[np.ndarray]) -> np.ndarray:
+        """The block's valuations designating every premise and no
+        conclusion, as 0/1 bytes.  The masks are combined by uint8 &, which
+        stays fast with a broadcast operand where bool & does not."""
+        bad = None
+        step = self._step
+        vals = fold(prog, leaves, self.neg, functools.partial(step, np.bitwise_and),
+                    functools.partial(step, np.bitwise_or), *self.eng.ops[3:])
+        for i, v in enumerate(vals):
+            mask = self._designated(v, i < prog.n_premises).view(np.uint8)
+            bad = mask if bad is None else step(np.bitwise_and, bad, mask)
+        return bad
+
+    def _designated(self, v, premise: bool) -> np.ndarray:
+        """The designation mask of v (see designated_mask); a block-shaped
+        comparison goes to v's own buffer when that holds one-byte values,
+        else to a free one.  A small mask is made at v's own shape:
+        comparing into a block-shaped output from a broadcast operand is
+        slow."""
+        out = None
+        if self.eng.des_v is not None and v.shape == self.shape:
+            own = v.itemsize == 1 and id(v.base) in self.owned
+            out = v.view(bool) if own else self._take(bool)
+        mask = self.eng.designated_mask(v, premise, out)
+        if out is None or out.base is not v.base:
+            self._release(v)
+        return mask
 
 
 def _engine(m: FinMatrix) -> _Engine:
@@ -530,12 +631,14 @@ def _violation(m: FinMatrix, r: RuleInstance) -> Optional[dict[str, int]]:
     lexicographically least one.  A block fixes the leading atoms, gives
     the next one a range of values and leaves the rest free; blocks grow by
     doubling from _FIRST_BLOCK valuations (a smaller grid is one block) to
-    _BLOCK_CAP.
+    _BLOCK_CAP.  In mask mode the blocks after the first share one
+    _Workspace, which lives as long as this call.
     """
     eng = _engine(m)
     prog = r.program()
     k, n = len(prog.names), m.n
     total, pos, size = n ** k, 0, _FIRST_BLOCK
+    ws = None
     while pos < total:
         # free as many trailing atoms as fit in the block and keep it aligned
         t = 0
@@ -549,7 +652,10 @@ def _violation(m: FinMatrix, r: RuleInstance) -> Optional[dict[str, int]]:
         for i in range(min(k, t + 1)):
             v = eng.values[lo:hi] if i == 0 else eng.values
             leaves.append(v.reshape((1,) * i + (-1,) + (1,) * (t - i)))
-        hit = eng.first_bad(prog, leaves)
+        if pos and eng.mask_mode:
+            ws = ws or _Workspace(eng)
+            ws.start((hi - lo,) + (n,) * t)
+        hit = eng.first_bad(prog, leaves, ws)
         if hit is not None:
             hit += pos
             out = {}

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -97,6 +98,29 @@ def test_evaluate_is_the_dm4_term_function(f):
         assert evaluate(m, v, f) == dm4_eval(f, v)
 
 
+def test_evaluate_compiles_a_formula_once(monkeypatch):
+    from demorgan_lab import formula
+    from demorgan_lab.matrix import dm4_algebra, evaluate
+
+    compiled = []
+    real = formula.compile_program
+    monkeypatch.setattr(formula, "compile_program",
+                        lambda *fs: compiled.append(fs) or real(*fs))
+    m = dm4_algebra()
+    f, twin = parse("~(r & q) | p & ~r"), parse("~(r & q) | p & ~r")
+    # the first missing atom in sorted order is named, before and after the
+    # program is kept
+    for _ in range(2):
+        with pytest.raises(KeyError, match="missing atom 'q'"):
+            evaluate(m, {"p": 0}, f)
+    for vals in itertools.product(range(4), repeat=3):
+        v = dict(zip("pqr", vals))
+        assert evaluate(m, v, f) == dm4_eval(f, v)
+    assert len(compiled) == 1
+    # the kept program is no field: equality and hashing ignore it
+    assert f == twin and hash(f) == hash(twin) and str(f) == str(twin)
+
+
 @given(formulas)
 def test_classical_status_is_the_two_valued_brute_force(f):
     # DM4 restricted to {bot, top} is the two-element Boolean algebra
@@ -120,7 +144,7 @@ def struct_substitute(f, s):
 def struct_atoms(f):
     if isinstance(f, Atom):
         return {f.name}
-    return set().union(*map(struct_atoms, vars(f).values()))
+    return set().union(*(struct_atoms(getattr(f, x.name)) for x in dataclasses.fields(f)))
 
 
 @given(formulas, formulas)

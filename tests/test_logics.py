@@ -156,6 +156,29 @@ def test_probe_recovers_figures():
     assert dot.startswith("digraph") and '"BD"' in dot
 
 
+def test_probe_sweeps_each_matrix_rule_pair_once(monkeypatch):
+    from demorgan_lab import logics
+    pool = probe_pool()
+    sweeps = []
+    monkeypatch.setattr(logics, "validates",
+                        lambda m, r: sweeps.append((id(m), id(r))) or validates(m, r))
+    # the per-logic definition, each logic sweeping its own matrices
+    valid = {n: frozenset(i for i, r in enumerate(pool) if registry(n).valid(r))
+             for n in logics.PROBE_NAMES}
+    want = [(a, b) for a in logics.PROBE_NAMES for b in logics.PROBE_NAMES
+            if a != b and valid[a] <= valid[b]]
+    per_logic, sweeps[:] = sweeps[:], []
+    res = probe_lattice(pool)
+    # the same pairs as the per-logic sweeps, each once, and fewer sweeps:
+    # KO, KOVECQ and KOMINUS share matrix objects with K, LP and KMINUS
+    assert sorted(sweeps) == sorted(set(per_logic))
+    assert len(sweeps) < len(per_logic)
+    # inclusions fix the Hasse edges and the equivalences
+    assert res.inclusions == want
+    monkeypatch.undo()
+    assert probe_lattice(pool) == res
+
+
 def test_pools_are_deterministic():
     assert [str(r) for r in clause_pool()[:3]] == [str(r) for r in clause_pool()[:3]]
     assert len(product_pool()) == 40

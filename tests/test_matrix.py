@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -33,7 +34,7 @@ def struct_eval(m, v, f):
 def struct_atoms(f):
     if isinstance(f, Atom):
         return {f.name}
-    return set().union(*map(struct_atoms, vars(f).values()))
+    return set().union(*(struct_atoms(getattr(f, x.name)) for x in dataclasses.fields(f)))
 
 
 def brute_witness(m, r):
@@ -107,22 +108,26 @@ def test_sweep_blocks_keep_the_least_witness(monkeypatch):
     assert checked > 250
 
 
-def chain17():
-    """The complex matrix of a 17-point chain: 17 mask bits, so its sweeps
-    run in table mode."""
-    from demorgan_lab import matrix
+def chain(points):
+    """The complex matrix of a chain: one mask bit per point, so 9-16 points
+    sweep in mask mode over uint16 values and 17 in table mode."""
     from demorgan_lab.frame import Frame, complex_matrix
-    m = complex_matrix(Frame([f"c{i}" for i in range(17)],
-                             [(i, j) for i in range(17) for j in range(i, 17)],
-                             [16 - i for i in range(17)], range(5, 17)))
-    assert m.nbits == 17 and not matrix._engine(m).mask_mode
+    m = complex_matrix(Frame([f"c{i}" for i in range(points)],
+                             [(i, j) for i in range(points) for j in range(i, points)],
+                             [points - 1 - i for i in range(points)], range(5, points)))
+    assert m.nbits == points
     return m
 
 
-def test_sweep_folds_constants_negated_compounds_and_shared_subformulas():
+def check_sweep_folds_constants_negated_compounds_and_shared_subformulas():
     from demorgan_lab import matrix
-    mats = list(catalog().values()) + [chain17()]
-    assert {matrix._engine(m).mask_mode for m in mats} == {True, False}
+    c12 = chain(12)
+    # the same algebra with top alone designated: designation by comparison
+    top12 = FinMatrix(c12.labels, c12.neg, c12.top, c12.bottom, [c12.top], c12.flags,
+                      enc=c12.enc)
+    mats = list(catalog().values()) + [c12, top12, chain(17)]
+    dtypes = {matrix._engine(m).values.dtype.name for m in mats}
+    assert dtypes == {"uint8", "uint16", "int32"}  # int32: table mode
     texts = [
         "~(p | q) |- ~p & ~q", "~(p & F) |- ~(q | ~T)", "T |- ~(~p | F) & (q | T)",
         "~(~(p & q) | r) |- ~r & F", "F | ~(p & ~p) |- ~(q | ~q), T & ~F",
@@ -143,6 +148,25 @@ def test_sweep_folds_constants_negated_compounds_and_shared_subformulas():
     assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
 
 
+def test_sweep_folds_constants_negated_compounds_and_shared_subformulas():
+    check_sweep_folds_constants_negated_compounds_and_shared_subformulas()
+
+
+def test_sweep_folds_shared_subformulas_in_tiny_blocks(monkeypatch):
+    # blocks of 1, 2, 4 and then 7 valuations: the blocks after the first
+    # write in place through the workspace, where they meet shared
+    # subformula objects, T and F, 0-d leaves of leading atoms and premises
+    # over different atom sets
+    from demorgan_lab import matrix
+    monkeypatch.setattr(matrix, "_FIRST_BLOCK", 1)
+    monkeypatch.setattr(matrix, "_BLOCK_CAP", 7)
+    buffers = []
+    real = matrix._Workspace._buffer
+    monkeypatch.setattr(matrix._Workspace, "_buffer", lambda ws: buffers.append(1) or real(ws))
+    check_sweep_folds_constants_negated_compounds_and_shared_subformulas()
+    assert buffers
+
+
 def test_sweep_crossing_the_block_cap_agrees_with_hom_search(monkeypatch):
     from demorgan_lab import matrix
     from demorgan_lab.bridge import alpha_rule, mu_plus
@@ -161,6 +185,35 @@ def test_sweep_crossing_the_block_cap_agrees_with_hom_search(monkeypatch):
     monkeypatch.setattr(matrix, "_FIRST_BLOCK", m.n ** 3)
     monkeypatch.setattr(matrix, "_BLOCK_CAP", m.n ** 3)
     assert find_countervaluation(m, r) == w
+
+
+def test_sweep_allocates_buffers_per_sweep_not_per_block(monkeypatch):
+    from demorgan_lab import matrix
+    from demorgan_lab.bridge import alpha_rule, mu_plus
+    from demorgan_lab.graph import complete, cycle
+    m, r = mu_plus(complete(4)), alpha_rule(cycle(4))  # valid: the whole 35^4 grid
+    buffers, blocks = [], []
+    real_buffer, real_start = matrix._Workspace._buffer, matrix._Workspace.start
+    monkeypatch.setattr(matrix._Workspace, "_buffer",
+                        lambda ws: buffers.append(1) or real_buffer(ws))
+    monkeypatch.setattr(matrix._Workspace, "start",
+                        lambda ws, shape: blocks.append(shape) or real_start(ws, shape))
+
+    def sweep(first: int, cap: int) -> tuple[int, int]:
+        monkeypatch.setattr(matrix, "_FIRST_BLOCK", first)
+        monkeypatch.setattr(matrix, "_BLOCK_CAP", cap)
+        buffers.clear()
+        blocks.clear()
+        assert find_countervaluation(m, r) is None
+        return len(buffers), 1 + len(blocks)
+
+    default = (matrix._FIRST_BLOCK, matrix._BLOCK_CAP)
+    # blocks of 12, 12 and 11 slices of 35^3 valuations
+    three, n_blocks = sweep(12 * m.n ** 3, 12 * m.n ** 3)
+    assert n_blocks == 3 and three >= 1
+    for first, cap in [default, (m.n ** 3, m.n ** 3)]:
+        made, n_blocks = sweep(first, cap)
+        assert n_blocks > 3 and made <= three, (first, cap, made, n_blocks)
 
 
 def test_evaluate_examples():
