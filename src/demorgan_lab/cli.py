@@ -5,6 +5,10 @@ generator names (K3, C5, point, loop, G2, empty), or @file references to
 JSON in the formats the library reads and writes.  Exit status: 0 for a
 positive answer, 1 for a negative one, 2 for bad input, 3 for an internal
 failure (a self-check of the library failed; the message says which).
+
+Every command needs the formula and matrix modules; each command imports
+the other modules it runs in its own body, so a one-shot invocation loads
+(and, without a bytecode cache, compiles) only those.
 """
 
 from __future__ import annotations
@@ -13,10 +17,13 @@ import argparse
 import json
 import re
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from . import bridge, frame, graph, logics, matrix, verify
+from . import matrix
 from .formula import ParseError, parse, parse_rule
+
+if TYPE_CHECKING:
+    from . import frame, graph
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -46,6 +53,7 @@ def load_matrix(spec: str) -> matrix.FinMatrix:
     key = spec.upper().replace("-", "")
     if key in cat:
         return cat[key]
+    from . import logics
     try:
         logic = logics.registry(spec)
     except KeyError:
@@ -58,6 +66,7 @@ def load_matrix(spec: str) -> matrix.FinMatrix:
 
 
 def load_graph(spec: str) -> graph.Graph:
+    from . import graph
     text = _read_at(spec)
     if text is not None:
         return graph.Graph.from_json(text)
@@ -81,6 +90,7 @@ def load_graph(spec: str) -> graph.Graph:
 
 
 def load_frame(spec: str) -> frame.Frame:
+    from . import frame
     text = _read_at(spec)
     if text is not None:
         return frame.Frame.from_json(text)
@@ -116,6 +126,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_antitheorem(args) -> int:
+    from . import logics
     logic = logics.registry(args.logic)
     formulas = [parse(t) for t in args.formulas]
     ok = logics.is_antitheorem_of(logic, formulas)
@@ -136,6 +147,7 @@ def cmd_leibniz(args) -> int:
 
 
 def cmd_dual(args) -> int:
+    from . import frame
     m = load_matrix(args.matrix)
     p = frame.dual_frame(m)
     _emit(args, json.loads(p.to_json()), [p.to_json()])
@@ -143,6 +155,7 @@ def cmd_dual(args) -> int:
 
 
 def cmd_complex(args) -> int:
+    from . import frame
     p = load_frame(args.frame)
     m = frame.complex_matrix(p)
     _emit(args, json.loads(m.to_json()), [m.to_json()])
@@ -150,6 +163,7 @@ def cmd_complex(args) -> int:
 
 
 def cmd_mu(args) -> int:
+    from . import bridge, graph
     t = bridge.TriplePresentation(
         load_graph(args.plus) if args.plus else graph.empty_graph(),
         load_graph(args.minus) if args.minus else graph.empty_graph(),
@@ -162,6 +176,7 @@ def cmd_mu(args) -> int:
 
 
 def cmd_gamma(args) -> int:
+    from . import bridge
     m = bridge.gamma(load_graph(args.graph))
     _emit(args, json.loads(m.to_json()),
           [f"matrix with {m.n} elements, flags {sorted(m.flags)}", m.to_json()])
@@ -169,12 +184,14 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_alpha(args) -> int:
+    from . import bridge
     r = bridge.alpha_rule(load_graph(args.graph))
     _emit(args, {"rule": str(r)}, [str(r)])
     return EXIT_TRUE
 
 
 def cmd_classify(args) -> int:
+    from . import bridge
     m = load_matrix(args.matrix)
     t = bridge.classify_reduced(m)
     payload = {
@@ -191,6 +208,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_hom(args) -> int:
+    from . import graph
     g, h = load_graph(args.source), load_graph(args.target)
     f = graph.hom_search(g, h)
     if f is None:
@@ -202,6 +220,7 @@ def cmd_hom(args) -> int:
 
 
 def cmd_color(args) -> int:
+    from . import graph
     g = load_graph(args.graph)
     ok = graph.is_n_colorable(g, args.n)
     _emit(args, {"colorable": ok},
@@ -210,6 +229,7 @@ def cmd_color(args) -> int:
 
 
 def cmd_weakcolor(args) -> int:
+    from . import graph
     g = load_graph(args.graph)
     c = graph.weak_n_coloring(g, args.n)
     if c is None:
@@ -236,6 +256,7 @@ def cmd_free(args) -> int:
 
 
 def cmd_sstar(args) -> int:
+    from . import graph
     start = graph.GraphPair(load_graph(args.graph), args.k)
     seen = {start.key(): (start, 0)}
     frontier = [start]
@@ -263,6 +284,7 @@ def cmd_sstar(args) -> int:
 
 
 def cmd_logleq(args) -> int:
+    from . import logics
     sources = [load_matrix(s) for s in args.source.split(",")]
     target = load_matrix(args.to)
     res = logics.log_leq(sources, target, args.bound)
@@ -271,6 +293,7 @@ def cmd_logleq(args) -> int:
 
 
 def cmd_witness_kminus(args) -> int:
+    from . import logics
     premises = [parse(t) for t in args.premises]
     concl = parse(args.conclusion)
     w = logics.kminus_witness(premises, concl)
@@ -284,6 +307,7 @@ def cmd_witness_kminus(args) -> int:
 
 
 def cmd_probe(args) -> int:
+    from . import logics
     res = logics.probe_lattice()
     if args.dot:
         print(res.to_dot())
@@ -298,6 +322,7 @@ def cmd_probe(args) -> int:
 
 
 def cmd_separate(args) -> int:
+    from . import logics
     hold = [parse_rule(t) for t in (args.hold or [])]
     fail = [parse_rule(t) for t in (args.fail or [])]
     pool = _matrix_pool(args.pool)
@@ -316,12 +341,14 @@ def _matrix_pool(spec: str):
         return list(matrix.catalog().values())
     m = re.fullmatch(r"muplus:(\d+)", s)
     if m:
+        from . import bridge, graph
         bound = int(m.group(1))
         return [bridge.mu_plus(g) for g in graph.all_graphs(bound, allow_isolated=False)]
     raise InputError(f"unknown pool {spec!r}: use 'catalog' or 'muplus:<n>'")
 
 
 def cmd_verify(args) -> int:
+    from . import verify
     only = None
     if args.suite and args.suite != "all":
         try:

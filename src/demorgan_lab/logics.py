@@ -248,6 +248,8 @@ def _build_registry() -> dict[str, NamedLogic]:
     chis = tuple(chi_explosive(n) for n in range(1, 5))
     etlpluses = tuple(etlplus_rule(n) for n in range(1, 5))
     kominuses = tuple(kominus_rule(n) for n in range(1, 5))
+    # shared like K3 and LP3, so a memo keyed by matrix identity sweeps it once
+    cl2_lp3 = product([cl2(), lp3()])
     mu_k3 = None
 
     def mu_plus_k3() -> FinMatrix:
@@ -267,8 +269,8 @@ def _build_registry() -> dict[str, NamedLogic]:
         NamedLogic("ECQ", (product([etl4(), bd4()]),), (ecq_rule(),)),
         NamedLogic("ECQW", (product([cl2(), bd4()]),), chis),
         NamedLogic("ETLW", (product([cl2(), etl4()]),), (ds_rule(),) + chis),
-        NamedLogic("LPVECQ", (product([cl2(), lp3()]),), (em_rule(), ecq_rule())),
-        NamedLogic("KOVECQ", (product([cl2(), lp3()]), k3()), (ko_rule(), ecq_rule())),
+        NamedLogic("LPVECQ", (cl2_lp3,), (em_rule(), ecq_rule())),
+        NamedLogic("KOVECQ", (cl2_lp3, k3()), (ko_rule(), ecq_rule())),
         NamedLogic("KMINUS", (kminus8(),), etlpluses),
         NamedLogic("KOMINUS", (lp3(), kminus8()), kominuses),
         NamedLogic("ETL2", (product([mu_plus_k3(), etl4()]),),

@@ -525,7 +525,7 @@ class _Engine:
             # & commutes, so the order of the masks does not matter; numpy's
             # bool & with a scalar operand is slow, so the fold starts from a mask
             bad = functools.reduce(np.logical_and, masks) if masks else np.True_
-        hit = int(np.argmax(bad))
+        hit = int(bad.argmax())
         return hit if bad.flat[hit] else None
 
 

@@ -1,8 +1,16 @@
+import importlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import demorgan_lab
 from demorgan_lab.cli import main
+from demorgan_lab.formula import parse_rule
+from demorgan_lab.logics import registry
+from demorgan_lab.matrix import k3, validates
 
 
 def run(capsys, *argv):
@@ -204,3 +212,92 @@ def test_dual_output_is_frozen(capsys):
     }
     for name, text in want.items():
         assert run(capsys, "--json", "dual", "--matrix", name) == (0, text + "\n", "")
+
+
+# A fresh interpreter runs cli.main and reports the demorgan_lab modules it
+# loaded.  Every command needs formula and matrix (and _order under them);
+# the rest each command imports itself.
+CHILD = """
+import contextlib, io, json, sys
+from demorgan_lab import cli
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, out.getvalue(),
+                  sorted(m for m in sys.modules if m.split(".")[0] == "demorgan_lab")]))
+"""
+SRC = os.path.dirname(os.path.dirname(demorgan_lab.__file__))
+BASE = {"demorgan_lab", "demorgan_lab._order", "demorgan_lab.cli",
+        "demorgan_lab.formula", "demorgan_lab.matrix"}
+
+
+def run_child(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(argv)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, out, modules = json.loads(proc.stdout)
+    return code, out, set(modules)
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["check", "--matrix", "ETL4", "--rule", "p, ~p|q |- q"], set()),
+    (["check", "--matrix", "@{file}", "--rule", "p, ~p |- q"], set()),
+    (["leibniz", "--matrix", "KMINUS8"], set()),
+    (["dual", "--matrix", "BD4"], {"frame"}),
+    (["classify", "--matrix", "K3"], {"bridge", "frame", "graph"}),
+], ids=["check", "check-file", "leibniz", "dual", "classify"])
+def test_command_loads_only_its_modules(tmp_path, argv, extra):
+    path = tmp_path / "k3.json"
+    path.write_text(k3().to_json())
+    argv = [a.format(file=path) for a in argv]
+    code, out, modules = run_child("--json", *argv)
+    assert code in (0, 1) and json.loads(out)
+    assert modules == BASE | {f"demorgan_lab.{m}" for m in extra}
+
+
+def test_registry_fallback_loads_logics(capsys):
+    rule = "p, ~p |- q"
+    want = validates(registry("LPVECQ").semantics[0], parse_rule(rule))
+    code, out, modules = run_child("--json", "check", "--matrix", "lp_v_ecq", "--rule", rule)
+    assert code == (0 if want else 1) and json.loads(out)["valid"] is want
+    assert "demorgan_lab.logics" in modules
+    code, _, err = run(capsys, "check", "--matrix", "KO", "--rule", rule)
+    assert code == 2 and "several matrices" in err
+
+
+# the flat API of the package, by the module each name comes from
+EXPORTS = {
+    "formula": "And Atom Formula Neg Or BOT TOP RuleInstance ParseError chi "
+               "classical_status normal_form parse parse_rule rename_apart substitute",
+    "matrix": "FinMatrix MatrixError Partition MatrixMap bd4 catalog cl2 etl4 evaluate "
+              "find_countervaluation find_isomorphism free_dm_algebra k3 kminus8 "
+              "leibniz_congruence leibniz_reduct lp3 principal_congruence product "
+              "split_at submatrices validates",
+    "frame": "Frame FrameError CompatiblePreorder complex_matrix dual_frame "
+             "frame_isomorphic frame_isomorphism is_reduced_frame leibniz_subframe "
+             "roundtrip_check",
+    "graph": "Graph GraphError GraphPair graph_isomorphic hom_search is_n_colorable "
+             "weak_n_coloring",
+    "bridge": "TriplePresentation alpha_rule classify_reduced gamma mu_minus mu_plus "
+              "mu_triple p_minus p_plus p_triple",
+    "logics": "NamedLogic exp_validates is_antitheorem_of kminus_witness log_leq "
+              "probe_lattice registry separation_search",
+}
+
+
+def test_package_api_resolves_on_first_access():
+    names = dir(demorgan_lab)
+    for module, exported in EXPORTS.items():
+        home = importlib.import_module(f"demorgan_lab.{module}")
+        assert getattr(demorgan_lab, module) is home and module in names
+        for name in exported.split():
+            ns = {}
+            exec(f"from demorgan_lab import {name}", ns)
+            assert ns[name] is getattr(home, name) and name in names, name
+    assert demorgan_lab._order is importlib.import_module("demorgan_lab._order")
+    assert demorgan_lab.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        demorgan_lab.nope
+    with pytest.raises(ImportError):
+        exec("from demorgan_lab import nope", {})

@@ -170,9 +170,13 @@ def test_probe_sweeps_each_matrix_rule_pair_once(monkeypatch):
     per_logic, sweeps[:] = sweeps[:], []
     res = probe_lattice(pool)
     # the same pairs as the per-logic sweeps, each once, and fewer sweeps:
-    # KO, KOVECQ and KOMINUS share matrix objects with K, LP and KMINUS
+    # KO, KOVECQ and KOMINUS share matrix objects with K, LP, LPVECQ and KMINUS
     assert sorted(sweeps) == sorted(set(per_logic))
     assert len(sweeps) < len(per_logic)
+    # and no matrix is built twice, so the memo by identity misses no pair
+    mats = {id(m): m for n in logics.PROBE_NAMES for m in registry(n).semantics}
+    keys = [(tuple(m.enc), m.neg, m.designated) for m in mats.values()]
+    assert len(set(keys)) == len(keys)
     # inclusions fix the Hasse edges and the equivalences
     assert res.inclusions == want
     monkeypatch.undo()
