@@ -7,6 +7,7 @@ atoms, ``~``, ``&``, ``|``, ``T`` and ``F``, with precedence ``~ > & > |``.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 import re
 from dataclasses import dataclass
@@ -47,12 +48,34 @@ class Formula:
             out = self.__dict__["_program"] = compile_program([self])
         return out
 
+    def __getstate__(self) -> dict:
+        # the kept program and hash stay behind: a str hash differs between
+        # processes
+        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
+
+
+def _node(cls: type) -> type:
+    """A formula class: a frozen dataclass whose field hash, a walk of the
+    whole tree, is computed on first call and kept in the instance dict
+    like the program.  Equality stays field by field."""
+    cls = dataclass(frozen=True, repr=False)(cls)
+    field_hash = cls.__hash__
+
+    def __hash__(self) -> int:
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = field_hash(self)
+        return h
+
+    cls.__hash__ = __hash__
+    return cls
+
 
 # the operation nodes of a compiled program; an atom's node is its leaf index
 _NEG, _AND, _OR, _TOP, _BOT = range(-1, -6, -1)
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Atom(Formula):
     name: str
 
@@ -64,7 +87,7 @@ class Atom(Formula):
         nodes.append(self.name)
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Neg(Formula):
     arg: Formula
 
@@ -73,7 +96,7 @@ class Neg(Formula):
         nodes.append(_NEG)
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
@@ -84,7 +107,7 @@ class And(Formula):
         nodes.append(_AND)
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Or(Formula):
     left: Formula
     right: Formula
@@ -95,13 +118,13 @@ class Or(Formula):
         nodes.append(_OR)
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class _Top(Formula):
     def _emit(self, nodes: list) -> None:
         nodes.append(_TOP)
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class _Bot(Formula):
     def _emit(self, nodes: list) -> None:
         nodes.append(_BOT)
@@ -137,9 +160,8 @@ class Program(NamedTuple):
 def compile_program(premises: Sequence[Formula], conclusions: Sequence[Formula] = ()) -> Program:
     """The program of the formulas, one node per occurrence of a subformula;
     each formula class appends its own nodes, operands first, in `_emit`.
-    Repeated subformulas are not merged: a Formula hashes its whole tree on
-    every call, and most rules are swept in one or a few blocks, so even a
-    merge by object identity costs more than it saves."""
+    Repeated subformulas are not merged: most rules are swept in one or a
+    few blocks, so a merge would cost more at each compile than it saves."""
     nodes: list[int | str] = []
     for f in (*premises, *conclusions):
         f._emit(nodes)
@@ -173,6 +195,62 @@ def fold(prog: Program, leaves: Sequence[Any], neg: Callable[[Any], Any],
         else:
             push(top if op == _TOP else bot)
     return stack
+
+
+def _regrouped(f: Formula, leaf: Mapping[str, int]) -> tuple[Formula, int]:
+    """f with each &/| chain flattened and re-nested to the left with its
+    operands ordered by their least leaf index, latest first (atomless
+    operands count as after every atom), and f's least leaf index.  Both
+    operations are associative and commutative, so the value is the same
+    in every algebra a rule is swept in; each part of a chain over the
+    atoms from some leaf on becomes one subtree (see split_program)."""
+    if isinstance(f, Atom):
+        return f, leaf[f.name]
+    if isinstance(f, Neg):
+        arg, lo = _regrouped(f.arg, leaf)
+        return Neg(arg), lo
+    if not isinstance(f, (And, Or)):
+        return f, len(leaf)
+    chain, operands, todo = type(f), [], [f]
+    while todo:
+        g = todo.pop()
+        if type(g) is chain:
+            todo += (g.right, g.left)
+        else:
+            operands.append(_regrouped(g, leaf))
+    operands.sort(key=operator.itemgetter(1), reverse=True)
+    return functools.reduce(chain, (g for g, _ in operands)), operands[-1][1]
+
+
+def split_program(prog: Program, first: int) -> tuple[Program, Program]:
+    """prog cut into an inner program, whose formulas are the maximal
+    operation subtrees with every atom (if any) at leaf `first` or later,
+    and an outer one, prog with those subtrees read as extra leaves
+    len(prog.names), len(prog.names) + 1, ...: the fold of the outer program
+    over the leaves followed by the inner program's values is the fold of
+    prog.  The outer program keeps prog's premises."""
+    k = len(prog.names)
+    inner: list[int] = []
+    roots = itertools.count(k)
+
+    def emit(vals: Sequence[tuple[list[int], int, bool]]) -> list[int]:
+        # a value is (the subtree's code, its least leaf, whether it is an
+        # operation subtree over the leaves from `first` on); such a subtree
+        # goes to the inner program, and its leaf takes its place
+        return [x for code, _, up in vals
+                for x in ((inner.extend(code) or [next(roots)]) if up else code)]
+
+    def node(op: int, *args: tuple[list[int], int, bool]) -> tuple[list[int], int, bool]:
+        lo = min(a[1] for a in args)
+        if lo >= first:
+            return [x for a in args for x in a[0]] + [op], lo, True
+        return emit(args) + [op], lo, False
+
+    vals = fold(prog, [([i], i, False) for i in range(k)],
+                lambda a: node(_NEG, a), lambda a, b: node(_AND, a, b),
+                lambda a, b: node(_OR, a, b), ([_TOP], k, False), ([_BOT], k, False))
+    outer = emit(vals)
+    return Program(prog.names, tuple(inner), 0), Program(prog.names, tuple(outer), prog.n_premises)
 
 
 def _print(f: Formula) -> str:
@@ -327,6 +405,27 @@ class RuleInstance:
         if out is None:
             out = self.__dict__["_program"] = compile_program(tuple(self.premises),
                                                               tuple(self.conclusions))
+        return out
+
+    def sweep_program(self) -> Program:
+        """The rule's formulas re-nested by _regrouped and compiled, in
+        program()'s order over the same leaves; built on first call and kept
+        like program().  Only the valuation sweep folds it, so printing,
+        substitution and atoms see the rule as written."""
+        out = self.__dict__.get("_sweep")
+        if out is None:
+            leaf = {name: i for i, name in enumerate(self.program().names)}
+            out = self.__dict__["_sweep"] = compile_program(
+                *([_regrouped(f, leaf)[0] for f in side]
+                  for side in (self.premises, self.conclusions)))
+        return out
+
+    def sweep_split(self, first: int) -> tuple[Program, Program]:
+        """split_program(self.sweep_program(), first), kept per `first`."""
+        splits = self.__dict__.setdefault("_splits", {})
+        out = splits.get(first)
+        if out is None:
+            out = splits[first] = split_program(self.sweep_program(), first)
         return out
 
     def __str__(self) -> str:

@@ -457,6 +457,9 @@ def evaluate(m: FinMatrix, v: Mapping[str, int], f: Formula) -> int:
 # big sweeps fault in every page of every intermediate of every block.
 _FIRST_BLOCK = 1 << 14
 _BLOCK_CAP = 1 << 19
+# bytes of hoisted subformula values one sweep keeps (see _violation); a key
+# that would pass the cap is recomputed at each of its blocks
+_MEMO_CAP = 1 << 21
 
 
 class _Engine:
@@ -633,12 +636,22 @@ def _violation(m: FinMatrix, r: RuleInstance) -> Optional[dict[str, int]]:
     doubling from _FIRST_BLOCK valuations (a smaller grid is one block) to
     _BLOCK_CAP.  In mask mode the blocks after the first share one
     _Workspace, which lives as long as this call.
+
+    The first block folds r.program().  A later one, whose ranged atom is
+    j, folds the outer part of r.sweep_split(s), s = max(j, 1): the
+    subformulas over the atoms from s on depend only on the block's shape
+    (t, and for j >= 1 the range lo..hi), not on the fixed leading atoms, so
+    their values are computed once per shape, by plain numpy operations
+    into fresh arrays that the workspace never writes, and kept up to
+    _MEMO_CAP bytes.
     """
     eng = _engine(m)
     prog = r.program()
     k, n = len(prog.names), m.n
     total, pos, size = n ** k, 0, _FIRST_BLOCK
     ws = None
+    memo: dict[tuple[int, ...], list] = {}
+    kept = 0
     while pos < total:
         # free as many trailing atoms as fit in the block and keep it aligned
         t = 0
@@ -652,9 +665,20 @@ def _violation(m: FinMatrix, r: RuleInstance) -> Optional[dict[str, int]]:
         for i in range(min(k, t + 1)):
             v = eng.values[lo:hi] if i == 0 else eng.values
             leaves.append(v.reshape((1,) * i + (-1,) + (1,) * (t - i)))
-        if pos and eng.mask_mode:
-            ws = ws or _Workspace(eng)
-            ws.start((hi - lo,) + (n,) * t)
+        if pos:
+            inner, prog = r.sweep_split(max(j, 1))
+            if inner.nodes:
+                key = (t, lo, hi) if j else (t,)
+                hoisted = memo.get(key)
+                if hoisted is None:
+                    hoisted = fold(inner, leaves, *eng.ops)
+                    cost = sum(v.nbytes for v in hoisted)
+                    if kept + cost <= _MEMO_CAP:
+                        memo[key], kept = hoisted, kept + cost
+                leaves += hoisted
+            if eng.mask_mode:
+                ws = ws or _Workspace(eng)
+                ws.start((hi - lo,) + (n,) * t)
         hit = eng.first_bad(prog, leaves, ws)
         if hit is not None:
             hit += pos

@@ -121,6 +121,26 @@ def test_evaluate_compiles_a_formula_once(monkeypatch):
     assert f == twin and hash(f) == hash(twin) and str(f) == str(twin)
 
 
+def test_formula_hash_is_kept_and_equality_stays_structural():
+    import pickle
+
+    text = "~(r & q) | p & ~r"
+    f, twin = parse(text), parse(text)
+    assert f is not twin and f == twin and hash(f) == hash(twin)
+    assert len({f, twin, parse("p & ~r | ~(r & q)"), Or(Neg(And(Atom("r"), Atom("q"))),
+                                                       And(Atom("p"), Neg(Atom("r"))))}) == 2
+    rules = {parse_rule(f"{text}, q |- p"), parse_rule(f"q, {text} |- p"), parse_rule("q |- p")}
+    assert len(rules) == 2
+    # the hash is computed once and kept in the instance dict, like the
+    # program; what is kept is what hash returns
+    assert f.__dict__["_hash"] == hash(f)
+    f.__dict__["_hash"] = 12345
+    assert hash(f) == 12345 and f == twin
+    # a pickle carries the fields only: a str hash differs between processes
+    g = pickle.loads(pickle.dumps(twin))
+    assert "_hash" not in g.__dict__ and g == twin and hash(g) == hash(twin)
+
+
 @given(formulas)
 def test_classical_status_is_the_two_valued_brute_force(f):
     # DM4 restricted to {bot, top} is the two-element Boolean algebra

@@ -76,10 +76,17 @@ def test_engine_matches_brute_force():
             assert validates(m, r) == brute_validates(m, r), (m, text)
 
 
+# rules with subformulas over the trailing atoms only, which the blocks after
+# the first fold once per block shape (RuleInstance.sweep_split)
+SPLIT_RULES = [
+    "p & ~p | q & ~r | r & ~q |- ", "p | q & r |- s | q & ~r",
+    "T & q | p & F | ~(r | s) & q |- s & (r | T)", "p | ~(q & r) & s |- ~(s & r) | q & p",
+]
+
 SWEEP_RULES = RULES + [
     "|- ", "T |- F", "|- p, q, r", "p, q, r, s |- ", "p, q, r, s |- p & q & r & s",
     "p|q, ~q|r, r|s |- p|s", "~p, ~q |- ~(p|q), r", "p & q, r |- s, ~s",
-]
+] + SPLIT_RULES
 
 
 def test_sweep_blocks_keep_the_least_witness(monkeypatch):
@@ -214,6 +221,179 @@ def test_sweep_allocates_buffers_per_sweep_not_per_block(monkeypatch):
     for first, cap in [default, (m.n ** 3, m.n ** 3)]:
         made, n_blocks = sweep(first, cap)
         assert n_blocks > 3 and made <= three, (first, cap, made, n_blocks)
+
+
+def split_rules():
+    """SPLIT_RULES and rules whose formulas share subformula objects."""
+    shared = parse("q & ~r | r")
+    return [parse_rule(t) for t in SPLIT_RULES] + [
+        RuleInstance.of([Or(parse("p & ~p"), shared), shared], [And(shared, Atom("s"))]),
+        RuleInstance.single([And(Neg(shared), Or(shared, TOP))],
+                            Or(BOT, Neg(And(shared, Atom("p"))))),
+    ]
+
+
+def test_split_sweep_keeps_the_least_witness(monkeypatch):
+    # blocks of 1, 2, 4 and then 7 valuations: nearly every block comes
+    # after the first and folds the split program, in both engine modes
+    from demorgan_lab import matrix
+    monkeypatch.setattr(matrix, "_FIRST_BLOCK", 1)
+    monkeypatch.setattr(matrix, "_BLOCK_CAP", 7)
+    mats = [bd4(), k3(), lp3(), etl4(), product([cl2(), lp3()]), chain(12), chain(17)]
+    rules = split_rules()
+    modes = set()
+    for m in mats:
+        for r in rules:
+            if m.n ** len(r.atom_names()) <= 6000:
+                assert find_countervaluation(m, r) == brute_witness(m, r), (m.labels, str(r))
+                modes.add(matrix._engine(m).mask_mode)
+    assert modes == {True, False}
+    for r in rules:
+        assert any(inner.nodes for inner, _ in r.__dict__.get("_splits", {}).values()), str(r)
+
+
+def test_one_block_sweeps_build_no_sweep_program():
+    # a grid of at most _FIRST_BLOCK valuations folds r.program() alone: the
+    # per-call cost of thousands of small checks
+    from demorgan_lab import matrix
+    from demorgan_lab.logics import clause_pool
+    cases = [(m, r) for m in (bd4(), product([cl2(), lp3()]), chain(17))
+             for r in clause_pool()[::97]]
+    cases.append((chain(10), parse_rule("p, q, r, s |- p & q & r & s")))
+    for m, r in cases:
+        assert m.n ** len(r.atom_names()) <= matrix._FIRST_BLOCK
+        validates(m, r)
+        assert "_sweep" not in r.__dict__ and "_splits" not in r.__dict__, str(r)
+    # one more element makes the last grid two blocks
+    r = parse_rule("p, q, r, s |- p & q & r & s")
+    assert validates(chain(11), r) and "_sweep" in r.__dict__
+
+
+def inner_folds(monkeypatch, r):
+    """A list that collects, for each fold of one of r's inner programs,
+    the split's first leaf and the leaves from it on, as bytes."""
+    from demorgan_lab import matrix
+    seen = []
+    real = matrix.fold
+
+    def fold(prog, leaves, *ops):
+        firsts = [s for s, (inner, _) in r.__dict__.get("_splits", {}).items() if inner is prog]
+        if firsts:
+            s = firsts[0]
+            seen.append((s, tuple((np.shape(x), np.asarray(x).tobytes()) for x in leaves[s:])))
+        return real(prog, leaves, *ops)
+
+    monkeypatch.setattr(matrix, "fold", fold)
+    return seen
+
+
+def test_hoisted_subformulas_are_folded_once_per_block_shape(monkeypatch):
+    from demorgan_lab import matrix
+    from demorgan_lab.bridge import alpha_rule, mu_plus
+    from demorgan_lab.graph import complete, cycle
+    m, r = mu_plus(complete(4)), alpha_rule(cycle(4))  # valid: the whole 35^4 grid
+    seen = inner_folds(monkeypatch, r)
+    blocks = []
+    real_start = matrix._Workspace.start
+    monkeypatch.setattr(matrix._Workspace, "start",
+                        lambda ws, shape: blocks.append(shape) or real_start(ws, shape))
+    for first, cap in [(matrix._FIRST_BLOCK, matrix._BLOCK_CAP), (m.n ** 3, m.n ** 3)]:
+        monkeypatch.setattr(matrix, "_FIRST_BLOCK", first)
+        monkeypatch.setattr(matrix, "_BLOCK_CAP", cap)
+        seen.clear()
+        blocks.clear()
+        assert find_countervaluation(m, r) is None
+        # each block shape's inner values are computed from its leaves once
+        assert seen and len(set(seen)) == len(seen) < len(blocks), (first, cap)
+    # 35 one-slice blocks: the 34 after the first share one shape
+    assert len(blocks) == 34 and len(seen) == 1
+
+
+def test_memo_cap_recomputes_with_the_same_witnesses(monkeypatch):
+    from demorgan_lab import matrix
+    from demorgan_lab.bridge import alpha_rule, mu_plus
+    from demorgan_lab.graph import Graph, complete, cycle
+    loops = Graph("abcd", [(0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (0, 3), (1, 2)])
+    target = Graph("abcd", [(0, 0), (0, 1), (0, 3), (1, 2)])
+    cases = [(mu_plus(complete(4)), alpha_rule(cycle(4))),
+             (mu_plus(loops), alpha_rule(target))]
+    cases += [(m, r) for m in (chain(12), chain(17)) for r in split_rules()]
+
+    def sweep():
+        witnesses, recomputed = [], []
+        for m, r in cases:
+            seen = inner_folds(monkeypatch, r)
+            witnesses.append(find_countervaluation(m, r))
+            recomputed.append(len(seen) - len(set(seen)))
+        return witnesses, recomputed
+
+    witnesses, recomputed = sweep()
+    assert not any(recomputed) and witnesses[0] is None and witnesses[1] is not None
+    monkeypatch.setattr(matrix, "_MEMO_CAP", 0)
+    capped, recomputed = sweep()
+    assert capped == witnesses and recomputed[0] > 0
+
+
+def random_formula(rng, names, depth, pool):
+    """A random formula over names, T and F, reusing objects from pool."""
+    if depth == 0 or rng.random() < 0.15:
+        return rng.choice(pool) if pool and rng.random() < 0.3 else \
+            rng.choice([Atom(x) for x in names] + [TOP, BOT])
+    kind = rng.randrange(5)
+    if kind == 0:
+        f = Neg(random_formula(rng, names, depth - 1, pool))
+    else:
+        f = (And if kind < 3 else Or)(random_formula(rng, names, depth - 1, pool),
+                                      random_formula(rng, names, depth - 1, pool))
+    pool.append(f)
+    return f
+
+
+def test_sweep_program_regroups_exactly():
+    from demorgan_lab import matrix
+    from demorgan_lab.formula import fold, substitute
+    rng = random.Random(5)
+    names = ["s", "q", "p", "r", "t"]
+    rules = []
+    for _ in range(60):
+        pool = []
+        side = lambda: [random_formula(rng, names, rng.randint(1, 5), pool)
+                        for _ in range(rng.randint(0, 3))]
+        rules.append(RuleInstance.of(side(), side()))
+    sub = {"p": parse("q & ~s"), "r": TOP}
+    before = [(str(r), r.atom_names(), [substitute(f, sub) for f in r.premises | r.conclusions])
+              for r in rules]
+    c17 = chain(17)
+    eng = matrix._engine(c17)
+    assert not eng.mask_mode
+    for r in rules:
+        prog, sweep = r.program(), r.sweep_program()
+        k = len(prog.names)
+        assert sweep.names == prog.names and sweep.n_premises == prog.n_premises
+        for m in catalog().values():
+            ops = (m.neg.__getitem__, m.meet, m.join, m.top, m.bottom)
+            for _ in range(10):
+                leaves = [rng.randrange(m.n) for _ in range(k)]
+                want = fold(prog, leaves, *ops)
+                assert fold(sweep, leaves, *ops) == want, (m.labels, str(r))
+                for first in range(1, k + 1):
+                    inner, outer = r.sweep_split(first)
+                    assert fold(outer, leaves + fold(inner, leaves, *ops), *ops) == want
+        leaves = [eng.values[np.array([rng.randrange(c17.n) for _ in range(50)])]
+                  for _ in range(k)]
+        want = fold(prog, leaves, *eng.ops)
+        for got in (fold(sweep, leaves, *eng.ops),) + tuple(
+                fold(outer, leaves + fold(inner, leaves, *eng.ops), *eng.ops)
+                for inner, outer in map(r.sweep_split, range(1, k + 1))):
+            assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True)), str(r)
+    assert sum(bool(r.sweep_split(1)[0].nodes) for r in rules) > 30
+    # a heavy alpha-like rule: the blocks that range pv1 keep one value for
+    # the disjuncts without pv0 and one for the pv0-free part of the last
+    from demorgan_lab.formula import _AND, _NEG, _OR
+    r = parse_rule("pv0 & ~pv0 | pv1 & ~pv1 & ~pv2 | pv2 & ~pv0 & ~pv3 | pv3 & ~pv3 & ~pv1 |-")
+    assert r.sweep_split(1)[1].nodes == (4, 0, 0, _NEG, _AND, _OR, 5, 0, _NEG, _AND, _OR)
+    assert [(str(r), r.atom_names(), [substitute(f, sub) for f in r.premises | r.conclusions])
+            for r in rules] == before
 
 
 def test_evaluate_examples():
