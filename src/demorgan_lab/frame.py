@@ -17,8 +17,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from ._order import Structure, bits, closure, isomorphism, pairs, transpose
-from .matrix import (FinMatrix, MatrixError, _dual_partners, _is_index, _json_object,
-                     _pack, _point_sets)
+from .matrix import (FinMatrix, MatrixError, _is_index, _json_object, _pack,
+                     _point_involution, _point_sets)
 
 __all__ = [
     "Frame", "FrameError", "CompatiblePreorder",
@@ -253,9 +253,8 @@ def dual_frame(m: FinMatrix) -> Frame:
         raise MatrixError("dual_frame needs a powerset encoding of at most 64 bits")
     jis = m.join_irreducibles()
     masks = [m.enc[j] for j in jis]
-    at = {mask: a for a, mask in enumerate(masks)}
-    invol = [at.get(x) for x in _dual_partners(m, masks)]
-    if None in invol:
+    invol = _point_involution(m)
+    if invol is None:
         raise FrameError("dual involution left the prime filters")
     # up(j1) included in up(j2) iff j2 <= j1
     up = [sum(1 << b for b, eb in enumerate(masks) if eb & ea == eb) for ea in masks]

@@ -643,7 +643,8 @@ def _violation(m: FinMatrix, r: RuleInstance) -> Optional[dict[str, int]]:
     (t, and for j >= 1 the range lo..hi), not on the fixed leading atoms, so
     their values are computed once per shape, by plain numpy operations
     into fresh arrays that the workspace never writes, and kept up to
-    _MEMO_CAP bytes.
+    _MEMO_CAP bytes.  A key naming a range is kept only once blocks have
+    grown to _BLOCK_CAP: the ranges of the smaller blocks never recur.
     """
     eng = _engine(m)
     prog = r.program()
@@ -673,7 +674,7 @@ def _violation(m: FinMatrix, r: RuleInstance) -> Optional[dict[str, int]]:
                 if hoisted is None:
                     hoisted = fold(inner, leaves, *eng.ops)
                     cost = sum(v.nbytes for v in hoisted)
-                    if kept + cost <= _MEMO_CAP:
+                    if (size == _BLOCK_CAP or not j) and kept + cost <= _MEMO_CAP:
                         memo[key], kept = hoisted, kept + cost
                 leaves += hoisted
             if eng.mask_mode:
@@ -782,13 +783,10 @@ def _induced_submatrix(m: FinMatrix, elems: Sequence[int]) -> FinMatrix:
 
 
 def _filter_generator(m: FinMatrix) -> Optional[int]:
-    """Mask of the meet of the designated set when m qualifies for the
-    duality fast paths, else None.
-
-    It qualifies when it is a De Morgan matrix with a powerset encoding of at
-    most 64 bits whose non-empty designated set is the upset of its meet,
-    that is, a filter; then m is the complex matrix of its dual frame.
-    """
+    """Mask of the meet of the designated set when m may go through
+    find_isomorphism's dual-frame path, else None: a De Morgan matrix with
+    at most 64 mask bits whose non-empty designated set is a filter (the
+    upset of its meet), so that m is the complex matrix of its dual frame."""
     if m.nbits > 64 or not m.is_bd_model():
         return None
     return m._designated_meet()
@@ -799,11 +797,8 @@ def _dual_partners(m: FinMatrix, masks: Sequence[int]) -> list[int]:
     generating the prime filter {a : ~a not above j}: the dual involution
     image of j.  The generator is the meet of the filter's members; top is
     one of them, so the meets start from its mask.  All masks in one numpy
-    pass, a chunk of elements at a time.  A partner that is not the mask of
-    a join-irreducible means the negation breaks a De Morgan law; the
-    callers check."""
-    if not masks:
-        return []
+    pass, a chunk of elements at a time.  A partner that is no mask of a
+    join-irreducible means the negation breaks a De Morgan law."""
     e = m._enc_np()
     neg_e = e[np.array(m.neg)]
     ej = np.array(masks, dtype=np.uint64)
@@ -813,73 +808,74 @@ def _dual_partners(m: FinMatrix, masks: Sequence[int]) -> list[int]:
         for rows in _row_chunks(m.n, len(ej))]).tolist()
 
 
+def _point_involution(m: FinMatrix) -> Optional[list[int]]:
+    """The dual involution on points: a goes to the index of the dual partner
+    of the a-th join-irreducible; None when a partner is no join-irreducible
+    (the negation breaks a De Morgan law).  Cached per matrix."""
+    if "invol" not in m._cache:
+        masks = [m.enc[j] for j in m.join_irreducibles()]
+        at = {mask: a for a, mask in enumerate(masks)}
+        invol = [at.get(x) for x in _dual_partners(m, masks)]
+        m._cache["invol"] = None if None in invol else invol
+    return m._cache["invol"]
+
+
 def leibniz_congruence(m: FinMatrix) -> Partition:
     """Largest congruence compatible with the designated set.
 
-    When the designated set is a filter (see _filter_generator) this is
-    read off the dual frame: two elements are congruent iff they lie above
-    the same points of the Leibniz subframe, which are the join-irreducibles
-    maximal below the filter's generator and their dual involution images.
-    Other matrices go through _leibniz_refine.
+    A De Morgan matrix with at most 64 mask bits gets it by bit restriction
+    on its dual frame, whatever its designated set.  Its congruences are
+    "lie above the same points of S" for the sets S of points (_point_sets)
+    closed under the dual involution; one respects designation iff the
+    designated and undesignated codes restricted to S stay apart.  Those S
+    are closed upward and under intersection, so dropping involution orbits
+    from all points while that holds ends at the least, in any order.  On a
+    filter, S is the Leibniz subframe.  Other matrices go to _leibniz_refine.
     """
-    gen = _filter_generator(m)
-    if gen is None:
+    if "demorgan" not in m.flags or m.nbits > 64:
         return _leibniz_refine(m)
-    below = [m.enc[j] for j in m.join_irreducibles() if m.enc[j] & gen == m.enc[j]]
-    tops = [a for a in below if not any(b != a and a & b == a for b in below)]
-    partners = _dual_partners(m, tops)
-    if not {m.enc[j] for j in m.join_irreducibles()}.issuperset(partners):
+    invol = _point_involution(m)
+    if invol is None:
         raise MatrixError("dual involution left the prime filters")
-    points = set(tops) | set(partners)
-    e = m._enc_np()
-    k = np.array(sorted(points), dtype=np.uint64)
-    _, ids = np.unique((e[:, None] & k) == k, axis=0, return_inverse=True)
-    return Partition.of(ids.ravel().tolist())
+    codes = _point_sets(m)
+    des, undes = codes[list(m.designated)], np.delete(codes, list(m.designated))
+    kept = (1 << len(invol)) - 1
+    for a, b in enumerate(invol):
+        if a <= b:  # each orbit once
+            rest = np.uint64(kept & ~(1 << a | 1 << b))
+            if set((des & rest).tolist()).isdisjoint((undes & rest).tolist()):
+                kept = int(rest)
+    return Partition.of((codes & np.uint64(kept)).tolist())
 
 
 def _leibniz_refine(m: FinMatrix) -> Partition:
     """Leibniz congruence for any matrix, as the greatest fixpoint of
     signature refinement: two elements stay together while designation and
     all one-step contexts (meet/join with a fixed argument, negation) agree
-    blockwise.  This reaches the same fixpoint as pairwise separation
-    propagation.
+    blockwise, as in pairwise separation propagation.  A round reads a chunk
+    of rows at a time off the masks and keys each signature row by its
+    bytes; no table is built.  It serves matrices without the `demorgan`
+    flag or above 64 mask bits, and is the oracle of leibniz_congruence.
     """
-    n = m.n
-    colours = np.array([1 if i in m.designated else 0 for i in range(n)], dtype=np.int64)
-    if n <= TABLE_LIMIT:
-        mt, jt = m.meet_table(), m.join_table()
-        ng = np.array(m.neg, dtype=np.int32)
-        while True:
-            sig = np.concatenate(
-                [colours[:, None], colours[ng][:, None], colours[mt], colours[jt]],
-                axis=1,
-            )
-            _, new = np.unique(sig, axis=0, return_inverse=True)
-            if len(np.unique(new)) == len(np.unique(colours)):
-                return Partition.of(colours.tolist())
-            colours = new
-    # large carriers: same refinement, hashing rows chunk by chunk
-    import hashlib
-    e = m._enc_np()
-    neg_idx = np.array(m.neg)
+    n, e, ng = m.n, m._enc_np(), np.array(m.neg)
+    colours = np.array([i in m.designated for i in range(n)], dtype=np.int32)
+    count = len(set(colours.tolist()))
+    index = m._mask_lookup
+    if m.nbits <= 16:  # narrow masks: a gather from a table of all masks, not a search
+        at = np.zeros(1 << m.nbits, dtype=np.int32)
+        at[e] = np.arange(n)
+        index = at.__getitem__
     while True:
-        digests = []
-        for start in range(0, n, 256):
-            chunk = slice(start, min(start + 256, n))
-            meets = m._mask_lookup(e[chunk, None] & e[None, :])
-            joins = m._mask_lookup(e[chunk, None] | e[None, :])
-            block = np.concatenate(
-                [colours[chunk][:, None], colours[neg_idx[chunk]][:, None],
-                 colours[meets], colours[joins]],
-                axis=1,
-            )
-            for row in block:
-                digests.append(hashlib.blake2b(row.tobytes(), digest_size=16).digest())
-        uniq = {d: i for i, d in enumerate(dict.fromkeys(digests))}
-        new = np.array([uniq[d] for d in digests], dtype=np.int64)
-        if len(uniq) == len(np.unique(colours)):
-            return Partition.of(colours.tolist())
-        colours = new
+        ids: dict[bytes, int] = {}
+        new: list[int] = []
+        for rows in _row_chunks(n, n):
+            x = e[rows, None]
+            sig = np.concatenate([colours[rows, None], colours[ng[rows], None],
+                                  colours[index(x & e)], colours[index(x | e)]], axis=1)
+            new += [ids.setdefault(row.tobytes(), len(ids)) for row in sig]
+        if len(ids) == count:
+            return Partition.of(new)
+        colours, count = np.array(new, dtype=np.int32), len(ids)
 
 
 def quotient_by(m: FinMatrix, part: Partition) -> FinMatrix:
@@ -968,13 +964,17 @@ def principal_congruence(m: FinMatrix, a: int, b: int) -> Partition:
 
 def _point_sets(m: FinMatrix) -> np.ndarray:
     """Per element, the points of the dual frame below it, as a bitmask: bit
-    a is set iff the a-th join-irreducible lies below the element."""
-    e = m._enc_np()
-    ej = e[m.join_irreducibles()]
-    shifts = np.arange(len(ej), dtype=np.uint64)
-    out = np.empty(m.n, dtype=np.uint64)
-    for rows in _row_chunks(m.n, len(ej)):
-        out[rows] = (((e[rows, None] & ej) == ej) << shifts).sum(axis=1, dtype=np.uint64)
+    a is set iff the a-th join-irreducible lies below the element.  Cached
+    per matrix."""
+    out = m._cache.get("point_sets")
+    if out is None:
+        e = m._enc_np()
+        ej = e[m.join_irreducibles()]
+        shifts = np.arange(len(ej), dtype=np.uint64)
+        out = np.empty(m.n, dtype=np.uint64)
+        for rows in _row_chunks(m.n, len(ej)):
+            out[rows] = (((e[rows, None] & ej) == ej) << shifts).sum(axis=1, dtype=np.uint64)
+        m._cache["point_sets"] = out
     return out
 
 

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from demorgan_lab import matrix
-from demorgan_lab.bridge import mu_minus, mu_plus
-from demorgan_lab.frame import complex_matrix, random_frame
-from demorgan_lab.graph import all_graphs
+from demorgan_lab.bridge import TriplePresentation, mu_minus, mu_plus, mu_triple
+from demorgan_lab.frame import Frame, complex_matrix, random_frame
+from demorgan_lab.graph import Graph, all_graphs
 from demorgan_lab.matrix import (
     FinMatrix, Partition, _dual_partners, _filter_generator, _find_isomorphism_generic,
     _leibniz_refine, _point_sets, bd4, catalog, cl2, etl4, find_isomorphism,
@@ -68,12 +68,71 @@ def test_fast_leibniz_matches_refinement_and_pair_elimination():
         assert fast == _leibniz_refine(m) == pair_elimination(m), m
 
 
-def test_leibniz_falls_back_when_designated_set_is_no_filter():
+def test_leibniz_bit_path_on_a_designated_set_that_is_no_filter():
     m = dm4_designating(["n", "b"])  # n & b = bot is not designated
     assert _filter_generator(m) is None
     part = leibniz_congruence(m)
     assert part == _leibniz_refine(m) == pair_elimination(m)
     assert part.is_identity()  # e.g. the context x | n separates bot from top
+
+
+def redesignated(m, designated):
+    return FinMatrix._trusted(m.label, m.neg, m.top, m.bottom, designated, m.flags, m.enc)
+
+
+def test_bit_leibniz_matches_refinement_on_designated_sets_that_are_no_filters():
+    # complex matrices of random frames, each with a random designated
+    # subset that is not a filter; then the 18-element chain, whose 17 mask
+    # bits send the refinement through its search of the carrier
+    rng = random.Random(29)
+    chain = complex_matrix(Frame([str(i) for i in range(17)],
+                                 [(i, j) for i in range(17) for j in range(i, 17)],
+                                 list(range(16, -1, -1)), [16]))
+    assert chain.nbits == 17
+    cases = []
+    for count, source in ((400, lambda: complex_matrix(random_frame(rng, 7))),
+                          (420, lambda: chain)):
+        while len(cases) < count:
+            base = source()
+            m = redesignated(base, rng.sample(range(base.n), rng.randint(0, base.n)))
+            if not m.is_bd_model():
+                cases.append(m)
+    for m in cases:
+        assert leibniz_congruence(m) == _leibniz_refine(m) == pair_elimination(m), \
+            (m, sorted(m.designated))
+
+
+def test_leibniz_congruence_of_a_demorgan_matrix_needs_no_refinement(monkeypatch):
+    mats = [m for m in filter_matrices() + [dm4_designating(["n", "b"])]
+            if "demorgan" in m.flags]
+    want = [pair_elimination(m) for m in mats]
+
+    def refuse(m):
+        raise AssertionError("the refinement ran")
+
+    monkeypatch.setattr(matrix, "_leibniz_refine", refuse)
+    assert [leibniz_congruence(m) for m in mats] == want
+    m = bd4()
+    plain = FinMatrix(m.labels, m.neg, m.top, m.bottom, m.designated, (), enc=m.enc)
+    with pytest.raises(AssertionError, match="refinement ran"):
+        leibniz_congruence(plain)
+
+
+def test_refinement_above_the_table_limit_matches_the_bit_path():
+    # a presentation of 1512 elements, reduced, and the same matrix
+    # designating the union of the upsets of two incomparable points, which
+    # is no filter and whose congruence is not the identity
+    vs = ["a", "b", "c"]
+    m = mu_triple(TriplePresentation(Graph(vs, [(0, 1)]),
+                                     Graph(vs, [(0, 1), (0, 2), (1, 1)]), 1))
+    assert m.n == 1512 > matrix.TABLE_LIMIT
+    a, b = next((a, b) for a, b in itertools.combinations(m.join_irreducibles(), 2)
+                if not (m.leq(a, b) or m.leq(b, a)))
+    other = redesignated(m, [x for x in range(m.n) if m.leq(a, x) or m.leq(b, x)])
+    assert not other.is_bd_model()
+    for mm, reduced in ((m, True), (other, False)):
+        part = leibniz_congruence(mm)
+        assert _leibniz_refine(mm) == part and part.is_identity() == reduced
 
 
 def test_fast_isomorphism_agrees_with_generic_search():
