@@ -64,15 +64,20 @@ def _compatible_closure(up: Sequence[int], invol: Sequence[int]) -> list[int]:
 
 
 class Frame:
-    """Immutable involutive poset with designated upset; validated on build.
+    """Immutable involutive poset with designated upset.
 
     The order is held as bitmask rows: bit j of up[i] is set iff i <= j.
-    The constructor takes the order as pairs and adds reflexivity.
+    The constructor takes the order as pairs, adds reflexivity and
+    validates; so does from_json.  Frames that this package builds from
+    frames it already holds (restrictions, unions, quotients, random
+    frames) hold the laws by construction and go through _of_rows,
+    unchecked.
     """
 
     def __init__(self, labels: Sequence[str], leq: Iterable[tuple[int, int]],
                  invol: Sequence[int], designated: Iterable[int]):
         self._init(labels, _rows(len(labels), leq), invol, designated)
+        self.validate()
 
     def _init(self, labels, up, invol, designated) -> None:
         self.labels = tuple(labels)
@@ -80,12 +85,12 @@ class Frame:
         self.up = tuple(up)
         self.invol = tuple(invol)
         self.designated = frozenset(designated)
-        self.validate()
 
     @classmethod
     def _of_rows(cls, labels: Sequence[str], up: Sequence[int], invol: Sequence[int],
                  designated: Iterable[int]) -> "Frame":
-        """A frame from reflexive bitmask rows; validated like any other."""
+        """A frame from reflexive bitmask rows whose laws hold by
+        construction; not validated."""
         p = cls.__new__(cls)
         p._init(labels, up, invol, designated)
         return p
@@ -134,6 +139,8 @@ class Frame:
     def restrict(self, points: Sequence[int]) -> "Frame":
         pts = sorted(points)
         pos = {p: i for i, p in enumerate(pts)}
+        if len(pos) != len(pts) or not all(_is_index(p, self.n) for p in pts):
+            raise FrameError("restriction set needs distinct point indices")
         if any(self.invol[p] not in pos for p in pts):
             raise FrameError("restriction set is not involution-closed")
         return Frame._of_rows(
@@ -166,9 +173,11 @@ class Frame:
             bad = [x for x in d[key] if not _is_index(x, len(d["points"]))]
             if bad:
                 raise FrameError(f"{key!r} item {bad[0]!r} is not a point index")
-        return Frame._of_rows([str(x) for x in d["points"]],
-                              closure(_rows(len(d["points"]), d["leq"])),
-                              d["invol"], d["designated"])
+        p = Frame._of_rows([str(x) for x in d["points"]],
+                           closure(_rows(len(d["points"]), d["leq"])),
+                           d["invol"], d["designated"])
+        p.validate()
+        return p
 
     def __repr__(self) -> str:
         return f"<Frame n={self.n} designated={sorted(self.designated)}>"
@@ -263,8 +272,11 @@ def dual_frame(m: FinMatrix) -> Frame:
     for d in m.designated:
         gen &= m.enc[d]
     designated = [a for a, j in enumerate(jis) if m.enc[j] & gen == m.enc[j]]
-    p = m._cache["dual_frame"] = Frame._of_rows([m.label(j) for j in jis], up, invol,
-                                                designated)
+    p = Frame._of_rows([m.label(j) for j in jis], up, invol, designated)
+    # m may be a matrix built unchecked (FinMatrix._trusted) whose negation
+    # breaks a De Morgan law; then its dual is no frame
+    p.validate()
+    m._cache["dual_frame"] = p
     return p
 
 

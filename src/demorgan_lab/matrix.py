@@ -4,8 +4,8 @@ A matrix is a finite algebra (meet, join, negation, top, bottom) together
 with a set of designated elements.  Rule validity is decided by exhaustive
 valuation of the rule's atoms; the enumeration is vectorized with numpy.
 A rule is compiled once to a straight-line program (formula.compile_program)
-and one fold (formula.fold) runs every program: the sweep's in both engine
-modes, evaluate's over the elements, and classical_status's over truth tables.
+and one fold (formula.fold) runs every program: the sweep's over arrays of
+masks, evaluate's over the elements, and classical_status's over truth tables.
 
 Every matrix here is a bounded distributive lattice, so it embeds into a
 powerset lattice (Birkhoff).  That embedding is the only representation a
@@ -46,8 +46,8 @@ __all__ = [
     "bd4", "k3", "lp3", "cl2", "etl4", "kminus8", "dm4_algebra", "catalog",
 ]
 
-# Operation tables are derived from the masks only up to TABLE_LIMIT
-# elements; larger matrices work from the masks alone.
+# Operation tables are derived from the masks up to TABLE_LIMIT elements,
+# for callers that ask for them; no sweep does, nor any other path here.
 TABLE_LIMIT = 1500
 # cells per block when numpy works through a rows x columns grid a block of
 # rows at a time (pairs of elements, elements x join-irreducibles)
@@ -450,13 +450,16 @@ def evaluate(m: FinMatrix, v: Mapping[str, int], f: Formula) -> int:
 
 # Sweep block sizes in valuations: the first block is small, so a witness
 # near the start of the grid costs little; blocks then double up to a cap
-# whose uint8/uint16 intermediates stay in cache.  In mask mode, the blocks
-# after the first write their block-shaped intermediates into one set of
-# buffers per sweep (_Workspace): malloc serves a fresh array of this size
-# with a new mmap that is zero-filled page by page, so fresh arrays made the
-# big sweeps fault in every page of every intermediate of every block.
+# whose uint8/uint16 intermediates stay in cache.  The blocks after the
+# first write their block-shaped intermediates into one set of buffers per
+# sweep (_Workspace): malloc serves a fresh array of this size with a new
+# mmap that is zero-filled page by page, so fresh arrays made the big
+# sweeps fault in every page of every intermediate of every block.
 _FIRST_BLOCK = 1 << 14
 _BLOCK_CAP = 1 << 19
+# masks of at most this many bits index lookup tables of 2^bits entries
+# directly; wider ones are looked up by their rank among the carrier's masks
+_LUT_BITS = 16
 # bytes of hoisted subformula values one sweep keeps (see _violation); a key
 # that would pass the cap is recomputed at each of its blocks
 _MEMO_CAP = 1 << 21
@@ -468,51 +471,46 @@ class _Engine:
     growing from _FIRST_BLOCK to _BLOCK_CAP valuations, and stops at the
     first block with a refuting valuation, so the witness is the least one.
 
-    Values are carried either as powerset masks (meet/join are bitwise ops;
-    needs <= 16 mask bits so negation/designation fit in lookup tables) or
-    as element indices with table gathers.  The mode fixes the operations
-    `ops` once; a block folds the rule's program over them.
+    Values are the powerset masks, so meet and join are bitwise at every
+    width.  They take the narrowest unsigned dtype that holds them (object
+    arrays of Python ints above 64 bits): big sweeps move a lot of them
+    around.  Negation and designation read lookup tables indexed by the
+    mask itself up to _LUT_BITS mask bits, and by the mask's rank among the
+    sorted carrier masks (`ranks`) above that.  `ops` holds the operations
+    a block's fold runs.
     """
 
     def __init__(self, m: FinMatrix):
-        self.mask_mode = m.nbits <= 16
-        if self.mask_mode:
-            size = 1 << m.nbits
-            # the narrowest dtype that holds the masks: big sweeps move a
-            # lot of these arrays around
-            dt = np.uint8 if m.nbits <= 8 else np.uint16
-            neg_lut = np.zeros(size, dtype=dt)
-            self.des_lut = np.zeros(size, dtype=bool)
-            for i, mask in enumerate(m.enc):
-                neg_lut[mask] = m.enc[m.neg[i]]
-                self.des_lut[mask] = i in m.designated
-            self.values = np.array(m.enc, dtype=dt)
-            ops = (neg_lut.__getitem__, operator.and_, operator.or_)
+        dt = next((t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                   if m.nbits <= np.iinfo(t).bits), object)
+        self.values = np.array(m.enc, dtype=dt)
+        if m.nbits <= _LUT_BITS:
+            self.ranks, slots, size = None, self.values, 1 << m.nbits
+            lookup = np.ndarray.__getitem__
         else:
-            n = np.int32(m.n)
-            meet_flat = m.meet_table().astype(np.int32).ravel()
-            join_flat = m.join_table().astype(np.int32).ravel()
-            self.des_lut = np.zeros(m.n, dtype=bool)
-            for d in m.designated:
-                self.des_lut[d] = True
-            self.values = np.arange(m.n, dtype=np.int32)
-            ops = (np.array(m.neg, dtype=np.int32).__getitem__,
-                   lambda a, b: meet_flat[a * n + b], lambda a, b: join_flat[a * n + b])
-        # a conclusion's mask is one gather, not a gather and a negation
-        self.undes_lut = ~self.des_lut
+            ranks = self.ranks = np.sort(self.values)
+            slots, size = ranks.searchsorted(self.values), m.n
+            lookup = lambda lut, arr: lut[ranks.searchsorted(arr)]
+        neg_lut = np.zeros(size, dtype=dt)
+        neg_lut[slots] = self.values[list(m.neg)]
+        des_lut = np.zeros(size, dtype=bool)
+        des_lut[slots[list(m.designated)]] = True
+        # a conclusion's mask is one lookup, not a lookup and a negation
+        neg, self.des, self.undes = (functools.partial(lookup, lut)
+                                     for lut in (neg_lut, des_lut, ~des_lut))
         # neg, meet, join, top, bottom: the arguments fold takes after the leaves
-        self.ops = ops + (self.values[m.top], self.values[m.bottom])
-        # one designated value: a comparison beats a lookup-table gather
+        self.ops = (neg, operator.and_, operator.or_, self.values[m.top], self.values[m.bottom])
+        # one designated value: a comparison beats a lookup
         self.des_v = self.values[next(iter(m.designated))] if len(m.designated) == 1 else None
 
     def designated_mask(self, arr: np.ndarray, premise: bool,
                         out: Optional[np.ndarray] = None) -> np.ndarray:
         """Where arr is designated, or for a conclusion where it is not.  A
-        comparison writes to out when one is given; a gather makes a fresh
+        comparison writes to out when one is given; a lookup makes a fresh
         array."""
         if self.des_v is not None:
             return (np.equal if premise else np.not_equal)(arr, self.des_v, out=out)
-        return (self.des_lut if premise else self.undes_lut)[arr]
+        return (self.des if premise else self.undes)(arr)
 
     def first_bad(self, prog: Program, leaves: Sequence[np.ndarray],
                   ws: Optional[_Workspace] = None) -> Optional[int]:
@@ -533,16 +531,16 @@ class _Engine:
 
 
 class _Workspace:
-    """The buffers of one mask-mode sweep, reused by every block after the
-    first.  A buffer is flat, _BLOCK_CAP values long, and viewed in the
-    block's shape.  A fold step whose result has the block's whole shape
-    writes it through the ufunc's `out=`, into an operand the workspace
-    owns (the step consumes its operands) or into a free buffer; a consumed
-    operand's buffer is free again.  Leaves and constants are never
-    written: they are views of the engine's values, or scalars.  Negation
-    still gathers into a fresh array.  A block-shaped designation mask
-    overwrites its one-byte value, or goes to a buffer viewed as bool, and
-    the masks are ANDed as uint8 through the same steps."""
+    """The buffers of one sweep over fixed-width masks, reused by every
+    block after the first.  A buffer is flat, _BLOCK_CAP values long, and
+    viewed in the block's shape.  A fold step whose result has the block's
+    whole shape writes it through the ufunc's `out=`, into an operand the
+    workspace owns (the step consumes its operands) or into a free buffer;
+    a consumed operand's buffer is free again.  Leaves and constants are
+    never written: they are views of the engine's values, or scalars.
+    Negation still looks up into a fresh array.  A block-shaped designation
+    mask overwrites its one-byte value, or goes to a buffer viewed as bool,
+    and the masks are ANDed as uint8 through the same steps."""
 
     def __init__(self, eng: _Engine):
         self.eng = eng
@@ -634,8 +632,8 @@ def _violation(m: FinMatrix, r: RuleInstance) -> Optional[dict[str, int]]:
     lexicographically least one.  A block fixes the leading atoms, gives
     the next one a range of values and leaves the rest free; blocks grow by
     doubling from _FIRST_BLOCK valuations (a smaller grid is one block) to
-    _BLOCK_CAP.  In mask mode the blocks after the first share one
-    _Workspace, which lives as long as this call.
+    _BLOCK_CAP.  The blocks after the first share one _Workspace, which
+    lives as long as this call, unless the values are object arrays.
 
     The first block folds r.program().  A later one, whose ranged atom is
     j, folds the outer part of r.sweep_split(s), s = max(j, 1): the
@@ -643,8 +641,9 @@ def _violation(m: FinMatrix, r: RuleInstance) -> Optional[dict[str, int]]:
     (t, and for j >= 1 the range lo..hi), not on the fixed leading atoms, so
     their values are computed once per shape, by plain numpy operations
     into fresh arrays that the workspace never writes, and kept up to
-    _MEMO_CAP bytes.  A key naming a range is kept only once blocks have
-    grown to _BLOCK_CAP: the ranges of the smaller blocks never recur.
+    _MEMO_CAP bytes.  A key naming a range is kept only at _BLOCK_CAP
+    valuations and for a range starting at a multiple of its width; the
+    others never recur.
     """
     eng = _engine(m)
     prog = r.program()
@@ -673,11 +672,12 @@ def _violation(m: FinMatrix, r: RuleInstance) -> Optional[dict[str, int]]:
                 hoisted = memo.get(key)
                 if hoisted is None:
                     hoisted = fold(inner, leaves, *eng.ops)
-                    cost = sum(v.nbytes for v in hoisted)
-                    if (size == _BLOCK_CAP or not j) and kept + cost <= _MEMO_CAP:
+                    cost = sum(np.size(v) for v in hoisted) * eng.values.itemsize
+                    recurs = not j or size == _BLOCK_CAP and lo % (size // stride) == 0
+                    if recurs and kept + cost <= _MEMO_CAP:
                         memo[key], kept = hoisted, kept + cost
                 leaves += hoisted
-            if eng.mask_mode:
+            if eng.values.dtype != object:
                 ws = ws or _Workspace(eng)
                 ws.start((hi - lo,) + (n,) * t)
         hit = eng.first_bad(prog, leaves, ws)
@@ -861,7 +861,7 @@ def _leibniz_refine(m: FinMatrix) -> Partition:
     colours = np.array([i in m.designated for i in range(n)], dtype=np.int32)
     count = len(set(colours.tolist()))
     index = m._mask_lookup
-    if m.nbits <= 16:  # narrow masks: a gather from a table of all masks, not a search
+    if m.nbits <= _LUT_BITS:  # narrow masks: a gather from a table of all masks, not a search
         at = np.zeros(1 << m.nbits, dtype=np.int32)
         at[e] = np.arange(n)
         index = at.__getitem__

@@ -100,6 +100,14 @@ def test_bit_leibniz_matches_refinement_on_designated_sets_that_are_no_filters()
     for m in cases:
         assert leibniz_congruence(m) == _leibniz_refine(m) == pair_elimination(m), \
             (m, sorted(m.designated))
+    # the chain's 20 cases re-encoded with mask bit b at bit 4b: 65 bits,
+    # so the refinement looks masks up by search of the carrier, against
+    # pair elimination on the 17-bit original
+    for m in cases[400:]:
+        enc = [sum(1 << 4 * b for b in range(17) if x >> b & 1) for x in m.enc]
+        wide = FinMatrix._trusted(m.label, m.neg, m.top, m.bottom, m.designated, m.flags, enc)
+        assert wide.nbits == 65
+        assert leibniz_congruence(wide) == pair_elimination(m), (m, sorted(m.designated))
 
 
 def test_leibniz_congruence_of_a_demorgan_matrix_needs_no_refinement(monkeypatch):

@@ -298,6 +298,26 @@ def test_frame_json_roundtrip():
         Frame.from_json(raw.replace('"invol": [2, 1, 0]', '"invol": [0, 1, 2]'))
 
 
+def test_trusted_constructions_validate():
+    # the frames built through Frame._of_rows, unchecked, hold the laws
+    rng = random.Random(13)
+    frames = [random_frame(rng, 7) for _ in range(60)]
+    out = list(frames)
+    out += [p.restrict(sorted({u, p.invol[u]})) for p in frames[:20] for u in range(p.n)]
+    out += [c for p in frames for c in components(p)]
+    out += [leibniz_subframe(p) for p in frames]
+    out += [disjoint_union(frames[i:i + 3]) for i in range(0, 30, 3)]
+    out += [q for p in frames[:20] for q in immediate_quotients(p)]
+    out += [dual_frame(m) for m in catalog().values()]
+    assert len(out) > 400
+    for p in out:
+        p.validate()
+    with pytest.raises(FrameError, match="distinct point indices"):
+        frames[0].restrict([0, 0])
+    with pytest.raises(FrameError, match="distinct point indices"):
+        frames[0].restrict([frames[0].n])
+
+
 def _frames_digest(frames, with_labels=False):
     h = hashlib.sha256()
     for p in frames:

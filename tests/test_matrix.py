@@ -8,7 +8,7 @@ import pytest
 
 from demorgan_lab.formula import BOT, TOP, And, Atom, Neg, Or, RuleInstance, parse, parse_rule
 from demorgan_lab.matrix import (
-    FinMatrix, MatrixError, MatrixMap, Partition, _find_isomorphism_generic,
+    TABLE_LIMIT, FinMatrix, MatrixError, MatrixMap, Partition, _find_isomorphism_generic,
     bd4, catalog, cl2, etl4, evaluate, find_countervaluation,
     find_isomorphism, free_dm_algebra, is_matrix_isomorphism, k3, kminus8,
     leibniz_congruence, leibniz_reduct, lp3, principal_congruence, product,
@@ -99,11 +99,14 @@ def test_sweep_blocks_keep_the_least_witness(monkeypatch):
     rng = random.Random(7)
     mats = list(catalog().values()) + [product([cl2(), lp3()]), product([etl4(), bd4()])]
     mats += [complex_matrix(random_frame(rng, 5)) for _ in range(8)]
-    chain = complex_matrix(Frame([f"c{i}" for i in range(17)],
-                                 [(i, j) for i in range(17) for j in range(i, 17)],
-                                 [16 - i for i in range(17)], range(5, 17)))
-    assert chain.nbits == 17 and not matrix._engine(chain).mask_mode
-    mats.append(chain)
+    c17 = complex_matrix(Frame([f"c{i}" for i in range(17)],
+                               [(i, j) for i in range(17) for j in range(i, 17)],
+                               [16 - i for i in range(17)], range(5, 17)))
+    assert c17.nbits == 17 and matrix._engine(c17).ranks is not None
+    # the helper chain() builds the same matrix from its masks
+    fields = ("enc", "neg", "top", "bottom", "designated", "flags")
+    assert [getattr(c17, x) for x in fields] == [getattr(chain(17), x) for x in fields]
+    mats.append(c17)
     rules = [parse_rule(t) for t in SWEEP_RULES]
     assert {len(r.atom_names()) for r in rules} == {0, 1, 2, 3, 4}
     checked = 0
@@ -116,12 +119,16 @@ def test_sweep_blocks_keep_the_least_witness(monkeypatch):
 
 
 def chain(points):
-    """The complex matrix of a chain: one mask bit per point, so 9-16 points
-    sweep in mask mode over uint16 values and 17 in table mode."""
-    from demorgan_lab.frame import Frame, complex_matrix
-    m = complex_matrix(Frame([f"c{i}" for i in range(points)],
-                             [(i, j) for i in range(points) for j in range(i, points)],
-                             [points - 1 - i for i in range(points)], range(5, points)))
+    """The complex matrix of a chain of points, designating the upsets that
+    hold the points from 5 on, built from its masks: element i is the upset
+    of the i greatest points, one mask bit per point.  So 9-16 points sweep
+    over uint16 values with lookups indexed by the mask, 17-32 over uint32
+    and 33-64 over uint64 values with lookups by rank, and more over Python
+    ints in object arrays."""
+    full = (1 << points) - 1
+    m = FinMatrix([f"c{i}" for i in range(points + 1)], [points - i for i in range(points + 1)],
+                  points, 0, range(points - 5, points + 1), ["demorgan"],
+                  enc=[full ^ ((1 << (points - i)) - 1) for i in range(points + 1)])
     assert m.nbits == points
     return m
 
@@ -134,7 +141,7 @@ def check_sweep_folds_constants_negated_compounds_and_shared_subformulas():
                       enc=c12.enc)
     mats = list(catalog().values()) + [c12, top12, chain(17)]
     dtypes = {matrix._engine(m).values.dtype.name for m in mats}
-    assert dtypes == {"uint8", "uint16", "int32"}  # int32: table mode
+    assert dtypes == {"uint8", "uint16", "uint32"}  # uint32: lookups by rank
     texts = [
         "~(p | q) |- ~p & ~q", "~(p & F) |- ~(q | ~T)", "T |- ~(~p | F) & (q | T)",
         "~(~(p & q) | r) |- ~r & F", "F | ~(p & ~p) |- ~(q | ~q), T & ~F",
@@ -151,7 +158,7 @@ def check_sweep_folds_constants_negated_compounds_and_shared_subformulas():
         for r in rules:
             w = find_countervaluation(m, r)
             assert w == brute_witness(m, r), (m.labels, str(r))
-            verdicts.add((matrix._engine(m).mask_mode, w is None))
+            verdicts.add((matrix._engine(m).ranks is None, w is None))
     assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
 
 
@@ -235,7 +242,8 @@ def split_rules():
 
 def test_split_sweep_keeps_the_least_witness(monkeypatch):
     # blocks of 1, 2, 4 and then 7 valuations: nearly every block comes
-    # after the first and folds the split program, in both engine modes
+    # after the first and folds the split program, with lookups indexed by
+    # the mask and by its rank
     from demorgan_lab import matrix
     monkeypatch.setattr(matrix, "_FIRST_BLOCK", 1)
     monkeypatch.setattr(matrix, "_BLOCK_CAP", 7)
@@ -246,10 +254,64 @@ def test_split_sweep_keeps_the_least_witness(monkeypatch):
         for r in rules:
             if m.n ** len(r.atom_names()) <= 6000:
                 assert find_countervaluation(m, r) == brute_witness(m, r), (m.labels, str(r))
-                modes.add(matrix._engine(m).mask_mode)
+                modes.add(matrix._engine(m).ranks is None)
     assert modes == {True, False}
     for r in rules:
         assert any(inner.nodes for inner, _ in r.__dict__.get("_splits", {}).values()), str(r)
+
+
+def spread(m, step):
+    """m with mask bit b moved to bit step * b: the same matrix, on wider
+    masks."""
+    enc = [sum(1 << step * b for b in range(m.nbits) if x >> b & 1) for x in m.enc]
+    return FinMatrix._trusted(m.label, m.neg, m.top, m.bottom, m.designated, m.flags, enc)
+
+
+def test_wide_mask_sweeps_keep_the_least_witness(monkeypatch):
+    # blocks of 1, 2, 4 and then 7 valuations on masks of 33 and 40 bits
+    # (uint64 values, written through the workspace) and of more than 64
+    # bits (object arrays of Python ints, fresh arrays in every block):
+    # chains against brute force, and the 12-point chain re-encoded on
+    # wider masks against the same chain on uint16 masks
+    from demorgan_lab import matrix
+    monkeypatch.setattr(matrix, "_FIRST_BLOCK", 1)
+    monkeypatch.setattr(matrix, "_BLOCK_CAP", 7)
+    starts = []
+    real_start = matrix._Workspace.start
+    monkeypatch.setattr(matrix._Workspace, "start",
+                        lambda ws, shape: starts.append(1) or real_start(ws, shape))
+    rules = [parse_rule(t) for t in SWEEP_RULES] + split_rules()[len(SPLIT_RULES):]
+    c12 = chain(12)
+    cases = [(chain(points), brute_witness) for points in (33, 40, 70)]
+    cases += [(spread(c12, step), lambda _, r: find_countervaluation(c12, r))
+              for step in (3, 6)]
+    for m, oracle in cases:
+        wide = matrix._engine(m).values.dtype == object
+        assert m.nbits > 64 if wide else matrix._engine(m).values.dtype.name == "uint64"
+        checked = through_workspace = 0
+        for r in rules:
+            if m.n ** len(r.atom_names()) <= 6000:
+                want = oracle(m, r)
+                starts.clear()
+                assert find_countervaluation(m, r) == want, (m.nbits, str(r))
+                checked += 1
+                through_workspace += bool(starts)
+        assert checked >= 11 and bool(through_workspace) != wide, m.nbits
+
+
+def test_sweep_has_no_carrier_size_limit():
+    # 2304 elements and 24 mask bits, above TABLE_LIMIT: the sweep needs no
+    # operation table
+    m = product([chain(17)] + [cl2()] * 7)
+    assert m.n == 2304 > TABLE_LIMIT and m.nbits == 24
+    assert validates(m, parse_rule("p, ~p | q |- q"))
+    r = parse_rule("p, ~p | p |- ~p & (p | ~p)")
+    w = find_countervaluation(m, r)
+    assert w is not None and w == brute_witness(m, r)
+    assert all(evaluate(m, w, f) in m.designated for f in r.premises)
+    assert not any(evaluate(m, w, f) in m.designated for f in r.conclusions)
+    with pytest.raises(MatrixError, match="refusing to materialize"):
+        m.meet_table()
 
 
 def test_one_block_sweeps_build_no_sweep_program():
@@ -365,7 +427,7 @@ def test_sweep_program_regroups_exactly():
               for r in rules]
     c17 = chain(17)
     eng = matrix._engine(c17)
-    assert not eng.mask_mode
+    assert eng.ranks is not None
     for r in rules:
         prog, sweep = r.program(), r.sweep_program()
         k = len(prog.names)
