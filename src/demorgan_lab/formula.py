@@ -605,15 +605,48 @@ def normal_form(f: Formula, mode: str = "cnf") -> Formula:
         _clause_formula(c, inner_or=(mode == "cnf")) for c in sorted(cs, key=sorted))
 
 
-def classical_status(f: Formula) -> str:
-    """Tautology/contradiction/contingent by exhaustive two-valued evaluation."""
-    prog = compile_program([f])
-    # one fold over whole truth tables: bit v of a value is its truth under
-    # valuation v, whose bit i is the truth of atom i, so the table of atom i
-    # is runs of 2^i zeros and 2^i ones
-    size = 1 << len(prog.names)
+def grid_leaves(n: int, k: int, planes: Sequence[int]) -> list[int]:
+    """The leaves of a packed sweep: all n^k valuations of k atoms over n
+    elements at once, valuation v (its digits in base n, atom 0 the most
+    significant) at bit v of each plane.  An element is a mask of
+    len(planes) bits, planes[j] the set of elements (bit x for element x)
+    whose mask has bit j; a value is one int holding its planes side by
+    side, plane j at bits j * n^k to (j + 1) * n^k - 1."""
+    size = n ** k
     full = (1 << size) - 1
-    leaves = [full // ((1 << (1 << i)) + 1) << (1 << i) for i in range(len(prog.names))]
+    leaves = []
+    s = size
+    for _ in range(k):
+        s //= n  # this atom's digit is constant on runs of s valuations
+        leaf = 0
+        if s == 1:  # a one at the start of each run of n, times the plane
+            rep = full // ((1 << n) - 1)
+            for j, p in enumerate(planes):
+                leaf |= p * rep << j * size
+        else:  # runs of s ones where the digit is 0, shifted once per element
+            base = full // (((1 << n * s) - 1) // ((1 << s) - 1))
+            for j, p in enumerate(planes):
+                while p:
+                    low = p & -p
+                    leaf |= base << (low.bit_length() - 1) * s + j * size
+                    p ^= low
+        leaves.append(leaf)
+    return leaves
+
+
+# the leaves of the two-element matrix's packed sweep (one plane holding
+# its top, element 1) for k < 11 atoms, at most 1024 bits each
+_TRUTH_LEAVES = [grid_leaves(2, k, (0b10,)) for k in range(11)]
+
+
+def classical_status(f: Formula) -> str:
+    """Tautology/contradiction/contingent by exhaustive two-valued evaluation:
+    the packed sweep of the two-element matrix, whose negation complements
+    its one plane."""
+    prog = f.program()
+    k = len(prog.names)
+    full = (1 << (1 << k)) - 1
+    leaves = _TRUTH_LEAVES[k] if k < len(_TRUTH_LEAVES) else grid_leaves(2, k, (0b10,))
     (table,) = fold(prog, leaves, full.__xor__, operator.and_, operator.or_, full, 0)
     return TAUTOLOGY if table == full else CONTRADICTION if table == 0 else CONTINGENT
 

@@ -2,10 +2,12 @@
 
 A matrix is a finite algebra (meet, join, negation, top, bottom) together
 with a set of designated elements.  Rule validity is decided by exhaustive
-valuation of the rule's atoms; the enumeration is vectorized with numpy.
-A rule is compiled once to a straight-line program (formula.compile_program)
-and one fold (formula.fold) runs every program: the sweep's over arrays of
-masks, evaluate's over the elements, and classical_status's over truth tables.
+valuation of the rule's atoms.  A rule is compiled once to a straight-line
+program (formula.compile_program) and one fold (formula.fold) runs every
+program: evaluate's over the elements, the packed sweep's over Python ints
+that hold a small grid's values bit by bit (classical_status is its
+two-element case), and the numpy engine's over arrays of masks for every
+other grid.
 
 Every matrix here is a bounded distributive lattice, so it embeds into a
 powerset lattice (Birkhoff).  That embedding is the only representation a
@@ -16,10 +18,15 @@ element names: a matrix keeps a function naming one element.  Isomorphism
 search needs no tables: it compares the orders read off the masks (_order).
 
 Data from outside is checked once, where it enters: the public constructor
-(and so from_json and the catalog) runs FinMatrix.validate.  Matrices that
-this package builds from matrices it already holds (products, quotients,
-submatrices, split intervals, free algebras, complex matrices, gamma) hold
-the laws by construction and go through FinMatrix._trusted, unchecked.
+(and so from_json and the catalog) runs FinMatrix.validate, on Python ints
+in O(n * bits) for the laws.  Matrices that this package builds from
+matrices it already holds (products, quotients, submatrices, split
+intervals, free algebras, complex matrices, gamma) hold the laws by
+construction and go through FinMatrix._trusted, unchecked.
+
+numpy is imported on first use (_LazyNumpy), so entry, the catalog and the
+packed sweep run without it: a cold `demorgan-lab check` on a catalog or
+small @file matrix never loads it.
 """
 
 from __future__ import annotations
@@ -29,13 +36,28 @@ import itertools
 import json
 import math
 import operator
+import sys
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-import numpy as np
+from ._order import Structure, bits, closure, isomorphism, transpose
+from .formula import Formula, Program, RuleInstance, fold, grid_leaves
 
-from ._order import Structure, closure, isomorphism, transpose
-from .formula import Formula, Program, RuleInstance, fold
+
+class _LazyNumpy:
+    """numpy, imported on the first attribute read, which also rebinds the
+    module global np to numpy itself: later reads cost what they always
+    did."""
+
+    def __getattr__(self, name: str):
+        global np
+        import numpy
+        np = numpy
+        return getattr(numpy, name)
+
+
+np = _LazyNumpy()
 
 __all__ = [
     "FinMatrix", "MatrixError", "Partition", "MatrixMap",
@@ -98,8 +120,14 @@ class Partition:
         return self.blocks[a] == self.blocks[b]
 
 
+def _int_type(t: type) -> bool:
+    """int or a subclass, or a numpy integer type (there is none before
+    numpy is loaded)."""
+    return issubclass(t, int) or "numpy" in sys.modules and issubclass(t, np.integer)
+
+
 def _is_index(v: object, n: int) -> bool:
-    return isinstance(v, (int, np.integer)) and 0 <= v < n
+    return _int_type(type(v)) and 0 <= v < n
 
 
 class FinMatrix:
@@ -134,15 +162,13 @@ class FinMatrix:
             raise MatrixError("give operation tables or a powerset encoding, not both")
         else:
             enc = list(enc)
-            if not all(isinstance(v, (int, np.integer)) and v >= 0 for v in enc):
+            if not all(_int_type(type(v)) and v >= 0 for v in enc):
                 raise MatrixError("the encoding needs a non-negative integer mask per element")
             if len(enc) != len(labels):
                 raise MatrixError("the encoding needs one mask per element")
         self._init(labels.__getitem__, neg, top, bottom, designated, flags, [int(v) for v in enc])
         self._cache["labels"] = labels
-        if tables is not None:
-            self._cache["meet"], self._cache["join"] = tables
-        self.validate()
+        self._validate(tables)
 
     def _init(self, label, neg, top, bottom, designated, flags, enc) -> None:
         self._label = label
@@ -285,10 +311,16 @@ class FinMatrix:
         top's, and the carrier must be closed under & and | on all pairs.
         An injective map into a powerset that preserves & and | is a lattice
         embedding, so this implies every bounded-distributive-lattice law.
-        Cached operation tables (the constructor's input tables) must agree
-        with the masks.  With the `demorgan` flag the negation must be an
-        involution swapping the bounds with ~(x | y) = ~x & ~y on all pairs.
+        With the `demorgan` flag the negation must be an involution swapping
+        the bounds with ~(x | y) = ~x & ~y on all pairs.  The laws are
+        checked on generators (_laws_hold); only when one fails does the
+        all-pairs scan (_name_failure) run, to name the first failing pair.
         """
+        self._validate(None)
+
+    def _validate(self, tables: Optional[tuple[list, list]]) -> None:
+        """validate; the constructor's input tables, when given, must also
+        be the meet and join of the masks."""
         n = self.n
         if n == 0:
             raise MatrixError("empty carrier")
@@ -310,21 +342,60 @@ class FinMatrix:
                 raise MatrixError(f"encoding bounds broken: the mask of {self.label(x)!r} "
                                   "is not inside the top's")
         demorgan = "demorgan" in self.flags
-        e = self._enc_np()
         if demorgan:
-            ng = np.array(self.neg, dtype=np.int64)
-            if not np.array_equal(ng[ng], np.arange(n)):
+            if any(self.neg[y] != x for x, y in enumerate(self.neg)):
                 raise MatrixError("negation is not an involution")
             if self.neg[self.top] != self.bottom:
                 raise MatrixError("negation must swap the bounds")
-            neg_e = e[ng]
+        if not self._laws_hold(first, demorgan, tables):
+            self._name_failure(demorgan, tables)
+            raise RuntimeError("internal: a law failed on generators but on no pair")
+
+    def _laws_hold(self, index: dict[int, int], demorgan: bool,
+                   tables: Optional[tuple[list, list]]) -> bool:
+        """The lattice laws (and the De Morgan law) on Python ints in
+        O(n * bits), given the element of each mask.  Every mask s is the
+        join of the D(b) for its bits b, D(b) the meet of the masks holding
+        bit b, and so is s & t for its own bits (bottom's mask is 0).  So
+        the carrier is closed under & and | iff every D(b) and every
+        s | D(b) is a mask, and then ~(x | y) = ~x & ~y holds on all pairs
+        iff ~(s | D(b)) = ~s & ~D(b) does, by induction on the generators
+        of y (~bottom is top, whose mask holds every other).  Input tables
+        are compared with the masks row by row."""
+        enc = self.enc
+        negs = [enc[y] for y in self.neg] if demorgan else None
+        for b in bits(enc[self.top]):
+            d = functools.reduce(int.__and__, [s for s in enc if s >> b & 1])
+            joins = list(map(index.get, map(d.__or__, enc)))
+            if d not in index or None in joins:
+                return False
+            if demorgan:
+                nd = negs[index[d]]
+                if any(negs[y] != ns & nd for y, ns in zip(joins, negs)):
+                    return False
+        for table, op in zip(tables or (), ("__and__", "__or__")):
+            for s, row in zip(enc, table):
+                if list(map(index.__getitem__, map(getattr(s, op), enc))) != row:
+                    return False
+        return True
+
+    def _name_failure(self, demorgan: bool, tables: Optional[tuple[list, list]]) -> None:
+        """The all-pairs scan in numpy, a block of rows at a time: raises
+        MatrixError at the first pair in row-major order (within a block,
+        closure under &, then |, the tables, then De Morgan) that breaks a
+        law."""
+        n = self.n
+        e = self._enc_np()
+        if demorgan:
+            neg_e = e[np.array(self.neg, dtype=np.int64)]
+        tables = [np.array(t, dtype=np.int32) for t in tables] if tables else [None, None]
         for rows in _row_chunks(n, n):
             x = np.arange(*rows.indices(n))
             meets = self._positions(e[x, None] & e[None, :])
             joins = self._positions(e[x, None] | e[None, :])
-            for name, sym, got in (("meet", "&", meets), ("join", "|", joins)):
+            for name, sym, got, table in (("meet", "&", meets, tables[0]),
+                                          ("join", "|", joins, tables[1])):
                 self._fail_at(got < 0, x, f"carrier not closed under {sym}")
-                table = self._cache.get(name)
                 if table is not None:
                     self._fail_at(table[x] != got, x, f"{name} table is not the lattice {name}")
             if demorgan:
@@ -347,17 +418,21 @@ class FinMatrix:
     def is_bd_model(self) -> bool:
         """De Morgan matrix whose designated set is a lattice filter, that
         is, the upset of the meet of its members."""
-        if "demorgan" not in self.flags or not self.designated:
-            return False
-        e = self._enc_np()
-        gen = self._designated_meet()
-        des = np.zeros(self.n, dtype=bool)
-        des[list(self.designated)] = True
-        return np.array_equal((e & gen) == gen, des)
+        return "demorgan" in self.flags and self._designated_filter() is not None
 
     def _designated_meet(self) -> int:
         """The mask of the meet of the designated elements."""
         return functools.reduce(int.__and__, (self.enc[d] for d in self.designated))
+
+    def _designated_filter(self) -> Optional[int]:
+        """The mask g of the meet of the designated elements when they are
+        exactly the elements above it, a lattice filter; else None (also for
+        an empty designated set)."""
+        if not self.designated:
+            return None
+        g, des = self._designated_meet(), self.designated
+        ok = all((mask & g == g) == (x in des) for x, mask in enumerate(self.enc))
+        return g if ok else None
 
     # -- serialization ---------------------------------------------------
 
@@ -406,31 +481,42 @@ def _json_object(text: str, what: str, keys: Sequence[str],
     return d
 
 
-def _index_table(rows: Sequence[Sequence[int]], n: int, name: str) -> np.ndarray:
-    """An input operation table as an n x n array of element indices."""
+def _index_table(rows: Sequence[Sequence[int]], n: int, name: str) -> list[list[int]]:
+    """An input operation table as n rows of n element indices (ints, or
+    numpy integers; not bools)."""
     try:
-        t = np.array(rows)
-        ok = t.shape == (n, n) and t.dtype.kind in "iu" and bool(((0 <= t) & (t < n)).all())
-    except ValueError:  # ragged rows
-        ok = False
-    if not ok:
+        t = [list(row) for row in rows]
+    except TypeError:  # not rows of entries
+        t = []
+    if not (t and len(t) == n and all(len(row) == n and _index_row(row, n) for row in t)):
         raise MatrixError(f"{name} table is not an n x n table of element indices")
-    return t.astype(np.int32)
+    return [list(map(int, row)) for row in t]
 
 
-def _masks_from_tables(mt: np.ndarray, jt: np.ndarray, bottom: int) -> list[int]:
+def _index_row(row: list, n: int) -> bool:
+    """Every entry an int (not a bool) or a numpy integer, in range(n)."""
+    return (all(t is not bool and _int_type(t) for t in set(map(type, row)))
+            and min(row) >= 0 and max(row) < n)
+
+
+def _masks_from_tables(mt: list[list[int]], jt: list[list[int]], bottom: int) -> list[int]:
     """Birkhoff masks read off input tables: bit b of a mask says the b-th
     join-irreducible (an element other than bottom that is not the join of
     the elements strictly below it) lies below the element.  validate then
     checks that the tables are the lattice these masks describe."""
     n = len(mt)
-    leq = mt == np.arange(n)[:, None]  # leq[x, y]: x & y == x
-    jis = []
-    for x in range(n):
-        below = [y for y in np.flatnonzero(leq[:, x]) if y != x]
-        if x != bottom and (not below or functools.reduce(lambda a, b: jt[a, b], below) != x):
-            jis.append(x)
-    return [sum(1 << b for b, j in enumerate(jis) if leq[j, x]) for x in range(n)]
+    below: list[list[int]] = [[] for _ in range(n)]  # y < x: y & x == y, y != x
+    for y, row in enumerate(mt):
+        for x in compress(range(n), map(y.__eq__, row)):
+            if x != y:
+                below[x].append(y)
+    jis = [x for x in range(n) if x != bottom and (
+        not below[x] or functools.reduce(lambda a, b: jt[a][b], below[x]) != x)]
+    masks = [0] * n
+    for b, j in enumerate(jis):
+        for x in compress(range(n), map(j.__eq__, mt[j])):
+            masks[x] |= 1 << b
+    return masks
 
 
 # -- evaluation and validity ----------------------------------------------
@@ -463,6 +549,109 @@ _LUT_BITS = 16
 # bytes of hoisted subformula values one sweep keeps (see _violation); a key
 # that would pass the cap is recomputed at each of its blocks
 _MEMO_CAP = 1 << 21
+# grids of at most this many valuations go through the packed sweep
+# (_Packed) when the matrix allows it; the rest through the numpy engine
+_PACKED_GRID = 1 << 12
+
+
+class _Packed:
+    """The sweep of a whole small grid at once on Python ints, for a De
+    Morgan matrix whose designated set is a filter (the upset of a mask g)
+    and whose negation permutes its mask planes.
+
+    A value over the grid of N = n^k valuations is one int of bits * N
+    bits: plane j (bits j*N to j*N + N - 1) holds bit j of the value's mask
+    at each valuation, in the sweep's lexicographic order (see
+    formula.grid_leaves).  So & and | are one int operation each.  Plane j
+    of ~a is the complement of plane invol[j] of a, which is a few shifts,
+    one per distinct offset j - invol[j]: in a De Morgan lattice whose mask
+    bits are its points, invol is the dual involution on the points.  A
+    value is designated where every plane of g is set, and the least
+    witness is the lowest set bit of the "bad" int.
+
+    `planes[j]` is the set of elements (bit x for element x) whose mask
+    holds bit j; `grids` keeps, per atom count k, the leaves and the
+    operations of the grid, a few ints of bits * n^k bits each."""
+
+    def __init__(self, n: int, planes: list[int], invol: list[int], g: int):
+        self.n, self.planes, self.invol = n, planes, invol
+        self.des = [j for j in range(len(planes)) if g >> j & 1]
+        self.grids: dict[int, tuple] = {}
+
+    @staticmethod
+    def of(m: FinMatrix) -> Optional[_Packed]:
+        """The packed sweep of m, or None when m does not allow one: it
+        needs the `demorgan` flag, a filter designated, and a plane invol[j]
+        for each plane j whose complement is plane j of the negated masks
+        (so every bit below m.nbits is one of top's)."""
+        g = m._designated_filter() if "demorgan" in m.flags else None
+        if g is None:
+            return None
+        planes = _planes(m.enc, m.nbits)
+        at = {p: j for j, p in enumerate(planes)}
+        everything = (1 << m.n) - 1
+        invol = [at.get(everything ^ p) for p in _planes([m.enc[y] for y in m.neg], m.nbits)]
+        return None if None in invol else _Packed(m.n, planes, invol, g)
+
+    def grid(self, k: int) -> tuple:
+        """(leaves, fold's operations, ones over N bits, shifts of the
+        designating planes) for the grid of k atoms."""
+        got = self.grids.get(k)
+        if got is None:
+            size = self.n ** k
+            ones = (1 << size) - 1
+            full = (1 << len(self.planes) * size) - 1
+            moves: dict[int, int] = {}  # offset -> the planes moved by it
+            for j, src in enumerate(self.invol):
+                moves[j - src] = moves.get(j - src, 0) | ones << src * size
+            if not any(moves):
+                neg = full.__xor__
+            else:
+                parts = [(mask, d * size) for d, mask in moves.items()]
+
+                def neg(a: int) -> int:
+                    out = full
+                    for mask, shift in parts:
+                        out ^= (a & mask) << shift if shift >= 0 else (a & mask) >> -shift
+                    return out
+            got = self.grids[k] = (grid_leaves(self.n, k, self.planes),
+                                   (neg, operator.and_, operator.or_, full, 0),
+                                   ones, [j * size for j in self.des])
+        return got
+
+    def violation(self, prog: Program) -> Optional[dict[str, int]]:
+        """_violation over the whole grid of prog's atoms in one fold."""
+        leaves, ops, ones, shifts = self.grid(len(prog.names))
+        bad = ones
+        for i, v in enumerate(fold(prog, leaves, *ops)):
+            des = ones
+            for shift in shifts:
+                des &= v >> shift
+            bad = bad & des if i < prog.n_premises else bad & ~des
+            if not bad:
+                return None
+        hit = (bad & -bad).bit_length() - 1
+        out = {}
+        for name in reversed(prog.names):
+            hit, out[name] = divmod(hit, self.n)
+        return out
+
+
+def _planes(masks: Sequence[int], width: int) -> list[int]:
+    """Per mask bit j < width, the set of indices x (bit x) of the masks
+    holding it."""
+    planes = [0] * width
+    for x, mask in enumerate(masks):
+        for j in bits(mask):
+            planes[j] |= 1 << x
+    return planes
+
+
+def _packed(m: FinMatrix) -> Optional[_Packed]:
+    p = m._cache.get("packed", False)
+    if p is False:
+        p = m._cache["packed"] = _Packed.of(m)
+    return p
 
 
 class _Engine:
@@ -474,10 +663,13 @@ class _Engine:
     Values are the powerset masks, so meet and join are bitwise at every
     width.  They take the narrowest unsigned dtype that holds them (object
     arrays of Python ints above 64 bits): big sweeps move a lot of them
-    around.  Negation and designation read lookup tables indexed by the
-    mask itself up to _LUT_BITS mask bits, and by the mask's rank among the
-    sorted carrier masks (`ranks`) above that.  `ops` holds the operations
-    a block's fold runs.
+    around.  Negation reads a lookup table indexed by the mask itself up to
+    _LUT_BITS mask bits, and by the mask's rank among the sorted carrier
+    masks (`ranks`) above that.  Designation is a comparison with `des_v`
+    when one element is designated, or (a & g) == g (`des_g` = `des_v` =
+    g) when the designated set is the filter above g, at every width;
+    other designated sets read lookup tables like negation.  `ops` holds
+    the operations a block's fold runs.
     """
 
     def __init__(self, m: FinMatrix):
@@ -500,17 +692,20 @@ class _Engine:
                                      for lut in (neg_lut, des_lut, ~des_lut))
         # neg, meet, join, top, bottom: the arguments fold takes after the leaves
         self.ops = (neg, operator.and_, operator.or_, self.values[m.top], self.values[m.bottom])
-        # one designated value: a comparison beats a lookup
-        self.des_v = self.values[next(iter(m.designated))] if len(m.designated) == 1 else None
+        # one designated value, or a filter: a comparison beats a lookup
+        self.des_g = self.des_v = None
+        if len(m.designated) == 1:
+            self.des_v = self.values[next(iter(m.designated))]
+        elif (g := m._designated_filter()) is not None:
+            self.des_g = self.des_v = g if dt is object else dt(g)
 
-    def designated_mask(self, arr: np.ndarray, premise: bool,
-                        out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Where arr is designated, or for a conclusion where it is not.  A
-        comparison writes to out when one is given; a lookup makes a fresh
-        array."""
-        if self.des_v is not None:
-            return (np.equal if premise else np.not_equal)(arr, self.des_v, out=out)
-        return (self.des if premise else self.undes)(arr)
+    def designated_mask(self, arr: np.ndarray, premise: bool) -> np.ndarray:
+        """Where arr is designated, or for a conclusion where it is not."""
+        if self.des_v is None:
+            return (self.des if premise else self.undes)(arr)
+        if self.des_g is not None:
+            arr = arr & self.des_g
+        return (np.equal if premise else np.not_equal)(arr, self.des_v)
 
     def first_bad(self, prog: Program, leaves: Sequence[np.ndarray],
                   ws: Optional[_Workspace] = None) -> Optional[int]:
@@ -601,17 +796,23 @@ class _Workspace:
         return bad
 
     def _designated(self, v, premise: bool) -> np.ndarray:
-        """The designation mask of v (see designated_mask); a block-shaped
-        comparison goes to v's own buffer when that holds one-byte values,
-        else to a free one.  A small mask is made at v's own shape:
-        comparing into a block-shaped output from a broadcast operand is
-        slow."""
-        out = None
-        if self.eng.des_v is not None and v.shape == self.shape:
-            own = v.itemsize == 1 and id(v.base) in self.owned
-            out = v.view(bool) if own else self._take(bool)
-        mask = self.eng.designated_mask(v, premise, out)
-        if out is None or out.base is not v.base:
+        """The designation mask of v (see designated_mask).  For a filter, v
+        is first ANDed with g in its own buffer or into a free one; a
+        block-shaped comparison goes to v's own buffer when that holds
+        one-byte values, else to a free one.  A small mask is made at v's
+        own shape: comparing into a block-shaped output from a broadcast
+        operand is slow."""
+        eng = self.eng
+        if eng.des_v is None or v.shape != self.shape:
+            mask = eng.designated_mask(v, premise)
+            self._release(v)
+            return mask
+        if eng.des_g is not None:
+            v = self._step(np.bitwise_and, v, eng.des_g)
+        own = v.itemsize == 1 and id(v.base) in self.owned
+        mask = (np.equal if premise else np.not_equal)(
+            v, eng.des_v, out=v.view(bool) if own else self._take(bool))
+        if not own:
             self._release(v)
         return mask
 
@@ -635,6 +836,10 @@ def _violation(m: FinMatrix, r: RuleInstance) -> Optional[dict[str, int]]:
     _BLOCK_CAP.  The blocks after the first share one _Workspace, which
     lives as long as this call, unless the values are object arrays.
 
+    A grid of at most _PACKED_GRID valuations, on at most as many
+    elements, goes through the packed sweep (_Packed) instead when the
+    matrix allows one; it folds r.program() once over the whole grid.
+
     The first block folds r.program().  A later one, whose ranged atom is
     j, folds the outer part of r.sweep_split(s), s = max(j, 1): the
     subformulas over the atoms from s on depend only on the block's shape
@@ -645,10 +850,14 @@ def _violation(m: FinMatrix, r: RuleInstance) -> Optional[dict[str, int]]:
     valuations and for a range starting at a multiple of its width; the
     others never recur.
     """
-    eng = _engine(m)
     prog = r.program()
     k, n = len(prog.names), m.n
     total, pos, size = n ** k, 0, _FIRST_BLOCK
+    if max(total, n) <= _PACKED_GRID:
+        packed = _packed(m)
+        if packed is not None:
+            return packed.violation(prog)
+    eng = _engine(m)
     ws = None
     memo: dict[tuple[int, ...], list] = {}
     kept = 0
@@ -1179,7 +1388,10 @@ def free_dm_algebra(
 
 
 def _lattice_from_order(labels, hasse, neg_pairs, designated, name_top, name_bot):
-    """Build tables from a Hasse diagram given as label pairs (a < b)."""
+    """A De Morgan matrix from a Hasse diagram given as label pairs (a < b),
+    its masks read straight off the order: bit b of an element's mask says
+    the b-th join-irreducible lies below it, as _masks_from_tables reads
+    them off tables."""
     pos = {l: i for i, l in enumerate(labels)}
     n = len(labels)
     up = [0] * n
@@ -1188,23 +1400,31 @@ def _lattice_from_order(labels, hasse, neg_pairs, designated, name_top, name_bot
     up = closure(up)
     if len(set(up)) != n:
         raise MatrixError("not a lattice: the Hasse diagram has a cycle")
-    tables = []
+    down = transpose(up)
     # the meet of x and y is the element whose downset is their common
     # downset, if there is one; the join likewise with upsets
-    for rows, name in ((transpose(up), "meet"), (up, "join")):
+    for rows, name in ((down, "meet"), (up, "join")):
         of_row = {r: z for z, r in enumerate(rows)}
         for x, y in itertools.product(range(n), repeat=2):
             if rows[x] & rows[y] not in of_row:
                 raise MatrixError(f"not a lattice: {labels[x]!r} and {labels[y]!r} have no {name}")
-        tables.append([[of_row[rows[x] & rows[y]] for y in range(n)] for x in range(n)])
+    # x is join-irreducible unless it is bottom or the join of the elements
+    # strictly below it, the element whose upset is their common upset
+    of_up = {r: z for z, r in enumerate(up)}
+    bottom = pos[name_bot]
+    jis = []
+    for x in range(n):
+        below = down[x] & ~(1 << x)
+        if x != bottom and (not below or of_up[functools.reduce(
+                int.__and__, (up[y] for y in bits(below)))] != x):
+            jis.append(x)
+    enc = [sum(1 << b for b, j in enumerate(jis) if up[j] >> x & 1) for x in range(n)]
     neg = [None] * n
     for a, b in neg_pairs:
         neg[pos[a]] = pos[b]
         neg[pos[b]] = pos[a]
-    return FinMatrix(
-        labels, neg, pos[name_top], pos[name_bot],
-        [pos[d] for d in designated], ["demorgan"], meet=tables[0], join=tables[1],
-    )
+    return FinMatrix(labels, neg, pos[name_top], bottom,
+                     [pos[d] for d in designated], ["demorgan"], enc=enc)
 
 
 _DM4_LABELS = ("bot", "n", "b", "top")

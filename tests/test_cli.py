@@ -215,15 +215,16 @@ def test_dual_output_is_frozen(capsys):
 
 
 # A fresh interpreter runs cli.main and reports the demorgan_lab modules it
-# loaded.  Every command needs formula and matrix (and _order under them);
-# the rest each command imports itself.
+# loaded, and numpy if it did.  Every command needs formula and matrix (and
+# _order under them); the rest each command imports itself.
 CHILD = """
 import contextlib, io, json, sys
 from demorgan_lab import cli
 with contextlib.redirect_stdout(io.StringIO()) as out:
     code = cli.main(json.loads(sys.argv[1]))
 print(json.dumps([code, out.getvalue(),
-                  sorted(m for m in sys.modules if m.split(".")[0] == "demorgan_lab")]))
+                  sorted(m for m in sys.modules if m.split(".")[0] == "demorgan_lab")
+                  + ["numpy"] * ("numpy" in sys.modules)]))
 """
 SRC = os.path.dirname(os.path.dirname(demorgan_lab.__file__))
 BASE = {"demorgan_lab", "demorgan_lab._order", "demorgan_lab.cli",
@@ -240,12 +241,14 @@ def run_child(*argv):
     return code, out, set(modules)
 
 
+# check on a catalog or a small @file matrix runs the packed sweep: no numpy
 @pytest.mark.parametrize("argv, extra", [
     (["check", "--matrix", "ETL4", "--rule", "p, ~p|q |- q"], set()),
     (["check", "--matrix", "@{file}", "--rule", "p, ~p |- q"], set()),
-    (["leibniz", "--matrix", "KMINUS8"], set()),
-    (["dual", "--matrix", "BD4"], {"frame"}),
-    (["classify", "--matrix", "K3"], {"bridge", "frame", "graph"}),
+    (["leibniz", "--matrix", "KMINUS8"], {"numpy"}),
+    (["dual", "--matrix", "BD4"], {"demorgan_lab.frame", "numpy"}),
+    (["classify", "--matrix", "K3"],
+     {"demorgan_lab.bridge", "demorgan_lab.frame", "demorgan_lab.graph", "numpy"}),
 ], ids=["check", "check-file", "leibniz", "dual", "classify"])
 def test_command_loads_only_its_modules(tmp_path, argv, extra):
     path = tmp_path / "k3.json"
@@ -253,7 +256,7 @@ def test_command_loads_only_its_modules(tmp_path, argv, extra):
     argv = [a.format(file=path) for a in argv]
     code, out, modules = run_child("--json", *argv)
     assert code in (0, 1) and json.loads(out)
-    assert modules == BASE | {f"demorgan_lab.{m}" for m in extra}
+    assert modules == BASE | extra
 
 
 def test_registry_fallback_loads_logics(capsys):

@@ -58,14 +58,27 @@ def test_parse_errors_carry_position():
         parse("P")  # uppercase atoms are not in the grammar
 
 
-formulas = st.deferred(
-    lambda: st.one_of(
-        st.sampled_from([Atom("p"), Atom("q"), Atom("r"), TOP, BOT]),
-        st.builds(Neg, formulas),
-        st.builds(And, formulas, formulas),
-        st.builds(Or, formulas, formulas),
-    )
-)
+@st.composite
+def formula_trees(draw, max_nodes):
+    """A formula with a drawn number of operation nodes (~, & and |), at
+    most max_nodes, in a random shape: each node draws its kind and, if
+    binary, how many of the nodes below it go to its left."""
+    def build(nodes):
+        if nodes == 0:
+            return draw(st.sampled_from([Atom("p"), Atom("q"), Atom("r"), TOP, BOT]))
+        kind = draw(st.sampled_from([Neg, And, Or]))
+        if kind is Neg:
+            return Neg(build(nodes - 1))
+        left = draw(st.integers(0, nodes - 1))
+        return kind(build(left), build(nodes - 1 - left))
+
+    return build(draw(st.integers(0, max_nodes)))
+
+
+formulas = formula_trees(70)
+# a normal form multiplies its operands' clause sets at every node, so the
+# normal-form tests draw smaller formulas
+small_formulas = formula_trees(40)
 
 
 @given(formulas)
@@ -221,13 +234,13 @@ def test_dnf_of_neg_chi1():
     assert dm4_equivalent(f, g)
 
 
-@given(formulas)
+@given(small_formulas)
 def test_normal_forms_preserve_dm4_term_function(f):
     for mode in ("cnf", "dnf"):
         assert dm4_equivalent(f, normal_form(f, mode))
 
 
-@given(formulas)
+@given(small_formulas)
 def test_normal_form_idempotent(f):
     for mode in ("cnf", "dnf"):
         g = normal_form(f, mode)

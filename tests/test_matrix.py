@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import json
@@ -9,7 +10,7 @@ import pytest
 from demorgan_lab.formula import BOT, TOP, And, Atom, Neg, Or, RuleInstance, parse, parse_rule
 from demorgan_lab.matrix import (
     TABLE_LIMIT, FinMatrix, MatrixError, MatrixMap, Partition, _find_isomorphism_generic,
-    bd4, catalog, cl2, etl4, evaluate, find_countervaluation,
+    bd4, catalog, cl2, dm4_algebra, etl4, evaluate, find_countervaluation,
     find_isomorphism, free_dm_algebra, is_matrix_isomorphism, k3, kminus8,
     leibniz_congruence, leibniz_reduct, lp3, principal_congruence, product,
     quotient_by, split_at, submatrices, validates,
@@ -96,6 +97,7 @@ def test_sweep_blocks_keep_the_least_witness(monkeypatch):
     from demorgan_lab.frame import Frame, complex_matrix, random_frame
     monkeypatch.setattr(matrix, "_FIRST_BLOCK", 1)
     monkeypatch.setattr(matrix, "_BLOCK_CAP", 7)
+    monkeypatch.setattr(matrix, "_PACKED_GRID", 0)  # every grid through the numpy engine
     rng = random.Random(7)
     mats = list(catalog().values()) + [product([cl2(), lp3()]), product([etl4(), bd4()])]
     mats += [complex_matrix(random_frame(rng, 5)) for _ in range(8)]
@@ -174,6 +176,7 @@ def test_sweep_folds_shared_subformulas_in_tiny_blocks(monkeypatch):
     from demorgan_lab import matrix
     monkeypatch.setattr(matrix, "_FIRST_BLOCK", 1)
     monkeypatch.setattr(matrix, "_BLOCK_CAP", 7)
+    monkeypatch.setattr(matrix, "_PACKED_GRID", 0)  # every grid through the numpy engine
     buffers = []
     real = matrix._Workspace._buffer
     monkeypatch.setattr(matrix._Workspace, "_buffer", lambda ws: buffers.append(1) or real(ws))
@@ -247,6 +250,7 @@ def test_split_sweep_keeps_the_least_witness(monkeypatch):
     from demorgan_lab import matrix
     monkeypatch.setattr(matrix, "_FIRST_BLOCK", 1)
     monkeypatch.setattr(matrix, "_BLOCK_CAP", 7)
+    monkeypatch.setattr(matrix, "_PACKED_GRID", 0)  # every grid through the numpy engine
     mats = [bd4(), k3(), lp3(), etl4(), product([cl2(), lp3()]), chain(12), chain(17)]
     rules = split_rules()
     modes = set()
@@ -276,6 +280,7 @@ def test_wide_mask_sweeps_keep_the_least_witness(monkeypatch):
     from demorgan_lab import matrix
     monkeypatch.setattr(matrix, "_FIRST_BLOCK", 1)
     monkeypatch.setattr(matrix, "_BLOCK_CAP", 7)
+    monkeypatch.setattr(matrix, "_PACKED_GRID", 0)  # every grid through the numpy engine
     starts = []
     real_start = matrix._Workspace.start
     monkeypatch.setattr(matrix._Workspace, "start",
@@ -297,6 +302,89 @@ def test_wide_mask_sweeps_keep_the_least_witness(monkeypatch):
                 checked += 1
                 through_workspace += bool(starts)
         assert checked >= 11 and bool(through_workspace) != wide, m.nbits
+
+
+def test_packed_and_numpy_sweeps_keep_the_least_witness(monkeypatch):
+    # every rule on every matrix through both paths: the packed sweep for
+    # every grid (a large threshold) and for none (threshold 0)
+    from demorgan_lab import matrix
+    from demorgan_lab.frame import complex_matrix, random_frame
+    rng = random.Random(13)
+    mats = list(catalog().values()) + [product([cl2(), lp3()]), product([etl4(), bd4()]),
+                                       product([cl2(), bd4()]), product([k3(), k3()])]
+    mats += [complex_matrix(random_frame(rng, points)) for points in (1, 2, 3, 4, 4, 5, 5, 6)]
+    mats += [chain(12), chain(17)]
+    assert all(matrix._Packed.of(m) is not None for m in mats)
+    packed = []
+    real = matrix._Packed.violation
+    monkeypatch.setattr(matrix._Packed, "violation",
+                        lambda p, prog: packed.append(1) or real(p, prog))
+    rules = [parse_rule(t) for t in SWEEP_RULES] + split_rules()
+    checked = 0
+    for m in mats:
+        for r in rules:
+            if m.n ** len(r.atom_names()) <= 4096:
+                want = brute_witness(m, r)
+                for grid, runs in ((1 << 40, 1), (0, 0)):
+                    monkeypatch.setattr(matrix, "_PACKED_GRID", grid)
+                    packed.clear()
+                    assert find_countervaluation(m, r) == want, (grid, m.labels, str(r))
+                    assert len(packed) == runs
+                checked += 1
+    assert checked > 300
+
+
+def test_packed_sweep_falls_back_to_the_numpy_engine(monkeypatch):
+    # no `demorgan` flag; the 17-point chain with bit b at bit 4b, whose
+    # negation permutes no planes (the planes between are empty); and a
+    # designated set that is no filter
+    from demorgan_lab import matrix
+    c17 = chain(17)
+    flagless = FinMatrix._trusted(c17.label, c17.neg, c17.top, c17.bottom, c17.designated,
+                                  [], c17.enc)
+    wide = spread(c17, 4)
+    nofilter = FinMatrix._trusted(c17.label, c17.neg, c17.top, c17.bottom, [3, c17.top],
+                                  c17.flags, c17.enc)
+    monkeypatch.setattr(matrix, "_PACKED_GRID", 1 << 40)
+    engines = []
+    real = matrix._engine
+    monkeypatch.setattr(matrix, "_engine", lambda m: engines.append(m) or real(m))
+    rules = [parse_rule(t) for t in SWEEP_RULES]
+    for m in (flagless, wide, nofilter):
+        assert matrix._Packed.of(m) is None
+        for r in rules:
+            if m.n ** len(r.atom_names()) <= 400:
+                engines.clear()
+                assert find_countervaluation(m, r) == brute_witness(m, r), str(r)
+                assert engines == [m]
+    # the same chain packs
+    assert matrix._Packed.of(c17).invol == list(range(16, -1, -1))
+
+
+def test_filter_designation_compares_masks_at_every_width(monkeypatch):
+    # chains whose designated sets are filters of several elements: the
+    # numpy engine tests (a & g) == g, no rank lookup, on uint32, uint64 and
+    # object masks, in blocks of 1, 2, 4 and then 7 valuations; the packed
+    # sweep ANDs g's planes
+    from demorgan_lab import matrix
+    monkeypatch.setattr(matrix, "_FIRST_BLOCK", 1)
+    monkeypatch.setattr(matrix, "_BLOCK_CAP", 7)
+    rules = [parse_rule(t) for t in SWEEP_RULES] + split_rules()[len(SPLIT_RULES):]
+    for points in (17, 33, 40, 70):
+        m = chain(points)
+        eng = matrix._engine(m)
+        assert len(m.designated) > 1 and eng.ranks is not None
+        assert eng.des_g == eng.des_v == m._designated_meet()
+        eng.des = eng.undes = None  # the lookups are not called
+        checked = 0
+        for r in rules:
+            if m.n ** len(r.atom_names()) <= 6000:
+                want = brute_witness(m, r)
+                for grid in (0, 1 << 40):
+                    monkeypatch.setattr(matrix, "_PACKED_GRID", grid)
+                    assert find_countervaluation(m, r) == want, (points, grid, str(r))
+                checked += 1
+        assert checked >= 11
 
 
 def test_sweep_has_no_carrier_size_limit():
@@ -989,6 +1077,91 @@ def test_entry_rejects_involution_breaking_de_morgan():
     with pytest.raises(MatrixError, match=r"De Morgan law .* at \('a', 'b'\)"):
         FinMatrix(chain, [3, 1, 2, 0], 3, 0, [3], ["demorgan"], enc=[0, 1, 3, 7])
     FinMatrix(chain, [3, 1, 2, 0], 3, 0, [3], enc=[0, 1, 3, 7])  # fine without the flag
+
+
+def _laws_by_pairs(enc, neg):
+    """Closure under & and | and ~(x | y) = ~x & ~y, on all pairs."""
+    at = {s: x for x, s in enumerate(enc)}
+    closed = all(s & t in at and s | t in at for s in enc for t in enc)
+    return closed, closed and all(enc[neg[at[s | t]]] == enc[neg[x]] & enc[neg[y]]
+                                  for x, s in enumerate(enc) for y, t in enumerate(enc))
+
+
+def test_generator_law_check_matches_all_pairs():
+    # random mask families, half of them closed under & and |, with random
+    # involutions swapping the bounds, or with the negation of a random
+    # involution on the bits where the family is closed under it
+    rng = random.Random(17)
+    seen = collections.Counter()
+    for _ in range(12000):
+        width = rng.randint(1, 5)
+        full = (1 << width) - 1
+        fam = {0, full} | {rng.randrange(full + 1) for _ in range(rng.randint(0, 9))}
+        while rng.random() < 0.5 and any(s & t not in fam or s | t not in fam
+                                         for s in fam for t in fam):
+            fam |= {op(s, t) for s in fam for t in fam for op in (int.__and__, int.__or__)}
+        enc = sorted(fam)
+        n = len(enc)
+        at = {s: x for x, s in enumerate(enc)}
+        pi = list(range(width))
+        for a in rng.sample(range(width), width):
+            b = rng.randrange(width)
+            if pi[a] == a and pi[b] == b:
+                pi[a], pi[b] = b, a
+        dual = [full ^ sum((s >> pi[j] & 1) << j for j in range(width)) for s in enc]
+        if rng.random() < 0.5 and all(d in at for d in dual):
+            neg = [at[d] for d in dual]
+        else:
+            rest = list(range(1, n - 1))
+            rng.shuffle(rest)
+            neg = list(range(n))
+            neg[0], neg[n - 1] = n - 1, 0
+            for i in range(0, len(rest) - 1, 2):
+                if rng.random() < 0.7:
+                    a, b = rest[i], rest[i + 1]
+                    neg[a], neg[b] = b, a
+        m = FinMatrix._trusted(str, neg, n - 1, 0, [n - 1], ["demorgan"], enc)
+        closed, de_morgan = _laws_by_pairs(enc, neg)
+        assert m._laws_hold(at, False, None) == closed, (enc,)
+        assert m._laws_hold(at, True, None) == de_morgan, (enc, neg)
+        seen[closed, de_morgan] += 1
+    assert min(seen[False, False], seen[True, False], seen[True, True]) > 1000, seen
+
+
+def test_entry_keeps_table_arrays():
+    # meet_table() and join_table() are the int32 arrays of the element
+    # indices, for matrices from masks, from the catalog's order and from
+    # input tables
+    for m in [*catalog().values(), dm4_algebra(), product([k3(), bd4()]), chain(12)]:
+        meet = m.meet_table()
+        assert meet.dtype == np.int32 and m.join_table().dtype == np.int32
+        assert meet.tolist() == [[m.meet(x, y) for y in range(m.n)] for x in range(m.n)]
+        assert m.join_table().tolist() == [[m.join(x, y) for y in range(m.n)]
+                                           for x in range(m.n)]
+        again = FinMatrix.from_json(m.to_json())
+        for got, want in ((again.meet_table(), meet), (again.join_table(), m.join_table())):
+            assert got.dtype == np.int32 and np.array_equal(got, want)
+        tables = FinMatrix(m.labels, m.neg, m.top, m.bottom, m.designated, m.flags,
+                           meet=np.array(meet, dtype=np.int64), join=m.join_table())
+        assert tables.enc == again.enc and np.array_equal(tables.meet_table(), meet)
+
+
+def test_entry_reads_tables_without_numpy():
+    # a fresh interpreter builds the catalog, reads a matrix from JSON and
+    # sweeps it without importing numpy
+    import os
+    import subprocess
+    import sys
+    from demorgan_lab import matrix
+    code = ("import sys; from demorgan_lab import matrix, formula; "
+            "m = matrix.FinMatrix.from_json(sys.argv[1]); "
+            "r = formula.parse_rule('p |- p & q'); "
+            "print(matrix.find_countervaluation(m, r), 'numpy' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(matrix.__file__)))
+    out = subprocess.run([sys.executable, "-c", code, kminus8().to_json()], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    want = find_countervaluation(kminus8(), parse_rule("p |- p & q"))
+    assert want is not None and out == f"{want} False\n"
 
 
 def test_catalog_rejects_non_lattice_order():
