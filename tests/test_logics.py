@@ -183,6 +183,16 @@ def test_probe_sweeps_each_matrix_rule_pair_once(monkeypatch):
     assert probe_lattice(pool) == res
 
 
+def test_clause_pool_shares_its_formula_sets():
+    # 4872 distinct rules over 232 premise sets and 21 conclusion sets, each
+    # one object however many rules hold it
+    pool = clause_pool()
+    assert len(set(pool)) == len(pool) == 4872
+    assert len({id(r.premises) for r in pool}) == len({r.premises for r in pool}) == 232
+    assert len({id(r.conclusions) for r in pool}) == len({r.conclusions for r in pool}) == 21
+    assert pool == [RuleInstance.single(r.premises, next(iter(r.conclusions))) for r in pool]
+
+
 def test_pools_are_deterministic():
     assert [str(r) for r in clause_pool()[:3]] == [str(r) for r in clause_pool()[:3]]
     assert len(product_pool()) == 40
