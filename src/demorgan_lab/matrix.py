@@ -996,9 +996,9 @@ def _filter_generator(m: FinMatrix) -> Optional[int]:
     find_isomorphism's dual-frame path, else None: a De Morgan matrix with
     at most 64 mask bits whose non-empty designated set is a filter (the
     upset of its meet), so that m is the complex matrix of its dual frame."""
-    if m.nbits > 64 or not m.is_bd_model():
+    if m.nbits > 64 or "demorgan" not in m.flags:
         return None
-    return m._designated_meet()
+    return m._designated_filter()
 
 
 def _dual_partners(m: FinMatrix, masks: Sequence[int]) -> list[int]:
