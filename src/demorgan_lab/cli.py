@@ -8,12 +8,14 @@ failure (a self-check of the library failed; the message says which).
 
 Every command needs the formula and matrix modules; each command imports
 the other modules it runs in its own body, so a one-shot invocation loads
-(and, without a bytecode cache, compiles) only those.
+(and, without a bytecode cache, compiles) only those.  Likewise main builds
+the argument parser of the command it runs alone (build_parser).
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
 import sys
@@ -140,25 +142,25 @@ def cmd_leibniz(args) -> int:
     part = matrix.leibniz_congruence(m)
     red = matrix.quotient_by(m, part)
     blocks = [sorted(m.label(i) for i in b) for b in part.block_sets()]
-    _emit(args, {"blocks": blocks, "reduct": json.loads(red.to_json())},
-          [f"blocks: {blocks}", f"reduct has {red.n} elements",
-           red.to_json()])
+    text = red.to_json()
+    _emit(args, {"blocks": blocks, "reduct": json.loads(text)},
+          [f"blocks: {blocks}", f"reduct has {red.n} elements", text])
     return EXIT_TRUE
 
 
 def cmd_dual(args) -> int:
     from . import frame
     m = load_matrix(args.matrix)
-    p = frame.dual_frame(m)
-    _emit(args, json.loads(p.to_json()), [p.to_json()])
+    text = frame.dual_frame(m).to_json()
+    _emit(args, json.loads(text), [text])
     return EXIT_TRUE
 
 
 def cmd_complex(args) -> int:
     from . import frame
     p = load_frame(args.frame)
-    m = frame.complex_matrix(p)
-    _emit(args, json.loads(m.to_json()), [m.to_json()])
+    text = frame.complex_matrix(p).to_json()
+    _emit(args, json.loads(text), [text])
     return EXIT_TRUE
 
 
@@ -170,16 +172,16 @@ def cmd_mu(args) -> int:
         args.k,
     )
     m = bridge.mu_triple(t)
-    _emit(args, json.loads(m.to_json()),
-          [f"matrix with {m.n} elements", m.to_json()])
+    text = m.to_json()
+    _emit(args, json.loads(text), [f"matrix with {m.n} elements", text])
     return EXIT_TRUE
 
 
 def cmd_gamma(args) -> int:
     from . import bridge
     m = bridge.gamma(load_graph(args.graph))
-    _emit(args, json.loads(m.to_json()),
-          [f"matrix with {m.n} elements, flags {sorted(m.flags)}", m.to_json()])
+    text = m.to_json()
+    _emit(args, json.loads(text), [f"matrix with {m.n} elements, flags {sorted(m.flags)}", text])
     return EXIT_TRUE
 
 
@@ -194,14 +196,15 @@ def cmd_classify(args) -> int:
     from . import bridge
     m = load_matrix(args.matrix)
     t = bridge.classify_reduced(m)
+    plus, minus = t.plus_graph.to_json(), t.minus_graph.to_json()
     payload = {
-        "plus": json.loads(t.plus_graph.to_json()),
-        "minus": json.loads(t.minus_graph.to_json()),
+        "plus": json.loads(plus),
+        "minus": json.loads(minus),
         "singletons": t.singletons,
     }
     _emit(args, payload, [
-        f"plus graph: {t.plus_graph.to_json()}",
-        f"minus graph: {t.minus_graph.to_json()}",
+        f"plus graph: {plus}",
+        f"minus graph: {minus}",
         f"designated singletons: {t.singletons}",
     ])
     return EXIT_TRUE
@@ -250,8 +253,9 @@ def _parse_relation(text: str):
 def cmd_free(args) -> int:
     rels = [_parse_relation(t) for t in (args.rel or [])]
     m = matrix.free_dm_algebra(args.gens, rels)
-    _emit(args, {"size": m.n, "matrix": json.loads(m.to_json())},
-          [f"free algebra has {m.n} elements", m.to_json()])
+    text = m.to_json()
+    _emit(args, {"size": m.n, "matrix": json.loads(text)},
+          [f"free algebra has {m.n} elements", text])
     return EXIT_TRUE
 
 
@@ -330,8 +334,9 @@ def cmd_separate(args) -> int:
     if found is None:
         _emit(args, {"separating": None}, ["no separating matrix in the pool"])
         return EXIT_FALSE
-    _emit(args, {"separating": json.loads(found.to_json())},
-          [f"separating matrix with {found.n} elements", found.to_json()])
+    text = found.to_json()
+    _emit(args, {"separating": json.loads(text)},
+          [f"separating matrix with {found.n} elements", text])
     return EXIT_TRUE
 
 
@@ -370,114 +375,84 @@ def cmd_verify(args) -> int:
     return EXIT_TRUE if all(r.passed for r in results) else EXIT_FALSE
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags: str, **options) -> tuple[tuple[str, ...], dict]:
+    return flags, options
+
+
+_MATRIX = _arg("--matrix", required=True)
+_GRAPH = _arg("--graph", required=True)
+
+# name -> (help, function, arguments), in the order --help lists them
+COMMANDS = {
+    "check": ("rule validity in a matrix", cmd_check, [
+        _MATRIX, _arg("--rule", required=True),
+        _arg("--mc", action="store_true", help="insist the rule is multiple-conclusion")]),
+    "antitheorem": ("is a formula set never jointly designated", cmd_antitheorem, [
+        _arg("--logic", required=True), _arg("--formulas", nargs="+", required=True)]),
+    "leibniz": ("Leibniz congruence and reduct", cmd_leibniz, [_MATRIX]),
+    "dual": ("dual frame of a matrix", cmd_dual, [_MATRIX]),
+    "complex": ("complex matrix of a frame", cmd_complex, [_arg("--frame", required=True)]),
+    "mu": ("matrix of a graph-pair presentation", cmd_mu, [
+        _arg("--plus"), _arg("--minus"), _arg("--k", type=int, default=0)]),
+    "gamma": ("powerset matrix of a graph", cmd_gamma, [_GRAPH]),
+    "alpha": ("explosive rule of a graph", cmd_alpha, [_GRAPH]),
+    "classify": ("graph presentation of a reduced matrix", cmd_classify, [_MATRIX]),
+    "hom": ("graph homomorphism search", cmd_hom, [_arg("source"), _arg("target")]),
+    "color": ("n-colorability", cmd_color, [_arg("graph"), _arg("n", type=int)]),
+    "weakcolor": ("weak n-coloring search", cmd_weakcolor, [_arg("graph"), _arg("n", type=int)]),
+    "free": ("free algebra modulo inequalities", cmd_free, [
+        _arg("--gens", nargs="+", required=True), _arg("--rel", nargs="*", default=[])]),
+    "sstar": ("pairs reachable by the rewriting steps", cmd_sstar, [
+        _GRAPH, _arg("--k", type=int, default=0), _arg("--steps", type=int, default=None)]),
+    "logleq": ("is the target a model of the sources' logic", cmd_logleq, [
+        _arg("--from", "--source", required=True, dest="source",
+             help="comma-separated matrix names"),
+        _arg("--to", required=True), _arg("--bound", type=int, default=None)]),
+    "witness-kminus": ("consequence witness for the 8-element matrix", cmd_witness_kminus, [
+        _arg("--premises", nargs="*", default=[]), _arg("--conclusion", required=True)]),
+    "probe": ("inclusion probe over the registry", cmd_probe, [
+        _arg("--dot", action="store_true")]),
+    "verify": ("run the acceptance suite", cmd_verify, [
+        _arg("--suite", default="all"), _arg("--seed", type=int, default=0)]),
+    "separate": ("search a pool for a separating matrix", cmd_separate, [
+        _arg("--hold", nargs="*", default=[]), _arg("--fail", nargs="*", default=[]),
+        _arg("--pool", default="catalog")]),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every command, or given a command's name, of that one
+    alone: each subparser costs a cold run a fraction of a millisecond.
+    The one-command parser still names every command in its usage (as the
+    metavar), so its messages read as the full parser's wherever main uses
+    it."""
     ap = argparse.ArgumentParser(
         prog="demorgan-lab",
         description="Finite-model reasoning for Belnap-Dunn logic and friends",
     )
     ap.add_argument("--json", action="store_true", help="machine-readable output")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="rule validity in a matrix")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--rule", required=True)
-    p.add_argument("--mc", action="store_true",
-                   help="insist the rule is multiple-conclusion")
-    p.set_defaults(fn=cmd_check)
-
-    p = sub.add_parser("antitheorem", help="is a formula set never jointly designated")
-    p.add_argument("--logic", required=True)
-    p.add_argument("--formulas", nargs="+", required=True)
-    p.set_defaults(fn=cmd_antitheorem)
-
-    p = sub.add_parser("leibniz", help="Leibniz congruence and reduct")
-    p.add_argument("--matrix", required=True)
-    p.set_defaults(fn=cmd_leibniz)
-
-    p = sub.add_parser("dual", help="dual frame of a matrix")
-    p.add_argument("--matrix", required=True)
-    p.set_defaults(fn=cmd_dual)
-
-    p = sub.add_parser("complex", help="complex matrix of a frame")
-    p.add_argument("--frame", required=True)
-    p.set_defaults(fn=cmd_complex)
-
-    p = sub.add_parser("mu", help="matrix of a graph-pair presentation")
-    p.add_argument("--plus")
-    p.add_argument("--minus")
-    p.add_argument("--k", type=int, default=0)
-    p.set_defaults(fn=cmd_mu)
-
-    p = sub.add_parser("gamma", help="powerset matrix of a graph")
-    p.add_argument("--graph", required=True)
-    p.set_defaults(fn=cmd_gamma)
-
-    p = sub.add_parser("alpha", help="explosive rule of a graph")
-    p.add_argument("--graph", required=True)
-    p.set_defaults(fn=cmd_alpha)
-
-    p = sub.add_parser("classify", help="graph presentation of a reduced matrix")
-    p.add_argument("--matrix", required=True)
-    p.set_defaults(fn=cmd_classify)
-
-    p = sub.add_parser("hom", help="graph homomorphism search")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.set_defaults(fn=cmd_hom)
-
-    p = sub.add_parser("color", help="n-colorability")
-    p.add_argument("graph")
-    p.add_argument("n", type=int)
-    p.set_defaults(fn=cmd_color)
-
-    p = sub.add_parser("weakcolor", help="weak n-coloring search")
-    p.add_argument("graph")
-    p.add_argument("n", type=int)
-    p.set_defaults(fn=cmd_weakcolor)
-
-    p = sub.add_parser("free", help="free algebra modulo inequalities")
-    p.add_argument("--gens", nargs="+", required=True)
-    p.add_argument("--rel", nargs="*", default=[])
-    p.set_defaults(fn=cmd_free)
-
-    p = sub.add_parser("sstar", help="pairs reachable by the rewriting steps")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--steps", type=int, default=None)
-    p.set_defaults(fn=cmd_sstar)
-
-    p = sub.add_parser("logleq", help="is the target a model of the sources' logic")
-    p.add_argument("--from", "--source", required=True, dest="source",
-                   help="comma-separated matrix names")
-    p.add_argument("--to", required=True)
-    p.add_argument("--bound", type=int, default=None)
-    p.set_defaults(fn=cmd_logleq)
-
-    p = sub.add_parser("witness-kminus", help="consequence witness for the 8-element matrix")
-    p.add_argument("--premises", nargs="*", default=[])
-    p.add_argument("--conclusion", required=True)
-    p.set_defaults(fn=cmd_witness_kminus)
-
-    p = sub.add_parser("probe", help="inclusion probe over the registry")
-    p.add_argument("--dot", action="store_true")
-    p.set_defaults(fn=cmd_probe)
-
-    p = sub.add_parser("verify", help="run the acceptance suite")
-    p.add_argument("--suite", default="all")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("separate", help="search a pool for a separating matrix")
-    p.add_argument("--hold", nargs="*", default=[])
-    p.add_argument("--fail", nargs="*", default=[])
-    p.add_argument("--pool", default="catalog")
-    p.set_defaults(fn=cmd_separate)
-
+    if command is None:
+        sub = ap.add_subparsers(dest="command", required=True)
+    else:
+        sub = ap.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(COMMANDS) + "}")
+    for name in COMMANDS if command is None else [command]:
+        help_text, fn, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        p.set_defaults(fn=fn)
     return ap
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    ap = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # a command named right after the global flags gets the one-command
+    # parser; anything else (top-level help, no or an unknown command)
+    # prints the list of commands and needs them all
+    rest = list(itertools.dropwhile("--json".__eq__, argv))
+    ap = build_parser(rest[0] if rest and rest[0] in COMMANDS else None)
     try:
         args = ap.parse_args(argv)
     except SystemExit as e:

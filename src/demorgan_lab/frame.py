@@ -14,11 +14,13 @@ import json
 import random
 from typing import Iterable, Iterator, Optional, Sequence
 
-import numpy as np
-
 from ._order import Structure, bits, closure, isomorphism, pairs, transpose
-from .matrix import (FinMatrix, MatrixError, _is_index, _json_object, _pack,
+from .matrix import (FinMatrix, MatrixError, _is_index, _json_object, _LazyNumpy, _pack,
                      _point_involution, _point_sets)
+
+# numpy on first use, as in matrix: dual_frame and the frame operations run
+# without it; complex_matrix and roundtrip_check load it
+np = _LazyNumpy(globals())
 
 __all__ = [
     "Frame", "FrameError", "CompatiblePreorder",
@@ -274,7 +276,8 @@ def dual_frame(m: FinMatrix) -> Frame:
     designated = [a for a, j in enumerate(jis) if m.enc[j] & gen == m.enc[j]]
     p = Frame._of_rows([m.label(j) for j in jis], up, invol, designated)
     # m may be a matrix built unchecked (FinMatrix._trusted) whose negation
-    # breaks a De Morgan law; then its dual is no frame
+    # breaks a De Morgan law; then its dual may be no frame (and where it
+    # is one, roundtrip_check still fails on the negation)
     p.validate()
     m._cache["dual_frame"] = p
     return p

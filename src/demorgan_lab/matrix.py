@@ -24,13 +24,16 @@ matrices it already holds (products, quotients, submatrices, split
 intervals, free algebras, complex matrices, gamma) hold the laws by
 construction and go through FinMatrix._trusted, unchecked.
 
-numpy is imported on first use (_LazyNumpy), so entry, the catalog and the
-packed sweep run without it: a cold `demorgan-lab check` on a catalog or
-small @file matrix never loads it.
+numpy is imported on first use (_LazyNumpy), so entry, the catalog, the
+packed sweep, the join-irreducibles, the dual involution, the Leibniz
+congruence of a De Morgan matrix and to_json run without it: a cold
+`demorgan-lab check` on a catalog or small @file matrix never loads it, nor
+do `leibniz`, `dual` and `classify` on a De Morgan matrix of any size.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import json
@@ -47,17 +50,19 @@ from .formula import Formula, Program, RuleInstance, fold, grid_leaves
 
 class _LazyNumpy:
     """numpy, imported on the first attribute read, which also rebinds the
-    module global np to numpy itself: later reads cost what they always
-    did."""
+    global np of the module holding this object (its globals dict) to numpy
+    itself: later reads in that module cost what they always did."""
+
+    def __init__(self, namespace: dict):
+        self.namespace = namespace
 
     def __getattr__(self, name: str):
-        global np
         import numpy
-        np = numpy
+        self.namespace["np"] = numpy
         return getattr(numpy, name)
 
 
-np = _LazyNumpy()
+np = _LazyNumpy(globals())
 
 __all__ = [
     "FinMatrix", "MatrixError", "Partition", "MatrixMap",
@@ -95,13 +100,9 @@ class Partition:
 
     @staticmethod
     def of(ids: Sequence[int]) -> "Partition":
-        seen: dict[int, int] = {}
-        out = []
-        for b in ids:
-            if b not in seen:
-                seen[b] = len(seen)
-            out.append(seen[b])
-        return Partition(tuple(out))
+        # dict.fromkeys keeps the ids in order of first occurrence
+        first = {b: i for i, b in enumerate(dict.fromkeys(ids))}
+        return Partition(tuple(map(first.__getitem__, ids)))
 
     @property
     def n_blocks(self) -> int:
@@ -270,37 +271,37 @@ class FinMatrix:
     def join_irreducibles(self) -> list[int]:
         """Indices of join-irreducible elements (the least element containing
         each encoding bit)."""
-        jis = self._cache.get("jis")
-        if jis is None:
-            jis = self._compute_join_irreducibles()
-            self._cache["jis"] = jis
-        return list(jis)
+        return list(self._join_irreducibles()[0])
 
-    def _compute_join_irreducibles(self) -> list[int]:
-        idx = self._enc_index()
-        if self.nbits <= 64 and self.n > 64:
-            e = self._enc_np()
-            seen = int(np.bitwise_or.reduce(e)) if self.n else 0
-            out = set()
-            for b in range(self.nbits):
-                if not seen >> b & 1:
-                    continue
-                members = e[(e >> np.uint64(b) & np.uint64(1)) == 1]
-                out.add(idx[int(np.bitwise_and.reduce(members))])
-            return sorted(out)
-        bits_seen = 0
-        for m in self.enc:
-            bits_seen |= m
-        out = set()
-        for b in range(self.nbits):
-            if not bits_seen >> b & 1:
-                continue
-            acc = None
-            for m in self.enc:
-                if m >> b & 1:
-                    acc = m if acc is None else acc & m
-            out.add(idx[acc])
-        return sorted(out)
+    def _join_irreducibles(self) -> tuple[list[int], list[int]]:
+        """The join-irreducibles in index order, and for each its lowest
+        representative bit: a mask bit whose least containing element it
+        is.  So join-irreducible a lies below x iff x's mask holds bit
+        reps[a].  Cached."""
+        got = self._cache.get("jis")
+        if got is None:
+            first = self._least_elements()
+            jis = sorted(first)
+            got = self._cache["jis"] = (jis, [first[j] for j in jis])
+        return got
+
+    def _least_elements(self) -> dict[int, int]:
+        """The least element containing each mask bit, a join-irreducible,
+        mapped to the lowest such bit.  A mask inside another is the
+        smaller number, so the least element containing bit b is the first
+        mask in ascending order that holds b.  One scan of the sorted
+        masks finds them all, skipping the masks below the lowest bit not
+        met yet, which hold met bits alone."""
+        idx, masks = self._enc_index(), sorted(self.enc)
+        first: dict[int, int] = {}
+        unmet, i = self.enc[self.top], 0
+        while unmet:
+            s = masks[i]
+            for b in bits(s & unmet):
+                first.setdefault(idx[s], b)
+            unmet &= ~s
+            i = max(i + 1, bisect.bisect_left(masks, unmet & -unmet))
+        return first
 
     # -- validation --------------------------------------------------------
 
@@ -437,16 +438,14 @@ class FinMatrix:
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> str:
-        e = self._enc_np()
-        meet: list[list[int]] = []
-        join: list[list[int]] = []
-        for rows in _row_chunks(self.n, self.n):
-            meet += self._mask_lookup(e[rows, None] & e).tolist()
-            join += self._mask_lookup(e[rows, None] | e).tolist()
+        """The matrix as JSON, its meet and join tables read off the masks
+        row by row through the element index of each mask (json.dumps
+        takes most of the time)."""
+        idx, enc = self._enc_index(), self.enc
         return json.dumps({
             "elements": list(self.labels),
-            "meet": meet,
-            "join": join,
+            "meet": [[idx[s & t] for t in enc] for s in enc],
+            "join": [[idx[s | t] for t in enc] for s in enc],
             "neg": list(self.neg),
             "top": self.top,
             "bottom": self.bottom,
@@ -1003,18 +1002,25 @@ def _filter_generator(m: FinMatrix) -> Optional[int]:
 
 def _dual_partners(m: FinMatrix, masks: Sequence[int]) -> list[int]:
     """Per join-irreducible mask ej, the mask of the join-irreducible
-    generating the prime filter {a : ~a not above j}: the dual involution
-    image of j.  The generator is the meet of the filter's members; top is
-    one of them, so the meets start from its mask.  All masks in one numpy
-    pass, a chunk of elements at a time.  A partner that is no mask of a
-    join-irreducible means the negation breaks a De Morgan law."""
-    e = m._enc_np()
-    neg_e = e[np.array(m.neg)]
-    ej = np.array(masks, dtype=np.uint64)
-    return functools.reduce(np.bitwise_and, [
-        np.bitwise_and.reduce(np.where((neg_e[rows, None] & ej) != ej, e[rows, None], e[m.top]),
-                              axis=0)
-        for rows in _row_chunks(m.n, len(ej))]).tolist()
+    generating the prime filter {a : a not below ~j}: the dual involution
+    image of j.  The generator is the meet of the filter's members.  Every
+    element is the join of the join-irreducibles below it, so that meet is
+    the meet of the join-irreducibles not below ~j (top when there is
+    none): O(|J|^2) on Python ints.  That step uses no De Morgan law; a De
+    Morgan negation makes the filter {a : ~a not above j} as well.  A
+    partner that is no mask of a join-irreducible means the negation
+    breaks a De Morgan law."""
+    idx, enc = m._enc_index(), m.enc
+    jis, reps = m._join_irreducibles()
+    out = []
+    for ej in masks:
+        below = enc[m.neg[idx[ej]]]
+        meet = enc[m.top]
+        for j, r in zip(jis, reps):
+            if not below >> r & 1:
+                meet &= enc[j]
+        out.append(meet)
+    return out
 
 
 def _point_involution(m: FinMatrix) -> Optional[list[int]]:
@@ -1032,29 +1038,47 @@ def _point_involution(m: FinMatrix) -> Optional[list[int]]:
 def leibniz_congruence(m: FinMatrix) -> Partition:
     """Largest congruence compatible with the designated set.
 
-    A De Morgan matrix with at most 64 mask bits gets it by bit restriction
-    on its dual frame, whatever its designated set.  Its congruences are
-    "lie above the same points of S" for the sets S of points (_point_sets)
-    closed under the dual involution; one respects designation iff the
-    designated and undesignated codes restricted to S stay apart.  Those S
-    are closed upward and under intersection, so dropping involution orbits
-    from all points while that holds ends at the least, in any order.  On a
-    filter, S is the Leibniz subframe.  Other matrices go to _leibniz_refine.
+    A De Morgan matrix gets it by bit restriction on its dual frame,
+    whatever its designated set and its width.  Its congruences are "lie
+    above the same points of S" for the sets S of points closed under the
+    dual involution; one respects designation iff the designated and
+    undesignated elements restricted to S stay apart.  Those S are closed
+    upward and under intersection, so dropping involution orbits from all
+    points while that holds ends at the least, in any order.  On a filter,
+    S is the Leibniz subframe.
+
+    The work is on the masks: point a is its representative bit reps[a]
+    (see FinMatrix._join_irreducibles), S is the mask `keep` of those bits,
+    and an element restricted to S is its mask & keep, a down-set of S.
+    Dropping an orbit merges a designated and an undesignated element iff
+    two such differ in one of the orbit's bits alone: two elements that
+    differ in the orbit's bits alone are linked by elements each differing
+    from the next in one of them (down to their meet and up again, a
+    point at a time).  So each test looks up the values of the smaller
+    side, with one of those bits flipped, among the other side's.  Other
+    matrices go to _leibniz_refine.
     """
-    if "demorgan" not in m.flags or m.nbits > 64:
+    if "demorgan" not in m.flags:
         return _leibniz_refine(m)
     invol = _point_involution(m)
     if invol is None:
         raise MatrixError("dual involution left the prime filters")
-    codes = _point_sets(m)
-    des, undes = codes[list(m.designated)], np.delete(codes, list(m.designated))
-    kept = (1 << len(invol)) - 1
+    reps = m._join_irreducibles()[1]
+    keep = points = functools.reduce(int.__or__, (1 << r for r in reps), 0)
+    # an element is the join of the join-irreducibles below it, so its
+    # restriction to all points is one no other element has
+    des = {m.enc[x] & keep for x in m.designated}
+    undes = {mask & keep for mask in m.enc} - des
     for a, b in enumerate(invol):
         if a <= b:  # each orbit once
-            rest = np.uint64(kept & ~(1 << a | 1 << b))
-            if set((des & rest).tolist()).isdisjoint((undes & rest).tolist()):
-                kept = int(rest)
-    return Partition.of((codes & np.uint64(kept)).tolist())
+            flips = {1 << reps[a], 1 << reps[b]}
+            small, big = sorted((des, undes), key=len)
+            if not any(x ^ f in big for x in small for f in flips):
+                keep &= ~sum(flips)
+                des, undes = {x & keep for x in des}, {x & keep for x in undes}
+    if keep == points:  # no orbit dropped: m is reduced
+        return Partition(tuple(range(m.n)))
+    return Partition.of([mask & keep for mask in m.enc])
 
 
 def _leibniz_refine(m: FinMatrix) -> Partition:
@@ -1064,7 +1088,7 @@ def _leibniz_refine(m: FinMatrix) -> Partition:
     blockwise, as in pairwise separation propagation.  A round reads a chunk
     of rows at a time off the masks and keys each signature row by its
     bytes; no table is built.  It serves matrices without the `demorgan`
-    flag or above 64 mask bits, and is the oracle of leibniz_congruence.
+    flag, and is the oracle of leibniz_congruence.
     """
     n, e, ng = m.n, m._enc_np(), np.array(m.neg)
     colours = np.array([i in m.designated for i in range(n)], dtype=np.int32)

@@ -7,10 +7,13 @@ import sys
 import pytest
 
 import demorgan_lab
-from demorgan_lab.cli import main
+from demorgan_lab import cli
+from demorgan_lab.cli import COMMANDS, build_parser, main
+from demorgan_lab.bridge import TriplePresentation, mu_triple
 from demorgan_lab.formula import parse_rule
+from demorgan_lab.graph import complete, point
 from demorgan_lab.logics import registry
-from demorgan_lab.matrix import k3, validates
+from demorgan_lab.matrix import bd4, etl4, k3, product, validates
 
 
 def run(capsys, *argv):
@@ -241,19 +244,32 @@ def run_child(*argv):
     return code, out, set(modules)
 
 
-# check on a catalog or a small @file matrix runs the packed sweep: no numpy
+CLASSIFY = {"demorgan_lab.bridge", "demorgan_lab.frame", "demorgan_lab.graph"}
+
+
+# on a catalog or a small @file matrix, check runs the packed sweep, and
+# leibniz, dual and classify the dual involution and the Leibniz congruence
+# on Python ints: no numpy
 @pytest.mark.parametrize("argv, extra", [
     (["check", "--matrix", "ETL4", "--rule", "p, ~p|q |- q"], set()),
-    (["check", "--matrix", "@{file}", "--rule", "p, ~p |- q"], set()),
-    (["leibniz", "--matrix", "KMINUS8"], {"numpy"}),
-    (["dual", "--matrix", "BD4"], {"demorgan_lab.frame", "numpy"}),
-    (["classify", "--matrix", "K3"],
-     {"demorgan_lab.bridge", "demorgan_lab.frame", "demorgan_lab.graph", "numpy"}),
-], ids=["check", "check-file", "leibniz", "dual", "classify"])
+    (["check", "--matrix", "@{k3}", "--rule", "p, ~p |- q"], set()),
+    (["leibniz", "--matrix", "KMINUS8"], set()),
+    (["leibniz", "--matrix", "@{product}"], set()),
+    (["dual", "--matrix", "BD4"], {"demorgan_lab.frame"}),
+    (["dual", "--matrix", "@{product}"], {"demorgan_lab.frame"}),
+    (["classify", "--matrix", "K3"], CLASSIFY),
+    (["classify", "--matrix", "@{k3}"], CLASSIFY),
+    (["classify", "--matrix", "@{mu}"], CLASSIFY),
+], ids=["check", "check-file", "leibniz", "leibniz-file", "dual", "dual-file", "classify",
+        "classify-file", "classify-file-72"])
 def test_command_loads_only_its_modules(tmp_path, argv, extra):
-    path = tmp_path / "k3.json"
-    path.write_text(k3().to_json())
-    argv = [a.format(file=path) for a in argv]
+    # the 16-element ETL4 x BD4, whose Leibniz congruence is no identity,
+    # and a reduced matrix of 72 elements
+    files = {"k3": k3(), "product": product([etl4(), bd4()]),
+             "mu": mu_triple(TriplePresentation(complete(2), point(), 1))}
+    for name, m in files.items():
+        (tmp_path / f"{name}.json").write_text(m.to_json())
+    argv = [a.format(**{name: tmp_path / f"{name}.json" for name in files}) for a in argv]
     code, out, modules = run_child("--json", *argv)
     assert code in (0, 1) and json.loads(out)
     assert modules == BASE | extra
@@ -304,3 +320,25 @@ def test_package_api_resolves_on_first_access():
         demorgan_lab.nope
     with pytest.raises(ImportError):
         exec("from demorgan_lab import nope", {})
+
+
+def test_one_command_parser_reads_as_the_full_one(capsys, monkeypatch):
+    # main builds the subparser of the command it is given alone; help and
+    # errors must read as those of the parser of every command
+    built = []
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda command=None: built.append(command) or build_parser(command))
+    cases = [(["--help"], None), (["--json", "-h"], None), ([], None), (["--json"], None),
+             (["nope"], None), (["--json", "CHECK"], None), (["-h", "check"], None),
+             (["check", "--matrix", "K3", "--rule", "p |- p", "extra"], "check"),
+             (["--json", "color", "K3", "three"], "color"),
+             (["--json", "--json", "logleq", "--from", "K3"], "logleq")]
+    for name in COMMANDS:
+        cases += [([name, "--help"], name), (["--json", name, "--bogus", "x"], name)]
+    for argv, command in cases:
+        with pytest.raises(SystemExit) as stop:
+            build_parser().parse_args(argv)
+        want = capsys.readouterr()
+        assert run(capsys, *argv) == (stop.value.code, want.out, want.err), argv
+        assert built.pop() == command
+        assert want.out.startswith("usage: ") or want.err.startswith("usage: ")

@@ -6,6 +6,7 @@ the dual frames, on the matrices), so comparing them checks the lift from
 frames to matrices; the search itself is checked against all permutations
 in test_order, test_matrix and test_frame."""
 
+import functools
 import itertools
 import random
 
@@ -14,12 +15,13 @@ import pytest
 
 from demorgan_lab import matrix
 from demorgan_lab.bridge import TriplePresentation, mu_minus, mu_plus, mu_triple
-from demorgan_lab.frame import Frame, complex_matrix, random_frame
+from demorgan_lab.frame import (Frame, FrameError, complex_matrix, dual_frame, random_frame,
+                                roundtrip_check)
 from demorgan_lab.graph import Graph, all_graphs
 from demorgan_lab.matrix import (
-    FinMatrix, Partition, _dual_partners, _filter_generator, _find_isomorphism_generic,
-    _leibniz_refine, _point_sets, bd4, catalog, cl2, etl4, find_isomorphism,
-    is_matrix_isomorphism, k3, kminus8, leibniz_congruence, lp3, product,
+    FinMatrix, MatrixError, Partition, _dual_partners, _filter_generator,
+    _find_isomorphism_generic, _leibniz_refine, _point_sets, bd4, catalog, cl2, etl4,
+    find_isomorphism, is_matrix_isomorphism, k3, kminus8, leibniz_congruence, lp3, product,
 )
 
 
@@ -198,3 +200,79 @@ def test_batched_dual_partners_match_one_at_a_time(monkeypatch, chunk):
         # bit a of an element's point set: the a-th join-irreducible is below it
         assert _point_sets(m).tolist() == [
             sum(1 << a for a, j in enumerate(jis) if m.leq(j, x)) for x in range(m.n)]
+
+
+def test_join_irreducibles_and_their_bits_by_definition():
+    # an element is join-irreducible iff it is not bottom and not the join
+    # of the elements strictly below it; its representative bit lies in
+    # exactly the masks of the elements above it.  Carriers of up to 576
+    # elements, and a chain of 70 mask bits.
+    vs = ["a", "b"]
+    mats = filter_matrices() + [
+        mu_triple(TriplePresentation(Graph(vs, [(0, 1)]), Graph(vs, [(1, 1)]), 1)),
+        product([kminus8(), etl4(), lp3(), cl2(), k3()]),
+        FinMatrix([f"c{i}" for i in range(71)], range(70, -1, -1), 70, 0, [70], ["demorgan"],
+                  enc=[(1 << 70) - (1 << 70 - i) for i in range(71)])]
+    assert max(m.n for m in mats) > 500 and max(m.nbits for m in mats) == 70
+    for m in mats:
+        want = [x for x in range(m.n) if x != m.bottom and functools.reduce(
+            int.__or__, [s for s in m.enc if s & m.enc[x] == s != m.enc[x]], 0) != m.enc[x]]
+        jis, reps = m._join_irreducibles()
+        assert jis == want == m.join_irreducibles(), m
+        for j, r in zip(jis, reps):
+            assert [x for x in range(m.n) if m.enc[x] >> r & 1] == \
+                [x for x in range(m.n) if m.leq(j, x)]
+
+
+def below_partner(m, j):
+    """The meet of the elements not below ~j, over every element: in any
+    lattice, with no De Morgan law, the meet of the join-irreducibles not
+    below ~j."""
+    nj = m.enc[m.neg[j]]
+    return functools.reduce(int.__and__, [s for s in m.enc if s & nj != s], m.enc[m.top])
+
+
+def test_dual_partners_of_negations_that_break_de_morgan():
+    # every catalog negation with one value moved or two values swapped
+    # that breaks a law, as a matrix built unchecked.  The partners are the
+    # meets of the elements not below ~j; only a De Morgan negation makes
+    # them those of {a : ~a not above j} (dual_partner), so on such a
+    # matrix they may differ, and the dual may still be a frame.  Either
+    # way the round trip fails.
+    mutants = []
+    for m in catalog().values():
+        for x, y in itertools.product(range(m.n), repeat=2):
+            moved, swapped = list(m.neg), list(m.neg)
+            moved[x] = y
+            swapped[x], swapped[y] = swapped[y], swapped[x]
+            for neg in (moved, swapped):
+                try:
+                    FinMatrix(m.labels, neg, m.top, m.bottom, m.designated, m.flags, enc=m.enc)
+                except MatrixError:
+                    mutants.append(FinMatrix._trusted(m.label, neg, m.top, m.bottom,
+                                                      m.designated, m.flags, m.enc))
+    assert len(mutants) > 150
+    outcomes = set()
+    for t in mutants:
+        jis = t.join_irreducibles()
+        assert _dual_partners(t, [t.enc[j] for j in jis]) == [below_partner(t, j) for j in jis]
+        try:
+            leibniz_congruence(t)
+            outcomes.add("partition")
+        except MatrixError as e:
+            assert str(e) == "dual involution left the prime filters"
+            outcomes.add("error")
+        assert not roundtrip_check(t)
+    assert outcomes == {"partition", "error"}
+    # BD4 with n sent to bot: ~n is a join-irreducible no more, and the
+    # partners are those of dual_partner too
+    m = bd4()
+    t = FinMatrix._trusted(m.label, [3, 0, 2, 0], m.top, m.bottom, m.designated, m.flags, m.enc)
+    masks = [t.enc[j] for j in t.join_irreducibles()]
+    assert _dual_partners(t, masks) == [dual_partner(t, ej) for ej in masks]
+    assert 0 in _dual_partners(t, masks)  # bot, which no point generates
+    with pytest.raises(MatrixError, match="^dual involution left the prime filters$"):
+        leibniz_congruence(t)
+    with pytest.raises(FrameError, match="^dual involution left the prime filters$"):
+        dual_frame(t)
+    assert not roundtrip_check(t)

@@ -10,6 +10,7 @@ import pytest
 from demorgan_lab.formula import BOT, TOP, And, Atom, Neg, Or, RuleInstance, parse, parse_rule
 from demorgan_lab.matrix import (
     TABLE_LIMIT, FinMatrix, MatrixError, MatrixMap, Partition, _find_isomorphism_generic,
+    _leibniz_refine,
     bd4, catalog, cl2, dm4_algebra, etl4, evaluate, find_countervaluation,
     find_isomorphism, free_dm_algebra, is_matrix_isomorphism, k3, kminus8,
     leibniz_congruence, leibniz_reduct, lp3, principal_congruence, product,
@@ -1252,9 +1253,33 @@ def test_chain_above_64_mask_bits():
     for text in ["p, ~p|q |- q", "|- p|~p", "p & ~p |- q | ~q", "p |- p & ~p"]:
         r = parse_rule(text)
         assert validates(m, r) == brute_validates(m, r), text
-    assert leibniz_congruence(m) == brute_leibniz(m)
+    assert leibniz_congruence(m) == brute_leibniz(m) == _leibniz_refine(m)
     # the order search reads the order off masks wider than 64 bits too
     copy = FinMatrix(m.labels[::-1], [n - 1 - x for x in m.neg[::-1]], 0, n - 1,
                      [n - 1 - d for d in m.designated], m.flags, enc=m.enc[::-1])
     mapping = find_isomorphism(m, copy)
     assert mapping == tuple(range(n - 1, -1, -1)) and is_matrix_isomorphism(m, copy, mapping)
+
+
+def test_bit_leibniz_at_every_mask_width(monkeypatch):
+    # chains of 17, 33, 40 and 70 mask bits (uint32, uint64, and wider than
+    # a machine word), with their upsets designated and with random
+    # designated sets, most of them no filters: the bit path against the
+    # refinement, which it no longer calls
+    from demorgan_lab import matrix
+    rng = random.Random(41)
+    cases = []
+    for points in (17, 33, 40, 70):
+        c = chain(points)
+        cases.append(c)
+        for _ in range(6):
+            des = rng.sample(range(c.n), rng.randint(0, c.n))
+            cases.append(FinMatrix._trusted(c.label, c.neg, c.top, c.bottom, des, c.flags, c.enc))
+    want = [_leibniz_refine(m) for m in cases]
+    assert len(set(want)) > len(cases) // 2
+
+    def refuse(m):
+        raise AssertionError("the refinement ran")
+
+    monkeypatch.setattr(matrix, "_leibniz_refine", refuse)
+    assert [leibniz_congruence(m) for m in cases] == want
