@@ -103,12 +103,14 @@ def _valuation_text(m: matrix.FinMatrix, v: dict[str, int]) -> str:
     return ", ".join(f"{a}={m.label(v[a])}" for a in sorted(v))
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
+def _emit(args, payload: dict, text_lines: list) -> None:
+    """Print payload as JSON with --json, else the text lines; a line that
+    is no string is a JSON value, serialized only here."""
     if getattr(args, "json", False):
         print(json.dumps(payload))
     else:
         for line in text_lines:
-            print(line)
+            print(line if isinstance(line, str) else json.dumps(line))
 
 
 def cmd_check(args) -> int:
@@ -142,25 +144,25 @@ def cmd_leibniz(args) -> int:
     part = matrix.leibniz_congruence(m)
     red = matrix.quotient_by(m, part)
     blocks = [sorted(m.label(i) for i in b) for b in part.block_sets()]
-    text = red.to_json()
-    _emit(args, {"blocks": blocks, "reduct": json.loads(text)},
-          [f"blocks: {blocks}", f"reduct has {red.n} elements", text])
+    reduct = red._as_dict()
+    _emit(args, {"blocks": blocks, "reduct": reduct},
+          [f"blocks: {blocks}", f"reduct has {red.n} elements", reduct])
     return EXIT_TRUE
 
 
 def cmd_dual(args) -> int:
     from . import frame
     m = load_matrix(args.matrix)
-    text = frame.dual_frame(m).to_json()
-    _emit(args, json.loads(text), [text])
+    d = frame.dual_frame(m)._as_dict()
+    _emit(args, d, [d])
     return EXIT_TRUE
 
 
 def cmd_complex(args) -> int:
     from . import frame
     p = load_frame(args.frame)
-    text = frame.complex_matrix(p).to_json()
-    _emit(args, json.loads(text), [text])
+    d = frame.complex_matrix(p)._as_dict()
+    _emit(args, d, [d])
     return EXIT_TRUE
 
 
@@ -172,16 +174,16 @@ def cmd_mu(args) -> int:
         args.k,
     )
     m = bridge.mu_triple(t)
-    text = m.to_json()
-    _emit(args, json.loads(text), [f"matrix with {m.n} elements", text])
+    d = m._as_dict()
+    _emit(args, d, [f"matrix with {m.n} elements", d])
     return EXIT_TRUE
 
 
 def cmd_gamma(args) -> int:
     from . import bridge
     m = bridge.gamma(load_graph(args.graph))
-    text = m.to_json()
-    _emit(args, json.loads(text), [f"matrix with {m.n} elements, flags {sorted(m.flags)}", text])
+    d = m._as_dict()
+    _emit(args, d, [f"matrix with {m.n} elements, flags {sorted(m.flags)}", d])
     return EXIT_TRUE
 
 
@@ -196,15 +198,11 @@ def cmd_classify(args) -> int:
     from . import bridge
     m = load_matrix(args.matrix)
     t = bridge.classify_reduced(m)
-    plus, minus = t.plus_graph.to_json(), t.minus_graph.to_json()
-    payload = {
-        "plus": json.loads(plus),
-        "minus": json.loads(minus),
-        "singletons": t.singletons,
-    }
-    _emit(args, payload, [
-        f"plus graph: {plus}",
-        f"minus graph: {minus}",
+    plus, minus = t.plus_graph._as_dict(), t.minus_graph._as_dict()
+    payload = {"plus": plus, "minus": minus, "singletons": t.singletons}
+    _emit(args, payload, [] if args.json else [  # the graphs' JSON, in text mode only
+        f"plus graph: {json.dumps(plus)}",
+        f"minus graph: {json.dumps(minus)}",
         f"designated singletons: {t.singletons}",
     ])
     return EXIT_TRUE
@@ -253,9 +251,8 @@ def _parse_relation(text: str):
 def cmd_free(args) -> int:
     rels = [_parse_relation(t) for t in (args.rel or [])]
     m = matrix.free_dm_algebra(args.gens, rels)
-    text = m.to_json()
-    _emit(args, {"size": m.n, "matrix": json.loads(text)},
-          [f"free algebra has {m.n} elements", text])
+    d = m._as_dict()
+    _emit(args, {"size": m.n, "matrix": d}, [f"free algebra has {m.n} elements", d])
     return EXIT_TRUE
 
 
@@ -274,16 +271,17 @@ def cmd_sstar(args) -> int:
                     seen[q.key()] = (q, depth)
                     nxt.append(q)
         frontier = nxt
-    rows = sorted(
-        (d, p.counter, p.graph.n, p.graph.to_json())
-        for p, d in seen.values()
-    )
+    # ordered by the graphs' JSON text, which text mode prints
+    rows = []
+    for p, d in seen.values():
+        g = p.graph._as_dict()
+        rows.append((d, p.counter, p.graph.n, json.dumps(g), g))
+    rows.sort(key=lambda row: row[:4])
     payload = {"reachable": [
-        {"depth": d, "counter": c, "graph": json.loads(gj)}
-        for d, c, _, gj in rows
+        {"depth": d, "counter": c, "graph": g} for d, c, _, _, g in rows
     ]}
     _emit(args, payload,
-          [f"depth {d}: counter={c} graph={gj}" for d, c, _, gj in rows])
+          [f"depth {d}: counter={c} graph={gj}" for d, c, _, gj, _ in rows])
     return EXIT_TRUE
 
 
@@ -334,9 +332,8 @@ def cmd_separate(args) -> int:
     if found is None:
         _emit(args, {"separating": None}, ["no separating matrix in the pool"])
         return EXIT_FALSE
-    text = found.to_json()
-    _emit(args, {"separating": json.loads(text)},
-          [f"separating matrix with {found.n} elements", text])
+    d = found._as_dict()
+    _emit(args, {"separating": d}, [f"separating matrix with {found.n} elements", d])
     return EXIT_TRUE
 
 

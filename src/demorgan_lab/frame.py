@@ -153,13 +153,15 @@ class Frame:
         )
 
     def to_json(self) -> str:
-        cover = [(i, j) for (i, j) in sorted(self.leq) if i != j]
-        return json.dumps({
+        return json.dumps(self._as_dict())
+
+    def _as_dict(self) -> dict:
+        return {
             "points": list(self.labels),
-            "leq": [list(p) for p in cover],
+            "leq": [[i, j] for (i, j) in sorted(self.leq) if i != j],
             "invol": list(self.invol),
             "designated": sorted(self.designated),
-        })
+        }
 
     @staticmethod
     def from_json(text: str) -> "Frame":
@@ -260,8 +262,6 @@ def dual_frame(m: FinMatrix) -> Frame:
         return p
     if "demorgan" not in m.flags:
         raise MatrixError("dual_frame needs a De Morgan matrix")
-    if m.nbits > 64:
-        raise MatrixError("dual_frame needs a powerset encoding of at most 64 bits")
     jis = m.join_irreducibles()
     masks = [m.enc[j] for j in jis]
     invol = _point_involution(m)
@@ -270,9 +270,7 @@ def dual_frame(m: FinMatrix) -> Frame:
     # up(j1) included in up(j2) iff j2 <= j1
     up = [sum(1 << b for b, eb in enumerate(masks) if eb & ea == eb) for ea in masks]
     # a filter contains the designated set iff it contains its meet
-    gen = m.enc[m.top]
-    for d in m.designated:
-        gen &= m.enc[d]
+    gen = m._designated_meet()
     designated = [a for a, j in enumerate(jis) if m.enc[j] & gen == m.enc[j]]
     p = Frame._of_rows([m.label(j) for j in jis], up, invol, designated)
     # m may be a matrix built unchecked (FinMatrix._trusted) whose negation

@@ -74,10 +74,13 @@ class Graph:
         return (self.n, best)
 
     def to_json(self) -> str:
-        return json.dumps({
+        return json.dumps(self._as_dict())
+
+    def _as_dict(self) -> dict:
+        return {
             "vertices": list(self.labels),
             "edges": [[self.labels[u], self.labels[v]] for u, v in self.edges()],
-        })
+        }
 
     @staticmethod
     def from_json(text: str) -> "Graph":

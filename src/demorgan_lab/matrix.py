@@ -16,6 +16,9 @@ and join are bitwise AND/OR, and the n x n operation tables are caches
 derived from the masks when something asks for them.  So is the tuple of
 element names: a matrix keeps a function naming one element.  Isomorphism
 search needs no tables: it compares the orders read off the masks (_order).
+A congruence of a De Morgan matrix is the set of mask bits it keeps (see
+"congruences"): principal and Leibniz congruences are found on the masks,
+and a quotient's masks are the kept bits, packed.
 
 Data from outside is checked once, where it enters: the public constructor
 (and so from_json and the catalog) runs FinMatrix.validate, on Python ints
@@ -25,10 +28,10 @@ intervals, free algebras, complex matrices, gamma) hold the laws by
 construction and go through FinMatrix._trusted, unchecked.
 
 numpy is imported on first use (_LazyNumpy), so entry, the catalog, the
-packed sweep, the join-irreducibles, the dual involution, the Leibniz
-congruence of a De Morgan matrix and to_json run without it: a cold
-`demorgan-lab check` on a catalog or small @file matrix never loads it, nor
-do `leibniz`, `dual` and `classify` on a De Morgan matrix of any size.
+packed sweep, the dual involution, the congruences and quotients of a De
+Morgan matrix and to_json run without it: a cold `demorgan-lab check` on a
+catalog or small @file matrix never loads it, nor do `leibniz`, `dual` and
+`classify` on a De Morgan matrix of any size.
 """
 
 from __future__ import annotations
@@ -422,8 +425,10 @@ class FinMatrix:
         return "demorgan" in self.flags and self._designated_filter() is not None
 
     def _designated_meet(self) -> int:
-        """The mask of the meet of the designated elements."""
-        return functools.reduce(int.__and__, (self.enc[d] for d in self.designated))
+        """The mask of the meet of the designated elements (top's when there
+        is none)."""
+        return functools.reduce(int.__and__, (self.enc[d] for d in self.designated),
+                                self.enc[self.top])
 
     def _designated_filter(self) -> Optional[int]:
         """The mask g of the meet of the designated elements when they are
@@ -438,11 +443,13 @@ class FinMatrix:
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> str:
-        """The matrix as JSON, its meet and join tables read off the masks
-        row by row through the element index of each mask (json.dumps
-        takes most of the time)."""
+        return json.dumps(self._as_dict())
+
+    def _as_dict(self) -> dict:
+        """The JSON object of to_json, its meet and join tables read off the
+        masks row by row through the element index of each mask."""
         idx, enc = self._enc_index(), self.enc
-        return json.dumps({
+        return {
             "elements": list(self.labels),
             "meet": [[idx[s & t] for t in enc] for s in enc],
             "join": [[idx[s | t] for t in enc] for s in enc],
@@ -451,7 +458,7 @@ class FinMatrix:
             "bottom": self.bottom,
             "designated": sorted(self.designated),
             "flags": sorted(self.flags),
-        })
+        }
 
     @staticmethod
     def from_json(text: str) -> "FinMatrix":
@@ -988,16 +995,13 @@ def _induced_submatrix(m: FinMatrix, elems: Sequence[int]) -> FinMatrix:
 
 
 # -- congruences -------------------------------------------------------------
-
-
-def _filter_generator(m: FinMatrix) -> Optional[int]:
-    """Mask of the meet of the designated set when m may go through
-    find_isomorphism's dual-frame path, else None: a De Morgan matrix with
-    at most 64 mask bits whose non-empty designated set is a filter (the
-    upset of its meet), so that m is the complex matrix of its dual frame."""
-    if m.nbits > 64 or "demorgan" not in m.flags:
-        return None
-    return m._designated_filter()
+#
+# The congruences of a finite De Morgan algebra are "lie above the same
+# points of S" for the sets S of dual-frame points closed under the
+# involution.  Point a lies below x iff x's mask holds a's representative
+# bit (FinMatrix._join_irreducibles), so such a congruence is held as the
+# mask `keep` of the bits of S: elements are congruent iff their masks
+# agree on keep, and the quotient's masks are the kept bits, packed.
 
 
 def _dual_partners(m: FinMatrix, masks: Sequence[int]) -> list[int]:
@@ -1035,50 +1039,80 @@ def _point_involution(m: FinMatrix) -> Optional[list[int]]:
     return m._cache["invol"]
 
 
+def _orbits(m: FinMatrix) -> list[int]:
+    """The dual involution's orbits in point order, each as the mask of its
+    points' representative bits.  Cached per matrix."""
+    if "orbits" not in m._cache:
+        invol = _point_involution(m)
+        if invol is None:
+            raise MatrixError("dual involution left the prime filters")
+        reps = m._join_irreducibles()[1]
+        m._cache["orbits"] = [1 << reps[a] | 1 << reps[b]
+                              for a, b in enumerate(invol) if a <= b]
+    return m._cache["orbits"]
+
+
+def _kept_partition(m: FinMatrix, keep: int) -> Partition:
+    return Partition.of([mask & keep for mask in m.enc])
+
+
+def _kept_quotient(m: FinMatrix, keep: int) -> FinMatrix:
+    """The quotient by the congruence keeping the bits in keep, m itself
+    when that is the identity; a block is named by its first element.
+    Unchecked: keep comes from this package, or quotient_by checks it."""
+    bid = _kept_partition(m, keep).blocks
+    reps = _first_elements(bid)
+    if len(reps) == m.n:
+        return m
+    return FinMatrix._trusted(
+        lambda b: m.label(reps[b]), [bid[m.neg[r]] for r in reps],
+        bid[m.top], bid[m.bottom],
+        [b for b, r in enumerate(reps) if r in m.designated], m.flags,
+        _pack([m.enc[r] for r in reps], keep))
+
+
+def _first_elements(bid: Sequence[int]) -> list[int]:
+    """The first element of each block, given the block ids of a
+    partition normalized by first occurrence (Partition.of)."""
+    first = dict(zip(reversed(bid), reversed(range(len(bid)))))
+    return [first[b] for b in range(len(first))]
+
+
 def leibniz_congruence(m: FinMatrix) -> Partition:
-    """Largest congruence compatible with the designated set.
-
-    A De Morgan matrix gets it by bit restriction on its dual frame,
-    whatever its designated set and its width.  Its congruences are "lie
-    above the same points of S" for the sets S of points closed under the
-    dual involution; one respects designation iff the designated and
-    undesignated elements restricted to S stay apart.  Those S are closed
-    upward and under intersection, so dropping involution orbits from all
-    points while that holds ends at the least, in any order.  On a filter,
-    S is the Leibniz subframe.
-
-    The work is on the masks: point a is its representative bit reps[a]
-    (see FinMatrix._join_irreducibles), S is the mask `keep` of those bits,
-    and an element restricted to S is its mask & keep, a down-set of S.
-    Dropping an orbit merges a designated and an undesignated element iff
-    two such differ in one of the orbit's bits alone: two elements that
-    differ in the orbit's bits alone are linked by elements each differing
-    from the next in one of them (down to their meet and up again, a
-    point at a time).  So each test looks up the values of the smaller
-    side, with one of those bits flipped, among the other side's.  Other
-    matrices go to _leibniz_refine.
-    """
+    """Largest congruence compatible with the designated set: the one
+    keeping _leibniz_keep's bits for a De Morgan matrix, of any width and
+    designated set; _leibniz_refine for other matrices."""
     if "demorgan" not in m.flags:
         return _leibniz_refine(m)
-    invol = _point_involution(m)
-    if invol is None:
-        raise MatrixError("dual involution left the prime filters")
-    reps = m._join_irreducibles()[1]
-    keep = points = functools.reduce(int.__or__, (1 << r for r in reps), 0)
+    return _kept_partition(m, _leibniz_keep(m))
+
+
+def _leibniz_keep(m: FinMatrix) -> int:
+    """The kept bits of the Leibniz congruence of a De Morgan matrix.  The
+    congruence keeping S respects designation iff the designated and
+    undesignated elements restricted to S (their masks & keep, down-sets of
+    S) stay apart.  Those S are closed upward and under intersection, so
+    dropping orbits from all points while that holds ends at the least, in
+    any order; on a filter, it is the Leibniz subframe.  Dropping an orbit
+    merges a designated and an undesignated element iff two such differ in
+    one of the orbit's bits alone: two elements that differ in the orbit's
+    bits alone are linked by elements each differing from the next in one
+    of them (down to their meet and up again, a point at a time).  So each
+    test looks up the values of the smaller side, with one of those bits
+    flipped, among the other side's."""
+    orbits = _orbits(m)
+    keep = sum(orbits)  # the orbits' bits are disjoint
     # an element is the join of the join-irreducibles below it, so its
     # restriction to all points is one no other element has
     des = {m.enc[x] & keep for x in m.designated}
     undes = {mask & keep for mask in m.enc} - des
-    for a, b in enumerate(invol):
-        if a <= b:  # each orbit once
-            flips = {1 << reps[a], 1 << reps[b]}
-            small, big = sorted((des, undes), key=len)
-            if not any(x ^ f in big for x in small for f in flips):
-                keep &= ~sum(flips)
-                des, undes = {x & keep for x in des}, {x & keep for x in undes}
-    if keep == points:  # no orbit dropped: m is reduced
-        return Partition(tuple(range(m.n)))
-    return Partition.of([mask & keep for mask in m.enc])
+    for orbit in orbits:
+        flips = [1 << b for b in bits(orbit)]
+        small, big = sorted((des, undes), key=len)
+        if not any(x ^ f in big for x in small for f in flips):
+            keep &= ~orbit
+            des, undes = {x & keep for x in des}, {x & keep for x in undes}
+    return keep
 
 
 def _leibniz_refine(m: FinMatrix) -> Partition:
@@ -1117,41 +1151,30 @@ def quotient_by(m: FinMatrix, part: Partition) -> FinMatrix:
     Each mask bit marks a prime filter of m, and the prime filters of a
     quotient are those of m that are unions of blocks, so part is a lattice
     congruence exactly when the mask bits constant on every block tell all
-    blocks apart.  Those bits, packed, are the quotient's masks; negation
-    and designation must be constant on blocks.
+    blocks apart.  Those are the kept bits of _kept_quotient; negation and
+    designation must be constant on blocks.
     """
     if len(part.blocks) != m.n:
         raise MatrixError(f"partition of {len(part.blocks)} elements for a carrier of {m.n}")
     if part.is_identity():
         return m
     bid = Partition.of(part.blocks).blocks
-    reps: list[int] = []  # the first element of each block
-    ors: list[int] = []
-    ands: list[int] = []
-    for x, b in enumerate(bid):
-        if b == len(reps):
-            reps.append(x)
-            ors.append(0)
-            ands.append(m.enc[x])
-        ors[b] |= m.enc[x]
-        ands[b] &= m.enc[x]
-    varying = functools.reduce(int.__or__, (o ^ a for o, a in zip(ors, ands)), 0)
-    codes = _pack([m.enc[r] for r in reps], m.enc[m.top] & ~varying)
+    reps = _first_elements(bid)
+    # a bit varies on a block iff some element there differs from the first
+    keep = m.enc[m.top] & ~functools.reduce(
+        int.__or__, (m.enc[x] ^ m.enc[reps[b]] for x, b in enumerate(bid)), 0)
     first: dict[int, int] = {}
-    for b, code in enumerate(codes):
-        if first.setdefault(code, b) != b:
+    for b, r in enumerate(reps):
+        other = reps[first.setdefault(m.enc[r] & keep, b)]
+        if other != r:
             raise MatrixError(f"partition is not a lattice congruence: the blocks of "
-                              f"{m.label(reps[first[code]])!r} and {m.label(reps[b])!r} "
-                              "are not separated")
+                              f"{m.label(other)!r} and {m.label(r)!r} are not separated")
     for x, b in enumerate(bid):
         if bid[m.neg[x]] != bid[m.neg[reps[b]]]:
             raise MatrixError(f"partition not compatible with negation at {m.label(x)!r}")
         if (x in m.designated) != (reps[b] in m.designated):
             raise MatrixError("partition not compatible with designation")
-    return FinMatrix._trusted(
-        lambda b: m.label(reps[b]), [bid[m.neg[r]] for r in reps],
-        bid[m.top], bid[m.bottom],
-        [b for b, r in enumerate(reps) if r in m.designated], m.flags, codes)
+    return _kept_quotient(m, keep)
 
 
 def _pack(masks: Sequence[int], keep: int) -> list[int]:
@@ -1163,50 +1186,36 @@ def _pack(masks: Sequence[int], keep: int) -> list[int]:
 
 def leibniz_reduct(m: FinMatrix) -> FinMatrix:
     """Quotient by the Leibniz congruence; the result is reduced."""
-    return quotient_by(m, leibniz_congruence(m))
+    if "demorgan" not in m.flags:
+        return quotient_by(m, _leibniz_refine(m))
+    return _kept_quotient(m, _leibniz_keep(m))
 
 
 def principal_congruence(m: FinMatrix, a: int, b: int) -> Partition:
-    """Smallest congruence identifying a and b, by one-step-context closure."""
+    """Smallest congruence identifying a and b: the one keeping the
+    involution orbits with no point below exactly one of them."""
     if "demorgan" not in m.flags:
         raise MatrixError("principal congruences are for De Morgan matrices here")
-    parent = list(range(m.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    work = [(a, b)]
-    while work:
-        x, y = work.pop()
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            continue
-        parent[max(rx, ry)] = min(rx, ry)
-        work.append((m.neg[x], m.neg[y]))
-        for c in range(m.n):
-            work.append((m.meet(x, c), m.meet(y, c)))
-            work.append((m.join(x, c), m.join(y, c)))
-    return Partition.of([find(i) for i in range(m.n)])
+    differ = m.enc[a] ^ m.enc[b]
+    return _kept_partition(m, sum(orbit for orbit in _orbits(m) if not orbit & differ))
 
 
 # -- isomorphism --------------------------------------------------------------
 
 
 def _point_sets(m: FinMatrix) -> np.ndarray:
-    """Per element, the points of the dual frame below it, as a bitmask: bit
-    a is set iff the a-th join-irreducible lies below the element.  Cached
-    per matrix."""
+    """Per element, the points of the dual frame below it, as a bitmask (bit
+    a: the a-th join-irreducible lies below it), uint64 up to 64 points and
+    Python ints (object dtype) beyond.  Cached per matrix."""
     out = m._cache.get("point_sets")
     if out is None:
         e = m._enc_np()
         ej = e[m.join_irreducibles()]
-        shifts = np.arange(len(ej), dtype=np.uint64)
-        out = np.empty(m.n, dtype=np.uint64)
+        dtype = np.uint64 if len(ej) <= 64 else object
+        shifts = np.arange(len(ej)).astype(dtype)
+        out = np.empty(m.n, dtype=dtype)
         for rows in _row_chunks(m.n, len(ej)):
-            out[rows] = (((e[rows, None] & ej) == ej) << shifts).sum(axis=1, dtype=np.uint64)
+            out[rows] = (((e[rows, None] & ej) == ej) << shifts).sum(axis=1, dtype=dtype)
         m._cache["point_sets"] = out
     return out
 
@@ -1214,17 +1223,17 @@ def _point_sets(m: FinMatrix) -> np.ndarray:
 def find_isomorphism(m1: FinMatrix, m2: FinMatrix) -> Optional[tuple[int, ...]]:
     """A bijection preserving tables, constants and designation, or None.
 
-    When both matrices qualify for the duality fast path (see
-    _filter_generator) each is the complex matrix of its dual frame, so an
-    isomorphism of the dual frames, lifted to elements by permuting the
-    join-irreducibles below each element, is one of the matrices.  Other
-    pairs go through _find_isomorphism_generic.
+    When both are De Morgan matrices whose non-empty designated sets are
+    filters (FinMatrix.is_bd_model), each is the complex matrix of its
+    dual frame, so an isomorphism of the dual frames, lifted to elements
+    by permuting the join-irreducibles below each element, is one of the
+    matrices.  Other pairs go through _find_isomorphism_generic.
     """
     if m1 is m2:
         return tuple(range(m1.n))
     if m1.n != m2.n or len(m1.designated) != len(m2.designated):
         return None
-    if _filter_generator(m1) is None or _filter_generator(m2) is None:
+    if not (m1.is_bd_model() and m2.is_bd_model()):
         return _find_isomorphism_generic(m1, m2)
     from .frame import dual_frame, frame_isomorphism
     phi = frame_isomorphism(dual_frame(m1), dual_frame(m2))
@@ -1233,7 +1242,7 @@ def find_isomorphism(m1: FinMatrix, m2: FinMatrix) -> Optional[tuple[int, ...]]:
     src, dst = _point_sets(m1), _point_sets(m2)
     moved = np.zeros_like(src)
     for a, b in enumerate(phi):
-        moved |= (src >> np.uint64(a) & np.uint64(1)) << np.uint64(b)
+        moved |= (src >> a & 1) << b
     order = np.argsort(dst)
     pos = np.minimum(np.searchsorted(dst[order], moved), m2.n - 1)
     mp = order[pos]
@@ -1413,9 +1422,8 @@ def free_dm_algebra(
 
 def _lattice_from_order(labels, hasse, neg_pairs, designated, name_top, name_bot):
     """A De Morgan matrix from a Hasse diagram given as label pairs (a < b),
-    its masks read straight off the order: bit b of an element's mask says
-    the b-th join-irreducible lies below it, as _masks_from_tables reads
-    them off tables."""
+    by its meet and join tables read off the order; the constructor derives
+    the masks from them."""
     pos = {l: i for i, l in enumerate(labels)}
     n = len(labels)
     up = [0] * n
@@ -1424,31 +1432,22 @@ def _lattice_from_order(labels, hasse, neg_pairs, designated, name_top, name_bot
     up = closure(up)
     if len(set(up)) != n:
         raise MatrixError("not a lattice: the Hasse diagram has a cycle")
-    down = transpose(up)
     # the meet of x and y is the element whose downset is their common
     # downset, if there is one; the join likewise with upsets
-    for rows, name in ((down, "meet"), (up, "join")):
+    tables = {}
+    for rows, name in ((transpose(up), "meet"), (up, "join")):
         of_row = {r: z for z, r in enumerate(rows)}
-        for x, y in itertools.product(range(n), repeat=2):
-            if rows[x] & rows[y] not in of_row:
-                raise MatrixError(f"not a lattice: {labels[x]!r} and {labels[y]!r} have no {name}")
-    # x is join-irreducible unless it is bottom or the join of the elements
-    # strictly below it, the element whose upset is their common upset
-    of_up = {r: z for z, r in enumerate(up)}
-    bottom = pos[name_bot]
-    jis = []
-    for x in range(n):
-        below = down[x] & ~(1 << x)
-        if x != bottom and (not below or of_up[functools.reduce(
-                int.__and__, (up[y] for y in bits(below)))] != x):
-            jis.append(x)
-    enc = [sum(1 << b for b, j in enumerate(jis) if up[j] >> x & 1) for x in range(n)]
+        tables[name] = [[of_row.get(r & s) for s in rows] for r in rows]
+        for x, row in enumerate(tables[name]):
+            if None in row:
+                raise MatrixError(f"not a lattice: {labels[x]!r} and "
+                                  f"{labels[row.index(None)]!r} have no {name}")
     neg = [None] * n
     for a, b in neg_pairs:
         neg[pos[a]] = pos[b]
         neg[pos[b]] = pos[a]
-    return FinMatrix(labels, neg, pos[name_top], bottom,
-                     [pos[d] for d in designated], ["demorgan"], enc=enc)
+    return FinMatrix(labels, neg, pos[name_top], pos[name_bot],
+                     [pos[d] for d in designated], ["demorgan"], **tables)
 
 
 _DM4_LABELS = ("bot", "n", "b", "top")

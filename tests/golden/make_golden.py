@@ -1,0 +1,90 @@
+"""Record the command line's answers as golden data.
+
+    PYTHONPATH=src python tests/golden/make_golden.py [OUT_DIR]
+
+writes the @file inputs below and golden.json to OUT_DIR (default: the
+directory of this script).  golden.json holds, for every command of
+COMMANDS with and without --json, its stdout, stderr and exit status, run
+from OUT_DIR so that "@name.json" reads the inputs written there.
+tests/test_golden.py replays the commands against it; the test suite does
+not run this script.  Regenerating the data changes what the tests expect,
+so a change that does must name the entries that changed and why.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import random
+import sys
+
+from demorgan_lab import cli
+from demorgan_lab.frame import complex_matrix, random_frame
+from demorgan_lab.matrix import catalog
+
+
+def chain_json(n: int, designated_from: int) -> str:
+    """An n-element De Morgan chain from its tables: n - 1 mask bits."""
+    return json.dumps({
+        "elements": [f"c{i}" for i in range(n)],
+        "meet": [[min(x, y) for y in range(n)] for x in range(n)],
+        "join": [[max(x, y) for y in range(n)] for x in range(n)],
+        "neg": [n - 1 - x for x in range(n)],
+        "top": n - 1, "bottom": 0,
+        "designated": list(range(designated_from, n)),
+        "flags": ["demorgan"],
+    })
+
+
+def inputs() -> dict[str, str]:
+    """The @file inputs, by file name."""
+    p = random_frame(random.Random(5), 5)
+    return {
+        "complex5.json": complex_matrix(p).to_json(),
+        "frame5.json": p.to_json(),
+        # a matrix lacking keys
+        "malformed.json": json.dumps({"elements": ["bot", "top"], "meet": [[0, 0], [0, 1]],
+                                      "neg": [1, 0]}),
+        "chain66.json": chain_json(66, 40),
+    }
+
+
+def commands() -> list[list[str]]:
+    out = [[cmd, "--matrix", name] for cmd in ("leibniz", "dual", "classify")
+           for name in catalog()]
+    out += [
+        ["complex", "--frame", "@frame5.json"],
+        ["mu", "--plus", "K2"],
+        ["mu", "--plus", "point", "--minus", "point", "--k", "1"],
+        ["gamma", "--graph", "K3"],
+        ["gamma", "--graph", "loop"],
+        ["free", "--gens", "a"],
+        ["free", "--gens", "a", "b", "--rel", "a<=~a", "b<=~b"],
+    ]
+    out += [[cmd, "--matrix", f"@{name}.json"] for cmd in ("leibniz", "dual")
+            for name in ("complex5", "malformed", "chain66")]
+    return out
+
+
+def run(argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def main(out_dir: str) -> None:
+    for name, text in inputs().items():
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    os.chdir(out_dir)
+    entries = [run(mode + argv) for argv in commands() for mode in ([], ["--json"])]
+    with open("golden.json", "w", encoding="utf-8") as fh:
+        json.dump(entries, fh, indent=0)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    main(os.path.abspath(sys.argv[1] if len(sys.argv) > 1 else os.path.dirname(__file__)))

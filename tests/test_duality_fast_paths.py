@@ -19,7 +19,7 @@ from demorgan_lab.frame import (Frame, FrameError, complex_matrix, dual_frame, r
                                 roundtrip_check)
 from demorgan_lab.graph import Graph, all_graphs
 from demorgan_lab.matrix import (
-    FinMatrix, MatrixError, Partition, _dual_partners, _filter_generator,
+    FinMatrix, MatrixError, Partition, _dual_partners,
     _find_isomorphism_generic, _leibniz_refine, _point_sets, bd4, catalog, cl2, etl4,
     find_isomorphism, is_matrix_isomorphism, k3, kminus8, leibniz_congruence, lp3, product,
 )
@@ -65,14 +65,14 @@ def dm4_designating(labels):
 
 def test_fast_leibniz_matches_refinement_and_pair_elimination():
     for m in filter_matrices():
-        assert _filter_generator(m) is not None
+        assert m.is_bd_model()
         fast = leibniz_congruence(m)
         assert fast == _leibniz_refine(m) == pair_elimination(m), m
 
 
 def test_leibniz_bit_path_on_a_designated_set_that_is_no_filter():
     m = dm4_designating(["n", "b"])  # n & b = bot is not designated
-    assert _filter_generator(m) is None
+    assert not m.is_bd_model()
     part = leibniz_congruence(m)
     assert part == _leibniz_refine(m) == pair_elimination(m)
     assert part.is_identity()  # e.g. the context x | n separates bot from top

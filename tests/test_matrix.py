@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from demorgan_lab.formula import BOT, TOP, And, Atom, Neg, Or, RuleInstance, parse, parse_rule
+from demorgan_lab.frame import complex_matrix, dual_frame, random_frame
 from demorgan_lab.matrix import (
     TABLE_LIMIT, FinMatrix, MatrixError, MatrixMap, Partition, _find_isomorphism_generic,
     _leibniz_refine,
@@ -706,6 +707,21 @@ def test_leibniz_examples():
     assert find_isomorphism(leibniz_reduct(four_chain), lp3()) is not None
 
 
+def test_catalog_masks_from_the_hasse_diagrams():
+    from demorgan_lab.matrix import _lattice_from_order
+    encs = {name: m.enc for name, m in catalog().items()}
+    encs["DM4"] = dm4_algebra().enc
+    assert encs == {"BD4": (0, 1, 2, 3), "K3": (0, 1, 3), "LP3": (0, 1, 3), "CL2": (0, 1),
+                    "ETL4": (0, 1, 2, 3), "KMINUS8": (0, 1, 2, 5, 3, 7, 11, 15),
+                    "DM4": (0, 1, 2, 3)}
+    with pytest.raises(MatrixError, match="'a' and 'b' have no join"):
+        _lattice_from_order("xab", [("x", "a"), ("x", "b")], [], [], "a", "x")
+    with pytest.raises(MatrixError, match="'a' and 'b' have no meet"):
+        _lattice_from_order("abx", [("a", "x"), ("b", "x")], [], [], "x", "a")
+    with pytest.raises(MatrixError, match="cycle"):
+        _lattice_from_order("ab", [("a", "b"), ("b", "a")], [], [], "b", "a")
+
+
 def test_leibniz_reduct_properties():
     # reduced input -> isomorphic output; reduct of a product with a trivial
     # singleton collapses the trivial factor
@@ -764,6 +780,73 @@ def test_principal_congruence_nontrivial_case():
     bi = m.labels.index("b")
     part = principal_congruence(m, m.meet(ai, bi), ai)
     assert 1 < part.n_blocks < m.n
+
+
+def brute_principal(m, a, b):
+    """Reference principal congruence: (a, b) closed under every one-step
+    context (negation, meet and join with each element), with a union-find."""
+    parent = list(range(m.n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    work = [(a, b)]
+    while work:
+        x, y = work.pop()
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            continue
+        parent[max(rx, ry)] = min(rx, ry)
+        work.append((m.neg[x], m.neg[y]))
+        for c in range(m.n):
+            work.append((m.meet(x, c), m.meet(y, c)))
+            work.append((m.join(x, c), m.join(y, c)))
+    return Partition.of([find(i) for i in range(m.n)])
+
+
+def congruence_matrices():
+    rng = random.Random(23)
+    return (list(catalog().values())
+            + [product([bd4(), k3()]), product([etl4(), cl2(), lp3()]),
+               dm4_algebra(), free_dm_algebra(["a"])]
+            + [complex_matrix(random_frame(rng, 5)) for _ in range(12)])
+
+
+def test_principal_congruence_matches_the_context_closure():
+    triples = 0
+    for m in congruence_matrices():
+        for a, b in itertools.product(range(m.n), repeat=2):
+            assert principal_congruence(m, a, b) == brute_principal(m, a, b), (m, a, b)
+            triples += 1
+    assert triples > 2000
+
+
+def test_leibniz_reduct_is_the_quotient_by_the_leibniz_congruence():
+    # leibniz_reduct builds the quotient from the kept bits unchecked;
+    # quotient_by checks the partition first.  Also with random designated
+    # sets, most of them no filters, and with the elements in random order,
+    # so that the first element of a block need not be its least.
+    rng = random.Random(29)
+    mats = congruence_matrices() + mask_width_cases()
+    for m in congruence_matrices():
+        order = rng.sample(range(m.n), m.n)
+        at = {x: i for i, x in enumerate(order)}
+        des = rng.sample(range(m.n), rng.randint(0, m.n))
+        mats.append(FinMatrix._trusted(m.label, m.neg, m.top, m.bottom, des, m.flags, m.enc))
+        mats.append(FinMatrix._trusted(lambda i, m=m, order=order: m.label(order[i]),
+                                       [at[m.neg[x]] for x in order], at[m.top], at[m.bottom],
+                                       [at[x] for x in des], m.flags,
+                                       [m.enc[x] for x in order]))
+    merged = 0
+    for m in mats:
+        red = leibniz_reduct(m)
+        red.validate()
+        assert red.to_json() == quotient_by(m, leibniz_congruence(m)).to_json()
+        merged += red.n < m.n
+    assert merged > len(mats) // 3
 
 
 def test_find_isomorphism():
@@ -954,7 +1037,7 @@ def pairwise_is_prime_filter(m):
 
 def test_filter_tests_match_the_pairwise_loops():
     from demorgan_lab.frame import complex_matrix, random_frame
-    from demorgan_lab.matrix import _filter_generator, dm4_algebra
+    from demorgan_lab.matrix import dm4_algebra
     rng = random.Random(13)
     mats = list(catalog().values()) + [dm4_algebra()]
     mats += [complex_matrix(random_frame(rng, 5)) for _ in range(40)]
@@ -970,10 +1053,11 @@ def test_filter_tests_match_the_pairwise_loops():
                 want = (pairwise_is_bd_model(mm), pairwise_is_prime_filter(mm))
                 assert (mm.is_bd_model(), mm.designated_is_prime_filter()) == want, \
                     (m.labels, sorted(des), flags)
-                gen = _filter_generator(mm)
-                assert (gen is not None) == want[0]
-                if gen is not None:
-                    assert gen == np.bitwise_and.reduce([mm.enc[d] for d in mm.designated])
+                if want[0]:
+                    assert mm._designated_meet() == np.bitwise_and.reduce(
+                        [mm.enc[d] for d in mm.designated])
+                elif not mm.designated:
+                    assert mm._designated_meet() == mm.enc[mm.top]
                 seen.add(want)
     assert seen == {(False, False), (True, False), (True, True)}
 
@@ -1257,16 +1341,18 @@ def test_chain_above_64_mask_bits():
     # the order search reads the order off masks wider than 64 bits too
     copy = FinMatrix(m.labels[::-1], [n - 1 - x for x in m.neg[::-1]], 0, n - 1,
                      [n - 1 - d for d in m.designated], m.flags, enc=m.enc[::-1])
+    # both designate filters, so find_isomorphism lifts the isomorphism of
+    # the 65-point dual frames
+    assert m.is_bd_model() and copy.is_bd_model() and dual_frame(m).n == 65
     mapping = find_isomorphism(m, copy)
     assert mapping == tuple(range(n - 1, -1, -1)) and is_matrix_isomorphism(m, copy, mapping)
+    assert mapping == _find_isomorphism_generic(m, copy)
 
 
-def test_bit_leibniz_at_every_mask_width(monkeypatch):
-    # chains of 17, 33, 40 and 70 mask bits (uint32, uint64, and wider than
-    # a machine word), with their upsets designated and with random
-    # designated sets, most of them no filters: the bit path against the
-    # refinement, which it no longer calls
-    from demorgan_lab import matrix
+def mask_width_cases():
+    """Chains of 17, 33, 40 and 70 mask bits (uint32, uint64, and wider than
+    a machine word), with their upsets designated and with random
+    designated sets, most of them no filters."""
     rng = random.Random(41)
     cases = []
     for points in (17, 33, 40, 70):
@@ -1275,6 +1361,13 @@ def test_bit_leibniz_at_every_mask_width(monkeypatch):
         for _ in range(6):
             des = rng.sample(range(c.n), rng.randint(0, c.n))
             cases.append(FinMatrix._trusted(c.label, c.neg, c.top, c.bottom, des, c.flags, c.enc))
+    return cases
+
+
+def test_bit_leibniz_at_every_mask_width(monkeypatch):
+    # the bit path against the refinement, which it no longer calls
+    from demorgan_lab import matrix
+    cases = mask_width_cases()
     want = [_leibniz_refine(m) for m in cases]
     assert len(set(want)) > len(cases) // 2
 
