@@ -20,9 +20,13 @@ import os
 import random
 import sys
 
-from demorgan_lab import cli
+from demorgan_lab import cli, logics
 from demorgan_lab.frame import complex_matrix, random_frame
 from demorgan_lab.matrix import catalog
+
+# named rules checked on every catalog matrix
+RULES = (logics.ds_rule, logics.em_rule, logics.resolution_rule, logics.ecq_rule,
+         logics.ko_rule)
 
 
 def chain_json(n: int, designated_from: int) -> str:
@@ -65,6 +69,19 @@ def commands() -> list[list[str]]:
     ]
     out += [[cmd, "--matrix", f"@{name}.json"] for cmd in ("leibniz", "dual")
             for name in ("complex5", "malformed", "chain66")]
+    out += [["check", "--matrix", name, "--rule", str(rule())]
+            for rule in RULES for name in catalog()]
+    out += [
+        ["check", "--matrix", "@complex5.json", "--rule", "p & ~p |- q | ~q"],
+        ["check", "--matrix", "@complex5.json", "--rule", "p |- p & q"],
+        # 8^5 valuations: the numpy block sweep, past its first block
+        ["check", "--matrix", "KMINUS8", "--rule", "p & ~q, q | r, ~r | s |- s & t | ~p"],
+        ["check", "--matrix", "KMINUS8", "--rule", "p | q, ~q | r, ~r | s, ~s | t |- p | t"],
+        # 66^2 valuations on 65-bit masks: the sweep over object arrays
+        ["check", "--matrix", "@chain66.json", "--rule", "p |- q | ~q"],
+        ["check", "--matrix", "@chain66.json", "--rule", "p, ~p | q |- q"],
+        ["check", "--matrix", "K3", "--rule", "p |- (q"],  # does not parse
+    ]
     return out
 
 
