@@ -1,11 +1,67 @@
 """Relations as bitmask rows (bit j of up[i] is set iff i R j), their
 closure, and the one isomorphism search for frames, matrices and graphs:
-each is a relation, a unary map and a colour per point."""
+each is a relation, a unary map and a colour per point.  Also the base of
+the package's record classes (Record), which every module loads."""
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from typing import Hashable, Iterator, NamedTuple, Optional, Sequence
+
+#: sets a field of a frozen Record, in the record's __init__
+set_field = object.__setattr__
+
+
+class Record:
+    """Base of the package's record classes: a class whose fields are the
+    names annotated in its body, in order, and whose __init__ sets them
+    (through set_field when the class is frozen).  Records are equal when
+    they are of one class and their fields are equal.  A class made with
+    `frozen=True`, and its subclasses, refuse assignment and hash as the
+    tuple of their fields; other records are unhashable.  repr is
+    Name(field=value, ...).  Equality and hashing read the fields with one
+    operator.attrgetter per class."""
+
+    _fields: tuple[str, ...] = ()
+    _frozen = False
+
+    def __init_subclass__(cls, frozen: bool = False, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        get = operator.attrgetter(*fields) if fields else _no_fields
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return get(self) == get(other)
+            return NotImplemented
+
+        if len(fields) == 1:  # an attrgetter of one name gives the bare value
+
+            def __hash__(self) -> int:
+                return hash((get(self),))
+        else:
+
+            def __hash__(self) -> int:
+                return hash(get(self))
+
+        if frozen:
+            cls._frozen = True
+            cls.__setattr__ = cls.__delattr__ = _refuse
+        cls.__eq__ = __eq__
+        cls.__hash__ = __hash__ if cls._frozen else None
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+def _no_fields(record: Record) -> tuple:
+    return ()
+
+
+def _refuse(self: Record, name: str, value: object = None) -> None:
+    raise AttributeError(f"cannot assign to field {name!r}")
 
 
 def bits(x: int) -> Iterator[int]:

@@ -11,14 +11,17 @@ count."""
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from ._order import bits
+from ._order import Record, bits, set_field
 from .formula import Atom, Formula, Neg, RuleInstance, conj, disj
 from .frame import Frame, complex_matrix, components, disjoint_union, dual_frame, frame_isomorphic, singleton_frame
 from .graph import Graph, empty_graph
 from .graph import disjoint_union as graph_union
-from .matrix import FinMatrix, MatrixError, MatrixMap, leibniz_congruence
+from .matrix import FinMatrix, MatrixError, leibniz_congruence
+
+if TYPE_CHECKING:
+    from .matrix import MatrixMap
 
 __all__ = [
     "TriplePresentation",
@@ -31,8 +34,7 @@ __all__ = [
 GAMMA_GUARD = 6
 
 
-@dataclass(frozen=True)
-class TriplePresentation:
+class TriplePresentation(Record, frozen=True):
     """Two graphs and a designated-singleton count presenting a reduced
     matrix: fully designated components, half designated components, and
     two-valued factors."""
@@ -41,8 +43,11 @@ class TriplePresentation:
     minus_graph: Graph
     singletons: int
 
-    def __post_init__(self):
-        if self.singletons < 0:
+    def __init__(self, plus_graph: Graph, minus_graph: Graph, singletons: int):
+        set_field(self, "plus_graph", plus_graph)
+        set_field(self, "minus_graph", minus_graph)
+        set_field(self, "singletons", singletons)
+        if singletons < 0:
             raise ValueError("singleton count must be non-negative")
 
 
@@ -223,6 +228,7 @@ def induced_matrix_map(g: Graph, h: Graph, hom: dict[int, int]) -> MatrixMap:
     """The matrix homomorphism from the plus-matrix of h to the plus-matrix
     of g induced by a graph homomorphism g -> h (preimage of upsets under
     the frame map extending hom by involution)."""
+    from .matrix import MatrixMap
     mg, mh = mu_plus(g), mu_plus(h)
     gn = g.n
 

@@ -10,8 +10,9 @@ import functools
 import itertools
 import operator
 import re
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
+
+from ._order import Record, set_field
 
 __all__ = [
     "Formula", "Atom", "Neg", "And", "Or", "TOP", "BOT",
@@ -23,8 +24,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Formula:
+class Formula(Record, frozen=True):
     def __and__(self, other: "Formula") -> "Formula":
         return And(self, other)
 
@@ -55,10 +55,9 @@ class Formula:
 
 
 def _node(cls: type) -> type:
-    """A formula class: a frozen dataclass whose field hash, a walk of the
-    whole tree, is computed on first call and kept in the instance dict
-    like the program.  Equality stays field by field."""
-    cls = dataclass(frozen=True, repr=False)(cls)
+    """A formula class, whose field hash, a walk of the whole tree, is
+    computed on first call and kept in the instance dict like the program.
+    Equality stays field by field."""
     field_hash = cls.__hash__
 
     def __hash__(self) -> int:
@@ -79,9 +78,10 @@ _NEG, _AND, _OR, _TOP, _BOT = range(-1, -6, -1)
 class Atom(Formula):
     name: str
 
-    def __post_init__(self):
-        if not re.fullmatch(r"[a-z][a-z0-9_]*", self.name):
-            raise ValueError(f"bad atom name: {self.name!r}")
+    def __init__(self, name: str):
+        set_field(self, "name", name)
+        if not re.fullmatch(r"[a-z][a-z0-9_]*", name):
+            raise ValueError(f"bad atom name: {name!r}")
 
     def _emit(self, nodes: list) -> None:
         nodes.append(self.name)
@@ -90,6 +90,9 @@ class Atom(Formula):
 @_node
 class Neg(Formula):
     arg: Formula
+
+    def __init__(self, arg: Formula):
+        set_field(self, "arg", arg)
 
     def _emit(self, nodes: list) -> None:
         self.arg._emit(nodes)
@@ -101,6 +104,10 @@ class And(Formula):
     left: Formula
     right: Formula
 
+    def __init__(self, left: Formula, right: Formula):
+        set_field(self, "left", left)
+        set_field(self, "right", right)
+
     def _emit(self, nodes: list) -> None:
         self.left._emit(nodes)
         self.right._emit(nodes)
@@ -111,6 +118,10 @@ class And(Formula):
 class Or(Formula):
     left: Formula
     right: Formula
+
+    def __init__(self, left: Formula, right: Formula):
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
     def _emit(self, nodes: list) -> None:
         self.left._emit(nodes)
@@ -371,8 +382,7 @@ def parse(text: str) -> Formula:
     return f
 
 
-@dataclass(frozen=True)
-class RuleInstance:
+class RuleInstance(Record, frozen=True):
     """A rule with a finite premise set and a finite conclusion set.
 
     An empty conclusion set encodes an explosive rule, a singleton an
@@ -381,6 +391,10 @@ class RuleInstance:
 
     premises: frozenset[Formula]
     conclusions: frozenset[Formula]
+
+    def __init__(self, premises: frozenset[Formula], conclusions: frozenset[Formula]):
+        set_field(self, "premises", premises)
+        set_field(self, "conclusions", conclusions)
 
     @staticmethod
     def of(premises: Iterable[Formula], conclusions: Iterable[Formula]) -> "RuleInstance":

@@ -15,12 +15,12 @@ import random
 from typing import Iterable, Iterator, Optional, Sequence
 
 from ._order import Structure, bits, closure, isomorphism, pairs, transpose
-from .matrix import (FinMatrix, MatrixError, _is_index, _json_object, _LazyNumpy, _pack,
+from .matrix import (FinMatrix, MatrixError, _is_index, _json_object, _LazyModule, _pack,
                      _point_involution, _point_sets)
 
 # numpy on first use, as in matrix: dual_frame and the frame operations run
 # without it; complex_matrix and roundtrip_check load it
-np = _LazyNumpy(globals())
+np = _LazyModule(globals(), "np", "numpy")
 
 __all__ = [
     "Frame", "FrameError", "CompatiblePreorder",

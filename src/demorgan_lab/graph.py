@@ -6,10 +6,9 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from ._order import Structure, bits, closure, isomorphism
+from ._order import Record, Structure, bits, closure, isomorphism, set_field
 from .matrix import _json_object
 
 __all__ = [
@@ -103,15 +102,16 @@ class Graph:
         return f"<Graph n={self.n} edges={self.edges()}>"
 
 
-@dataclass(frozen=True)
-class GraphPair:
+class GraphPair(Record, frozen=True):
     """A graph with a designated-singleton counter, rewritten by s_star_step."""
 
     graph: Graph
     counter: int
 
-    def __post_init__(self):
-        if self.counter < 0:
+    def __init__(self, graph: Graph, counter: int):
+        set_field(self, "graph", graph)
+        set_field(self, "counter", counter)
+        if counter < 0:
             raise GraphError("counter must be non-negative")
 
     def key(self) -> tuple:

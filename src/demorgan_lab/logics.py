@@ -11,9 +11,9 @@ sound stand-in that is faithful at rule-pool resolution.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from ._order import Record, set_field
 from .formula import (
     And, Atom, BOT, CONTRADICTION, Formula, Neg, Or, RuleInstance, TOP,
     chi, classical_status, conj, disj, nnf, normal_form, parse_rule,
@@ -228,12 +228,18 @@ def mc_pool() -> list[RuleInstance]:
 # -- the registry --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NamedLogic:
+class NamedLogic(Record, frozen=True):
     name: str
     semantics: tuple[FinMatrix, ...]
     axioms: tuple[RuleInstance, ...]
-    exact: bool = True  # False: sound finite stand-in, faithful on the pools
+    exact: bool  # False: sound finite stand-in, faithful on the pools
+
+    def __init__(self, name: str, semantics: tuple[FinMatrix, ...],
+                 axioms: tuple[RuleInstance, ...], exact: bool = True):
+        set_field(self, "name", name)
+        set_field(self, "semantics", semantics)
+        set_field(self, "axioms", axioms)
+        set_field(self, "exact", exact)
 
     def valid(self, r: RuleInstance) -> bool:
         return all(validates(m, r) for m in self.semantics)
@@ -509,12 +515,16 @@ PROBE_NAMES = ["BD", "KO", "K", "LP", "CL", "ECQ", "ETL", "ETL2",
                "ECQW", "ETLW", "LPVECQ", "KOVECQ", "KMINUS", "KOMINUS"]
 
 
-@dataclass
-class ProbeResult:
+class ProbeResult(Record):
     names: list[str]
     inclusions: list[tuple[str, str]]  # L1 included in L2, at pool resolution
     hasse: list[tuple[str, str]]       # covering edges between classes
     equivalent: list[tuple[str, str]]  # pool-indistinguishable pairs
+
+    def __init__(self, names: list[str], inclusions: list[tuple[str, str]],
+                 hasse: list[tuple[str, str]], equivalent: list[tuple[str, str]]):
+        self.names, self.inclusions, self.hasse, self.equivalent = (
+            names, inclusions, hasse, equivalent)
 
     def includes(self, a: str, b: str) -> bool:
         return (a, b) in set(self.inclusions)

@@ -6,17 +6,15 @@ valuation of the rule's atoms.  A rule is compiled once to a straight-line
 program (formula.compile_program) and one fold (formula.fold) runs every
 program: evaluate's over the elements, the packed sweep's over Python ints
 that hold a small grid's values bit by bit (classical_status is its
-two-element case), and the numpy engine's over arrays of masks for every
-other grid.
+two-element case), and the numpy block sweep's over arrays of masks for
+every other grid.
 
 Every matrix here is a bounded distributive lattice, so it embeds into a
 powerset lattice (Birkhoff).  That embedding is the only representation a
 FinMatrix stores: one bitmask per element, a Python int of any width.  Meet
 and join are bitwise AND/OR, and the n x n operation tables are caches
 derived from the masks when something asks for them.  So is the tuple of
-element names: a matrix keeps a function naming one element.  Isomorphism
-search needs no tables: it compares the orders read off the masks (_order).
-A congruence of a De Morgan matrix is the set of mask bits it keeps (see
+element names: a matrix keeps a function naming one element.  A congruence of a De Morgan matrix is the set of mask bits it keeps (see
 "congruences"): principal and Leibniz congruences are found on the masks,
 and a quotient's masks are the kept bits, packed.
 
@@ -27,45 +25,55 @@ matrices it already holds (products, quotients, submatrices, split
 intervals, free algebras, complex matrices, gamma) hold the laws by
 construction and go through FinMatrix._trusted, unchecked.
 
-numpy is imported on first use (_LazyNumpy), so entry, the catalog, the
-packed sweep, the dual involution, the congruences and quotients of a De
-Morgan matrix and to_json run without it: a cold `demorgan-lab check` on a
-catalog or small @file matrix never loads it, nor do `leibniz`, `dual` and
-`classify` on a De Morgan matrix of any size.
+Code that a one-shot command may not run lives in modules of its own,
+loaded on first use, so that a cold command neither imports nor compiles
+it: the numpy block sweep in demorgan_lab._sweep, which _violation reaches
+through the _sweep handle (_LazyModule) for the grids the packed sweep does
+not take; and the constructions and matrix isomorphism (product,
+submatrices, split_at, free_dm_algebra, dm4_algebra, find_isomorphism,
+is_matrix_isomorphism, MatrixMap) in demorgan_lab._constructions, whose
+names this module resolves on first read (__getattr__).  Isomorphism
+search there needs no tables: it compares the orders read off the masks
+(_order).  numpy too is imported on first use (_LazyModule), so entry, the
+catalog, the packed sweep, the dual involution, the congruences and
+quotients of a De Morgan matrix and to_json run without it: a cold
+`demorgan-lab check` on a catalog or small @file matrix loads neither
+numpy nor the two modules, nor do `leibniz`, `dual` and `classify` on a De
+Morgan matrix of any size.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import json
-import math
 import operator
 import sys
-from dataclasses import dataclass
+from importlib import import_module
 from itertools import compress
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from ._order import Structure, bits, closure, isomorphism, transpose
+from ._order import Record, bits, closure, set_field, transpose
 from .formula import Formula, Program, RuleInstance, fold, grid_leaves
 
 
-class _LazyNumpy:
-    """numpy, imported on the first attribute read, which also rebinds the
-    global np of the module holding this object (its globals dict) to numpy
-    itself: later reads in that module cost what they always did."""
+class _LazyModule:
+    """A module imported on the first attribute read, which also rebinds
+    the global `name` of the module holding this object (its globals dict)
+    to the module itself: later reads in that module cost what they always
+    did."""
 
-    def __init__(self, namespace: dict):
-        self.namespace = namespace
+    def __init__(self, namespace: dict, name: str, module: str):
+        self.namespace, self.name, self.module = namespace, name, module
 
-    def __getattr__(self, name: str):
-        import numpy
-        self.namespace["np"] = numpy
-        return getattr(numpy, name)
+    def __getattr__(self, attr: str):
+        module = self.namespace[self.name] = import_module(self.module)
+        return getattr(module, attr)
 
 
-np = _LazyNumpy(globals())
+np = _LazyModule(globals(), "np", "numpy")
+# the numpy block sweep, for the grids the packed sweep does not take
+_sweep = _LazyModule(globals(), "_sweep", f"{__package__}._sweep")
 
 __all__ = [
     "FinMatrix", "MatrixError", "Partition", "MatrixMap",
@@ -76,12 +84,33 @@ __all__ = [
     "bd4", "k3", "lp3", "cl2", "etl4", "kminus8", "dm4_algebra", "catalog",
 ]
 
+# the names of __all__ that live in a module of their own, loaded on their
+# first read (PEP 562) and then kept in this module's dict
+_ELSEWHERE = {name: "_constructions" for name in (
+    "MatrixMap", "product", "submatrices", "find_isomorphism", "is_matrix_isomorphism",
+    "split_at", "free_dm_algebra", "dm4_algebra")}
+
+
+def __getattr__(name: str):
+    if name not in _ELSEWHERE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__package__}.{_ELSEWHERE[name]}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _ELSEWHERE.keys())
+
+
 # Operation tables are derived from the masks up to TABLE_LIMIT elements,
 # for callers that ask for them; no sweep does, nor any other path here.
 TABLE_LIMIT = 1500
 # cells per block when numpy works through a rows x columns grid a block of
 # rows at a time (pairs of elements, elements x join-irreducibles)
 _PAIR_CHUNK = 1 << 18
+# _leibniz_refine finds the element of a mask of at most this many bits by
+# a gather from a table of 2^bits entries, and of a wider one by a search
+_GATHER_BITS = 16
 
 
 class MatrixError(ValueError):
@@ -95,11 +124,13 @@ def _row_chunks(n: int, width: int) -> Iterator[slice]:
     return (slice(start, start + rows) for start in range(0, n, rows))
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record, frozen=True):
     """Element-indexed block ids, normalized by first occurrence."""
 
     blocks: tuple[int, ...]
+
+    def __init__(self, blocks: tuple[int, ...]):
+        set_field(self, "blocks", blocks)
 
     @staticmethod
     def of(ids: Sequence[int]) -> "Partition":
@@ -540,23 +571,9 @@ def evaluate(m: FinMatrix, v: Mapping[str, int], f: Formula) -> int:
     return value
 
 
-# Sweep block sizes in valuations: the first block is small, so a witness
-# near the start of the grid costs little; blocks then double up to a cap
-# whose uint8/uint16 intermediates stay in cache.  The blocks after the
-# first write their block-shaped intermediates into one set of buffers per
-# sweep (_Workspace): malloc serves a fresh array of this size with a new
-# mmap that is zero-filled page by page, so fresh arrays made the big
-# sweeps fault in every page of every intermediate of every block.
-_FIRST_BLOCK = 1 << 14
-_BLOCK_CAP = 1 << 19
-# masks of at most this many bits index lookup tables of 2^bits entries
-# directly; wider ones are looked up by their rank among the carrier's masks
-_LUT_BITS = 16
-# bytes of hoisted subformula values one sweep keeps (see _violation); a key
-# that would pass the cap is recomputed at each of its blocks
-_MEMO_CAP = 1 << 21
 # grids of at most this many valuations go through the packed sweep
-# (_Packed) when the matrix allows it; the rest through the numpy engine
+# (_Packed) when the matrix allows it; the rest through the numpy block
+# sweep (_sweep)
 _PACKED_GRID = 1 << 12
 
 
@@ -660,251 +677,21 @@ def _packed(m: FinMatrix) -> Optional[_Packed]:
     return p
 
 
-class _Engine:
-    """Vectorized valuation sweeps for one matrix, one block of the grid at
-    a time.  `_violation` takes contiguous blocks in lexicographic order,
-    growing from _FIRST_BLOCK to _BLOCK_CAP valuations, and stops at the
-    first block with a refuting valuation, so the witness is the least one.
-
-    Values are the powerset masks, so meet and join are bitwise at every
-    width.  They take the narrowest unsigned dtype that holds them (object
-    arrays of Python ints above 64 bits): big sweeps move a lot of them
-    around.  Negation reads a lookup table indexed by the mask itself up to
-    _LUT_BITS mask bits, and by the mask's rank among the sorted carrier
-    masks (`ranks`) above that.  Designation is a comparison with `des_v`
-    when one element is designated, or (a & g) == g (`des_g` = `des_v` =
-    g) when the designated set is the filter above g, at every width;
-    other designated sets read lookup tables like negation.  `ops` holds
-    the operations a block's fold runs.
-    """
-
-    def __init__(self, m: FinMatrix):
-        dt = next((t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
-                   if m.nbits <= np.iinfo(t).bits), object)
-        self.values = np.array(m.enc, dtype=dt)
-        if m.nbits <= _LUT_BITS:
-            self.ranks, slots, size = None, self.values, 1 << m.nbits
-            lookup = np.ndarray.__getitem__
-        else:
-            ranks = self.ranks = np.sort(self.values)
-            slots, size = ranks.searchsorted(self.values), m.n
-            lookup = lambda lut, arr: lut[ranks.searchsorted(arr)]
-        neg_lut = np.zeros(size, dtype=dt)
-        neg_lut[slots] = self.values[list(m.neg)]
-        des_lut = np.zeros(size, dtype=bool)
-        des_lut[slots[list(m.designated)]] = True
-        # a conclusion's mask is one lookup, not a lookup and a negation
-        neg, self.des, self.undes = (functools.partial(lookup, lut)
-                                     for lut in (neg_lut, des_lut, ~des_lut))
-        # neg, meet, join, top, bottom: the arguments fold takes after the leaves
-        self.ops = (neg, operator.and_, operator.or_, self.values[m.top], self.values[m.bottom])
-        # one designated value, or a filter: a comparison beats a lookup
-        self.des_g = self.des_v = None
-        if len(m.designated) == 1:
-            self.des_v = self.values[next(iter(m.designated))]
-        elif (g := m._designated_filter()) is not None:
-            self.des_g = self.des_v = g if dt is object else dt(g)
-
-    def designated_mask(self, arr: np.ndarray, premise: bool) -> np.ndarray:
-        """Where arr is designated, or for a conclusion where it is not."""
-        if self.des_v is None:
-            return (self.des if premise else self.undes)(arr)
-        if self.des_g is not None:
-            arr = arr & self.des_g
-        return (np.equal if premise else np.not_equal)(arr, self.des_v)
-
-    def first_bad(self, prog: Program, leaves: Sequence[np.ndarray],
-                  ws: Optional[_Workspace] = None) -> Optional[int]:
-        """C-order offset of the first valuation in a block refuting the
-        rule compiled to prog, given the block's value array per atom.  Each
-        atom occurs in some mask, so `bad` has the block's whole shape.
-        With a workspace, the block's intermediates go to its buffers."""
-        if ws is not None:
-            bad = ws.bad(prog, leaves)
-        else:
-            vals = fold(prog, leaves, *self.ops)
-            masks = [self.designated_mask(v, i < prog.n_premises) for i, v in enumerate(vals)]
-            # & commutes, so the order of the masks does not matter; numpy's
-            # bool & with a scalar operand is slow, so the fold starts from a mask
-            bad = functools.reduce(np.logical_and, masks) if masks else np.True_
-        hit = int(bad.argmax())
-        return hit if bad.flat[hit] else None
-
-
-class _Workspace:
-    """The buffers of one sweep over fixed-width masks, reused by every
-    block after the first.  A buffer is flat, _BLOCK_CAP values long, and
-    viewed in the block's shape.  A fold step whose result has the block's
-    whole shape writes it through the ufunc's `out=`, into an operand the
-    workspace owns (the step consumes its operands) or into a free buffer;
-    a consumed operand's buffer is free again.  Leaves and constants are
-    never written: they are views of the engine's values, or scalars.
-    Negation still looks up into a fresh array.  A block-shaped designation
-    mask overwrites its one-byte value, or goes to a buffer viewed as bool,
-    and the masks are ANDed as uint8 through the same steps."""
-
-    def __init__(self, eng: _Engine):
-        self.eng = eng
-        self.owned: dict[int, np.ndarray] = {}  # id -> every buffer
-        self.free: list[np.ndarray] = []
-
-    def _buffer(self) -> np.ndarray:
-        return np.empty(_BLOCK_CAP, dtype=self.eng.values.dtype)
-
-    def start(self, shape: tuple[int, ...]) -> None:
-        """Free every buffer for a block of the given shape."""
-        self.shape, self.size = shape, math.prod(shape)
-        self.free = list(self.owned.values())
-
-    def _take(self, dtype) -> np.ndarray:
-        if self.free:
-            flat = self.free.pop()
-        else:
-            flat = self._buffer()
-            self.owned[id(flat)] = flat
-        return flat.view(dtype)[:self.size].reshape(self.shape)
-
-    def _release(self, a) -> None:
-        flat = self.owned.get(id(a.base))
-        if flat is not None:
-            self.free.append(flat)
-
-    def neg(self, a):
-        out = self.eng.ops[0](a)
-        self._release(a)
-        return out
-
-    def _step(self, ufunc, a, b):
-        if a.size * b.size < self.size:  # the result is smaller than the block
-            return ufunc(a, b)
-        if id(a.base) in self.owned:
-            self._release(b)
-            return ufunc(a, b, out=a)
-        if id(b.base) in self.owned:
-            return ufunc(a, b, out=b)
-        sa, sb = a.shape, b.shape
-        # operands are scalars or arrays with one axis per free atom
-        if (tuple(map(max, sa, sb)) if sa and sb else sa or sb) != self.shape:
-            return ufunc(a, b)
-        return ufunc(a, b, out=self._take(a.dtype))
-
-    def bad(self, prog: Program, leaves: Sequence[np.ndarray]) -> np.ndarray:
-        """The block's valuations designating every premise and no
-        conclusion, as 0/1 bytes.  The masks are combined by uint8 &, which
-        stays fast with a broadcast operand where bool & does not."""
-        bad = None
-        step = self._step
-        vals = fold(prog, leaves, self.neg, functools.partial(step, np.bitwise_and),
-                    functools.partial(step, np.bitwise_or), *self.eng.ops[3:])
-        for i, v in enumerate(vals):
-            mask = self._designated(v, i < prog.n_premises).view(np.uint8)
-            bad = mask if bad is None else step(np.bitwise_and, bad, mask)
-        return bad
-
-    def _designated(self, v, premise: bool) -> np.ndarray:
-        """The designation mask of v (see designated_mask).  For a filter, v
-        is first ANDed with g in its own buffer or into a free one; a
-        block-shaped comparison goes to v's own buffer when that holds
-        one-byte values, else to a free one.  A small mask is made at v's
-        own shape: comparing into a block-shaped output from a broadcast
-        operand is slow."""
-        eng = self.eng
-        if eng.des_v is None or v.shape != self.shape:
-            mask = eng.designated_mask(v, premise)
-            self._release(v)
-            return mask
-        if eng.des_g is not None:
-            v = self._step(np.bitwise_and, v, eng.des_g)
-        own = v.itemsize == 1 and id(v.base) in self.owned
-        mask = (np.equal if premise else np.not_equal)(
-            v, eng.des_v, out=v.view(bool) if own else self._take(bool))
-        if not own:
-            self._release(v)
-        return mask
-
-
-def _engine(m: FinMatrix) -> _Engine:
-    e = m._cache.get("engine")
-    if e is None:
-        e = _Engine(m)
-        m._cache["engine"] = e
-    return e
-
-
 def _violation(m: FinMatrix, r: RuleInstance) -> Optional[dict[str, int]]:
-    """First valuation designating all premises but no conclusion, or None.
-
-    The grid of valuations of the sorted atoms, element 0 first, is swept
-    in contiguous blocks in lexicographic order, so the witness is the
-    lexicographically least one.  A block fixes the leading atoms, gives
-    the next one a range of values and leaves the rest free; blocks grow by
-    doubling from _FIRST_BLOCK valuations (a smaller grid is one block) to
-    _BLOCK_CAP.  The blocks after the first share one _Workspace, which
-    lives as long as this call, unless the values are object arrays.
+    """The lexicographically least valuation of the sorted atoms, element 0
+    first, that designates all premises but no conclusion; or None.
 
     A grid of at most _PACKED_GRID valuations, on at most as many
-    elements, goes through the packed sweep (_Packed) instead when the
-    matrix allows one; it folds r.program() once over the whole grid.
-
-    The first block folds r.program().  A later one, whose ranged atom is
-    j, folds the outer part of r.sweep_split(s), s = max(j, 1): the
-    subformulas over the atoms from s on depend only on the block's shape
-    (t, and for j >= 1 the range lo..hi), not on the fixed leading atoms, so
-    their values are computed once per shape, by plain numpy operations
-    into fresh arrays that the workspace never writes, and kept up to
-    _MEMO_CAP bytes.  A key naming a range is kept only at _BLOCK_CAP
-    valuations and for a range starting at a multiple of its width; the
-    others never recur.
+    elements, goes through the packed sweep (_Packed) when the matrix
+    allows one: it folds r.program() once over the whole grid.  Every
+    other grid goes through the numpy block sweep (_sweep.violation).
     """
     prog = r.program()
-    k, n = len(prog.names), m.n
-    total, pos, size = n ** k, 0, _FIRST_BLOCK
-    if max(total, n) <= _PACKED_GRID:
+    if max(m.n ** len(prog.names), m.n) <= _PACKED_GRID:
         packed = _packed(m)
         if packed is not None:
             return packed.violation(prog)
-    eng = _engine(m)
-    ws = None
-    memo: dict[tuple[int, ...], list] = {}
-    kept = 0
-    while pos < total:
-        # free as many trailing atoms as fit in the block and keep it aligned
-        t = 0
-        while t + 1 < k and n ** (t + 1) <= size and pos % n ** (t + 1) == 0:
-            t += 1
-        stride = n ** t
-        lo = pos // stride % n
-        hi = min(n, lo + size // stride)
-        j = k - 1 - t  # the ranged atom
-        leaves = [eng.values[pos // n ** (k - 1 - i) % n] for i in range(j)]
-        for i in range(min(k, t + 1)):
-            v = eng.values[lo:hi] if i == 0 else eng.values
-            leaves.append(v.reshape((1,) * i + (-1,) + (1,) * (t - i)))
-        if pos:
-            inner, prog = r.sweep_split(max(j, 1))
-            if inner.nodes:
-                key = (t, lo, hi) if j else (t,)
-                hoisted = memo.get(key)
-                if hoisted is None:
-                    hoisted = fold(inner, leaves, *eng.ops)
-                    cost = sum(np.size(v) for v in hoisted) * eng.values.itemsize
-                    recurs = not j or size == _BLOCK_CAP and lo % (size // stride) == 0
-                    if recurs and kept + cost <= _MEMO_CAP:
-                        memo[key], kept = hoisted, kept + cost
-                leaves += hoisted
-            if eng.values.dtype != object:
-                ws = ws or _Workspace(eng)
-                ws.start((hi - lo,) + (n,) * t)
-        hit = eng.first_bad(prog, leaves, ws)
-        if hit is not None:
-            hit += pos
-            out = {}
-            for name in reversed(prog.names):
-                hit, out[name] = divmod(hit, n)
-            return out
-        pos += (hi - lo) * stride
-        size = min(2 * size, _BLOCK_CAP)
-    return None
+    return _sweep.violation(m, r)
 
 
 def validates(m: FinMatrix, r: RuleInstance) -> bool:
@@ -916,82 +703,6 @@ def validates(m: FinMatrix, r: RuleInstance) -> bool:
 def find_countervaluation(m: FinMatrix, r: RuleInstance) -> Optional[dict[str, int]]:
     """Witness valuation refuting r in m, or None when r is valid."""
     return _violation(m, r)
-
-
-# -- products and submatrices ----------------------------------------------
-
-
-def product(ms: Sequence[FinMatrix]) -> FinMatrix:
-    """Direct product; designated tuples are the products of designated
-    sets.  A tuple's mask is its components' masks side by side."""
-    ms = tuple(ms)  # the labels read it later
-    if not ms:
-        raise MatrixError("product of an empty family")
-    if len(ms) == 1:
-        return ms[0]
-    sizes = [m.n for m in ms]
-    index = list(itertools.product(*(range(s) for s in sizes)))
-    pos = {t: i for i, t in enumerate(index)}
-    neg = [pos[tuple(m.neg[i] for m, i in zip(ms, t))] for t in index]
-    top = pos[tuple(m.top for m in ms)]
-    bottom = pos[tuple(m.bottom for m in ms)]
-    designated = [pos[t] for t in index
-                  if all(i in m.designated for m, i in zip(ms, t))]
-    flags = ["demorgan"] if all("demorgan" in m.flags for m in ms) else []
-    shifts = list(itertools.accumulate((m.nbits for m in ms[:-1]), initial=0))
-    enc = [sum(m.enc[i] << sh for m, i, sh in zip(ms, t, shifts)) for t in index]
-    return FinMatrix._trusted(
-        lambda x: "(" + ",".join(m.label(i) for m, i in zip(ms, index[x])) + ")",
-        neg, top, bottom, designated, flags, enc)
-
-
-def submatrices(m: FinMatrix) -> Iterator[FinMatrix]:
-    """All submatrices: subuniverses containing top and bottom, closed under
-    the three operations, with the induced designated sets.
-
-    Enumerated by breadth-first extension of closed sets, largest first is
-    not guaranteed; order is deterministic.
-    """
-    def close(seed: frozenset[int]) -> frozenset[int]:
-        cur = set(seed)
-        frontier = list(cur)
-        while frontier:
-            x = frontier.pop()
-            for y in list(cur):
-                for z in (m.meet(x, y), m.join(x, y)):
-                    if z not in cur:
-                        cur.add(z)
-                        frontier.append(z)
-            z = m.neg[x]
-            if z not in cur:
-                cur.add(z)
-                frontier.append(z)
-        return frozenset(cur)
-
-    base = close(frozenset([m.top, m.bottom]))
-    seen = {base}
-    queue = [base]
-    while queue:
-        s = queue.pop(0)
-        yield _induced_submatrix(m, sorted(s))
-        for x in range(m.n):
-            if x not in s:
-                t = close(s | {x})
-                if t not in seen:
-                    seen.add(t)
-                    queue.append(t)
-
-
-def _induced_submatrix(m: FinMatrix, elems: Sequence[int]) -> FinMatrix:
-    pos = {e: i for i, e in enumerate(elems)}
-    return FinMatrix._trusted(
-        lambda x: m.label(elems[x]),
-        [pos[m.neg[e]] for e in elems],
-        pos[m.top], pos[m.bottom],
-        [pos[e] for e in elems if e in m.designated],
-        m.flags,
-        [m.enc[e] for e in elems],
-    )
 
 
 # -- congruences -------------------------------------------------------------
@@ -1128,7 +839,7 @@ def _leibniz_refine(m: FinMatrix) -> Partition:
     colours = np.array([i in m.designated for i in range(n)], dtype=np.int32)
     count = len(set(colours.tolist()))
     index = m._mask_lookup
-    if m.nbits <= _LUT_BITS:  # narrow masks: a gather from a table of all masks, not a search
+    if m.nbits <= _GATHER_BITS:
         at = np.zeros(1 << m.nbits, dtype=np.int32)
         at[e] = np.arange(n)
         index = at.__getitem__
@@ -1200,7 +911,7 @@ def principal_congruence(m: FinMatrix, a: int, b: int) -> Partition:
     return _kept_partition(m, sum(orbit for orbit in _orbits(m) if not orbit & differ))
 
 
-# -- isomorphism --------------------------------------------------------------
+# -- point sets ---------------------------------------------------------------
 
 
 def _point_sets(m: FinMatrix) -> np.ndarray:
@@ -1218,203 +929,6 @@ def _point_sets(m: FinMatrix) -> np.ndarray:
             out[rows] = (((e[rows, None] & ej) == ej) << shifts).sum(axis=1, dtype=dtype)
         m._cache["point_sets"] = out
     return out
-
-
-def find_isomorphism(m1: FinMatrix, m2: FinMatrix) -> Optional[tuple[int, ...]]:
-    """A bijection preserving tables, constants and designation, or None.
-
-    When both are De Morgan matrices whose non-empty designated sets are
-    filters (FinMatrix.is_bd_model), each is the complex matrix of its
-    dual frame, so an isomorphism of the dual frames, lifted to elements
-    by permuting the join-irreducibles below each element, is one of the
-    matrices.  Other pairs go through _find_isomorphism_generic.
-    """
-    if m1 is m2:
-        return tuple(range(m1.n))
-    if m1.n != m2.n or len(m1.designated) != len(m2.designated):
-        return None
-    if not (m1.is_bd_model() and m2.is_bd_model()):
-        return _find_isomorphism_generic(m1, m2)
-    from .frame import dual_frame, frame_isomorphism
-    phi = frame_isomorphism(dual_frame(m1), dual_frame(m2))
-    if phi is None:
-        return None
-    src, dst = _point_sets(m1), _point_sets(m2)
-    moved = np.zeros_like(src)
-    for a, b in enumerate(phi):
-        moved |= (src >> a & 1) << b
-    order = np.argsort(dst)
-    pos = np.minimum(np.searchsorted(dst[order], moved), m2.n - 1)
-    mp = order[pos]
-    ng1, ng2 = np.array(m1.neg), np.array(m2.neg)
-    des1 = np.array([x in m1.designated for x in range(m1.n)])
-    des2 = np.array([x in m2.designated for x in range(m2.n)])
-    if not (np.array_equal(dst[mp], moved)
-            and np.array_equal(np.bincount(mp, minlength=m2.n), np.ones(m2.n))
-            and mp[m1.top] == m2.top and mp[m1.bottom] == m2.bottom
-            and np.array_equal(mp[ng1], ng2[mp]) and np.array_equal(des2[mp], des1)):
-        raise RuntimeError("internal: dual frame isomorphism did not lift to the matrices")
-    return tuple(mp.tolist())
-
-
-def _find_isomorphism_generic(m1: FinMatrix, m2: FinMatrix) -> Optional[tuple[int, ...]]:
-    """find_isomorphism for any pair of matrices: an order isomorphism that
-    preserves negation and designation.  A lattice bijection is an
-    isomorphism iff it preserves the order, and then it keeps the bounds.
-    No operation tables are built, so there is no size limit."""
-    return isomorphism(_order_structure(m1), _order_structure(m2))
-
-
-def _order_structure(m: FinMatrix) -> Structure:
-    """The order of m as bitmask rows read off the masks, a chunk of rows at
-    a time, with negation as the map and designation as the colour."""
-    e = m._enc_np()
-    up: list[int] = []
-    down: list[int] = []
-    for rows in _row_chunks(m.n, m.n):
-        x = e[rows, None]
-        meets = x & e[None, :]
-        for le, out in ((meets == x, up), (meets == e[None, :], down)):
-            packed = np.packbits(le, axis=1, bitorder="little")
-            out.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
-    return Structure(up, down, m.neg, [x in m.designated for x in range(m.n)])
-
-
-def is_matrix_isomorphism(m1: FinMatrix, m2: FinMatrix, mapping: Sequence[int]) -> bool:
-    """True iff mapping is a bijection and a strict homomorphism, checked on
-    all pairs of elements."""
-    return (m1.n == m2.n and sorted(mapping) == list(range(m2.n))
-            and MatrixMap(m1, m2, tuple(mapping)).is_strict())
-
-
-@dataclass
-class MatrixMap:
-    """An element map between matrices, checkable for the hom properties."""
-
-    source: FinMatrix
-    target: FinMatrix
-    mapping: tuple[int, ...]
-
-    def is_homomorphism(self) -> bool:
-        h, s, t = self.mapping, self.source, self.target
-        if h[s.top] != t.top or h[s.bottom] != t.bottom:
-            return False
-        for x in range(s.n):
-            if h[s.neg[x]] != t.neg[h[x]]:
-                return False
-            for y in range(s.n):
-                if h[s.meet(x, y)] != t.meet(h[x], h[y]):
-                    return False
-                if h[s.join(x, y)] != t.join(h[x], h[y]):
-                    return False
-        return all(h[x] in t.designated for x in s.designated)
-
-    def is_strict(self) -> bool:
-        h, s, t = self.mapping, self.source, self.target
-        return self.is_homomorphism() and all(
-            (x in s.designated) == (h[x] in t.designated) for x in range(s.n)
-        )
-
-
-# -- interval splitting -------------------------------------------------------
-
-
-def split_at(m: FinMatrix, a: int) -> tuple[FinMatrix, FinMatrix, tuple[int, ...]]:
-    """Split along a with a | ~a = top.
-
-    Returns the interval matrices [bottom, a] and [bottom, ~a], whose
-    negations are a & ~x and ~a & ~x, and the witness mapping sending x to
-    the product element (a & x, ~a & x); the witness is verified to be an
-    isomorphism before returning.
-    """
-    if "demorgan" not in m.flags:
-        raise MatrixError("split_at needs a De Morgan matrix")
-    na = m.neg[a]
-    if m.join(a, na) != m.top:
-        raise MatrixError("split_at needs a | ~a = top")
-
-    def interval(c: int) -> tuple[FinMatrix, dict[int, int]]:
-        elems = [x for x in range(m.n) if m.leq(x, c)]
-        pos = {e: i for i, e in enumerate(elems)}
-        neg = [pos[m.meet(c, m.neg[x])] for x in elems]
-        designated = sorted({pos[m.meet(c, f)] for f in m.designated})
-        mm = FinMatrix._trusted(
-            lambda x: m.label(elems[x]), neg, pos[c], pos[m.bottom], designated,
-            ["demorgan"], _pack([m.enc[e] for e in elems], m.enc[c]),
-        )
-        return mm, pos
-
-    m1, pos1 = interval(a)
-    m2, pos2 = interval(na)
-    prod = product([m1, m2])
-    pair_pos = {}
-    for i, t in enumerate(itertools.product(range(m1.n), range(m2.n))):
-        pair_pos[t] = i
-    witness = tuple(
-        pair_pos[(pos1[m.meet(a, x)], pos2[m.meet(na, x)])] for x in range(m.n)
-    )
-    if not is_matrix_isomorphism(m, prod, witness):
-        raise RuntimeError("internal: split witness failed verification")
-    return m1, m2, witness
-
-
-# -- free De Morgan algebras --------------------------------------------------
-
-
-FREE_SIZE_CAP = 50_000
-
-
-def free_dm_algebra(
-    gens: Sequence[str],
-    relations: Sequence[tuple[Formula, Formula]] = (),
-) -> FinMatrix:
-    """Free De Morgan algebra on the generators modulo inequalities lhs <= rhs.
-
-    Realized as the subalgebra of DM4^S generated by the generator
-    projections, where S is the set of DM4 valuations of the generators
-    satisfying the relations.  (Every De Morgan algebra is a subdirect power
-    of the four-element one, so this is the free object.)  The designated
-    set is left empty: only the algebra part is meaningful.
-    """
-    if len(gens) > 3:
-        raise MatrixError("free algebra guard: at most 3 generators")
-    gen_list = list(gens)
-    dm4 = dm4_algebra()
-    S = []
-    for vals in itertools.product(range(4), repeat=len(gen_list)):
-        v = dict(zip(gen_list, vals))
-        if all(dm4.leq(evaluate(dm4, v, l), evaluate(dm4, v, r)) for l, r in relations):
-            S.append(v)
-    if not S:
-        raise MatrixError("relations are unsatisfiable over DM4")
-    # An element of DM4^S is its coordinates' 2-bit DM4 masks side by side,
-    # the first coordinate highest so that masks sort like tuples; meet and
-    # join are bitwise, and negation swaps and complements each bit pair.
-    width = 2 * len(S)
-    full = (1 << width) - 1
-    low = full // 3  # the low bit of every coordinate
-
-    def neg(x: int) -> int:
-        return full & ~((x >> 1 & low) | (x & low) << 1)
-
-    names = {sum(dm4.enc[v[g]] << (width - 2 - 2 * i) for i, v in enumerate(S)): g
-             for g in gen_list}
-    elems = {0, full, *names}
-    frontier = list(elems)
-    while frontier:
-        x = frontier.pop()
-        new = [neg(x)] + [x & y for y in elems] + [x | y for y in elems]
-        for t in new:
-            if t not in elems:
-                if len(elems) >= FREE_SIZE_CAP:
-                    raise MatrixError("free algebra closure exceeded the size cap")
-                elems.add(t)
-                frontier.append(t)
-    order = sorted(elems)
-    pos = {t: i for i, t in enumerate(order)}
-    return FinMatrix._trusted(lambda i: names.get(order[i], "e%d" % i),
-                              [pos[neg(t)] for t in order], pos[full], 0,
-                              [], ["demorgan"], order)
 
 
 # -- the catalog --------------------------------------------------------------
@@ -1507,13 +1021,6 @@ def kminus8() -> FinMatrix:
     negp = (("bot", "top"), ("x", "e"), ("c", "b"), ("a", "a"), ("d", "d"))
     return _cached("KMINUS8", lambda: _lattice_from_order(
         labels, hasse, negp, ["top"], "top", "bot"))
-
-
-def dm4_algebra() -> FinMatrix:
-    """The four-element De Morgan algebra with everything designated; used
-    as a term-function oracle, not as a logic."""
-    return _cached("DM4", lambda: _lattice_from_order(
-        _DM4_LABELS, _DM4_HASSE, _DM4_NEGP, ["bot", "n", "b", "top"], "top", "bot"))
 
 
 def catalog() -> dict[str, FinMatrix]:

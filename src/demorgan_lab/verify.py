@@ -9,9 +9,10 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+from ._constructions import _find_isomorphism_generic
+from ._order import Record
 from .bridge import TriplePresentation, alpha_rule, gamma, mu_plus, mu_triple
 from .formula import RuleInstance, disj, parse, parse_rule
 from .frame import complex_matrix, counit_check, leibniz_subframe, random_frame, roundtrip_check
@@ -22,21 +23,23 @@ from .logics import (
     probe_lattice, product_pool, registry, resolution_rule,
 )
 from .matrix import (
-    _find_isomorphism_generic, _leibniz_refine, bd4, catalog, cl2, etl4,
-    find_isomorphism, free_dm_algebra, k3, kminus8, lp3, product, quotient_by,
-    validates,
+    _leibniz_refine, bd4, catalog, cl2, etl4, find_isomorphism, free_dm_algebra, k3,
+    kminus8, lp3, product, quotient_by, validates,
 )
 
 __all__ = ["run_all", "CRITERIA", "VerifyResult"]
 
 
-@dataclass
-class VerifyResult:
+class VerifyResult(Record):
     number: int
     name: str
     passed: bool
     detail: str
     seconds: float
+
+    def __init__(self, number: int, name: str, passed: bool, detail: str, seconds: float):
+        self.number, self.name, self.passed, self.detail, self.seconds = (
+            number, name, passed, detail, seconds)
 
 
 def _c01_catalog_validity() -> tuple[bool, str]:

@@ -218,8 +218,9 @@ def test_dual_output_is_frozen(capsys):
 
 
 # A fresh interpreter runs cli.main and reports the demorgan_lab modules it
-# loaded, and numpy if it did.  Every command needs formula and matrix (and
-# _order under them); the rest each command imports itself.
+# loaded, and which of numpy, dataclasses and inspect it did.  Every command
+# needs formula and matrix (and _order under them); the rest each command
+# imports itself.
 CHILD = """
 import contextlib, io, json, sys
 from demorgan_lab import cli
@@ -227,7 +228,7 @@ with contextlib.redirect_stdout(io.StringIO()) as out:
     code = cli.main(json.loads(sys.argv[1]))
 print(json.dumps([code, out.getvalue(),
                   sorted(m for m in sys.modules if m.split(".")[0] == "demorgan_lab")
-                  + ["numpy"] * ("numpy" in sys.modules)]))
+                  + [m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules]]))
 """
 SRC = os.path.dirname(os.path.dirname(demorgan_lab.__file__))
 BASE = {"demorgan_lab", "demorgan_lab._order", "demorgan_lab.cli",
@@ -249,7 +250,10 @@ CLASSIFY = {"demorgan_lab.bridge", "demorgan_lab.frame", "demorgan_lab.graph"}
 
 # on a catalog or a small @file matrix, check runs the packed sweep, and
 # leibniz, dual and classify the dual involution and the Leibniz congruence
-# on Python ints: no numpy
+# on Python ints: no numpy, no numpy block sweep (_sweep) and no
+# constructions (_constructions); and no module of the package imports
+# dataclasses (or inspect with it).  A grid of 8^5 valuations goes through
+# the numpy block sweep, which imports numpy (and numpy inspect).
 @pytest.mark.parametrize("argv, extra", [
     (["check", "--matrix", "ETL4", "--rule", "p, ~p|q |- q"], set()),
     (["check", "--matrix", "@{k3}", "--rule", "p, ~p |- q"], set()),
@@ -260,8 +264,10 @@ CLASSIFY = {"demorgan_lab.bridge", "demorgan_lab.frame", "demorgan_lab.graph"}
     (["classify", "--matrix", "K3"], CLASSIFY),
     (["classify", "--matrix", "@{k3}"], CLASSIFY),
     (["classify", "--matrix", "@{mu}"], CLASSIFY),
+    (["check", "--matrix", "KMINUS8", "--rule", "p & ~q, q | r, ~r | s |- s & t | ~p"],
+     {"demorgan_lab._sweep", "numpy", "inspect"}),
 ], ids=["check", "check-file", "leibniz", "leibniz-file", "dual", "dual-file", "classify",
-        "classify-file", "classify-file-72"])
+        "classify-file", "classify-file-72", "check-blocks"])
 def test_command_loads_only_its_modules(tmp_path, argv, extra):
     # the 16-element ETL4 x BD4, whose Leibniz congruence is no identity,
     # and a reduced matrix of 72 elements
@@ -316,6 +322,23 @@ def test_package_api_resolves_on_first_access():
             assert ns[name] is getattr(home, name) and name in names, name
     assert demorgan_lab._order is importlib.import_module("demorgan_lab._order")
     assert demorgan_lab.__version__ == "0.1.0"
+    # matrix resolves the names of its __all__ that live in _constructions
+    # on first access, as the package does; each is one object by every route
+    from demorgan_lab import _constructions, matrix
+    exported = EXPORTS["matrix"].split()
+    moved = set()
+    for name in matrix.__all__:
+        ns = {}
+        exec(f"from demorgan_lab.matrix import {name}", ns)
+        value = getattr(matrix, name)
+        assert ns[name] is value and name in dir(matrix), name
+        assert name not in exported or getattr(demorgan_lab, name) is value, name
+        if value.__module__ == _constructions.__name__:
+            moved.add(name)
+            assert getattr(_constructions, name) is value
+    assert len(moved) == 8 and set(exported) <= set(matrix.__all__)
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        matrix.nope
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         demorgan_lab.nope
     with pytest.raises(ImportError):

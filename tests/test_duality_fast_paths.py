@@ -14,14 +14,15 @@ import numpy as np
 import pytest
 
 from demorgan_lab import matrix
+from demorgan_lab._constructions import _find_isomorphism_generic
 from demorgan_lab.bridge import TriplePresentation, mu_minus, mu_plus, mu_triple
 from demorgan_lab.frame import (Frame, FrameError, complex_matrix, dual_frame, random_frame,
                                 roundtrip_check)
 from demorgan_lab.graph import Graph, all_graphs
 from demorgan_lab.matrix import (
-    FinMatrix, MatrixError, Partition, _dual_partners,
-    _find_isomorphism_generic, _leibniz_refine, _point_sets, bd4, catalog, cl2, etl4,
-    find_isomorphism, is_matrix_isomorphism, k3, kminus8, leibniz_congruence, lp3, product,
+    FinMatrix, MatrixError, Partition, _dual_partners, _leibniz_refine, _point_sets, bd4,
+    catalog, cl2, etl4, find_isomorphism, is_matrix_isomorphism, k3, kminus8,
+    leibniz_congruence, lp3, product,
 )
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import pytest
@@ -177,7 +176,11 @@ def struct_substitute(f, s):
 def struct_atoms(f):
     if isinstance(f, Atom):
         return {f.name}
-    return set().union(*(struct_atoms(getattr(f, x.name)) for x in dataclasses.fields(f)))
+    if isinstance(f, Neg):
+        return struct_atoms(f.arg)
+    if isinstance(f, (And, Or)):
+        return struct_atoms(f.left) | struct_atoms(f.right)
+    return set()
 
 
 @given(formulas, formulas)

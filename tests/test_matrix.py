@@ -1,17 +1,17 @@
 import collections
-import dataclasses
 import itertools
 import json
+import math
 import random
 
 import numpy as np
 import pytest
 
+from demorgan_lab._constructions import _find_isomorphism_generic
 from demorgan_lab.formula import BOT, TOP, And, Atom, Neg, Or, RuleInstance, parse, parse_rule
 from demorgan_lab.frame import complex_matrix, dual_frame, random_frame
 from demorgan_lab.matrix import (
-    TABLE_LIMIT, FinMatrix, MatrixError, MatrixMap, Partition, _find_isomorphism_generic,
-    _leibniz_refine,
+    TABLE_LIMIT, FinMatrix, MatrixError, MatrixMap, Partition, _leibniz_refine,
     bd4, catalog, cl2, dm4_algebra, etl4, evaluate, find_countervaluation,
     find_isomorphism, free_dm_algebra, is_matrix_isomorphism, k3, kminus8,
     leibniz_congruence, leibniz_reduct, lp3, principal_congruence, product,
@@ -37,7 +37,11 @@ def struct_eval(m, v, f):
 def struct_atoms(f):
     if isinstance(f, Atom):
         return {f.name}
-    return set().union(*(struct_atoms(getattr(f, x.name)) for x in dataclasses.fields(f)))
+    if isinstance(f, Neg):
+        return struct_atoms(f.arg)
+    if isinstance(f, (And, Or)):
+        return struct_atoms(f.left) | struct_atoms(f.right)
+    return set()
 
 
 def brute_witness(m, r):
@@ -92,21 +96,45 @@ SWEEP_RULES = RULES + [
 ] + SPLIT_RULES
 
 
+def block_sizes(monkeypatch):
+    """A list that collects the number of valuations of each block that
+    the numpy block sweep folds, so that a test sees its block sizes take
+    effect."""
+    from demorgan_lab import _sweep
+    sizes = []
+    real = _sweep._Engine.first_bad
+
+    def first_bad(eng, prog, leaves, ws=None):
+        sizes.append(math.prod(np.broadcast_shapes(*map(np.shape, leaves))))
+        return real(eng, prog, leaves, ws)
+
+    monkeypatch.setattr(_sweep._Engine, "first_bad", first_bad)
+    return sizes
+
+
+def tiny_blocks(monkeypatch):
+    """Blocks of 1, 2, 4 and then 7 valuations, and every grid through the
+    numpy block sweep; returns block_sizes' list."""
+    from demorgan_lab import _sweep, matrix
+    monkeypatch.setattr(_sweep, "_FIRST_BLOCK", 1)
+    monkeypatch.setattr(_sweep, "_BLOCK_CAP", 7)
+    monkeypatch.setattr(matrix, "_PACKED_GRID", 0)
+    return block_sizes(monkeypatch)
+
+
 def test_sweep_blocks_keep_the_least_witness(monkeypatch):
     # blocks of 1, 2, 4 and then 7 valuations: every kind of block boundary
     # (ranged atom, realignment, capped blocks) falls inside small grids
-    from demorgan_lab import matrix
+    from demorgan_lab import _sweep
     from demorgan_lab.frame import Frame, complex_matrix, random_frame
-    monkeypatch.setattr(matrix, "_FIRST_BLOCK", 1)
-    monkeypatch.setattr(matrix, "_BLOCK_CAP", 7)
-    monkeypatch.setattr(matrix, "_PACKED_GRID", 0)  # every grid through the numpy engine
+    sizes = tiny_blocks(monkeypatch)
     rng = random.Random(7)
     mats = list(catalog().values()) + [product([cl2(), lp3()]), product([etl4(), bd4()])]
     mats += [complex_matrix(random_frame(rng, 5)) for _ in range(8)]
     c17 = complex_matrix(Frame([f"c{i}" for i in range(17)],
                                [(i, j) for i in range(17) for j in range(i, 17)],
                                [16 - i for i in range(17)], range(5, 17)))
-    assert c17.nbits == 17 and matrix._engine(c17).ranks is not None
+    assert c17.nbits == 17 and _sweep._engine(c17).ranks is not None
     # the helper chain() builds the same matrix from its masks
     fields = ("enc", "neg", "top", "bottom", "designated", "flags")
     assert [getattr(c17, x) for x in fields] == [getattr(chain(17), x) for x in fields]
@@ -119,7 +147,7 @@ def test_sweep_blocks_keep_the_least_witness(monkeypatch):
             if m.n ** len(r.atom_names()) <= 6000:
                 assert find_countervaluation(m, r) == brute_witness(m, r), (m.labels, str(r))
                 checked += 1
-    assert checked > 250
+    assert checked > 250 and max(sizes) == 7
 
 
 def chain(points):
@@ -138,13 +166,13 @@ def chain(points):
 
 
 def check_sweep_folds_constants_negated_compounds_and_shared_subformulas():
-    from demorgan_lab import matrix
+    from demorgan_lab import _sweep
     c12 = chain(12)
     # the same algebra with top alone designated: designation by comparison
     top12 = FinMatrix(c12.labels, c12.neg, c12.top, c12.bottom, [c12.top], c12.flags,
                       enc=c12.enc)
     mats = list(catalog().values()) + [c12, top12, chain(17)]
-    dtypes = {matrix._engine(m).values.dtype.name for m in mats}
+    dtypes = {_sweep._engine(m).values.dtype.name for m in mats}
     assert dtypes == {"uint8", "uint16", "uint32"}  # uint32: lookups by rank
     texts = [
         "~(p | q) |- ~p & ~q", "~(p & F) |- ~(q | ~T)", "T |- ~(~p | F) & (q | T)",
@@ -162,7 +190,7 @@ def check_sweep_folds_constants_negated_compounds_and_shared_subformulas():
         for r in rules:
             w = find_countervaluation(m, r)
             assert w == brute_witness(m, r), (m.labels, str(r))
-            verdicts.add((matrix._engine(m).ranks is None, w is None))
+            verdicts.add((_sweep._engine(m).ranks is None, w is None))
     assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
 
 
@@ -175,19 +203,17 @@ def test_sweep_folds_shared_subformulas_in_tiny_blocks(monkeypatch):
     # write in place through the workspace, where they meet shared
     # subformula objects, T and F, 0-d leaves of leading atoms and premises
     # over different atom sets
-    from demorgan_lab import matrix
-    monkeypatch.setattr(matrix, "_FIRST_BLOCK", 1)
-    monkeypatch.setattr(matrix, "_BLOCK_CAP", 7)
-    monkeypatch.setattr(matrix, "_PACKED_GRID", 0)  # every grid through the numpy engine
+    from demorgan_lab import _sweep
+    sizes = tiny_blocks(monkeypatch)
     buffers = []
-    real = matrix._Workspace._buffer
-    monkeypatch.setattr(matrix._Workspace, "_buffer", lambda ws: buffers.append(1) or real(ws))
+    real = _sweep._Workspace._buffer
+    monkeypatch.setattr(_sweep._Workspace, "_buffer", lambda ws: buffers.append(1) or real(ws))
     check_sweep_folds_constants_negated_compounds_and_shared_subformulas()
-    assert buffers
+    assert buffers and max(sizes) == 7
 
 
 def test_sweep_crossing_the_block_cap_agrees_with_hom_search(monkeypatch):
-    from demorgan_lab import matrix
+    from demorgan_lab import _sweep
     from demorgan_lab.bridge import alpha_rule, mu_plus
     from demorgan_lab.graph import Graph, complete, cycle, hom_search
     # K4 has no homomorphism to C4, so the whole 35^4 grid is swept; the
@@ -196,37 +222,39 @@ def test_sweep_crossing_the_block_cap_agrees_with_hom_search(monkeypatch):
     target = Graph("abcd", [(0, 0), (0, 1), (0, 3), (1, 2)])
     for h, g in [(complete(4), cycle(4)), (loops, target)]:
         m, r = mu_plus(h), alpha_rule(g)
-        assert m.n ** len(r.atom_names()) > 2 * matrix._BLOCK_CAP
+        assert m.n ** len(r.atom_names()) > 2 * _sweep._BLOCK_CAP
         w = find_countervaluation(m, r)
         assert (w is None) == (hom_search(h, g) is None)
     assert w is not None and all(evaluate(m, w, f) in m.designated for f in r.premises)
     # the same witness from blocks of whole 41^3 slices
-    monkeypatch.setattr(matrix, "_FIRST_BLOCK", m.n ** 3)
-    monkeypatch.setattr(matrix, "_BLOCK_CAP", m.n ** 3)
+    monkeypatch.setattr(_sweep, "_FIRST_BLOCK", m.n ** 3)
+    monkeypatch.setattr(_sweep, "_BLOCK_CAP", m.n ** 3)
+    sizes = block_sizes(monkeypatch)
     assert find_countervaluation(m, r) == w
+    assert len(sizes) > 1 and set(sizes) == {m.n ** 3}
 
 
 def test_sweep_allocates_buffers_per_sweep_not_per_block(monkeypatch):
-    from demorgan_lab import matrix
+    from demorgan_lab import _sweep
     from demorgan_lab.bridge import alpha_rule, mu_plus
     from demorgan_lab.graph import complete, cycle
     m, r = mu_plus(complete(4)), alpha_rule(cycle(4))  # valid: the whole 35^4 grid
     buffers, blocks = [], []
-    real_buffer, real_start = matrix._Workspace._buffer, matrix._Workspace.start
-    monkeypatch.setattr(matrix._Workspace, "_buffer",
+    real_buffer, real_start = _sweep._Workspace._buffer, _sweep._Workspace.start
+    monkeypatch.setattr(_sweep._Workspace, "_buffer",
                         lambda ws: buffers.append(1) or real_buffer(ws))
-    monkeypatch.setattr(matrix._Workspace, "start",
+    monkeypatch.setattr(_sweep._Workspace, "start",
                         lambda ws, shape: blocks.append(shape) or real_start(ws, shape))
 
     def sweep(first: int, cap: int) -> tuple[int, int]:
-        monkeypatch.setattr(matrix, "_FIRST_BLOCK", first)
-        monkeypatch.setattr(matrix, "_BLOCK_CAP", cap)
+        monkeypatch.setattr(_sweep, "_FIRST_BLOCK", first)
+        monkeypatch.setattr(_sweep, "_BLOCK_CAP", cap)
         buffers.clear()
         blocks.clear()
         assert find_countervaluation(m, r) is None
         return len(buffers), 1 + len(blocks)
 
-    default = (matrix._FIRST_BLOCK, matrix._BLOCK_CAP)
+    default = (_sweep._FIRST_BLOCK, _sweep._BLOCK_CAP)
     # blocks of 12, 12 and 11 slices of 35^3 valuations
     three, n_blocks = sweep(12 * m.n ** 3, 12 * m.n ** 3)
     assert n_blocks == 3 and three >= 1
@@ -249,10 +277,8 @@ def test_split_sweep_keeps_the_least_witness(monkeypatch):
     # blocks of 1, 2, 4 and then 7 valuations: nearly every block comes
     # after the first and folds the split program, with lookups indexed by
     # the mask and by its rank
-    from demorgan_lab import matrix
-    monkeypatch.setattr(matrix, "_FIRST_BLOCK", 1)
-    monkeypatch.setattr(matrix, "_BLOCK_CAP", 7)
-    monkeypatch.setattr(matrix, "_PACKED_GRID", 0)  # every grid through the numpy engine
+    from demorgan_lab import _sweep
+    sizes = tiny_blocks(monkeypatch)
     mats = [bd4(), k3(), lp3(), etl4(), product([cl2(), lp3()]), chain(12), chain(17)]
     rules = split_rules()
     modes = set()
@@ -260,8 +286,8 @@ def test_split_sweep_keeps_the_least_witness(monkeypatch):
         for r in rules:
             if m.n ** len(r.atom_names()) <= 6000:
                 assert find_countervaluation(m, r) == brute_witness(m, r), (m.labels, str(r))
-                modes.add(matrix._engine(m).ranks is None)
-    assert modes == {True, False}
+                modes.add(_sweep._engine(m).ranks is None)
+    assert modes == {True, False} and max(sizes) == 7
     for r in rules:
         assert any(inner.nodes for inner, _ in r.__dict__.get("_splits", {}).values()), str(r)
 
@@ -279,13 +305,11 @@ def test_wide_mask_sweeps_keep_the_least_witness(monkeypatch):
     # bits (object arrays of Python ints, fresh arrays in every block):
     # chains against brute force, and the 12-point chain re-encoded on
     # wider masks against the same chain on uint16 masks
-    from demorgan_lab import matrix
-    monkeypatch.setattr(matrix, "_FIRST_BLOCK", 1)
-    monkeypatch.setattr(matrix, "_BLOCK_CAP", 7)
-    monkeypatch.setattr(matrix, "_PACKED_GRID", 0)  # every grid through the numpy engine
+    from demorgan_lab import _sweep
+    sizes = tiny_blocks(monkeypatch)
     starts = []
-    real_start = matrix._Workspace.start
-    monkeypatch.setattr(matrix._Workspace, "start",
+    real_start = _sweep._Workspace.start
+    monkeypatch.setattr(_sweep._Workspace, "start",
                         lambda ws, shape: starts.append(1) or real_start(ws, shape))
     rules = [parse_rule(t) for t in SWEEP_RULES] + split_rules()[len(SPLIT_RULES):]
     c12 = chain(12)
@@ -293,8 +317,8 @@ def test_wide_mask_sweeps_keep_the_least_witness(monkeypatch):
     cases += [(spread(c12, step), lambda _, r: find_countervaluation(c12, r))
               for step in (3, 6)]
     for m, oracle in cases:
-        wide = matrix._engine(m).values.dtype == object
-        assert m.nbits > 64 if wide else matrix._engine(m).values.dtype.name == "uint64"
+        wide = _sweep._engine(m).values.dtype == object
+        assert m.nbits > 64 if wide else _sweep._engine(m).values.dtype.name == "uint64"
         checked = through_workspace = 0
         for r in rules:
             if m.n ** len(r.atom_names()) <= 6000:
@@ -304,6 +328,7 @@ def test_wide_mask_sweeps_keep_the_least_witness(monkeypatch):
                 checked += 1
                 through_workspace += bool(starts)
         assert checked >= 11 and bool(through_workspace) != wide, m.nbits
+    assert max(sizes) == 7
 
 
 def test_packed_and_numpy_sweeps_keep_the_least_witness(monkeypatch):
@@ -340,7 +365,7 @@ def test_packed_sweep_falls_back_to_the_numpy_engine(monkeypatch):
     # no `demorgan` flag; the 17-point chain with bit b at bit 4b, whose
     # negation permutes no planes (the planes between are empty); and a
     # designated set that is no filter
-    from demorgan_lab import matrix
+    from demorgan_lab import _sweep, matrix
     c17 = chain(17)
     flagless = FinMatrix._trusted(c17.label, c17.neg, c17.top, c17.bottom, c17.designated,
                                   [], c17.enc)
@@ -349,8 +374,8 @@ def test_packed_sweep_falls_back_to_the_numpy_engine(monkeypatch):
                                   c17.flags, c17.enc)
     monkeypatch.setattr(matrix, "_PACKED_GRID", 1 << 40)
     engines = []
-    real = matrix._engine
-    monkeypatch.setattr(matrix, "_engine", lambda m: engines.append(m) or real(m))
+    real = _sweep._engine
+    monkeypatch.setattr(_sweep, "_engine", lambda m: engines.append(m) or real(m))
     rules = [parse_rule(t) for t in SWEEP_RULES]
     for m in (flagless, wide, nofilter):
         assert matrix._Packed.of(m) is None
@@ -368,13 +393,12 @@ def test_filter_designation_compares_masks_at_every_width(monkeypatch):
     # numpy engine tests (a & g) == g, no rank lookup, on uint32, uint64 and
     # object masks, in blocks of 1, 2, 4 and then 7 valuations; the packed
     # sweep ANDs g's planes
-    from demorgan_lab import matrix
-    monkeypatch.setattr(matrix, "_FIRST_BLOCK", 1)
-    monkeypatch.setattr(matrix, "_BLOCK_CAP", 7)
+    from demorgan_lab import _sweep, matrix
+    sizes = tiny_blocks(monkeypatch)
     rules = [parse_rule(t) for t in SWEEP_RULES] + split_rules()[len(SPLIT_RULES):]
     for points in (17, 33, 40, 70):
         m = chain(points)
-        eng = matrix._engine(m)
+        eng = _sweep._engine(m)
         assert len(m.designated) > 1 and eng.ranks is not None
         assert eng.des_g == eng.des_v == m._designated_meet()
         eng.des = eng.undes = None  # the lookups are not called
@@ -387,6 +411,7 @@ def test_filter_designation_compares_masks_at_every_width(monkeypatch):
                     assert find_countervaluation(m, r) == want, (points, grid, str(r))
                 checked += 1
         assert checked >= 11
+    assert max(sizes) == 7
 
 
 def test_sweep_has_no_carrier_size_limit():
@@ -407,13 +432,13 @@ def test_sweep_has_no_carrier_size_limit():
 def test_one_block_sweeps_build_no_sweep_program():
     # a grid of at most _FIRST_BLOCK valuations folds r.program() alone: the
     # per-call cost of thousands of small checks
-    from demorgan_lab import matrix
+    from demorgan_lab import _sweep
     from demorgan_lab.logics import clause_pool
     cases = [(m, r) for m in (bd4(), product([cl2(), lp3()]), chain(17))
              for r in clause_pool()[::97]]
     cases.append((chain(10), parse_rule("p, q, r, s |- p & q & r & s")))
     for m, r in cases:
-        assert m.n ** len(r.atom_names()) <= matrix._FIRST_BLOCK
+        assert m.n ** len(r.atom_names()) <= _sweep._FIRST_BLOCK
         validates(m, r)
         assert "_sweep" not in r.__dict__ and "_splits" not in r.__dict__, str(r)
     # one more element makes the last grid two blocks
@@ -424,9 +449,9 @@ def test_one_block_sweeps_build_no_sweep_program():
 def inner_folds(monkeypatch, r):
     """A list that collects, for each fold of one of r's inner programs,
     the split's first leaf and the leaves from it on, as bytes."""
-    from demorgan_lab import matrix
+    from demorgan_lab import _sweep
     seen = []
-    real = matrix.fold
+    real = _sweep.fold
 
     def fold(prog, leaves, *ops):
         firsts = [s for s, (inner, _) in r.__dict__.get("_splits", {}).items() if inner is prog]
@@ -435,23 +460,23 @@ def inner_folds(monkeypatch, r):
             seen.append((s, tuple((np.shape(x), np.asarray(x).tobytes()) for x in leaves[s:])))
         return real(prog, leaves, *ops)
 
-    monkeypatch.setattr(matrix, "fold", fold)
+    monkeypatch.setattr(_sweep, "fold", fold)
     return seen
 
 
 def test_hoisted_subformulas_are_folded_once_per_block_shape(monkeypatch):
-    from demorgan_lab import matrix
+    from demorgan_lab import _sweep
     from demorgan_lab.bridge import alpha_rule, mu_plus
     from demorgan_lab.graph import complete, cycle
     m, r = mu_plus(complete(4)), alpha_rule(cycle(4))  # valid: the whole 35^4 grid
     seen = inner_folds(monkeypatch, r)
     blocks = []
-    real_start = matrix._Workspace.start
-    monkeypatch.setattr(matrix._Workspace, "start",
+    real_start = _sweep._Workspace.start
+    monkeypatch.setattr(_sweep._Workspace, "start",
                         lambda ws, shape: blocks.append(shape) or real_start(ws, shape))
-    for first, cap in [(matrix._FIRST_BLOCK, matrix._BLOCK_CAP), (m.n ** 3, m.n ** 3)]:
-        monkeypatch.setattr(matrix, "_FIRST_BLOCK", first)
-        monkeypatch.setattr(matrix, "_BLOCK_CAP", cap)
+    for first, cap in [(_sweep._FIRST_BLOCK, _sweep._BLOCK_CAP), (m.n ** 3, m.n ** 3)]:
+        monkeypatch.setattr(_sweep, "_FIRST_BLOCK", first)
+        monkeypatch.setattr(_sweep, "_BLOCK_CAP", cap)
         seen.clear()
         blocks.clear()
         assert find_countervaluation(m, r) is None
@@ -462,7 +487,7 @@ def test_hoisted_subformulas_are_folded_once_per_block_shape(monkeypatch):
 
 
 def test_memo_cap_recomputes_with_the_same_witnesses(monkeypatch):
-    from demorgan_lab import matrix
+    from demorgan_lab import _sweep
     from demorgan_lab.bridge import alpha_rule, mu_plus
     from demorgan_lab.graph import Graph, complete, cycle
     loops = Graph("abcd", [(0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (0, 3), (1, 2)])
@@ -481,7 +506,7 @@ def test_memo_cap_recomputes_with_the_same_witnesses(monkeypatch):
 
     witnesses, recomputed = sweep()
     assert not any(recomputed) and witnesses[0] is None and witnesses[1] is not None
-    monkeypatch.setattr(matrix, "_MEMO_CAP", 0)
+    monkeypatch.setattr(_sweep, "_MEMO_CAP", 0)
     capped, recomputed = sweep()
     assert capped == witnesses and recomputed[0] > 0
 
@@ -502,7 +527,7 @@ def random_formula(rng, names, depth, pool):
 
 
 def test_sweep_program_regroups_exactly():
-    from demorgan_lab import matrix
+    from demorgan_lab import _sweep
     from demorgan_lab.formula import fold, substitute
     rng = random.Random(5)
     names = ["s", "q", "p", "r", "t"]
@@ -516,7 +541,7 @@ def test_sweep_program_regroups_exactly():
     before = [(str(r), r.atom_names(), [substitute(f, sub) for f in r.premises | r.conclusions])
               for r in rules]
     c17 = chain(17)
-    eng = matrix._engine(c17)
+    eng = _sweep._engine(c17)
     assert eng.ranks is not None
     for r in rules:
         prog, sweep = r.program(), r.sweep_program()
@@ -967,12 +992,12 @@ def test_split_at():
 
 
 def test_failed_self_checks_are_internal_errors(monkeypatch):
-    from demorgan_lab import frame, matrix
+    from demorgan_lab import _constructions, frame
     k3_copy = FinMatrix.from_json(k3().to_json())
     monkeypatch.setattr(frame, "frame_isomorphism", lambda p, q: (1, 0))  # reverses a chain
     with pytest.raises(RuntimeError, match="internal: dual frame isomorphism did not lift"):
         find_isomorphism(k3(), k3_copy)
-    monkeypatch.setattr(matrix, "is_matrix_isomorphism", lambda m1, m2, mapping: False)
+    monkeypatch.setattr(_constructions, "is_matrix_isomorphism", lambda m1, m2, mapping: False)
     with pytest.raises(RuntimeError, match="internal: split witness failed verification"):
         split_at(bd4(), bd4().top)
 

@@ -1,8 +1,11 @@
 """The bitmask-row closure and isomorphism search on arbitrary relations,
-against a pair-set fixpoint and against all permutations."""
+against a pair-set fixpoint and against all permutations; and the record
+classes on the Record base."""
 
 import itertools
 import random
+
+import pytest
 
 from demorgan_lab._order import Structure, closure, isomorphism, pairs, transpose
 
@@ -58,3 +61,84 @@ def test_isomorphism_against_all_permutations():
         found += bool(isos)
         missed += not isos
     assert found > 1000 and missed > 500
+
+
+def record_cases():
+    """(class, its fields by keyword in order, frozen) for every record
+    class of the package."""
+    from demorgan_lab.bridge import TriplePresentation
+    from demorgan_lab.formula import And, Atom, Neg, Or, RuleInstance
+    from demorgan_lab.graph import GraphPair, complete, point
+    from demorgan_lab.logics import NamedLogic, ProbeResult
+    from demorgan_lab.matrix import MatrixMap, Partition, k3
+    from demorgan_lab.verify import VerifyResult
+    p, q = Atom("p"), Atom("q")
+    return [
+        (Atom, {"name": "p"}, True),
+        (Neg, {"arg": p}, True),
+        (And, {"left": p, "right": q}, True),
+        (Or, {"left": p, "right": q}, True),
+        (RuleInstance, {"premises": frozenset([p]), "conclusions": frozenset([q])}, True),
+        (Partition, {"blocks": (0, 1, 0)}, True),
+        (GraphPair, {"graph": complete(2), "counter": 1}, True),
+        (TriplePresentation, {"plus_graph": complete(2), "minus_graph": point(),
+                              "singletons": 1}, True),
+        (NamedLogic, {"name": "K", "semantics": (k3(),), "axioms": (), "exact": False}, True),
+        (MatrixMap, {"source": k3(), "target": k3(), "mapping": (0, 1, 2)}, False),
+        (ProbeResult, {"names": ["K"], "inclusions": [], "hasse": [], "equivalent": []}, False),
+        (VerifyResult, {"number": 1, "name": "catalog", "passed": True, "detail": "ok",
+                        "seconds": 0.25}, False),
+    ]
+
+
+@pytest.mark.parametrize("case", record_cases(), ids=lambda c: c[0].__name__)
+def test_records_keep_the_dataclass_contract(case):
+    cls, fields, frozen = case
+    values = tuple(fields.values())
+    x, y = cls(*values), cls(**fields)
+    assert x == y and not x != y and x is not y
+    assert tuple(getattr(x, name) for name in fields) == values
+    assert x != object() and x.__eq__(object()) is NotImplemented
+    name = next(iter(fields))
+    if frozen:
+        assert hash(x) == hash(y) == hash(values)
+        for attr in fields:
+            with pytest.raises(AttributeError):
+                setattr(x, attr, getattr(y, attr))
+            with pytest.raises(AttributeError):
+                delattr(x, attr)
+        assert x == y
+    else:
+        with pytest.raises(TypeError):
+            hash(x)
+        setattr(x, name, None)
+        assert getattr(x, name) is None and x != y
+    with pytest.raises(TypeError):
+        cls(*values, None)
+
+
+def test_record_equality_checks_and_reprs():
+    from demorgan_lab.bridge import TriplePresentation
+    from demorgan_lab.formula import BOT, TOP, And, Atom, Or, parse_rule
+    from demorgan_lab.graph import GraphError, GraphPair, complete, point
+    from demorgan_lab.logics import NamedLogic
+    from demorgan_lab.matrix import Partition, k3
+    from demorgan_lab.verify import VerifyResult
+    p, q = Atom("p"), Atom("q")
+    # equality holds within one class only
+    assert And(p, q) != Or(p, q) and TOP != BOT and TOP == TOP and hash(TOP) == hash(())
+    assert len({And(p, q), Or(p, q), And(p, q)}) == 2
+    # the checks of the former __post_init__
+    with pytest.raises(ValueError, match="bad atom name"):
+        Atom("P")
+    with pytest.raises(GraphError, match="non-negative"):
+        GraphPair(complete(2), -1)
+    with pytest.raises(ValueError, match="non-negative"):
+        TriplePresentation(complete(2), point(), -1)
+    assert NamedLogic("K", (k3(),), ()).exact is True
+    assert NamedLogic(name="K", semantics=(k3(),), axioms=()) == NamedLogic("K", (k3(),), (), True)
+    assert repr(parse_rule("p |- q")) == ("RuleInstance(premises=frozenset({parse('p')}), "
+                                          "conclusions=frozenset({parse('q')}))")
+    assert repr(Partition((0, 1, 0))) == "Partition(blocks=(0, 1, 0))"
+    assert repr(VerifyResult(1, "catalog", True, "ok", 0.25)) == (
+        "VerifyResult(number=1, name='catalog', passed=True, detail='ok', seconds=0.25)")
