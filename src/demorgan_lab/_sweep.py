@@ -1,8 +1,8 @@
 """The numpy block sweep of matrix._violation, for the grids that the
-packed sweep (matrix._Packed) does not take: too many valuations, or a
-matrix whose designated set is no filter or whose negation permutes no
-mask planes.  matrix loads this module, and numpy with it, on the first
-such grid."""
+packed sweep (matrix._Packed) does not take: more than _PACKED_GRID
+valuations, or a matrix it cannot pack (no `demorgan` flag, a designated
+set that is no filter, or a negation that permutes no mask planes).
+matrix loads this module, and numpy with it, on the first such grid."""
 
 from __future__ import annotations
 

@@ -339,6 +339,15 @@ def test_package_api_resolves_on_first_access():
     assert len(moved) == 8 and set(exported) <= set(matrix.__all__)
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         matrix.nope
+    # in a fresh interpreter: listed before _constructions loads, then kept
+    code = ("import sys; from demorgan_lab import matrix; "
+            "print(set(matrix.__all__) <= set(dir(matrix)), "
+            "'demorgan_lab._constructions' in sys.modules, 'product' in vars(matrix), "
+            "matrix.product is not None, 'product' in vars(matrix))")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out == "True False False True True\n"
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         demorgan_lab.nope
     with pytest.raises(ImportError):
