@@ -8,14 +8,14 @@ compile it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterator, Optional, Sequence
 
 from ._order import Record, Structure, isomorphism
 from .formula import Formula
-from .matrix import (_DM4_HASSE, _DM4_LABELS, _DM4_NEGP, FinMatrix, MatrixError, _cached,
-                     _LazyModule, _lattice_from_order, _pack, _point_sets, _row_chunks,
-                     evaluate)
+from .matrix import (_DM4_HASSE, _DM4_LABELS, _DM4_NEGP, FinMatrix, MatrixError, _LazyModule,
+                     _lattice_from_order, _pack, _point_sets, _row_chunks, evaluate)
 
 np = _LazyModule(globals(), "np", "numpy")
 
@@ -301,8 +301,9 @@ def free_dm_algebra(
 # -- DM4 ---------------------------------------------------------------------
 
 
+@functools.cache
 def dm4_algebra() -> FinMatrix:
     """The four-element De Morgan algebra with everything designated; used
     as a term-function oracle, not as a logic."""
-    return _cached("DM4", lambda: _lattice_from_order(
-        _DM4_LABELS, _DM4_HASSE, _DM4_NEGP, ["bot", "n", "b", "top"], "top", "bot"))
+    return _lattice_from_order(_DM4_LABELS, _DM4_HASSE, _DM4_NEGP,
+                               ["bot", "n", "b", "top"], "top", "bot")

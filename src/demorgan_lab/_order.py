@@ -1,13 +1,15 @@
 """Relations as bitmask rows (bit j of up[i] is set iff i R j), their
 closure, and the one isomorphism search for frames, matrices and graphs:
-each is a relation, a unary map and a colour per point.  Also the base of
-the package's record classes (Record), which every module loads."""
+each is a relation, a unary map and a colour per point.  Also Record, the
+base of the package's record classes, and derived, its memo of derived data."""
 
 from __future__ import annotations
 
+import builtins
+import functools
 import operator
 from collections import Counter
-from typing import Hashable, Iterator, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Hashable, Iterator, NamedTuple, Optional, Sequence
 
 #: sets a field of a frozen Record, in the record's __init__
 set_field = object.__setattr__
@@ -38,22 +40,52 @@ class Record:
 
         if len(fields) == 1:  # an attrgetter of one name gives the bare value
 
-            def __hash__(self) -> int:
-                return hash((get(self),))
+            def hash(self) -> int:
+                return builtins.hash((get(self),))
         else:
 
-            def __hash__(self) -> int:
-                return hash(get(self))
+            def hash(self) -> int:
+                return builtins.hash(get(self))
 
         if frozen:
             cls._frozen = True
             cls.__setattr__ = cls.__delattr__ = _refuse
         cls.__eq__ = __eq__
-        cls.__hash__ = __hash__ if cls._frozen else None
+        cls.__hash__ = hash if cls._frozen else None
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
+
+
+_UNSET = object()  # a derived key's class attribute: no value kept
+
+
+def derived(fn: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    """fn(x) of an immutable object x, computed on the first call and kept
+    in x.__dict__ under "_" + fn.__name__ (so Formula.__getstate__ drops
+    it), None included; an exception is not kept.  A hit reads the
+    attribute named by the key, which the interpreter specializes (reading
+    x.__dict__ would make x's values a dict and slow its other reads).  A
+    class's first miss raises AttributeError and sets the key on the class
+    to _UNSET, so later misses compare."""
+    key = "_" + fn.__name__
+
+    def get(x):
+        try:
+            value = x._derived_key  # renamed to the key below
+            if value is not _UNSET:
+                return value
+        except AttributeError:
+            setattr(type(x), key, _UNSET)
+        value = fn(x)
+        set_field(x, key, value)
+        return value
+
+    code = get.__code__
+    get.__code__ = code.replace(co_names=tuple(
+        key if name == "_derived_key" else name for name in code.co_names))
+    return functools.wraps(fn)(get)
 
 
 def _no_fields(record: Record) -> tuple:

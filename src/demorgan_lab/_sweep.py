@@ -13,8 +13,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._order import derived
 from .formula import Program, RuleInstance, fold
-from .matrix import FinMatrix
+from .matrix import _LUT_BITS, FinMatrix
 
 # Sweep block sizes in valuations: the first block is small, so a witness
 # near the start of the grid costs little; blocks then double up to a cap
@@ -25,9 +26,6 @@ from .matrix import FinMatrix
 # sweeps fault in every page of every intermediate of every block.
 _FIRST_BLOCK = 1 << 14
 _BLOCK_CAP = 1 << 19
-# masks of at most this many bits index lookup tables of 2^bits entries
-# directly; wider ones are looked up by their rank among the carrier's masks
-_LUT_BITS = 16
 # bytes of hoisted subformula values one sweep keeps (see violation); a key
 # that would pass the cap is recomputed at each of its blocks
 _MEMO_CAP = 1 << 21
@@ -196,12 +194,9 @@ class _Workspace:
         return mask
 
 
+@derived
 def _engine(m: FinMatrix) -> _Engine:
-    e = m._cache.get("engine")
-    if e is None:
-        e = _Engine(m)
-        m._cache["engine"] = e
-    return e
+    return _Engine(m)
 
 
 def violation(m: FinMatrix, r: RuleInstance) -> Optional[dict[str, int]]:

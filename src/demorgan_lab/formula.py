@@ -12,7 +12,7 @@ import operator
 import re
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from ._order import Record, set_field
+from ._order import Record, derived, set_field
 
 __all__ = [
     "Formula", "Atom", "Neg", "And", "Or", "TOP", "BOT",
@@ -40,33 +40,22 @@ class Formula(Record, frozen=True):
     def __repr__(self) -> str:
         return f"parse({_print(self)!r})"
 
+    @derived
     def program(self) -> Program:
-        """The formula compiled, on first call, and kept in the instance
-        dict; equality and hashing use only the fields."""
-        out = self.__dict__.get("_program")
-        if out is None:
-            out = self.__dict__["_program"] = compile_program([self])
-        return out
+        """The formula compiled, on first call, and kept."""
+        return compile_program([self])
 
     def __getstate__(self) -> dict:
-        # the kept program and hash stay behind: a str hash differs between
-        # processes
+        # derived data (its keys start with "_") stays behind: a str hash
+        # differs between processes
         return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
 
 
 def _node(cls: type) -> type:
-    """A formula class, whose field hash, a walk of the whole tree, is
-    computed on first call and kept in the instance dict like the program.
-    Equality stays field by field."""
-    field_hash = cls.__hash__
-
-    def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = field_hash(self)
-        return h
-
-    cls.__hash__ = __hash__
+    """A formula class, whose field hash (Record's, a function named hash,
+    so kept as "_hash"), a walk of the whole tree, is computed on first
+    call and kept like the program.  Equality stays field by field."""
+    cls.__hash__ = derived(cls.__hash__)
     return cls
 
 
@@ -289,17 +278,23 @@ def _print(f: Formula) -> str:
 
 
 class ParseError(ValueError):
-    """Syntax error; carries the byte offset and the expected-token set."""
+    """Syntax error; carries the byte offset and the expected-token set
+    (empty when no token would do: see MAX_DEPTH)."""
 
     def __init__(self, text: str, pos: int, expected: Iterable[str], problem: str = ""):
         self.pos = pos
         self.expected = sorted(set(expected))
         got = text[pos:pos + 10] or "end of input"
-        super().__init__(
-            f"syntax error at offset {pos} (near {got!r}): "
-            + (f"{problem}; " if problem else "")
-            + f"expected one of {', '.join(self.expected)}"
-        )
+        parts = [problem] if problem else []
+        if self.expected:
+            parts.append(f"expected one of {', '.join(self.expected)}")
+        super().__init__(f"syntax error at offset {pos} (near {got!r}): " + "; ".join(parts))
+
+
+# The parser rejects a formula with more operators than this on a path from
+# the root to a leaf, or with more ~ and ( open at once: printing, hashing
+# and compiling a formula recurse once per level.
+MAX_DEPTH = 256
 
 
 _FORMULA_START = ("atom", "~", "(", "T", "F")
@@ -322,10 +317,15 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
+    """Recursive descent; each method returns a formula and its depth (the
+    operators on its longest path to a leaf), and `open` counts the ~ and (
+    that the descent is inside."""
+
     def __init__(self, text: str):
         self.text = text
         self.toks = _tokenize(text)
         self.i = 0
+        self.open = 0
 
     def peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -340,43 +340,65 @@ class _Parser:
             return True
         return False
 
-    def form(self) -> Formula:
-        f = self.conj()
+    def too_deep(self, token: int) -> ParseError:
+        """The error of a formula passing MAX_DEPTH at the given token."""
+        return ParseError(self.text, self.toks[token][2], (),
+                          f"formula nested deeper than {MAX_DEPTH}")
+
+    def form(self) -> tuple[Formula, int]:
+        f, depth = self.conj()
         while self.eat("|"):
-            f = Or(f, self.conj())
-        return f
+            at = self.i - 1
+            g, d = self.conj()
+            f, depth = Or(f, g), (depth if depth > d else d) + 1
+            if depth > MAX_DEPTH:
+                raise self.too_deep(at)
+        return f, depth
 
-    def conj(self) -> Formula:
-        f = self.neg()
+    def conj(self) -> tuple[Formula, int]:
+        f, depth = self.neg()
         while self.eat("&"):
-            f = And(f, self.neg())
-        return f
+            at = self.i - 1
+            g, d = self.neg()
+            f, depth = And(f, g), (depth if depth > d else d) + 1
+            if depth > MAX_DEPTH:
+                raise self.too_deep(at)
+        return f, depth
 
-    def neg(self) -> Formula:
-        if self.eat("~"):
-            return Neg(self.neg())
+    def neg(self) -> tuple[Formula, int]:
         t = self.peek()
         if t is None:
             raise ParseError(self.text, self.pos(), _FORMULA_START)
-        kind, value, _ = t
+        kind, value, pos = t
         if kind == "atom":
             self.i += 1
-            return Atom(value)
+            return Atom(value), 0
         if kind == "const":
             self.i += 1
-            return TOP if value == "T" else BOT
-        if self.eat("("):
-            f = self.form()
+            return TOP if value == "T" else BOT, 0
+        if not (self.eat("~") or self.eat("(")):
+            raise ParseError(self.text, pos, _FORMULA_START)
+        at, self.open = self.i - 1, self.open + 1
+        if self.open > MAX_DEPTH:
+            raise self.too_deep(at)
+        if value == "~":
+            f, depth = self.neg()
+            f, depth = Neg(f), depth + 1
+            if depth > MAX_DEPTH:
+                raise self.too_deep(at)
+        else:
+            f, depth = self.form()
             if not self.eat(")"):
                 raise ParseError(self.text, self.pos(), [")", "|", "&"])
-            return f
-        raise ParseError(self.text, self.pos(), _FORMULA_START)
+        self.open -= 1
+        return f, depth
 
 
 def parse(text: str) -> Formula:
-    """Parse a formula; grammar: disjunction of conjunctions of negations."""
+    """Parse a formula; grammar: disjunction of conjunctions of negations,
+    at most MAX_DEPTH deep."""
     p = _Parser(text)
-    f = p.form()
+    f, _ = p.form()
     if p.peek() is not None:
         raise ParseError(text, p.pos(), ["|", "&", "end of input"])
     return f
@@ -412,27 +434,20 @@ class RuleInstance(Record, frozen=True):
         """The atoms of all premises and conclusions."""
         return frozenset(self.program().names)
 
+    @derived
     def program(self) -> Program:
-        """The premises and conclusions compiled, on first call, and kept in
-        the instance dict; equality and hashing use only the fields."""
-        out = self.__dict__.get("_program")
-        if out is None:
-            out = self.__dict__["_program"] = compile_program(tuple(self.premises),
-                                                              tuple(self.conclusions))
-        return out
+        """The premises and conclusions compiled, on first call, and kept."""
+        return compile_program(tuple(self.premises), tuple(self.conclusions))
 
+    @derived
     def sweep_program(self) -> Program:
         """The rule's formulas re-nested by _regrouped and compiled, in
         program()'s order over the same leaves; built on first call and kept
         like program().  Only the valuation sweep folds it, so printing,
         substitution and atoms see the rule as written."""
-        out = self.__dict__.get("_sweep")
-        if out is None:
-            leaf = {name: i for i, name in enumerate(self.program().names)}
-            out = self.__dict__["_sweep"] = compile_program(
-                *([_regrouped(f, leaf)[0] for f in side]
-                  for side in (self.premises, self.conclusions)))
-        return out
+        leaf = {name: i for i, name in enumerate(self.program().names)}
+        return compile_program(*([_regrouped(f, leaf)[0] for f in side]
+                                 for side in (self.premises, self.conclusions)))
 
     def sweep_split(self, first: int) -> tuple[Program, Program]:
         """split_program(self.sweep_program(), first), kept per `first`."""

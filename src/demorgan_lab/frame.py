@@ -14,7 +14,7 @@ import json
 import random
 from typing import Iterable, Iterator, Optional, Sequence
 
-from ._order import Structure, bits, closure, isomorphism, pairs, transpose
+from ._order import Structure, bits, closure, derived, isomorphism, pairs, transpose
 from .matrix import (FinMatrix, MatrixError, _is_index, _json_object, _LazyModule, _pack,
                      _point_involution, _point_sets)
 
@@ -253,13 +253,11 @@ def complex_matrix(p: Frame) -> FinMatrix:
     )
 
 
+@derived
 def dual_frame(m: FinMatrix) -> Frame:
     """Prime filters ordered by inclusion, with the involution sending a
     filter U to {a : ~a not in U}; designated are the filters containing
-    the designated set of m.  Cached per matrix: both are immutable."""
-    p = m._cache.get("dual_frame")
-    if p is not None:
-        return p
+    the designated set of m.  Kept per matrix: both are immutable."""
     if "demorgan" not in m.flags:
         raise MatrixError("dual_frame needs a De Morgan matrix")
     jis = m.join_irreducibles()
@@ -277,7 +275,6 @@ def dual_frame(m: FinMatrix) -> Frame:
     # breaks a De Morgan law; then its dual may be no frame (and where it
     # is one, roundtrip_check still fails on the negation)
     p.validate()
-    m._cache["dual_frame"] = p
     return p
 
 

@@ -197,35 +197,44 @@ def contract_isolated_edge(g: Graph) -> Optional[Graph]:
 
 
 def hom_search(g: Graph, h: Graph) -> Optional[dict[int, int]]:
-    """Some edge-preserving map g -> h, found by backtracking, or None."""
+    """Some edge-preserving map g -> h, or None, by backtracking: the
+    vertices of g by decreasing degree, each trying the vertices of h in
+    order.  The map lists g's vertices in that order.  The backtracking
+    keeps an explicit stack, as _order.isomorphism does, so a long path
+    of vertices costs no recursion."""
     if g.n == 0:
         return {}
     if h.n == 0:
         return None
     order = sorted(range(g.n), key=lambda u: -len(g.adj[u]))
-    assign: dict[int, int] = {}
+    image = [-1] * g.n  # -1 while unmapped
 
-    def ok(u: int, x: int) -> bool:
-        if g.is_loop(u) and not h.is_loop(x):
-            return False
-        for w in g.adj[u]:
-            if w in assign and not h.has_edge(x, assign[w]):
-                return False
-        return True
-
-    def extend(i: int) -> bool:
-        if i == g.n:
-            return True
-        u = order[i]
+    def options(u: int) -> Iterator[int]:
+        loop = g.is_loop(u)
         for x in range(h.n):
-            if ok(u, x):
-                assign[u] = x
-                if extend(i + 1):
-                    return True
-                del assign[u]
-        return False
+            if loop and not h.is_loop(x):
+                continue
+            for w in g.adj[u]:
+                if image[w] >= 0 and not h.has_edge(x, image[w]):
+                    break
+            else:
+                yield x
 
-    return dict(assign) if extend(0) else None
+    stack: list[Iterator[int]] = []  # the untried images of each mapped vertex
+    it = options(order[0])
+    while True:
+        x = next(it, None)
+        if x is None:
+            if not stack:
+                return None
+            it = stack.pop()
+            image[order[len(stack)]] = -1
+            continue
+        image[order[len(stack)]] = x
+        if len(stack) == g.n - 1:
+            return {u: image[u] for u in order}
+        stack.append(it)
+        it = options(order[len(stack)])
 
 
 def is_n_colorable(g: Graph, n: int) -> bool:

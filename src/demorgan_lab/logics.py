@@ -10,6 +10,7 @@ sound stand-in that is faithful at rule-pool resolution.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable, Optional, Sequence
 
@@ -245,25 +246,15 @@ class NamedLogic(Record, frozen=True):
         return all(validates(m, r) for m in self.semantics)
 
 
-_REGISTRY: dict[str, NamedLogic] = {}
-
-
+@functools.cache
 def _build_registry() -> dict[str, NamedLogic]:
-    if _REGISTRY:
-        return _REGISTRY
     chis = tuple(chi_explosive(n) for n in range(1, 5))
     etlpluses = tuple(etlplus_rule(n) for n in range(1, 5))
     kominuses = tuple(kominus_rule(n) for n in range(1, 5))
     # shared like K3 and LP3, so a memo keyed by matrix identity sweeps it once
     cl2_lp3 = product([cl2(), lp3()])
-    mu_k3 = None
-
-    def mu_plus_k3() -> FinMatrix:
-        nonlocal mu_k3
-        if mu_k3 is None:
-            from .bridge import mu_plus
-            mu_k3 = mu_plus(complete(3))
-        return mu_k3
+    from .bridge import mu_plus
+    mu_k3 = mu_plus(complete(3))
 
     defs: list[NamedLogic] = [
         NamedLogic("BD", (bd4(),), ()),
@@ -279,14 +270,12 @@ def _build_registry() -> dict[str, NamedLogic]:
         NamedLogic("KOVECQ", (cl2_lp3, k3()), (ko_rule(), ecq_rule())),
         NamedLogic("KMINUS", (kminus8(),), etlpluses),
         NamedLogic("KOMINUS", (lp3(), kminus8()), kominuses),
-        NamedLogic("ETL2", (product([mu_plus_k3(), etl4()]),),
+        NamedLogic("ETL2", (product([mu_k3, etl4()]),),
                    (ds_rule(), chi_explosive(2)), exact=False),
-        NamedLogic("ECQ2", (product([mu_plus_k3(), bd4()]),),
+        NamedLogic("ECQ2", (product([mu_k3, bd4()]),),
                    (chi_explosive(2),), exact=False),
     ]
-    for l in defs:
-        _REGISTRY[l.name] = l
-    return _REGISTRY
+    return {l.name: l for l in defs}
 
 
 _ALIASES = {

@@ -53,7 +53,7 @@ from importlib import import_module
 from itertools import compress
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from ._order import Record, bits, closure, set_field, transpose
+from ._order import Record, bits, closure, derived, set_field, transpose
 from .formula import Formula, Program, RuleInstance, fold, grid_leaves
 
 
@@ -108,9 +108,9 @@ TABLE_LIMIT = 1500
 # cells per block when numpy works through a rows x columns grid a block of
 # rows at a time (pairs of elements, elements x join-irreducibles)
 _PAIR_CHUNK = 1 << 18
-# _leibniz_refine finds the element of a mask of at most this many bits by
-# a gather from a table of 2^bits entries, and of a wider one by a search
-_GATHER_BITS = 16
+# masks of at most this many bits are looked up in tables of 2^bits entries
+# (_leibniz_refine, _sweep._Engine); wider ones among the sorted masks
+_LUT_BITS = 16
 
 
 class MatrixError(ValueError):
@@ -202,7 +202,7 @@ class FinMatrix:
             if len(enc) != len(labels):
                 raise MatrixError("the encoding needs one mask per element")
         self._init(labels.__getitem__, neg, top, bottom, designated, flags, [int(v) for v in enc])
-        self._cache["labels"] = labels
+        self._labels = labels  # the labels property's derived value
         self._validate(tables)
 
     def _init(self, label, neg, top, bottom, designated, flags, enc) -> None:
@@ -215,7 +215,6 @@ class FinMatrix:
         self.designated = frozenset(designated)
         self.flags = frozenset(flags)
         self.nbits = max(self.enc, default=0).bit_length()
-        self._cache: dict[str, object] = {}
 
     @classmethod
     def _trusted(cls, label: Callable[[int], str], neg: Sequence[int], top: int, bottom: int,
@@ -229,12 +228,10 @@ class FinMatrix:
         return m
 
     @property
+    @derived
     def labels(self) -> tuple[str, ...]:
-        """The element names, a cache derived on first read like the tables."""
-        t = self._cache.get("labels")
-        if t is None:
-            t = self._cache["labels"] = tuple(map(self._label, range(self.n)))
-        return t
+        """The element names, derived on first read like the tables."""
+        return tuple(map(self._label, range(self.n)))
 
     def label(self, x: int) -> str:
         """The name of element x, without building the label tuple."""
@@ -251,47 +248,40 @@ class FinMatrix:
     def leq(self, x: int, y: int) -> bool:
         return self.enc[x] & self.enc[y] == self.enc[x]
 
+    @derived
     def _enc_index(self) -> dict[int, int]:
-        idx = self._cache.get("enc_index")
-        if idx is None:
-            idx = {m: i for i, m in enumerate(self.enc)}
-            self._cache["enc_index"] = idx
-        return idx
+        return {m: i for i, m in enumerate(self.enc)}
 
+    @derived
     def meet_table(self) -> np.ndarray:
-        return self._table("meet", np.bitwise_and)
+        return self._table(np.bitwise_and)
 
+    @derived
     def join_table(self) -> np.ndarray:
-        return self._table("join", np.bitwise_or)
+        return self._table(np.bitwise_or)
 
-    def _table(self, name: str, op: np.ufunc) -> np.ndarray:
-        t = self._cache.get(name)
-        if t is None:
-            if self.n > TABLE_LIMIT:
-                raise MatrixError(f"refusing to materialize {self.n}x{self.n} table")
-            e = self._enc_np()
-            t = self._mask_lookup(op(e[:, None], e[None, :]))
-            self._cache[name] = t
-        return t
+    def _table(self, op: np.ufunc) -> np.ndarray:
+        if self.n > TABLE_LIMIT:
+            raise MatrixError(f"refusing to materialize {self.n}x{self.n} table")
+        e = self._enc_np()
+        return self._mask_lookup(op(e[:, None], e[None, :]))
 
+    @derived
     def _enc_np(self) -> np.ndarray:
         """The masks as an array: uint64 up to 64 bits, Python ints (object
         dtype) beyond; bitwise operators and searchsorted work on both."""
-        e = self._cache.get("np_enc")
-        if e is None:
-            e = np.array(self.enc, dtype=np.uint64 if self.nbits <= 64 else object)
-            self._cache["np_enc"] = e
-        return e
+        return np.array(self.enc, dtype=np.uint64 if self.nbits <= 64 else object)
+
+    @derived
+    def _sorted_masks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The masks in ascending order, and the element of each."""
+        order = np.argsort(self._enc_np(), kind="stable")
+        return self._enc_np()[order], order.astype(np.int32)
 
     def _positions(self, masks: np.ndarray) -> np.ndarray:
         """Element index of each mask in the array, -1 where a mask is not
         one of the carrier's."""
-        lut = self._cache.get("mask_lut")
-        if lut is None:
-            order = np.argsort(self._enc_np(), kind="stable")
-            lut = (self._enc_np()[order], order.astype(np.int32))
-            self._cache["mask_lut"] = lut
-        sorted_masks, order = lut
+        sorted_masks, order = self._sorted_masks()
         pos = np.minimum(np.searchsorted(sorted_masks, masks), self.n - 1)
         return np.where(sorted_masks[pos] == masks, order[pos], np.int32(-1))
 
@@ -307,17 +297,15 @@ class FinMatrix:
         each encoding bit)."""
         return list(self._join_irreducibles()[0])
 
+    @derived
     def _join_irreducibles(self) -> tuple[list[int], list[int]]:
         """The join-irreducibles in index order, and for each its lowest
         representative bit: a mask bit whose least containing element it
         is.  So join-irreducible a lies below x iff x's mask holds bit
-        reps[a].  Cached."""
-        got = self._cache.get("jis")
-        if got is None:
-            first = self._least_elements()
-            jis = sorted(first)
-            got = self._cache["jis"] = (jis, [first[j] for j in jis])
-        return got
+        reps[a]."""
+        first = self._least_elements()
+        jis = sorted(first)
+        return jis, [first[j] for j in jis]
 
     def _least_elements(self) -> dict[int, int]:
         """The least element containing each mask bit, a join-irreducible,
@@ -670,11 +658,9 @@ def _planes(masks: Sequence[int], width: int) -> list[int]:
     return planes
 
 
+@derived
 def _packed(m: FinMatrix) -> Optional[_Packed]:
-    p = m._cache.get("packed", False)
-    if p is False:
-        p = m._cache["packed"] = _Packed.of(m)
-    return p
+    return _Packed.of(m)
 
 
 def _violation(m: FinMatrix, r: RuleInstance) -> Optional[dict[str, int]]:
@@ -738,29 +724,26 @@ def _dual_partners(m: FinMatrix, masks: Sequence[int]) -> list[int]:
     return out
 
 
+@derived
 def _point_involution(m: FinMatrix) -> Optional[list[int]]:
     """The dual involution on points: a goes to the index of the dual partner
     of the a-th join-irreducible; None when a partner is no join-irreducible
-    (the negation breaks a De Morgan law).  Cached per matrix."""
-    if "invol" not in m._cache:
-        masks = [m.enc[j] for j in m.join_irreducibles()]
-        at = {mask: a for a, mask in enumerate(masks)}
-        invol = [at.get(x) for x in _dual_partners(m, masks)]
-        m._cache["invol"] = None if None in invol else invol
-    return m._cache["invol"]
+    (the negation breaks a De Morgan law)."""
+    masks = [m.enc[j] for j in m.join_irreducibles()]
+    at = {mask: a for a, mask in enumerate(masks)}
+    invol = [at.get(x) for x in _dual_partners(m, masks)]
+    return None if None in invol else invol
 
 
+@derived
 def _orbits(m: FinMatrix) -> list[int]:
     """The dual involution's orbits in point order, each as the mask of its
-    points' representative bits.  Cached per matrix."""
-    if "orbits" not in m._cache:
-        invol = _point_involution(m)
-        if invol is None:
-            raise MatrixError("dual involution left the prime filters")
-        reps = m._join_irreducibles()[1]
-        m._cache["orbits"] = [1 << reps[a] | 1 << reps[b]
-                              for a, b in enumerate(invol) if a <= b]
-    return m._cache["orbits"]
+    points' representative bits."""
+    invol = _point_involution(m)
+    if invol is None:
+        raise MatrixError("dual involution left the prime filters")
+    reps = m._join_irreducibles()[1]
+    return [1 << reps[a] | 1 << reps[b] for a, b in enumerate(invol) if a <= b]
 
 
 def _kept_partition(m: FinMatrix, keep: int) -> Partition:
@@ -839,7 +822,7 @@ def _leibniz_refine(m: FinMatrix) -> Partition:
     colours = np.array([i in m.designated for i in range(n)], dtype=np.int32)
     count = len(set(colours.tolist()))
     index = m._mask_lookup
-    if m.nbits <= _GATHER_BITS:
+    if m.nbits <= _LUT_BITS:
         at = np.zeros(1 << m.nbits, dtype=np.int32)
         at[e] = np.arange(n)
         index = at.__getitem__
@@ -914,20 +897,18 @@ def principal_congruence(m: FinMatrix, a: int, b: int) -> Partition:
 # -- point sets ---------------------------------------------------------------
 
 
+@derived
 def _point_sets(m: FinMatrix) -> np.ndarray:
     """Per element, the points of the dual frame below it, as a bitmask (bit
     a: the a-th join-irreducible lies below it), uint64 up to 64 points and
-    Python ints (object dtype) beyond.  Cached per matrix."""
-    out = m._cache.get("point_sets")
-    if out is None:
-        e = m._enc_np()
-        ej = e[m.join_irreducibles()]
-        dtype = np.uint64 if len(ej) <= 64 else object
-        shifts = np.arange(len(ej)).astype(dtype)
-        out = np.empty(m.n, dtype=dtype)
-        for rows in _row_chunks(m.n, len(ej)):
-            out[rows] = (((e[rows, None] & ej) == ej) << shifts).sum(axis=1, dtype=dtype)
-        m._cache["point_sets"] = out
+    Python ints (object dtype) beyond."""
+    e = m._enc_np()
+    ej = e[m.join_irreducibles()]
+    dtype = np.uint64 if len(ej) <= 64 else object
+    shifts = np.arange(len(ej)).astype(dtype)
+    out = np.empty(m.n, dtype=dtype)
+    for rows in _row_chunks(m.n, len(ej)):
+        out[rows] = (((e[rows, None] & ej) == ej) << shifts).sum(axis=1, dtype=dtype)
     return out
 
 
@@ -969,49 +950,42 @@ _DM4_HASSE = (("bot", "n"), ("bot", "b"), ("n", "top"), ("b", "top"))
 _DM4_NEGP = (("bot", "top"), ("n", "n"), ("b", "b"))
 
 
-def _cached(name: str, build: Callable[[], FinMatrix]) -> FinMatrix:
-    got = _CATALOG_CACHE.get(name)
-    if got is None:
-        got = build()
-        _CATALOG_CACHE[name] = got
-    return got
-
-
-_CATALOG_CACHE: dict[str, FinMatrix] = {}
-
-
+@functools.cache
 def bd4() -> FinMatrix:
     """Four truth values, the top and the 'both' fixpoint designated."""
-    return _cached("BD4", lambda: _lattice_from_order(
-        _DM4_LABELS, _DM4_HASSE, _DM4_NEGP, ["b", "top"], "top", "bot"))
+    return _lattice_from_order(_DM4_LABELS, _DM4_HASSE, _DM4_NEGP, ["b", "top"], "top", "bot")
 
 
+@functools.cache
 def etl4() -> FinMatrix:
     """Four truth values, only the top designated."""
-    return _cached("ETL4", lambda: _lattice_from_order(
-        _DM4_LABELS, _DM4_HASSE, _DM4_NEGP, ["top"], "top", "bot"))
+    return _lattice_from_order(_DM4_LABELS, _DM4_HASSE, _DM4_NEGP, ["top"], "top", "bot")
 
 
+@functools.cache
 def k3() -> FinMatrix:
     """Three-element chain with the middle fixpoint, top designated."""
-    return _cached("K3", lambda: _lattice_from_order(
+    return _lattice_from_order(
         ("bot", "n", "top"), (("bot", "n"), ("n", "top")),
-        (("bot", "top"), ("n", "n")), ["top"], "top", "bot"))
+        (("bot", "top"), ("n", "n")), ["top"], "top", "bot")
 
 
+@functools.cache
 def lp3() -> FinMatrix:
     """Three-element chain, middle and top designated."""
-    return _cached("LP3", lambda: _lattice_from_order(
+    return _lattice_from_order(
         ("bot", "n", "top"), (("bot", "n"), ("n", "top")),
-        (("bot", "top"), ("n", "n")), ["n", "top"], "top", "bot"))
+        (("bot", "top"), ("n", "n")), ["n", "top"], "top", "bot")
 
 
+@functools.cache
 def cl2() -> FinMatrix:
     """The two-element Boolean matrix."""
-    return _cached("CL2", lambda: _lattice_from_order(
-        ("bot", "top"), (("bot", "top"),), (("bot", "top"),), ["top"], "top", "bot"))
+    return _lattice_from_order(
+        ("bot", "top"), (("bot", "top"),), (("bot", "top"),), ["top"], "top", "bot")
 
 
+@functools.cache
 def kminus8() -> FinMatrix:
     """The eight-element matrix with top designated whose logic sits just
     below the resolution logic; built from its Hasse diagram."""
@@ -1019,8 +993,7 @@ def kminus8() -> FinMatrix:
     hasse = (("bot", "x"), ("bot", "c"), ("x", "a"), ("x", "d"), ("c", "d"),
              ("a", "e"), ("d", "e"), ("d", "b"), ("e", "top"), ("b", "top"))
     negp = (("bot", "top"), ("x", "e"), ("c", "b"), ("a", "a"), ("d", "d"))
-    return _cached("KMINUS8", lambda: _lattice_from_order(
-        labels, hasse, negp, ["top"], "top", "bot"))
+    return _lattice_from_order(labels, hasse, negp, ["top"], "top", "bot")
 
 
 def catalog() -> dict[str, FinMatrix]:

@@ -4,10 +4,11 @@
 
 writes the @file inputs below and golden.json to OUT_DIR (default: the
 directory of this script).  golden.json holds, for every command of
-COMMANDS with and without --json, its stdout, stderr and exit status, run
-from OUT_DIR so that "@name.json" reads the inputs written there.
-tests/test_golden.py replays the commands against it; the test suite does
-not run this script.  Regenerating the data changes what the tests expect,
+commands() without and with --json (argvs()), its stdout, stderr and exit
+status, run from OUT_DIR so that "@name.json" reads the inputs written
+there.  tests/test_golden.py replays the commands against it, and checks
+that argvs() and inputs() still match the data; the test suite does not
+run this script.  Regenerating the data changes what the tests expect,
 so a change that does must name the entries that changed and why.
 """
 
@@ -42,6 +43,14 @@ def chain_json(n: int, designated_from: int) -> str:
     })
 
 
+def petersen_json() -> str:
+    """The Petersen graph: 3-colourable, not 2-colourable, no triangle."""
+    edges = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return json.dumps({"vertices": [f"v{i}" for i in range(10)],
+                       "edges": [[f"v{u}", f"v{v}"] for u, v in edges]})
+
+
 def inputs() -> dict[str, str]:
     """The @file inputs, by file name."""
     p = random_frame(random.Random(5), 5)
@@ -52,6 +61,7 @@ def inputs() -> dict[str, str]:
         "malformed.json": json.dumps({"elements": ["bot", "top"], "meet": [[0, 0], [0, 1]],
                                       "neg": [1, 0]}),
         "chain66.json": chain_json(66, 40),
+        "petersen.json": petersen_json(),
     }
 
 
@@ -82,7 +92,38 @@ def commands() -> list[list[str]]:
         ["check", "--matrix", "@chain66.json", "--rule", "p, ~p | q |- q"],
         ["check", "--matrix", "K3", "--rule", "p |- (q"],  # does not parse
     ]
+    # graph searches: maps found by backtracking, and exhausted searches
+    out += [["hom", g, h] for g, h in (
+        ("C5", "K3"), ("K3", "C5"), ("C7", "C5"), ("C5", "C7"), ("C6", "K2"),
+        ("G2", "loop"), ("loop", "K3"), ("@petersen.json", "K3"), ("@petersen.json", "C5"))]
+    out += [[cmd, g, n] for cmd in ("color", "weakcolor")
+            for g, n in (("C5", "2"), ("C5", "3"), ("K4", "3"), ("@petersen.json", "2"),
+                         ("@petersen.json", "3"), ("C7", "0"))]
+    out += [["alpha", "--graph", g] for g in ("K3", "C5", "loop", "G2")]
+    out += [
+        ["antitheorem", "--logic", "K", "--formulas", "p", "~p"],
+        ["antitheorem", "--logic", "BD", "--formulas", "p & ~p"],
+        ["witness-kminus", "--premises", "p & ~p | q", "~q | r", "--conclusion", "r"],
+        ["witness-kminus", "--premises", "p", "--conclusion", "q"],
+        ["sstar", "--graph", "K2", "--steps", "1"],
+        ["sstar", "--graph", "G2", "--k", "1"],
+        ["logleq", "--from", "K3", "--to", "BD4", "--bound", "2"],
+        ["logleq", "--from", "BD4", "--to", "K3", "--bound", "1"],
+        ["logleq", "--from", "K3,LP3", "--to", "CL2", "--bound", "1"],
+        ["separate", "--hold", "p, ~p | q |- q", "--fail", "|- p | ~p"],
+        ["separate", "--hold", "|- p | ~p", "--fail", "p |- p"],
+        ["probe"],
+        ["probe", "--dot"],  # --dot wins over --json
+        # nested past formula.MAX_DEPTH: a parse error
+        ["check", "--matrix", "BD4", "--rule", "~" * 257 + "p |- p"],
+    ]
     return out
+
+
+def argvs() -> list[list[str]]:
+    """The argv of every golden entry, in order: each command without and
+    with --json."""
+    return [mode + argv for argv in commands() for mode in ([], ["--json"])]
 
 
 def run(argv: list[str]) -> dict:
@@ -97,7 +138,7 @@ def main(out_dir: str) -> None:
         with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     os.chdir(out_dir)
-    entries = [run(mode + argv) for argv in commands() for mode in ([], ["--json"])]
+    entries = [run(argv) for argv in argvs()]
     with open("golden.json", "w", encoding="utf-8") as fh:
         json.dump(entries, fh, indent=0)
         fh.write("\n")

@@ -10,7 +10,7 @@ import demorgan_lab
 from demorgan_lab import cli
 from demorgan_lab.cli import COMMANDS, build_parser, main
 from demorgan_lab.bridge import TriplePresentation, mu_triple
-from demorgan_lab.formula import parse_rule
+from demorgan_lab.formula import MAX_DEPTH, parse_rule
 from demorgan_lab.graph import complete, point
 from demorgan_lab.logics import registry
 from demorgan_lab.matrix import bd4, etl4, k3, product, validates
@@ -103,6 +103,33 @@ def test_graph_commands(capsys):
     assert run(capsys, "color", "C5", "2")[0] == 1
     assert run(capsys, "weakcolor", "point", "1")[0] == 0
     assert run(capsys, "weakcolor", "G2", "3")[0] == 1
+
+
+def test_colorings_of_long_cycles(capsys):
+    # the backtracking keeps its own stack: no recursion per vertex
+    assert run(capsys, "color", "C1200", "3")[0] == 0
+    assert run(capsys, "color", "C1201", "2")[0] == 1
+    code, out, _ = run(capsys, "--json", "hom", "C1201", "C5")
+    assert code == 0 and len(json.loads(out)["homomorphism"]) == 1201
+
+
+def from_depth(frames, fn):
+    """fn() called from `frames` more stack frames."""
+    return fn() if frames == 0 else from_depth(frames - 1, fn)
+
+
+@pytest.mark.parametrize("shape", ["or", "neg", "paren"])
+def test_nesting_bound_is_bad_input(capsys, shape):
+    def rule(depth):
+        return {"or": "|".join(["p"] * (depth + 1)), "neg": "~" * depth + "p",
+                "paren": "(" * depth + "p" + ")" * depth}[shape] + " |- p"
+
+    for matrix in ("BD4", "KMINUS8"):
+        code, out, err = from_depth(120, lambda: run(
+            capsys, "check", "--matrix", matrix, "--rule", rule(MAX_DEPTH)))
+        assert code in (0, 1) and out and err == ""
+        code, out, err = run(capsys, "check", "--matrix", matrix, "--rule", rule(MAX_DEPTH + 1))
+        assert code == 2 and out == "" and f"nested deeper than {MAX_DEPTH}" in err
 
 
 def test_constructions(capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from demorgan_lab.formula import (
-    And, Atom, Neg, Or, BOT, TOP, ParseError, RuleInstance,
+    And, Atom, Neg, Or, BOT, TOP, MAX_DEPTH, ParseError, RuleInstance,
     CONTINGENT, CONTRADICTION, TAUTOLOGY,
     atoms, chi, classical_status, fresh_renaming, nnf, normal_form,
     parse, parse_rule, rename_apart, substitute,
@@ -329,3 +329,27 @@ def test_rule_parsing():
     mc = parse_rule("p|q |- p, q")
     assert len(mc.conclusions) == 2
     assert mc.atom_names() == frozenset(["p", "q"])
+
+
+def nested(shape, depth):
+    """A formula of the given depth: a chain of |, stacked ~, or nested ()."""
+    return {"or": "|".join(["p"] * (depth + 1)), "neg": "~" * depth + "p",
+            "paren": "(" * depth + "p" + ")" * depth}[shape]
+
+
+@pytest.mark.parametrize("shape, offset", [("or", 2 * MAX_DEPTH + 1), ("neg", MAX_DEPTH),
+                                           ("paren", MAX_DEPTH)])
+def test_parse_bounds_the_nesting(shape, offset):
+    # printing, hashing and compiling recurse once per level: the parser
+    # refuses what they could not take
+    f = parse(nested(shape, MAX_DEPTH))
+    assert parse(str(f)) == f and f.program() and isinstance(hash(f), int)
+    with pytest.raises(ParseError) as e:
+        parse(nested(shape, MAX_DEPTH + 1))
+    assert e.value.pos == offset and e.value.expected == []
+    assert f"nested deeper than {MAX_DEPTH}" in str(e.value)
+    # inside ~( ... ), the chain passes the bound at the ~, the others at
+    # their own 255th level (the 257th ~ or ( open)
+    with pytest.raises(ParseError) as e:
+        parse("~(" + nested(shape, MAX_DEPTH) + ")")
+    assert e.value.pos == (0 if shape == "or" else MAX_DEPTH)

@@ -102,10 +102,10 @@ def test_lazy_labels_equal_the_eager_ones():
 
 def test_labels_are_built_on_first_read():
     m = complex_matrix(random_frame(random.Random(3), 6))
-    assert "labels" not in m._cache
+    assert "_labels" not in m.__dict__
     assert m.label(m.top) == m.labels[m.top]
-    assert m._cache["labels"] is m.labels
-    assert "labels" in bd4()._cache  # given to the public constructor
+    assert m.__dict__["_labels"] is m.labels
+    assert "_labels" in bd4().__dict__  # given to the public constructor
 
 
 def test_labels_and_json_are_frozen():

@@ -440,10 +440,10 @@ def test_one_block_sweeps_build_no_sweep_program():
     for m, r in cases:
         assert m.n ** len(r.atom_names()) <= _sweep._FIRST_BLOCK
         validates(m, r)
-        assert "_sweep" not in r.__dict__ and "_splits" not in r.__dict__, str(r)
+        assert "_sweep_program" not in r.__dict__ and "_splits" not in r.__dict__, str(r)
     # one more element makes the last grid two blocks
     r = parse_rule("p, q, r, s |- p & q & r & s")
-    assert validates(chain(11), r) and "_sweep" in r.__dict__
+    assert validates(chain(11), r) and "_sweep_program" in r.__dict__
 
 
 def inner_folds(monkeypatch, r):

@@ -1,13 +1,16 @@
 """The bitmask-row closure and isomorphism search on arbitrary relations,
 against a pair-set fixpoint and against all permutations; and the record
-classes on the Record base."""
+classes on the Record base, and the derived memo."""
 
 import itertools
+import pickle
 import random
 
 import pytest
 
-from demorgan_lab._order import Structure, closure, isomorphism, pairs, transpose
+from demorgan_lab._order import (
+    Record, Structure, closure, derived, isomorphism, pairs, set_field, transpose,
+)
 
 
 def test_closure_matches_pair_fixpoint():
@@ -142,3 +145,107 @@ def test_record_equality_checks_and_reprs():
     assert repr(Partition((0, 1, 0))) == "Partition(blocks=(0, 1, 0))"
     assert repr(VerifyResult(1, "catalog", True, "ok", 0.25)) == (
         "VerifyResult(number=1, name='catalog', passed=True, detail='ok', seconds=0.25)")
+
+
+# -- the derived memo -------------------------------------------------------
+
+
+class Box:
+    def __init__(self, value):
+        self.value = value
+
+
+def counted(fn):
+    """fn, wrapped to list the objects it is called on, and that list."""
+    calls = []
+
+    def wrapped(x):
+        calls.append(x)
+        return fn(x)
+
+    wrapped.__name__ = fn.__name__
+    return wrapped, calls
+
+
+def test_derived_computes_once_per_object():
+    def double(box):
+        return 2 * box.value
+
+    fn, calls = counted(double)
+    get = derived(fn)
+    a, b = Box(1), Box(5)
+    assert get(a) == 2 and "_double" not in b.__dict__  # objects never share values
+    assert [get(b), get(a), get(b), get(a)] == [10, 2, 10, 2]
+    assert calls == [a, b]
+    assert a.__dict__["_double"] == 2 and b.__dict__["_double"] == 10
+    b.value = 7  # what is kept stays: derived data is for immutable objects
+    assert get(b) == 10 and calls == [a, b]
+    assert get.__name__ == "double" and get.__wrapped__ is fn
+
+
+def test_derived_keeps_none_but_no_exception():
+    def nothing(box):
+        return None
+
+    fn, calls = counted(nothing)
+    get = derived(fn)
+    a = Box(0)
+    assert get(a) is None and get(a) is None and calls == [a]
+    assert a.__dict__["_nothing"] is None
+
+    def inverse(box):
+        return 1 / box.value
+
+    fn, calls = counted(inverse)
+    get = derived(fn)
+    for _ in range(2):
+        with pytest.raises(ZeroDivisionError):
+            get(a)
+    assert calls == [a, a] and "_inverse" not in a.__dict__
+    a.value = 4
+    assert get(a) == 0.25 and get(a) == 0.25 and calls == [a, a, a]
+
+
+def test_derived_methods_of_frozen_records():
+    class Pair(Record, frozen=True):
+        left: int
+        right: int
+
+        def __init__(self, left, right):
+            set_field(self, "left", left)
+            set_field(self, "right", right)
+
+        @derived
+        def total(self):
+            return self.left + self.right
+
+    p, q, r = Pair(1, 2), Pair(1, 2), Pair(3, 4)
+    assert p.total() == 3 and "_total" not in q.__dict__
+    # equality, hashing and repr read the fields alone
+    assert p == q and hash(p) == hash(q) and repr(p).endswith("Pair(left=1, right=2)")
+    assert r.total() == 7 and p.total() == 3 and q.total() == 3
+    with pytest.raises(AttributeError):
+        p.left = 5
+
+
+def test_a_pickled_formula_carries_no_derived_data():
+    from demorgan_lab.formula import parse
+
+    f = parse("p & ~q | r")
+    assert f.program().names == ("p", "q", "r") and isinstance(hash(f), int)
+    assert {"_program", "_hash"} <= set(f.__dict__) and "_hash" in f.left.__dict__
+    g = pickle.loads(pickle.dumps(f))
+    assert g == f and g.program() == f.program()
+    for h in (pickle.loads(pickle.dumps(f)), pickle.loads(pickle.dumps(f)).left.right):
+        assert not [k for k in h.__dict__ if k.startswith("_")]
+
+
+def test_catalog_and_registry_are_built_once():
+    from demorgan_lab.logics import registry
+    from demorgan_lab.matrix import bd4, catalog, dm4_algebra, k3, lp3
+
+    assert bd4() is bd4() and catalog()["BD4"] is bd4() and dm4_algebra() is dm4_algebra()
+    # registry logics share the catalog's matrices: probe_lattice keys its
+    # memo by matrix identity
+    assert registry("KO").semantics[0] is k3() and registry("KO").semantics[1] is lp3()
+    assert registry("ko") is registry("KO") and registry("KOVECQ").semantics[1] is k3()
