@@ -2,28 +2,36 @@
 
     PYTHONPATH=src python tests/golden/make_golden.py [OUT_DIR]
 
-writes the @file inputs below and golden.json to OUT_DIR (default: the
-directory of this script).  golden.json holds, for every command of
-commands() without and with --json (argvs()), its stdout, stderr and exit
-status, run from OUT_DIR so that "@name.json" reads the inputs written
-there.  tests/test_golden.py replays the commands against it, and checks
-that argvs() and inputs() still match the data; the test suite does not
-run this script.  Regenerating the data changes what the tests expect,
+writes the @file inputs below, golden.json and witnesses.json to OUT_DIR
+(default: the directory of this script).  golden.json holds, for every
+command of commands() without and with --json (argvs()), its stdout,
+stderr and exit status, run from OUT_DIR so that "@name.json" reads the
+inputs written there.  witnesses.json holds, for every (matrix, pool) of
+witness_cases(), the witness of find_countervaluation for each rule of the
+pool: a SHA-256 over them in order, or the witnesses themselves for the
+named rules.  tests/test_golden.py replays the commands and the sweeps
+against them, and checks that argvs(), witness_cases() and inputs() still
+match the data; the test suite does not run this script.  Regenerating the data changes what the tests expect,
 so a change that does must name the entries that changed and why.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
+import hashlib
 import io
 import json
 import os
 import random
 import sys
+from typing import Callable
 
 from demorgan_lab import cli, logics
+from demorgan_lab.bridge import alpha_rule, mu_plus
 from demorgan_lab.frame import complex_matrix, random_frame
-from demorgan_lab.matrix import catalog
+from demorgan_lab.graph import all_graphs
+from demorgan_lab.matrix import bd4, catalog, cl2, etl4, find_countervaluation, k3, product
 
 # named rules checked on every catalog matrix
 RULES = (logics.ds_rule, logics.em_rule, logics.resolution_rule, logics.ecq_rule,
@@ -133,6 +141,46 @@ def run(argv: list[str]) -> dict:
     return {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
+def witness_cases() -> list[tuple[str, str, Callable, Callable]]:
+    """(matrix name, pool name, matrix, rules) per witnesses.json entry, in
+    order; the matrix and the rules are built when called.  mu+(h) against
+    the alpha rule of every graph of all_graphs(4, allow_isolated=False),
+    one entry per h; the catalog and four products against clause_pool and
+    mc_pool; the named rules on the catalog."""
+    graphs = all_graphs(4, allow_isolated=False)
+    alphas = functools.cache(lambda: [alpha_rule(g) for g in graphs])
+    out = [(f"mu+({' '.join(f'{u}{v}' for u, v in h.edges())} n={h.n})", "alpha",
+            functools.partial(mu_plus, h), alphas) for h in graphs]
+    mats = {name: (lambda m=m: m) for name, m in catalog().items()}
+    mats |= {"BD4^2": lambda: product([bd4(), bd4()]),
+             "ETL4xBD4": lambda: product([etl4(), bd4()]),
+             "CL2xBD4": lambda: product([cl2(), bd4()]),
+             "BD4xETL4xK3": lambda: product([bd4(), etl4(), k3()])}
+    pools = {"clause_pool": functools.cache(logics.clause_pool),
+             "mc_pool": functools.cache(logics.mc_pool)}
+    out += [(name, pool, m, rules) for name, m in mats.items() for pool, rules in pools.items()]
+    named = functools.cache(lambda: list(logics.named_rules().values()))
+    out += [(name, "named", (lambda m=m: m), named)
+            for name, m in catalog().items()]
+    return out
+
+
+def witness_entry(case: tuple[str, str, Callable, Callable]) -> dict:
+    """The witnesses.json entry of one witness_cases() case."""
+    name, pool, m, rules = case
+    m = m()
+    found = [find_countervaluation(m, r) for r in rules()]
+    entry = {"matrix": name, "pool": pool, "rules": len(found)}
+    if pool == "named":
+        entry["witnesses"] = dict(zip(logics.named_rules(), found))
+    else:
+        digest = hashlib.sha256()
+        for w in found:
+            digest.update(json.dumps(w, sort_keys=True).encode() + b"\n")
+        entry["sha256"] = digest.hexdigest()
+    return entry
+
+
 def main(out_dir: str) -> None:
     for name, text in inputs().items():
         with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
@@ -141,6 +189,9 @@ def main(out_dir: str) -> None:
     entries = [run(argv) for argv in argvs()]
     with open("golden.json", "w", encoding="utf-8") as fh:
         json.dump(entries, fh, indent=0)
+        fh.write("\n")
+    with open("witnesses.json", "w", encoding="utf-8") as fh:
+        json.dump([witness_entry(case) for case in witness_cases()], fh, indent=0)
         fh.write("\n")
 
 
