@@ -212,8 +212,12 @@ def violation(m: FinMatrix, r: RuleInstance) -> Optional[dict[str, int]]:
     lives as long as this call, unless the values are object arrays.
 
     The first block folds r.program().  A later one, whose ranged atom is
-    j, folds the outer part of r.sweep_split(s), s = max(j, 1): the
-    subformulas over the atoms from s on depend only on the block's shape
+    j, folds the outer part of r.sweep_split(s), s = max(j, 1).  The sweep
+    program is r's formulas factored and re-nested (formula._regrouped) to
+    the same values, so that operands over few atoms combine before
+    block-sized ones and disjuncts sharing their literals at the least atom
+    meet them once; the witness is the same.  Its subformulas over the
+    atoms from s on depend only on the block's shape
     (t, and for j >= 1 the range lo..hi), not on the fixed leading atoms, so
     their values are computed once per shape, by plain numpy operations
     into fresh arrays that the workspace never writes, and kept up to

@@ -271,18 +271,22 @@ def cmd_sstar(args) -> int:
                     seen[q.key()] = (q, depth)
                     nxt.append(q)
         frontier = nxt
-    # ordered by the graphs' JSON text, which text mode prints
-    rows = []
-    for p, d in seen.values():
-        g = p.graph._as_dict()
-        rows.append((d, p.counter, p.graph.n, json.dumps(g), g))
-    rows.sort(key=lambda row: row[:4])
-    payload = {"reachable": [
-        {"depth": d, "counter": c, "graph": g} for d, c, _, _, g in rows
-    ]}
-    _emit(args, payload,
-          [f"depth {d}: counter={c} graph={gj}" for d, c, _, gj, _ in rows])
+    rows = [(d, p.counter, p.graph.n, p.graph._as_dict()) for p, d in seen.values()]
+    rows.sort(key=lambda row: (*row[:3], _json_order(row[3])))
+    payload = {"reachable": [{"depth": d, "counter": c, "graph": g} for d, c, _, g in rows]}
+    _emit(args, payload, [] if args.json else [
+        f"depth {d}: counter={c} graph={json.dumps(g)}" for d, c, _, g in rows])
     return EXIT_TRUE
+
+
+def _json_order(g: dict) -> tuple:
+    """A key that orders graph dicts as json.dumps orders their text, which
+    text mode prints.  A label compares as its JSON string, which no other
+    label's extends; a list comes before its own prefix (", " < "]"), so each
+    ends in a terminator after every label's text, which starts with '"'."""
+    text = json.encoder.encode_basestring_ascii
+    return ((*map(text, g["vertices"]), "\x7f"),
+            (*((text(u), text(v)) for u, v in g["edges"]), ("\x7f",)))
 
 
 def cmd_logleq(args) -> int:

@@ -198,28 +198,94 @@ def fold(prog: Program, leaves: Sequence[Any], neg: Callable[[Any], Any],
 
 
 def _regrouped(f: Formula, leaf: Mapping[str, int]) -> tuple[Formula, int]:
-    """f with each &/| chain flattened and re-nested to the left with its
-    operands ordered by their least leaf index, latest first (atomless
-    operands count as after every atom), and f's least leaf index.  Both
-    operations are associative and commutative, so the value is the same
-    in every algebra a rule is swept in; each part of a chain over the
-    atoms from some leaf on becomes one subtree (see split_program)."""
+    """f rewritten for the block sweep (see split_program), and f's least
+    leaf index (atomless formulas count as after every atom).  Each &/|
+    chain is flattened (_term) and rebuilt by two rewrites that hold in
+    every distributive lattice, as every matrix is (its meet and join are &
+    and | on masks); negation is left alone, so the value of f is the same
+    in every algebra a rule is swept in.
+    1. A chain's operands are nested to the left by their least leaf,
+       latest first, and the operands sharing a least leaf form one
+       subtree: (H & p) & ~p becomes H & (p & ~p), so each part of a chain
+       over the atoms from some leaf on is one subtree, and operands over
+       few atoms combine at their small shape first.
+    2. Operands of a |-chain that are &-chains with the same least-leaf
+       group E are factored, (L1 & E) | (L2 & E) to (L1 | L2) & E, where
+       L1 | L2 is over later atoms than E; E | (L & E) is E.  Dually for &
+       of |."""
+    term = _term(f, leaf)
+    return _built(term), term[0]
+
+
+# A term is f flattened: (least leaf, None, f) for an atom, a constant or a
+# negation, and (least leaf, chain, operands) for an &/| chain, whose
+# operands are terms and never chains of the same connective.
+
+
+def _term(f: Formula, leaf: Mapping[str, int]) -> tuple:
+    """The term of f, each chain factored by _chain."""
     if isinstance(f, Atom):
-        return f, leaf[f.name]
+        return leaf[f.name], None, f
     if isinstance(f, Neg):
         arg, lo = _regrouped(f.arg, leaf)
-        return Neg(arg), lo
+        return lo, None, Neg(arg)
     if not isinstance(f, (And, Or)):
-        return f, len(leaf)
+        return len(leaf), None, f
     chain, operands, todo = type(f), [], [f]
     while todo:
         g = todo.pop()
         if type(g) is chain:
             todo += (g.right, g.left)
         else:
-            operands.append(_regrouped(g, leaf))
-    operands.sort(key=operator.itemgetter(1), reverse=True)
-    return functools.reduce(chain, (g for g, _ in operands)), operands[-1][1]
+            operands.append(_term(g, leaf))
+    return _chain(chain, operands)
+
+
+def _parts(chain: type, term: tuple) -> tuple:
+    """The operands of a chain term, or the term alone."""
+    return term[2] if term[1] is chain else (term,)
+
+
+def _joined(chain: type, operands: Sequence[tuple]) -> tuple:
+    """The term of the chain of operands, flattened; one operand is itself."""
+    flat = tuple(x for t in operands for x in _parts(chain, t))
+    return flat[0] if len(flat) == 1 else (min(t[0] for t in flat), chain, flat)
+
+
+def _chain(chain: type, operands: Sequence[tuple]) -> tuple:
+    """The term of the chain of operands, factored by rewrite 2: the
+    operands that are chains of the dual connective are grouped by the set
+    of their operands at their least leaf (E; an operand of another kind is
+    its own E), and a group of several becomes dual(chain(L1, L2, ...), E),
+    or E when some Li is empty."""
+    dual = Or if chain is And else And
+    groups: dict[frozenset, list] = {}
+    for t in (x for t in operands for x in _parts(chain, t)):
+        parts = _parts(dual, t)
+        e = [p for p in parts if p[0] == t[0]]
+        groups.setdefault(frozenset(e), []).append((t, e, [p for p in parts if p[0] != t[0]]))
+    out = []
+    for members in groups.values():
+        t, e, rest = members[0]
+        if len(members) > 1:
+            if all(rest for _, _, rest in members):
+                t = _joined(dual, [_chain(chain, [_joined(dual, rest) for _, _, rest in members]),
+                                   *e])
+            else:
+                t = _joined(dual, e)
+        out.append(t)
+    return _joined(chain, out)
+
+
+def _built(term: tuple) -> Formula:
+    """The formula of a term, each chain nested by rewrite 1."""
+    _, chain, parts = term
+    if chain is None:
+        return parts
+    ordered = sorted(parts, key=operator.itemgetter(0), reverse=True)
+    return functools.reduce(chain, (
+        functools.reduce(chain, map(_built, group))
+        for _, group in itertools.groupby(ordered, operator.itemgetter(0))))
 
 
 def split_program(prog: Program, first: int) -> tuple[Program, Program]:
@@ -441,17 +507,25 @@ class RuleInstance(Record, frozen=True):
 
     @derived
     def sweep_program(self) -> Program:
-        """The rule's formulas re-nested by _regrouped and compiled, in
+        """The rule's formulas rewritten by _regrouped and compiled, in
         program()'s order over the same leaves; built on first call and kept
         like program().  Only the valuation sweep folds it, so printing,
-        substitution and atoms see the rule as written."""
+        substitution and atoms see the rule as written.  Where absorption
+        drops an atom, this is program(): the sweep reads a witness off
+        designation masks with an axis per atom."""
         leaf = {name: i for i, name in enumerate(self.program().names)}
-        return compile_program(*([_regrouped(f, leaf)[0] for f in side]
+        prog = compile_program(*([_regrouped(f, leaf)[0] for f in side]
                                  for side in (self.premises, self.conclusions)))
+        return prog if len(prog.names) == len(leaf) else self.program()
+
+    @derived
+    def splits(self) -> dict[int, tuple[Program, Program]]:
+        """sweep_split's splits, by `first`; kept like program()."""
+        return {}
 
     def sweep_split(self, first: int) -> tuple[Program, Program]:
         """split_program(self.sweep_program(), first), kept per `first`."""
-        splits = self.__dict__.setdefault("_splits", {})
+        splits = self.splits()
         out = splits.get(first)
         if out is None:
             out = splits[first] = split_program(self.sweep_program(), first)
@@ -687,13 +761,24 @@ def chi(n: int) -> Formula:
     return disj(And(Atom(f"p{i}"), Neg(Atom(f"p{i}"))) for i in range(1, n + 1))
 
 
+def _chained(op: type, fs: Iterable[Formula], empty: Formula) -> Formula:
+    """The left-associated chain of fs.  Every 64th node is hashed as it is
+    built, so hashing the chain later recurses through at most 64 of its
+    operators at a time, not through all of them; a shorter chain, often
+    never hashed, costs nothing more."""
+    out = None
+    for i, f in enumerate(fs, 1):
+        out = f if out is None else op(out, f)
+        if i % 64 == 0:
+            hash(out)
+    return empty if out is None else out
+
+
 def conj(fs: Iterable[Formula]) -> Formula:
     """Left-associated conjunction; empty = T."""
-    fs = list(fs)
-    return functools.reduce(And, fs) if fs else TOP
+    return _chained(And, fs, TOP)
 
 
 def disj(fs: Iterable[Formula]) -> Formula:
     """Left-associated disjunction; empty = F."""
-    fs = list(fs)
-    return functools.reduce(Or, fs) if fs else BOT
+    return _chained(Or, fs, BOT)

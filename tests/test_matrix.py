@@ -90,10 +90,22 @@ SPLIT_RULES = [
     "T & q | p & F | ~(r | s) & q |- s & (r | T)", "p | ~(q & r) & s |- ~(s & r) | q & p",
 ]
 
+# rules that the sweep program factors (formula._regrouped): disjuncts
+# sharing their first-atom literals, nested shares, a disjunct equal to the
+# shared part (absorption; in the third rule it drops s, so the rule is
+# swept as written), the dual & of |, and constant operands
+FACTOR_RULES = [
+    "p & q & ~r | ~p & r & s | q & ~s & p | ~q & ~p |- r & ~p | s & p & q",
+    "p | p & ~s | q & s, r |- ~r | ~q", "p & ~s | p, q |- ~r",
+    "p & q & r | p & q & s | p & ~q |- r & s | ~p & s",
+    "(p | q) & (p | ~r) & (~p | s) |- (~p | q) & (r | ~p | s), p & (p | r)",
+    "p & T | p & q | F & ~p |- q & T | q & F, (T | r) & (T | ~s)",
+]
+
 SWEEP_RULES = RULES + [
     "|- ", "T |- F", "|- p, q, r", "p, q, r, s |- ", "p, q, r, s |- p & q & r & s",
     "p|q, ~q|r, r|s |- p|s", "~p, ~q |- ~(p|q), r", "p & q, r |- s, ~s",
-] + SPLIT_RULES
+] + SPLIT_RULES + FACTOR_RULES
 
 
 def block_sizes(monkeypatch):
@@ -526,9 +538,28 @@ def random_formula(rng, names, depth, pool):
     return f
 
 
+def hoisted_operations(r):
+    """The operations of r's outer program at split 1 with an operand that
+    reads a hoisted value: in the blocks that range atom 1, the operations
+    on block-shaped values."""
+    from demorgan_lab.formula import fold
+    outer = r.sweep_split(1)[1]
+    count = 0
+
+    def op(*reads):
+        nonlocal count
+        count += any(reads)
+        return any(reads)
+
+    k = len(outer.names)
+    fold(outer, [False] * k + [True] * (max(outer.nodes) + 1 - k), lambda a: a, op, op,
+         False, False)
+    return count
+
+
 def test_sweep_program_regroups_exactly():
     from demorgan_lab import _sweep
-    from demorgan_lab.formula import fold, substitute
+    from demorgan_lab.formula import _regrouped, fold, substitute
     rng = random.Random(5)
     names = ["s", "q", "p", "r", "t"]
     rules = []
@@ -568,7 +599,17 @@ def test_sweep_program_regroups_exactly():
     # the disjuncts without pv0 and one for the pv0-free part of the last
     from demorgan_lab.formula import _AND, _NEG, _OR
     r = parse_rule("pv0 & ~pv0 | pv1 & ~pv1 & ~pv2 | pv2 & ~pv0 & ~pv3 | pv3 & ~pv3 & ~pv1 |-")
-    assert r.sweep_split(1)[1].nodes == (4, 0, 0, _NEG, _AND, _OR, 5, 0, _NEG, _AND, _OR)
+    assert r.sweep_split(1)[1].nodes == (5, 0, 0, _NEG, _AND, 4, 0, _NEG, _AND, _OR, _OR)
+    # the 4-atom alpha rules: the disjuncts with ~pv0 alone at leaf 0 share
+    # it, so at most 4 operations per block read a hoisted value (7 for the
+    # heaviest without the factoring)
+    from demorgan_lab.bridge import alpha_rule
+    from demorgan_lab.graph import all_graphs
+    alphas = [alpha_rule(g) for g in all_graphs(4, allow_isolated=False)]
+    assert max(map(hoisted_operations, alphas)) <= 4
+    r = parse_rule("p & q & r | p & q & s | p & ~q | ~p |-")
+    assert str(_regrouped(*r.premises, {"p": 0, "q": 1, "r": 2, "s": 3})[0]) == \
+        "((s | r) & q | ~q) & p | ~p"
     assert [(str(r), r.atom_names(), [substitute(f, sub) for f in r.premises | r.conclusions])
             for r in rules] == before
 
