@@ -113,8 +113,16 @@ def commands() -> list[list[str]]:
         ["antitheorem", "--logic", "BD", "--formulas", "p & ~p"],
         ["witness-kminus", "--premises", "p & ~p | q", "~q | r", "--conclusion", "r"],
         ["witness-kminus", "--premises", "p", "--conclusion", "q"],
+        ["witness-kminus", "--premises", "p | q | r", "--conclusion", "p | q | r | s"],
+        ["witness-kminus", "--premises", "F", "--conclusion", "q"],  # inconsistent
+        ["witness-kminus", "--premises", "p", "--conclusion", "T"],
+        ["witness-kminus", "--premises", "p", "--conclusion", "F"],
         ["sstar", "--graph", "K2", "--steps", "1"],
         ["sstar", "--graph", "G2", "--k", "1"],
+        ["sstar", "--graph", "K2"],
+        ["sstar", "--graph", "loop", "--k", "2"],
+        ["sstar", "--graph", "C4", "--k", "1", "--steps", "2"],
+        ["sstar", "--graph", "@petersen.json"],  # not in canonical form
         ["logleq", "--from", "K3", "--to", "BD4", "--bound", "2"],
         ["logleq", "--from", "BD4", "--to", "K3", "--bound", "1"],
         ["logleq", "--from", "K3,LP3", "--to", "CL2", "--bound", "1"],

@@ -698,20 +698,29 @@ def test_product_logic_decomposition():
 
 
 def test_submatrices_of_bd4():
-    # oracle: closure check over all 16 subsets of the carrier
-    m = bd4()
-    closed = []
-    for bits in range(16):
-        s = {i for i in range(4) if bits >> i & 1}
-        if m.top not in s or m.bottom not in s:
-            continue
-        if all(m.meet(x, y) in s and m.join(x, y) in s and m.neg[x] in s
-               for x in s for y in s):
-            closed.append(frozenset(s))
-    assert len(closed) == 4  # {bot,top}, {bot,n,top}, {bot,b,top}, all
-    subs = list(submatrices(m))
-    assert len(subs) == 4
-    assert sorted(s.n for s in subs) == sorted(len(c) for c in closed)
+    # oracle: closure check over all subsets of the carrier, on BD4 and on
+    # two larger matrices; the sizes are listed in submatrices' order
+    cases = [(bd4(), [2, 3, 3, 4]),
+             (product([bd4(), cl2()]), [2, 4, 4, 4, 6, 6, 8]),
+             (kminus8(), [2, 4, 4, 3, 3, 7, 5, 5, 8, 5, 6])]
+    for m, sizes in cases:
+        closed = []
+        for bits in range(1 << m.n):
+            s = {i for i in range(m.n) if bits >> i & 1}
+            if m.top not in s or m.bottom not in s:
+                continue
+            if all(m.meet(x, y) in s and m.join(x, y) in s and m.neg[x] in s
+                   for x in s for y in s):
+                closed.append(frozenset(s))
+        subs = list(submatrices(m))
+        assert [s.n for s in subs] == sizes
+        assert sorted(s.n for s in subs) == sorted(len(c) for c in closed)
+        # each submatrix is the induced one on a closed subset, once
+        got = {frozenset(m.enc.index(e) for e in s.enc) for s in subs}
+        assert got == set(closed) and len(got) == len(subs)
+        assert all(s.labels == tuple(m.labels[m.enc.index(e)] for e in s.enc) for s in subs)
+    subs = list(submatrices(bd4()))
+    assert len(subs) == 4  # {bot,top}, {bot,n,top}, {bot,b,top}, all
     assert any(find_isomorphism(s, k3()) for s in subs if s.n == 3)
     assert any(find_isomorphism(s, lp3()) for s in subs if s.n == 3)
     assert any(find_isomorphism(s, cl2()) for s in subs if s.n == 2)
@@ -1059,6 +1068,17 @@ def test_free_algebra_counts():
     assert free_dm_algebra(["a"], []).n == 6
     with pytest.raises(MatrixError):
         free_dm_algebra(["a", "b", "c", "d"], [])
+
+
+def test_free_algebra_size_cap(monkeypatch):
+    # the free algebra on one generator has 6 elements: a cap of 5 stops
+    # its closure, a cap of 6 lets it through
+    from demorgan_lab import _constructions
+    monkeypatch.setattr(_constructions, "FREE_SIZE_CAP", 5)
+    with pytest.raises(MatrixError, match="free algebra closure exceeded the size cap"):
+        free_dm_algebra(["a"])
+    monkeypatch.setattr(_constructions, "FREE_SIZE_CAP", 6)
+    assert free_dm_algebra(["a"]).n == 6
 
 
 def test_demorgan_laws_verified_exhaustively():
