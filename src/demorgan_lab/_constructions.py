@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ._order import Record, Structure, isomorphism
 from .formula import Formula
@@ -51,37 +51,39 @@ def submatrices(m: FinMatrix) -> Iterator[FinMatrix]:
     """All submatrices: subuniverses containing top and bottom, closed under
     the three operations, with the induced designated sets.
 
-    Enumerated by breadth-first extension of closed sets, largest first is
-    not guaranteed; order is deterministic.
+    Breadth first from the least one, each closed set extended by each
+    element outside it in index order; the order is deterministic.
     """
-    def close(seed: frozenset[int]) -> frozenset[int]:
-        cur = set(seed)
-        frontier = list(cur)
-        while frontier:
-            x = frontier.pop()
-            for y in list(cur):
-                for z in (m.meet(x, y), m.join(x, y)):
-                    if z not in cur:
-                        cur.add(z)
-                        frontier.append(z)
-            z = m.neg[x]
-            if z not in cur:
-                cur.add(z)
-                frontier.append(z)
-        return frozenset(cur)
-
-    base = close(frozenset([m.top, m.bottom]))
+    neg = {m.enc[x]: m.enc[y] for x, y in enumerate(m.neg)}.__getitem__
+    base = _closed([m.enc[m.top], m.enc[m.bottom]], neg)
     seen = {base}
     queue = [base]
-    while queue:
-        s = queue.pop(0)
-        yield _induced_submatrix(m, sorted(s))
-        for x in range(m.n):
+    for s in queue:  # appended to while read: breadth first
+        yield _induced_submatrix(m, sorted(map(m._enc_index().__getitem__, s)))
+        for x in m.enc:
             if x not in s:
-                t = close(s | {x})
+                t = _closed(s | {x}, neg)
                 if t not in seen:
                     seen.add(t)
                     queue.append(t)
+
+
+def _closed(seed: Iterable[int], neg: Callable[[int], int],
+            cap: Optional[int] = None) -> frozenset[int]:
+    """The closure of a set of masks under &, | and neg: the subalgebra
+    they generate.  MatrixError when it would pass cap elements (the free
+    algebra's guard)."""
+    elems = set(seed)
+    frontier = list(elems)
+    while frontier:
+        x = frontier.pop()
+        for t in [neg(x), *(x & y for y in elems), *(x | y for y in elems)]:
+            if t not in elems:
+                if cap is not None and len(elems) >= cap:
+                    raise MatrixError("free algebra closure exceeded the size cap")
+                elems.add(t)
+                frontier.append(t)
+    return frozenset(elems)
 
 
 def _induced_submatrix(m: FinMatrix, elems: Sequence[int]) -> FinMatrix:
@@ -280,18 +282,7 @@ def free_dm_algebra(
 
     names = {sum(dm4.enc[v[g]] << (width - 2 - 2 * i) for i, v in enumerate(S)): g
              for g in gen_list}
-    elems = {0, full, *names}
-    frontier = list(elems)
-    while frontier:
-        x = frontier.pop()
-        new = [neg(x)] + [x & y for y in elems] + [x | y for y in elems]
-        for t in new:
-            if t not in elems:
-                if len(elems) >= FREE_SIZE_CAP:
-                    raise MatrixError("free algebra closure exceeded the size cap")
-                elems.add(t)
-                frontier.append(t)
-    order = sorted(elems)
+    order = sorted(_closed([0, full, *names], neg, FREE_SIZE_CAP))
     pos = {t: i for i, t in enumerate(order)}
     return FinMatrix._trusted(lambda i: names.get(order[i], "e%d" % i),
                               [pos[neg(t)] for t in order], pos[full], 0,

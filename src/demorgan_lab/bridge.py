@@ -62,12 +62,16 @@ def p_minus(g: Graph) -> Frame:
 
 
 def _p_frame(g: Graph, plus: bool) -> Frame:
+    """The order has height two, u below the copy n + w of each neighbor w,
+    and the involution swaps u and n + u: the laws hold for every graph,
+    which was validated where it entered, so the frame is not checked."""
     n = g.n
     labels = list(g.labels) + [l + "'" for l in g.labels]
-    leq = [(u, n + w) for u in range(n) for w in g.adj[u]]
+    up = [1 << u | sum(1 << (n + w) for w in g.adj[u]) for u in range(n)]
+    up += [1 << (n + u) for u in range(n)]
     invol = [n + u for u in range(n)] + list(range(n))
-    designated = list(range(2 * n)) if plus else list(range(n, 2 * n))
-    return Frame(labels, leq, invol, designated)
+    designated = range(2 * n) if plus else range(n, 2 * n)
+    return Frame._of_rows(labels, up, invol, designated)
 
 
 def p_triple(t: TriplePresentation) -> Frame:

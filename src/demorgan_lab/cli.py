@@ -258,35 +258,15 @@ def cmd_free(args) -> int:
 
 def cmd_sstar(args) -> int:
     from . import graph
-    start = graph.GraphPair(load_graph(args.graph), args.k)
-    seen = {start.key(): (start, 0)}
-    frontier = [start]
-    depth = 0
-    while frontier and (args.steps is None or depth < args.steps):
-        depth += 1
-        nxt = []
-        for p in frontier:
-            for q in graph.s_star_step(p):
-                if q.key() not in seen:
-                    seen[q.key()] = (q, depth)
-                    nxt.append(q)
-        frontier = nxt
-    rows = [(d, p.counter, p.graph.n, p.graph._as_dict()) for p, d in seen.values()]
-    rows.sort(key=lambda row: (*row[:3], _json_order(row[3])))
-    payload = {"reachable": [{"depth": d, "counter": c, "graph": g} for d, c, _, g in rows]}
+    reach = graph.s_star_reachable(graph.GraphPair(load_graph(args.graph), args.k), args.steps)
+    # by depth, counter, vertex count and the JSON text that text mode prints
+    rows = sorted(((d, p.counter, p.graph.n, p.graph.to_json(), p.graph) for p, d in reach.items()),
+                  key=lambda row: row[:4])
+    payload = {"reachable": [{"depth": d, "counter": c, "graph": g._as_dict()}
+                             for d, c, _, _, g in rows]}
     _emit(args, payload, [] if args.json else [
-        f"depth {d}: counter={c} graph={json.dumps(g)}" for d, c, _, g in rows])
+        f"depth {d}: counter={c} graph={text}" for d, c, _, text, _ in rows])
     return EXIT_TRUE
-
-
-def _json_order(g: dict) -> tuple:
-    """A key that orders graph dicts as json.dumps orders their text, which
-    text mode prints.  A label compares as its JSON string, which no other
-    label's extends; a list comes before its own prefix (", " < "]"), so each
-    ends in a terminator after every label's text, which starts with '"'."""
-    text = json.encoder.encode_basestring_ascii
-    return ((*map(text, g["vertices"]), "\x7f"),
-            (*((text(u), text(v)) for u, v in g["edges"]), ("\x7f",)))
 
 
 def cmd_logleq(args) -> int:

@@ -2,6 +2,11 @@
 
 The object language is the one all rules in this package are written in:
 atoms, ``~``, ``&``, ``|``, ``T`` and ``F``, with precedence ``~ > & > |``.
+Formulas compile to postfix programs (compile_program) that one fold
+evaluates; a rule compiles each side in the order of its formulas'
+programs, so its program does not depend on str hashes.  Normal forms are
+built from clause lists (_normal_clauses), which the consequence witness
+of logics walks.
 """
 
 from __future__ import annotations
@@ -98,6 +103,8 @@ class And(Formula):
         set_field(self, "right", right)
 
     def _emit(self, nodes: list) -> None:
+        if type(self.left) is And:
+            return _emit_chain(self, nodes, _AND)
         self.left._emit(nodes)
         self.right._emit(nodes)
         nodes.append(_AND)
@@ -113,9 +120,26 @@ class Or(Formula):
         set_field(self, "right", right)
 
     def _emit(self, nodes: list) -> None:
+        if type(self.left) is Or:
+            return _emit_chain(self, nodes, _OR)
         self.left._emit(nodes)
         self.right._emit(nodes)
         nodes.append(_OR)
+
+
+def _emit_chain(f: Formula, nodes: list, op: int) -> None:
+    """f._emit for an &/| node whose left operand has its connective: the
+    nodes of that chain down its left side are walked by a loop, so a long
+    conj or disj costs no recursion per operand."""
+    rights = []
+    chain = type(f)
+    while type(f) is chain:
+        rights.append(f.right)
+        f = f.left
+    f._emit(nodes)
+    for right in reversed(rights):
+        right._emit(nodes)
+        nodes.append(op)
 
 
 @_node
@@ -319,28 +343,39 @@ def split_program(prog: Program, first: int) -> tuple[Program, Program]:
     return Program(prog.names, tuple(inner), 0), Program(prog.names, tuple(outer), prog.n_premises)
 
 
-def _print(f: Formula) -> str:
-    # Parenthesize so parse(print(f)) == f: same-operator right nesting needs
-    # parens because the parser associates to the left.
-    def go(g: Formula, level: int) -> str:
-        # level: 0 = or-context, 1 = and-context, 2 = neg-context
-        if isinstance(g, Atom):
-            return g.name
-        if isinstance(g, _Top):
-            return "T"
-        if isinstance(g, _Bot):
-            return "F"
-        if isinstance(g, Neg):
-            return "~" + go(g.arg, 2)
-        if isinstance(g, And):
-            s = go(g.left, 1) + " & " + go(g.right, 2 if isinstance(g.right, And) else 1)
-            return "(" + s + ")" if level >= 2 else s
-        if isinstance(g, Or):
-            s = go(g.left, 0) + " | " + go(g.right, 1 if isinstance(g.right, Or) else 0)
-            return "(" + s + ")" if level >= 1 else s
-        raise TypeError(g)
+def _print(g: Formula, level: int = 0) -> str:
+    """The text of g in a context of the given level: 0 inside |, 1 inside
+    &, 2 under ~.  Parenthesized so parse(_print(f)) == f: same-operator
+    right nesting needs parens because the parser associates to the left."""
+    if isinstance(g, Atom):
+        return g.name
+    if isinstance(g, Neg):
+        return "~" + _print(g.arg, 2)
+    if isinstance(g, And):
+        s = (_chain_print(g, 1, " & ") if isinstance(g.left, And) else
+             _print(g.left, 1) + " & " + _print(g.right, 2 if isinstance(g.right, And) else 1))
+        return "(" + s + ")" if level >= 2 else s
+    if isinstance(g, Or):
+        s = (_chain_print(g, 0, " | ") if isinstance(g.left, Or) else
+             _print(g.left, 0) + " | " + _print(g.right, 1 if isinstance(g.right, Or) else 0))
+        return "(" + s + ")" if level >= 1 else s
+    if isinstance(g, _Top):
+        return "T"
+    if isinstance(g, _Bot):
+        return "F"
+    raise TypeError(g)
 
-    return go(f, 0)
+
+def _chain_print(g: Formula, level: int, op: str) -> str:
+    """_print of an &/| node whose left operand has its connective, without
+    parens: the operands down its left side are walked by a loop, so a long
+    conj or disj costs no recursion per operand."""
+    kind, parts = type(g), []
+    while isinstance(g, kind):
+        parts.append(_print(g.right, level + 1 if isinstance(g.right, kind) else level))
+        g = g.left
+    parts.append(_print(g, level))
+    return op.join(reversed(parts))
 
 
 class ParseError(ValueError):
@@ -502,8 +537,17 @@ class RuleInstance(Record, frozen=True):
 
     @derived
     def program(self) -> Program:
-        """The premises and conclusions compiled, on first call, and kept."""
-        return compile_program(tuple(self.premises), tuple(self.conclusions))
+        """The premises and conclusions compiled, in _sides' order, on first
+        call, and kept."""
+        return compile_program(*self._sides())
+
+    def _sides(self) -> list[list[Formula]]:
+        """The premises and the conclusions, a side of several formulas in
+        the order of their programs (atom names, then code).  A frozenset
+        lists formulas in an order set by str hashes, which differ between
+        processes; this order does not, so neither does program()."""
+        return [sorted(side, key=Formula.program) if len(side) > 1 else list(side)
+                for side in (self.premises, self.conclusions)]
 
     @derived
     def sweep_program(self) -> Program:
@@ -514,8 +558,7 @@ class RuleInstance(Record, frozen=True):
         drops an atom, this is program(): the sweep reads a witness off
         designation masks with an axis per atom."""
         leaf = {name: i for i, name in enumerate(self.program().names)}
-        prog = compile_program(*([_regrouped(f, leaf)[0] for f in side]
-                                 for side in (self.premises, self.conclusions)))
+        prog = compile_program(*([_regrouped(f, leaf)[0] for f in side] for side in self._sides()))
         return prog if len(prog.names) == len(leaf) else self.program()
 
     @derived
@@ -691,21 +734,23 @@ def _clause_formula(clause: frozenset[Literal], inner_or: bool) -> Formula:
 
 
 def normal_form(f: Formula, mode: str = "cnf") -> Formula:
-    """Canonical conjunctive or disjunctive normal form.
+    """Canonical conjunctive or disjunctive normal form: the conjunction or
+    disjunction of _normal_clauses(f, mode), so structurally equal inputs
+    give structurally equal outputs.  The empty conjunction is T and the
+    empty disjunction is F."""
+    return (conj if mode == "cnf" else disj)(_normal_clauses(f, mode))
 
-    Clauses are duplicate-free sorted literal sets, listed in sorted order,
-    so structurally equal inputs give structurally equal outputs.  The empty
-    conjunction is T and the empty disjunction is F.
-    """
+
+def _normal_clauses(f: Formula, mode: str) -> list[Formula]:
+    """The clauses of f's normal form, as formulas: duplicate-free sorted
+    literal sets, listed in sorted order.  The absorbing constant (F for
+    "cnf", T for "dnf") is the one clause of its own normal form."""
     if mode not in ("cnf", "dnf"):
         raise ValueError("mode must be 'cnf' or 'dnf'")
     cs = _clauses(f, mode)
     if cs is None:
-        return BOT if mode == "cnf" else TOP
-    if not cs:
-        return TOP if mode == "cnf" else BOT
-    return (conj if mode == "cnf" else disj)(
-        _clause_formula(c, inner_or=(mode == "cnf")) for c in sorted(cs, key=sorted))
+        return [BOT if mode == "cnf" else TOP]
+    return [_clause_formula(c, inner_or=(mode == "cnf")) for c in sorted(cs, key=sorted)]
 
 
 def grid_leaves(n: int, k: int, planes: Sequence[int]) -> list[int]:

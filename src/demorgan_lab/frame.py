@@ -71,9 +71,9 @@ class Frame:
     The order is held as bitmask rows: bit j of up[i] is set iff i <= j.
     The constructor takes the order as pairs, adds reflexivity and
     validates; so does from_json.  Frames that this package builds from
-    frames it already holds (restrictions, unions, quotients, random
-    frames) hold the laws by construction and go through _of_rows,
-    unchecked.
+    frames or graphs it already holds (restrictions, unions, quotients,
+    random frames, singletons, the frames of graphs) hold the laws by
+    construction and go through _of_rows, unchecked.
     """
 
     def __init__(self, labels: Sequence[str], leq: Iterable[tuple[int, int]],
@@ -188,7 +188,7 @@ class Frame:
 
 
 def singleton_frame(label: str = "*", designated: bool = True) -> Frame:
-    return Frame([label], [], [0], [0] if designated else [])
+    return Frame._of_rows([label], [1], [0], [0] if designated else [])
 
 
 def disjoint_union(ps: Sequence[Frame]) -> Frame:

@@ -1,6 +1,7 @@
 """Finite symmetric graphs with loops: homomorphism and coloring search,
 plus the pair-rewriting steps that mirror submatrix closure on the matrix
-side."""
+side, and the breadth-first search of the pairs they reach, each with its
+depth (s_star_reachable, which the sstar command prints)."""
 
 from __future__ import annotations
 
@@ -300,11 +301,12 @@ def _partitions(n: int) -> Iterator[list[int]]:
     yield from rec(0, 0)
 
 
-def homomorphic_images(g: Graph, guard: int = HOM_IMAGE_GUARD) -> list[Graph]:
+def homomorphic_images(g: Graph) -> list[Graph]:
     """All images of surjective homomorphisms, up to isomorphism: collapse
-    vertices by a partition, then add any set of extra edges."""
-    if g.n > guard:
-        raise GraphError(f"homomorphic_images guard exceeded ({g.n} > {guard})")
+    vertices by a partition, then add any set of extra edges.  At most
+    HOM_IMAGE_GUARD vertices."""
+    if g.n > HOM_IMAGE_GUARD:
+        raise GraphError(f"homomorphic_images guard exceeded ({g.n} > {HOM_IMAGE_GUARD})")
     seen: dict[tuple, Graph] = {}
     for ids in _partitions(g.n):
         k = max(ids) + 1 if ids else 0
@@ -354,24 +356,29 @@ def s_star_step(pair: GraphPair) -> list[GraphPair]:
     return [out[k] for k in sorted(out)]
 
 
-def s_star_reachable(pair: GraphPair, max_counter: Optional[int] = None) -> list[GraphPair]:
-    """Closure of the pair under the rewriting steps, up to isomorphism.
+def s_star_reachable(pair: GraphPair, steps: Optional[int] = None) -> dict[GraphPair, int]:
+    """The pairs reachable from pair by at most `steps` rewriting steps (any
+    number when None), up to isomorphism, each with its depth: the fewest
+    steps that reach it.  Breadth first, each class kept as the pair that
+    first reaches it; the dict lists the pairs in key order.
 
     The counter is bounded by the start counter plus the component count,
     and graphs never grow, so the closure is finite.
     """
-    start = GraphPair(pair.graph, pair.counter)
-    seen = {start.key(): start}
-    frontier = [start]
-    while frontier:
-        p = frontier.pop()
-        for q in s_star_step(p):
-            if max_counter is not None and q.counter > max_counter:
-                continue
-            if q.key() not in seen:
-                seen[q.key()] = q
-                frontier.append(q)
-    return [seen[k] for k in sorted(seen)]
+    seen = {pair.key(): (pair, 0)}
+    frontier = [pair]
+    depth = 0
+    while frontier and (steps is None or depth < steps):
+        depth += 1
+        nxt = []
+        for p in frontier:
+            for q in s_star_step(p):
+                key = q.key()
+                if key not in seen:
+                    seen[key] = (q, depth)
+                    nxt.append(q)
+        frontier = nxt
+    return dict(seen[k] for k in sorted(seen))
 
 
 def all_graphs(max_vertices: int, allow_isolated: bool = True,

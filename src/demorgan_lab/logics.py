@@ -1,6 +1,7 @@
 """Named logics with finite matrix semantics, rule pools, explosive-part
 computations, and the witness algorithm for consequence in the logic of the
-eight-element matrix.
+eight-element matrix, which walks the clause lists of the premises' DNF
+and the conclusion's CNF (formula._normal_clauses).
 
 Semantics are exact where an exact finite semantics exists (the classical
 completeness pairings); the two-variable explosive extensions by the
@@ -16,8 +17,8 @@ from typing import Iterable, Optional, Sequence
 
 from ._order import Record, set_field
 from .formula import (
-    And, Atom, BOT, CONTRADICTION, Formula, Neg, Or, RuleInstance, TOP,
-    chi, classical_status, conj, disj, nnf, normal_form, parse_rule,
+    Atom, BOT, CONTRADICTION, Formula, Neg, Or, RuleInstance, TOP,
+    _normal_clauses, chi, classical_status, conj, disj, nnf, parse_rule,
 )
 from .frame import (
     disjoint_union as frame_union,
@@ -325,65 +326,40 @@ def exp_validates(upper: NamedLogic, base: NamedLogic, r: RuleInstance) -> bool:
 # -- the witness algorithm for the eight-element matrix ------------------------
 
 
-def _disjunct_list(f: Formula) -> list[Formula]:
-    if isinstance(f, Or):
-        return _disjunct_list(f.left) + _disjunct_list(f.right)
-    return [f]
-
-
-def _conjunct_list(f: Formula) -> list[Formula]:
-    if isinstance(f, And):
-        return _conjunct_list(f.left) + _conjunct_list(f.right)
-    return [f]
+def _certifies(premises: Sequence[Formula], conclusion: Formula, psi: Formula,
+               chif: Formula) -> bool:
+    """True iff (psi, chi) certifies the consequence: chi is a classical
+    contradiction, and the premises entail chi | psi and ~psi | conclusion
+    in the base four-valued logic."""
+    return (classical_status(chif) == CONTRADICTION
+            and validates(bd4(), RuleInstance.single(premises, Or(chif, psi)))
+            and validates(bd4(), RuleInstance.single(premises, Or(Neg(psi), conclusion))))
 
 
 def kminus_witness(
     gamma: Iterable[Formula], phi: Formula
 ) -> Optional[tuple[Formula, Formula]]:
     """A pair (psi, chi) certifying consequence in the eight-element-matrix
-    logic: the premises entail chi | psi and ~psi | phi in the base
-    four-valued logic, with chi a classical contradiction.  None when no
-    such pair exists.
+    logic (see _certifies), or None when no such pair exists.
 
-    Follows the completeness proof's recursion on a disjunctive normal form
-    of the premises and a conjunctive normal form of the conclusion: a
-    three-way split on disjunctions combining via
+    Follows the completeness proof's recursion on the clause lists of a
+    disjunctive normal form of the premises and a conjunctive normal form
+    of the conclusion (formula._normal_clauses): a three-way split on
+    disjunctions combining via
     psi = (psi1|psi2) & (psi2|psi3) & (psi3|psi1), chi = chi1|chi2|chi3,
     a conjunction split combining componentwise, and clause-level base
     cases.  Every returned pair is re-verified before being handed back.
     """
-    bd = bd4()
     gamma = sorted(set(gamma), key=str)
-
-    def bd_valid(premises: Sequence[Formula], concl: Formula) -> bool:
-        return validates(bd, RuleInstance.single(premises, concl))
-
-    def verify(psi: Formula, chif: Formula) -> bool:
-        return (
-            classical_status(chif) == CONTRADICTION
-            and bd_valid(gamma, Or(chif, psi))
-            and bd_valid(gamma, Or(Neg(psi), phi))
-        )
-
-    g_dnf = normal_form(conj(gamma), "dnf")
-    if g_dnf == BOT:
+    clauses = _normal_clauses(conj(gamma), "dnf")
+    if not clauses:
         # inconsistent premises in the base logic: anything follows
-        out = (TOP, BOT)
-        if not verify(*out):
+        if not _certifies(gamma, phi, TOP, BOT):
             raise RuntimeError("internal: trivial witness failed verification")
-        return out
-    clauses = _disjunct_list(g_dnf)
+        return TOP, BOT
 
     def clause_witness(cs: list[Formula], d: Formula) -> Optional[tuple[Formula, Formula]]:
         gf = disj(cs)
-
-        def checked(psi: Formula, chif: Formula) -> bool:
-            return (
-                classical_status(chif) == CONTRADICTION
-                and bd_valid([gf], Or(chif, psi))
-                and bd_valid([gf], Or(Neg(psi), d))
-            )
-
         if len(cs) > 2:
             groups = ([cs[1]] + cs[2:], cs[2:] + [cs[0]], [cs[0], cs[1]])
             subs = []
@@ -395,7 +371,7 @@ def kminus_witness(
             (p1, c1), (p2, c2), (p3, c3) = subs
             psi = conj([Or(p1, p2), Or(p2, p3), Or(p3, p1)])
             chif = disj([c1, c2, c3])
-            if not checked(psi, chif):
+            if not _certifies([gf], d, psi, chif):
                 raise RuntimeError("internal: three-way combination failed")
             return psi, chif
         first, last = cs[0], cs[-1]
@@ -408,28 +384,18 @@ def kminus_witness(
         if classical_status(last) == CONTRADICTION and len(cs) == 2:
             candidates.append((first, last))
         for psi, chif in candidates:
-            if checked(psi, chif):
+            if _certifies([gf], d, psi, chif):
                 return psi, chif
         return None
 
-    p_cnf = normal_form(phi, "cnf")
-    if p_cnf == TOP:
-        ds: list[Formula] = []
-    else:
-        ds = _conjunct_list(p_cnf)
-
     parts = []
-    for d in ds:
+    for d in _normal_clauses(phi, "cnf"):
         w = clause_witness(clauses, d)
         if w is None:
             return None
         parts.append(w)
-    if parts:
-        psi = conj([p for p, _ in parts])
-        chif = disj([c for _, c in parts])
-    else:
-        psi, chif = TOP, BOT
-    if not verify(psi, chif):
+    psi, chif = conj([p for p, _ in parts]), disj([c for _, c in parts])  # T, F when none
+    if not _certifies(gamma, phi, psi, chif):
         raise RuntimeError("internal: combined witness failed verification")
     return psi, chif
 
@@ -538,16 +504,13 @@ class ProbeResult(Record):
         return "\n".join(lines)
 
 
-def probe_lattice(
-    pool: Optional[Sequence[RuleInstance]] = None,
-    names: Optional[Sequence[str]] = None,
-) -> ProbeResult:
-    """Compare registry logics by their pool-valid rule sets and report the
-    induced inclusion preorder and its Hasse diagram."""
+def probe_lattice(pool: Optional[Sequence[RuleInstance]] = None) -> ProbeResult:
+    """Compare the PROBE_NAMES logics of the registry by their pool-valid
+    rule sets and report the induced inclusion preorder and its Hasse
+    diagram."""
     if pool is None:
         pool = probe_pool()
-    if names is None:
-        names = PROBE_NAMES
+    names = PROBE_NAMES
     # registry logics share matrix objects (KO, KOVECQ and KOMINUS reuse
     # those of K, LP and KMINUS), so each (matrix, rule) pair is swept once;
     # all() keeps NamedLogic.valid's order and short circuit

@@ -32,6 +32,21 @@ def test_p_plus_matches_figure_frame():
     assert p.invol == (2, 3, 0, 1)
 
 
+def test_graph_frames_hold_the_frame_laws():
+    # p_plus and p_minus build their rows unchecked: each passes validate()
+    # and has the order of the pairs u <= n + w for the edges u w
+    from demorgan_lab.frame import Frame, singleton_frame
+    for g in all_graphs(4, allow_empty=True):
+        n = g.n
+        leq = [(u, n + w) for u in range(n) for w in g.adj[u]]
+        for p in (p_plus(g), p_minus(g)):
+            p.validate()
+            assert p.up == Frame(p.labels, leq, p.invol, p.designated).up
+        assert p_minus(g).designated == frozenset(range(n, 2 * n))
+    for designated in (True, False):
+        singleton_frame(designated=designated).validate()
+
+
 def test_p_minus_point():
     p = p_minus(point())
     assert p.n == 2 and p.designated == frozenset({1})

@@ -1,7 +1,6 @@
 import importlib
 import json
 import os
-import random
 import re
 import subprocess
 import sys
@@ -117,12 +116,14 @@ def test_colorings_of_long_cycles(capsys):
 
 def test_alpha_rule_of_a_long_cycle(capsys):
     # conj and disj hash each node as they build it: hashing the 200-deep
-    # disjunction of 198-deep conjunctions does not recurse per operand
-    for argv in (["alpha"], ["--json", "alpha"]):
-        code, out, err = run(capsys, *argv, "--graph", "C200")
-        assert code == 0 and err == ""
-        rule = json.loads(out)["rule"] if argv[0] == "--json" else out
-        assert len(set(re.findall(r"[a-z][a-z0-9_]*", rule))) == 200
+    # disjunction of 198-deep conjunctions does not recurse per operand; and
+    # printing walks a chain's left side by a loop, so C500 prints too
+    for n in (200, 500):
+        for argv in (["alpha"], ["--json", "alpha"]):
+            code, out, err = run(capsys, *argv, "--graph", f"C{n}")
+            assert code == 0 and err == ""
+            rule = json.loads(out)["rule"] if argv[0] == "--json" else out
+            assert len(set(re.findall(r"[a-z][a-z0-9_]*", rule))) == n
 
 
 def from_depth(frames, fn):
@@ -219,20 +220,6 @@ def test_sstar_command(capsys):
     assert code == 0
     assert any(row["counter"] == 1 and not row["graph"]["vertices"]
                for row in data["reachable"])
-
-
-def test_sstar_orders_graphs_as_their_json_text():
-    # labels that compare otherwise than their JSON strings: prefixes
-    # followed by a space or "!", escaped characters, non-ASCII text; and
-    # edge lists that are prefixes of others
-    labels = ["v1", "v1 ", "v1!", "v10", 'v1"', "v1\\", "v1\n", "v\u00e9", "w", ""]
-    rng = random.Random(3)
-    graphs = []
-    for _ in range(400):
-        vs = rng.sample(labels, 2)
-        es = [[rng.choice(vs), rng.choice(vs)] for _ in range(rng.randint(0, 3))]
-        graphs.append({"vertices": vs, "edges": es})
-    assert sorted(graphs, key=cli._json_order) == sorted(graphs, key=json.dumps)
 
 
 def test_probe_command(capsys):

@@ -1,13 +1,17 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+import demorgan_lab
 from demorgan_lab.formula import (
     And, Atom, Neg, Or, BOT, TOP, MAX_DEPTH, ParseError, RuleInstance,
     CONTINGENT, CONTRADICTION, TAUTOLOGY,
-    atoms, chi, classical_status, fresh_renaming, nnf, normal_form,
-    parse, parse_rule, rename_apart, substitute,
+    atoms, chi, classical_status, conj, disj, fresh_renaming, nnf, normal_form,
+    parse, parse_rule, rename_apart, substitute, _OR,
 )
 
 # Independent DM4 oracle: the four-element De Morgan algebra as plain dicts,
@@ -353,3 +357,40 @@ def test_parse_bounds_the_nesting(shape, offset):
     with pytest.raises(ParseError) as e:
         parse("~(" + nested(shape, MAX_DEPTH) + ")")
     assert e.value.pos == (0 if shape == "or" else MAX_DEPTH)
+
+
+def test_long_chains_print_and_compile_without_recursion():
+    # printing and compiling walk a chain's left side by a loop: chains of
+    # 3000 operands, nested inside one another, pass the recursion limit
+    lits = [Atom(f"p{i}") for i in range(3000)]
+    for chained, op in ((conj, " & "), (disj, " | ")):
+        f = chained(lits)
+        assert str(f) == op.join(f"p{i}" for i in range(3000))
+        assert len(f.program().nodes) == 2 * 3000 - 1
+    f = disj([conj(lits[:3]), conj([Neg(a) for a in lits]), Or(lits[0], Or(lits[1], lits[2]))])
+    text = str(f)
+    assert text.startswith("p0 & p1 & p2 | ~p0 & ~p1") and text.endswith(" | (p1 | p2))")
+    prog = f.program()
+    leaves = tuple(map(prog.names.index, ("p0", "p1", "p2")))
+    assert prog.nodes[-6:] == leaves + (_OR, _OR, _OR)
+    # right nesting keeps its parentheses, as before
+    assert str(And(lits[0], And(lits[1], lits[2]))) == "p0 & (p1 & p2)"
+
+
+def test_rule_programs_do_not_depend_on_str_hashes():
+    # a frozenset lists formulas in an order set by str hashes; program()
+    # and sweep_program() order each side by its formulas' programs, so two
+    # hash seeds give one digest
+    code = ("import hashlib\n"
+            "from demorgan_lab import logics\n"
+            "h = hashlib.sha256()\n"
+            "for r in logics.clause_pool()[:600] + logics.mc_pool():\n"
+            "    h.update(repr((r.program(), r.sweep_program())).encode())\n"
+            "print(h.hexdigest())\n")
+    src = os.path.dirname(os.path.dirname(demorgan_lab.__file__))
+    digests = {subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+                              capture_output=True, text=True, check=True,
+                              timeout=120).stdout
+               for seed in ("0", "1")}
+    assert len(digests) == 1
