@@ -122,10 +122,15 @@ def commands() -> list[list[str]]:
         ["sstar", "--graph", "K2"],
         ["sstar", "--graph", "loop", "--k", "2"],
         ["sstar", "--graph", "C4", "--k", "1", "--steps", "2"],
+        ["sstar", "--graph", "C5", "--steps", "1"],  # a 5-vertex graph's images
         ["sstar", "--graph", "@petersen.json"],  # not in canonical form
         ["logleq", "--from", "K3", "--to", "BD4", "--bound", "2"],
         ["logleq", "--from", "BD4", "--to", "K3", "--bound", "1"],
         ["logleq", "--from", "K3,LP3", "--to", "CL2", "--bound", "1"],
+        ["logleq", "--from", "K3", "--to", "BD4", "--bound", "4"],
+        ["logleq", "--from", "KMINUS8", "--to", "BD4", "--bound", "2"],
+        # "yes" only at power 2, after the frames of power 1 are visited
+        ["logleq", "--from", "ETL4,K3", "--to", "KMINUS8", "--bound", "2"],
         ["separate", "--hold", "p, ~p | q |- q", "--fail", "|- p | ~p"],
         ["separate", "--hold", "|- p | ~p", "--fail", "p |- p"],
         ["probe"],
