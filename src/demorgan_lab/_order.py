@@ -1,7 +1,10 @@
 """Relations as bitmask rows (bit j of up[i] is set iff i R j), their
 closure, and the one isomorphism search for frames, matrices and graphs:
-each is a relation, a unary map and a colour per point.  Also Record, the
-base of the package's record classes, and derived, its memo of derived data."""
+each is a relation, a unary map and a colour per point.  Beside it, one
+canonical form of such a structure, whose value is the same exactly for
+isomorphic ones: graphs and frames are listed and compared up to
+isomorphism by it (Graph.canonical_key, log_leq).  Also Record, the base
+of the package's record classes, and derived, its memo of derived data."""
 
 from __future__ import annotations
 
@@ -239,3 +242,28 @@ def isomorphism(p: Structure, q: Structure) -> Optional[tuple[int, ...]]:
             return tuple(phi)
         stack.append(it)
         it = options(order[len(stack)])
+
+
+def canonical(s: Structure) -> tuple[int, ...]:
+    """The points' rows in the order that makes the sequence least, equal
+    exactly for isomorphic structures.  A row holds the point's colour (an
+    int or bool), whether the map fixes it, four bits per point placed
+    before it (the relation and the map, either way; the first placed
+    highest) and its loop bit.  Filling the positions from the last down,
+    graphs of one size order as their least edge masks over pairs i <= j.
+    Breadth first: placements tying for the least row are kept, and merged
+    when their unplaced points have the same rows so far.  Placing p appends
+    four[p][u] to u's row (kept above its loop bit); -1 marks placed points."""
+    n = len(s.up)
+    four = [[-1 if u == p else ((s.up[u] >> p & 1) << 3 | (s.up[p] >> u & 1) << 2
+                                | (s.f[u] == p) << 1 | (s.f[p] == u)) << 1 | (s.up[u] >> u & 1)
+             for u in range(n)] for p in range(n)]
+    states = {tuple((int(c) << 1 | (s.f[u] == u)) << 1 | (s.up[u] >> u & 1)
+                    for u, c in enumerate(s.colours))}
+    out = []
+    for _ in range(n):
+        best = min(x for st in states for x in st if x >= 0)
+        states = {tuple(y >> 1 << 5 | b if y >= 0 else -1 for y, b in zip(st, four[p]))
+                  for st in states for p, x in enumerate(st) if x == best}
+        out.append(best)
+    return tuple(out)

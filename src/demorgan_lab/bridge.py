@@ -17,7 +17,7 @@ from ._order import Record, bits, set_field
 from .formula import Atom, Formula, Neg, RuleInstance, conj, disj
 from .frame import Frame, complex_matrix, components, disjoint_union, dual_frame, frame_isomorphic, singleton_frame
 from .graph import Graph, empty_graph
-from .graph import disjoint_union as graph_union
+from .graph import components as graph_components, disjoint_union as graph_union
 from .matrix import FinMatrix, MatrixError, leibniz_congruence
 
 if TYPE_CHECKING:
@@ -217,14 +217,8 @@ def classify_reduced(m: FinMatrix) -> TriplePresentation:
     return result
 
 
-
-
 def _normalized_union(parts: list[Graph]) -> Graph:
-    from .graph import components as graph_components
-    pieces = []
-    for g in parts:
-        pieces.extend(graph_components(g))
-    pieces.sort(key=lambda g: g.canonical_key())
+    pieces = sorted((c for g in parts for c in graph_components(g)), key=Graph.canonical_key)
     return graph_union(pieces) if pieces else empty_graph()
 
 

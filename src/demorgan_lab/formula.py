@@ -59,8 +59,23 @@ class Formula(Record, frozen=True):
 def _node(cls: type) -> type:
     """A formula class, whose field hash (Record's, a function named hash,
     so kept as "_hash"), a walk of the whole tree, is computed on first
-    call and kept like the program.  Equality stays field by field."""
+    call and kept like the program.  Equality stays field by field, but an
+    &/| node walks the nodes down both left sides by a loop while they keep
+    its connective, as _emit_chain does, comparing their right operands."""
     cls.__hash__ = derived(cls.__hash__)
+    if cls._fields == ("left", "right"):
+        field_eq = cls.__eq__
+
+        def __eq__(self, other):
+            if other.__class__ is not cls:
+                return NotImplemented
+            while self is not other and self.left.__class__ is cls and other.left.__class__ is cls:
+                if self.right is not other.right and self.right != other.right:
+                    return False
+                self, other = self.left, other.left
+            return field_eq(self, other)
+
+        cls.__eq__ = __eq__
     return cls
 
 
@@ -612,9 +627,17 @@ Substitution = Mapping[str, Formula]
 
 def _substituted(prog: Program, s: Substitution) -> list[Formula]:
     """The homomorphic images of prog's formulas: the fold that rebuilds
-    each formula, with the atoms in s replaced."""
+    each formula, with the atoms in s replaced.  Each node is hashed as it
+    is built, from its operands' kept hashes, so hashing an image later
+    costs no recursion (compare _chained)."""
     return fold(prog, [s[name] if name in s else Atom(name) for name in prog.names],
-                Neg, And, Or, TOP, BOT)
+                lambda a: _hashed(Neg(a)), lambda a, b: _hashed(And(a, b)),
+                lambda a, b: _hashed(Or(a, b)), TOP, BOT)
+
+
+def _hashed(f: Formula) -> Formula:
+    hash(f)
+    return f
 
 
 def substitute(f: Formula, s: Substitution) -> Formula:

@@ -7,9 +7,9 @@ from __future__ import annotations
 
 import itertools
 import json
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from ._order import Record, Structure, bits, closure, isomorphism, set_field
+from ._order import Record, Structure, bits, canonical, closure, isomorphism, set_field
 from .matrix import _json_object
 
 __all__ = [
@@ -57,21 +57,10 @@ class Graph:
         return any(self.is_isolated(u) for u in range(self.n))
 
     def canonical_key(self) -> tuple:
-        """Iso-invariant key: minimum edge bitmask over all permutations,
-        preceded by the vertex count.  Exponential; for desk-scale graphs."""
-        if self.n > 8:
-            raise GraphError("canonical form guard: more than 8 vertices")
-        pairs = [(i, j) for i in range(self.n) for j in range(i, self.n)]
-        pos = {p: k for k, p in enumerate(pairs)}
-        best = None
-        for perm in itertools.permutations(range(self.n)):
-            mask = 0
-            for u, v in self.edges():
-                a, b = perm[u], perm[v]
-                mask |= 1 << pos[(min(a, b), max(a, b))]
-            if best is None or mask < best:
-                best = mask
-        return (self.n, best)
+        """Iso-invariant key: the vertex count, then the rows of the
+        canonical form (_order.canonical), which order graphs of one size
+        as their least edge masks over all relabellings do."""
+        return (self.n, canonical(_structure(self)))
 
     def to_json(self) -> str:
         return json.dumps(self._as_dict())
@@ -169,28 +158,24 @@ def has_loop(g: Graph) -> bool:
 
 
 def components(g: Graph) -> list[Graph]:
-    out = []
     # adjacency is symmetric, so its closure's rows are the components
-    for r in sorted(set(closure(_rows(g))), key=lambda r: r & -r):
-        vs = list(bits(r))
-        pos = {v: i for i, v in enumerate(vs)}
-        out.append(Graph([g.labels[v] for v in vs],
-                         [(pos[u], pos[v]) for u, v in g.edges() if u in pos]))
-    return out
+    return [_induced(g, list(bits(r)))
+            for r in sorted(set(closure(_rows(g))), key=lambda r: r & -r)]
+
+
+def _induced(g: Graph, vs: Sequence[int]) -> Graph:
+    """The subgraph of g on the vertices vs, renumbered in that order."""
+    pos = {v: i for i, v in enumerate(vs)}
+    return Graph([g.labels[v] for v in vs],
+                 [(pos[u], pos[v]) for u, v in g.edges() if u in pos and v in pos])
 
 
 def contract_isolated_edge(g: Graph) -> Optional[Graph]:
     """Replace one isolated two-vertex loopless component by a single
     isolated vertex; None when no such component exists."""
-    for u in range(g.n):
-        for v in g.adj[u]:
-            if v <= u:
-                continue
-            if g.adj[u] == {v} and g.adj[v] == {u}:
-                keep = [w for w in range(g.n) if w != v]
-                pos = {w: i for i, w in enumerate(keep)}
-                edges = [(pos[a], pos[b]) for a, b in g.edges() if a != v and b != v]
-                return Graph([g.labels[w] for w in keep], edges)
+    for u, v in g.edges():
+        if u != v and g.adj[u] == {v} and g.adj[v] == {u}:
+            return _induced(g, [w for w in range(g.n) if w != v])
     return None
 
 
@@ -255,10 +240,7 @@ def weak_n_coloring(g: Graph, n: int) -> Optional[dict[int, int]]:
         raise GraphError("colorings need n >= 1")
     for u in range(g.n):
         dom = sorted(g.adj[u])
-        pos = {v: i for i, v in enumerate(dom)}
-        sub = Graph([g.labels[v] for v in dom],
-                    [(pos[a], pos[b]) for a, b in g.edges() if a in pos and b in pos])
-        f = hom_search(sub, complete(n))
+        f = hom_search(_induced(g, dom), complete(n))
         if f is not None:
             return {dom[i]: f[i] for i in range(len(dom))}
     return None
@@ -287,18 +269,14 @@ HOM_IMAGE_GUARD = 5
 
 
 def _partitions(n: int) -> Iterator[list[int]]:
-    """All set partitions of range(n) as restricted-growth block ids."""
-    ids = [0] * n
-
-    def rec(i: int, m: int):
-        if i == n:
-            yield list(ids)
-            return
-        for b in range(m + 1):
-            ids[i] = b
-            yield from rec(i + 1, max(m, b + 1))
-
-    yield from rec(0, 0)
+    """All set partitions of range(n) as restricted-growth block ids, in
+    lexicographic order."""
+    if n == 0:
+        yield []
+        return
+    for ids in _partitions(n - 1):
+        for b in range(max(ids, default=-1) + 2):
+            yield ids + [b]
 
 
 def homomorphic_images(g: Graph) -> list[Graph]:
@@ -307,22 +285,26 @@ def homomorphic_images(g: Graph) -> list[Graph]:
     HOM_IMAGE_GUARD vertices."""
     if g.n > HOM_IMAGE_GUARD:
         raise GraphError(f"homomorphic_images guard exceeded ({g.n} > {HOM_IMAGE_GUARD})")
-    seen: dict[tuple, Graph] = {}
-    for ids in _partitions(g.n):
-        k = max(ids) + 1 if ids else 0
-        base = {(min(ids[u], ids[v]), max(ids[u], ids[v])) for u, v in g.edges()}
-        pairs = [(i, j) for i in range(k) for j in range(i, k)]
-        extra = [p for p in pairs if p not in base]
-        for bits in range(1 << len(extra)):
-            edges = set(base)
-            for t, p in enumerate(extra):
-                if bits >> t & 1:
-                    edges.add(p)
-            h = Graph([f"w{i}" for i in range(k)], edges)
-            key = h.canonical_key()
-            if key not in seen:
-                seen[key] = h
-    return [seen[k] for k in sorted(seen)]
+    images = (_supergraphs(max(ids) + 1 if ids else 0, "w",
+                           {tuple(sorted((ids[u], ids[v]))) for u, v in g.edges()})
+              for ids in _partitions(g.n))
+    return _classes(itertools.chain.from_iterable(images), Graph.canonical_key)
+
+
+def _supergraphs(k: int, prefix: str, base: set[tuple[int, int]]) -> Iterator[Graph]:
+    """Every graph on the vertices prefix + "0", ... whose edges include base."""
+    extra = [(i, j) for i in range(k) for j in range(i, k) if (i, j) not in base]
+    for mask in range(1 << len(extra)):
+        yield Graph([f"{prefix}{i}" for i in range(k)],
+                    [*base, *(p for t, p in enumerate(extra) if mask >> t & 1)])
+
+
+def _classes(items: Iterable, key: Callable) -> list:
+    """The first item met of each class of key, in key order."""
+    out: dict = {}
+    for x in items:
+        out.setdefault(key(x), x)
+    return [out[k] for k in sorted(out)]
 
 
 def s_star_step(pair: GraphPair) -> list[GraphPair]:
@@ -334,26 +316,20 @@ def s_star_step(pair: GraphPair) -> list[GraphPair]:
     last counter when the graph has a loop.
     """
     g, i = pair.graph, pair.counter
-    out: dict[tuple, GraphPair] = {}
-
-    def add(p: GraphPair):
-        out.setdefault(p.key(), p)
-
-    for h in homomorphic_images(g):
-        add(GraphPair(h, i))
+    out = [GraphPair(h, i) for h in homomorphic_images(g)]
     c = contract_isolated_edge(g)
     if c is not None:
-        add(GraphPair(c, i))
+        out.append(GraphPair(c, i))
     comps = components(g)
     for r in range(1, len(comps) + 1):
         for drop in itertools.combinations(range(len(comps)), r):
             keep = [comps[k] for k in range(len(comps)) if k not in drop]
-            add(GraphPair(disjoint_union(keep) if keep else empty_graph(), i + 1))
+            out.append(GraphPair(disjoint_union(keep) if keep else empty_graph(), i + 1))
     if i >= 2:
-        add(GraphPair(g, i - 1))
+        out.append(GraphPair(g, i - 1))
     if i == 1 and has_loop(g):
-        add(GraphPair(g, 0))
-    return [out[k] for k in sorted(out)]
+        out.append(GraphPair(g, 0))
+    return _classes(out, GraphPair.key)
 
 
 def s_star_reachable(pair: GraphPair, steps: Optional[int] = None) -> dict[GraphPair, int]:
@@ -385,17 +361,7 @@ def all_graphs(max_vertices: int, allow_isolated: bool = True,
                allow_empty: bool = False) -> list[Graph]:
     """All graphs with at most max_vertices, up to isomorphism; deterministic
     order.  Loops count as edges, so a reflexive vertex is not isolated."""
-    out: dict[tuple, Graph] = {}
-    if allow_empty:
-        out[empty_graph().canonical_key()] = empty_graph()
-    for n in range(1, max_vertices + 1):
-        pairs = [(i, j) for i in range(n) for j in range(i, n)]
-        for bits in range(1 << len(pairs)):
-            edges = [p for t, p in enumerate(pairs) if bits >> t & 1]
-            g = Graph([f"v{i}" for i in range(n)], edges)
-            if not allow_isolated and g.has_isolated_vertex():
-                continue
-            key = g.canonical_key()
-            if key not in out:
-                out[key] = g
-    return [out[k] for k in sorted(out)]
+    graphs = itertools.chain([empty_graph()] if allow_empty else [],
+                             *(_supergraphs(n, "v", set()) for n in range(1, max_vertices + 1)))
+    return _classes((g for g in graphs if allow_isolated or not g.has_isolated_vertex()),
+                    Graph.canonical_key)

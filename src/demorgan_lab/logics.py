@@ -15,14 +15,14 @@ import functools
 import itertools
 from typing import Iterable, Optional, Sequence
 
-from ._order import Record, set_field
+from ._order import Record, canonical, set_field
 from .formula import (
     Atom, BOT, CONTRADICTION, Formula, Neg, Or, RuleInstance, TOP,
     _normal_clauses, chi, classical_status, conj, disj, nnf, parse_rule,
 )
 from .frame import (
-    disjoint_union as frame_union,
-    dual_frame, frame_isomorphic, immediate_quotients, leibniz_subframe,
+    Frame, _structure as frame_structure, disjoint_union as frame_union,
+    dual_frame, immediate_quotients, leibniz_subframe,
 )
 from .graph import complete
 from .matrix import (
@@ -414,8 +414,11 @@ def log_leq(a: Sequence[FinMatrix], b: FinMatrix, max_power: Optional[int] = Non
 
     The search runs dually: the reduct of a submatrix corresponds to the
     Leibniz subframe of a quotient frame, and products to disjoint unions
-    of dual frames.  A negative answer is only "not found up to the bound":
-    no effective bound is known, so none is invented.
+    of dual frames.  Frames are compared by their canonical forms
+    (_order.canonical), and one set of the frames visited serves every
+    combination and power: a frame explored without reaching the target
+    reaches nothing new later.  A negative answer is only "not found up to
+    the bound": no effective bound is known, so none is invented.
     """
     if max_power is None:
         max_power = b.n
@@ -423,31 +426,26 @@ def log_leq(a: Sequence[FinMatrix], b: FinMatrix, max_power: Optional[int] = Non
         raise ValueError("max_power must be at least 1")
     if "demorgan" not in b.flags or any("demorgan" not in m.flags for m in a):
         raise MatrixError("log_leq compares De Morgan matrices")
-    target = dual_frame(leibniz_reduct(b))
+
+    def key(f: Frame) -> tuple[int, ...]:
+        return canonical(frame_structure(f))
+
+    target = key(dual_frame(leibniz_reduct(b)))
     duals = [dual_frame(m) for m in a]
+    seen: set[tuple[int, ...]] = set()
     for power in range(1, max_power + 1):
         for combo in itertools.combinations_with_replacement(range(len(a)), power):
-            start = frame_union([duals[i] for i in combo])
-            if _frame_reachable(start, target):
-                return LOG_LEQ_YES
+            frontier = [frame_union([duals[i] for i in combo])]
+            while frontier:
+                f = frontier.pop()
+                for nxt in [leibniz_subframe(f), *immediate_quotients(f)]:
+                    k = key(nxt)
+                    if k not in seen:
+                        seen.add(k)
+                        if key(leibniz_subframe(nxt)) == target:
+                            return LOG_LEQ_YES
+                        frontier.append(nxt)
     return LOG_LEQ_NOT_FOUND
-
-
-def _frame_reachable(start, target) -> bool:
-    seen = []
-    frontier = [start]
-    while frontier:
-        f = frontier.pop()
-        if any(frame_isomorphic(f, s) for s in seen):
-            continue
-        seen.append(f)
-        nexts = [leibniz_subframe(f)] + list(immediate_quotients(f))
-        for nxt in nexts:
-            red = leibniz_subframe(nxt)
-            if frame_isomorphic(red, target):
-                return True
-            frontier.append(nxt)
-    return False
 
 
 def separation_search(

@@ -123,7 +123,7 @@ def commands() -> list[list[str]]:
         ["sstar", "--graph", "loop", "--k", "2"],
         ["sstar", "--graph", "C4", "--k", "1", "--steps", "2"],
         ["sstar", "--graph", "C5", "--steps", "1"],  # a 5-vertex graph's images
-        ["sstar", "--graph", "@petersen.json"],  # not in canonical form
+        ["sstar", "--graph", "@petersen.json"],  # ten vertices: past homomorphic_images' guard
         ["logleq", "--from", "K3", "--to", "BD4", "--bound", "2"],
         ["logleq", "--from", "BD4", "--to", "K3", "--bound", "1"],
         ["logleq", "--from", "K3,LP3", "--to", "CL2", "--bound", "1"],

@@ -182,6 +182,13 @@ def test_classify_reduced_examples():
         classify_reduced(chain)
 
 
+def test_classify_reduced_past_eight_vertices():
+    # 18 points, 5778 elements: its plus graph is sorted by canonical key
+    c = classify_reduced(mu_plus(cycle(9)))
+    assert graph_isomorphic(c.plus_graph, cycle(9))
+    assert c.minus_graph.n == 0 and c.singletons == 0
+
+
 def test_classify_roundtrip_small():
     gs = all_graphs(2, allow_isolated=True, allow_empty=True)
     for gp, gm in itertools.product(gs, repeat=2):

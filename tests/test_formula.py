@@ -377,6 +377,20 @@ def test_long_chains_print_and_compile_without_recursion():
     assert str(And(lits[0], And(lits[1], lits[2]))) == "p0 & (p1 & p2)"
 
 
+def test_long_chains_hash_and_compare_without_recursion():
+    # a substitution hashes the nodes it builds, and &/| equality walks a
+    # chain's left side by a loop, as printing does
+    lits = [Atom(f"p{i}") for i in range(3000)]
+    f = substitute(disj(lits), {"p1": TOP})
+    assert hash(f) == hash(substitute(disj(lits), {"p1": TOP}))
+    assert disj(lits) == disj(list(lits)) and conj(lits) == conj(list(lits))
+    assert disj(lits) != disj(lits[:-1] + [Atom("q")]) and disj(lits) != conj(lits)
+    assert disj(lits) != f and disj(lits[1:]) != disj(lits)
+    # a two-operand node keeps its field hash and equality
+    p, q = lits[:2]
+    assert hash(Or(p, q)) == hash((p, q)) and Or(Or(p, q), q) != Or(Or(p, q), p)
+
+
 def test_rule_programs_do_not_depend_on_str_hashes():
     # a frozenset lists formulas in an order set by str hashes; program()
     # and sweep_program() order each side by its formulas' programs, so two

@@ -4,10 +4,11 @@ import random
 
 import pytest
 
+from demorgan_lab._order import canonical
 from demorgan_lab.frame import (
     CompatiblePreorder, Frame, FrameError,
     complex_matrix, components, counit_check, disjoint_union, dual_frame,
-    frame_isomorphic, frame_isomorphism, generate_preorder, immediate_quotients,
+    _structure, frame_isomorphic, frame_isomorphism, generate_preorder, immediate_quotients,
     is_reduced_frame, leibniz_subframe, quotient, random_frame,
     roundtrip_check, singleton_frame,
 )
@@ -368,3 +369,26 @@ def test_frame_isomorphism_against_all_permutations():
         found += bool(isos)
         missed += not isos
     assert found > 40 and missed > 40
+
+
+def test_frame_keys_are_equal_exactly_for_isomorphic_frames():
+    # the canonical form of a frame's structure, which log_leq compares,
+    # against the isomorphism search: relabelled copies, and frames of one
+    # size drawn apart
+    rng = random.Random(12)
+    frames = [random_frame(rng, 7) for _ in range(300)]
+    isomorphic = 0
+    for p in frames:
+        perm = list(range(p.n))
+        rng.shuffle(perm)
+        q = _relabelled(p, perm)
+        assert canonical(_structure(p)) == canonical(_structure(q))
+    by_size = {}
+    for p in frames:
+        by_size.setdefault(p.n, []).append(p)
+    for same_size in by_size.values():
+        for p, q in itertools.combinations(same_size[:25], 2):
+            agree = canonical(_structure(p)) == canonical(_structure(q))
+            assert agree == frame_isomorphic(p, q), (p, q)
+            isomorphic += agree
+    assert isomorphic > 20

@@ -214,6 +214,69 @@ def test_graph_isomorphic_against_canonical_keys():
     assert same > 100 and differ > 100
 
 
+def brute_key(g):
+    """Oracle: the vertex count and the least edge mask over all n!
+    relabellings, bit k of the mask standing for the k-th pair (i, j),
+    i <= j, in lexicographic order."""
+    pairs = [(i, j) for i in range(g.n) for j in range(i, g.n)]
+    pos = {p: k for k, p in enumerate(pairs)}
+    best = None
+    for perm in itertools.permutations(range(g.n)):
+        mask = 0
+        for u, v in g.edges():
+            a, b = sorted((perm[u], perm[v]))
+            mask |= 1 << pos[(a, b)]
+        if best is None or mask < best:
+            best = mask
+    return (g.n, best)
+
+
+def test_canonical_key_orders_graphs_as_the_brute_force_key():
+    # every labelled graph of at most 4 vertices, and a seeded sample of
+    # 5 to 7 vertices, sorted by either key: the same sequence, with the
+    # same ties
+    graphs = []
+    for n in range(5):
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        graphs += [Graph([f"v{i}" for i in range(n)],
+                         [p for t, p in enumerate(pairs) if mask >> t & 1])
+                   for mask in range(1 << len(pairs))]
+    rng = random.Random(11)
+    for n in (5, 5, 5, 6, 6, 6, 7, 7) * 4:
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        density = rng.random()
+        graphs.append(Graph([f"v{i}" for i in range(n)],
+                            [p for p in pairs if rng.random() < density]))
+    keys = [g.canonical_key() for g in graphs]
+    brute = [brute_key(g) for g in graphs]
+    by_key = sorted(range(len(graphs)), key=lambda i: (keys[i], i))
+    assert by_key == sorted(range(len(graphs)), key=lambda i: (brute[i], i))
+    for i, j in zip(by_key, by_key[1:]):
+        assert (keys[i] == keys[j]) == (brute[i] == brute[j]), (graphs[i], graphs[j])
+    # graphs with loops up to isomorphism: 1, 2, 6, 20 and 90 of 0 to 4 vertices
+    assert len({k for k in keys if k[0] <= 4}) == 119
+
+
+def petersen():
+    edges = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph([f"v{i}" for i in range(10)], edges)
+
+
+def test_canonical_key_past_eight_vertices():
+    g = petersen()
+    perm = list(range(10))
+    random.Random(2).shuffle(perm)
+    relabelled = Graph([f"w{i}" for i in range(10)], [(perm[u], perm[v]) for u, v in g.edges()])
+    assert g.canonical_key() == relabelled.canonical_key()
+    # the pentagonal prism is cubic on ten vertices too, with 4-cycles
+    prism = Graph([f"v{i}" for i in range(10)],
+                  [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                  + [(5 + i, 5 + (i + 1) % 5) for i in range(5)])
+    assert g.canonical_key() != prism.canonical_key()
+    assert complete(12).canonical_key() != cycle(12).canonical_key()
+
+
 def test_json_roundtrip():
     g = g2()
     h = Graph.from_json(g.to_json())

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from demorgan_lab.formula import (
@@ -11,8 +13,12 @@ from demorgan_lab.logics import (
     product_pool, registry, registry_names, resolution_rule,
     separation_search,
 )
+from demorgan_lab.frame import (
+    disjoint_union as frame_union, dual_frame, frame_isomorphic, immediate_quotients,
+    leibniz_subframe,
+)
 from demorgan_lab.matrix import (
-    bd4, catalog, cl2, etl4, k3, kminus8, lp3, product, validates,
+    bd4, catalog, cl2, etl4, k3, kminus8, leibniz_reduct, lp3, product, validates,
 )
 from demorgan_lab.bridge import mu_plus
 from demorgan_lab.graph import all_graphs
@@ -98,6 +104,48 @@ def test_log_leq_examples():
     assert log_leq([bd4()], lp3(), 1) == LOG_LEQ_YES
     assert log_leq([lp3()], cl2(), 1) == LOG_LEQ_YES  # CL2 <= LP3 as submatrix
     assert log_leq([cl2()], etl4(), 2) == LOG_LEQ_NOT_FOUND
+
+
+def _add_new(frames, p):
+    """The list search of frames up to isomorphism: add p to frames (kept
+    by a shape that isomorphic frames share, so that fewer are compared)
+    unless some frame there is isomorphic to it; True when it was added."""
+    shape = (p.n, len(p.designated), tuple(sorted(r.bit_count() for r in p.up)))
+    bucket = frames.setdefault(shape, [])
+    if any(frame_isomorphic(p, q) for q in bucket):
+        return False
+    bucket.append(p)
+    return True
+
+
+def reduced_frames_reached(start):
+    """Oracle for log_leq: the Leibniz subframes of every frame reached
+    from start by Leibniz subframes and immediate quotients, up to
+    isomorphism, found by the pairwise isomorphism scan."""
+    seen, reached = {}, {}
+    frontier = [start]
+    while frontier:
+        f = frontier.pop()
+        if _add_new(seen, f):
+            for nxt in [leibniz_subframe(f), *immediate_quotients(f)]:
+                _add_new(reached, leibniz_subframe(nxt))
+                frontier.append(nxt)
+    return [p for bucket in reached.values() for p in bucket]
+
+
+def test_log_leq_against_the_list_search():
+    # every ordered pair of catalog matrices at bound 2: with one source,
+    # the powers 1 and 2 of its dual frame are the start frames
+    cat = catalog()
+    reached = {name: [p for k in (1, 2) for p in reduced_frames_reached(
+        frame_union([dual_frame(m)] * k))] for name, m in cat.items()}
+    yes = 0
+    for a, b in itertools.permutations(cat, 2):
+        target = dual_frame(leibniz_reduct(cat[b]))
+        found = any(frame_isomorphic(p, target) for p in reached[a])
+        assert log_leq([cat[a]], cat[b], 2) == (LOG_LEQ_YES if found else LOG_LEQ_NOT_FOUND), (a, b)
+        yes += found
+    assert yes == 12
 
 
 def test_separation_search():

@@ -1,6 +1,7 @@
-"""The bitmask-row closure and isomorphism search on arbitrary relations,
-against a pair-set fixpoint and against all permutations; and the record
-classes on the Record base, and the derived memo."""
+"""The bitmask-row closure, isomorphism search and canonical form on
+arbitrary relations, against a pair-set fixpoint and against all
+permutations; and the record classes on the Record base, and the derived
+memo."""
 
 import itertools
 import pickle
@@ -9,7 +10,7 @@ import random
 import pytest
 
 from demorgan_lab._order import (
-    Record, Structure, closure, derived, isomorphism, pairs, set_field, transpose,
+    Record, Structure, canonical, closure, derived, isomorphism, pairs, set_field, transpose,
 )
 
 
@@ -61,6 +62,7 @@ def test_isomorphism_against_all_permutations():
         mapping = isomorphism(p, q)
         assert (mapping is not None) == bool(isos)
         assert mapping is None or mapping in isos
+        assert (canonical(p) == canonical(q)) == bool(isos)
         found += bool(isos)
         missed += not isos
     assert found > 1000 and missed > 500
