@@ -108,7 +108,9 @@ def find_isomorphism(m1: FinMatrix, m2: FinMatrix) -> Optional[tuple[int, ...]]:
     filters (FinMatrix.is_bd_model), each is the complex matrix of its
     dual frame, so an isomorphism of the dual frames, lifted to elements
     by permuting the join-irreducibles below each element, is one of the
-    matrices.  Other pairs go through _find_isomorphism_generic.
+    matrices.  frame._lift checks the lift; matching moved point sets, it
+    keeps the order both ways, so meet and join need no check.  Other
+    pairs go through _find_isomorphism_generic.
     """
     if m1 is m2:
         return tuple(range(m1.n))
@@ -116,26 +118,18 @@ def find_isomorphism(m1: FinMatrix, m2: FinMatrix) -> Optional[tuple[int, ...]]:
         return None
     if not (m1.is_bd_model() and m2.is_bd_model()):
         return _find_isomorphism_generic(m1, m2)
-    from .frame import dual_frame, frame_isomorphism
+    from .frame import _lift, dual_frame, frame_isomorphism
     phi = frame_isomorphism(dual_frame(m1), dual_frame(m2))
     if phi is None:
         return None
-    src, dst = _point_sets(m1), _point_sets(m2)
+    src = _point_sets(m1)
     moved = np.zeros_like(src)
     for a, b in enumerate(phi):
         moved |= (src >> a & 1) << b
-    order = np.argsort(dst)
-    pos = np.minimum(np.searchsorted(dst[order], moved), m2.n - 1)
-    mp = order[pos]
-    ng1, ng2 = np.array(m1.neg), np.array(m2.neg)
-    des1 = np.array([x in m1.designated for x in range(m1.n)])
-    des2 = np.array([x in m2.designated for x in range(m2.n)])
-    if not (np.array_equal(dst[mp], moved)
-            and np.array_equal(np.bincount(mp, minlength=m2.n), np.ones(m2.n))
-            and mp[m1.top] == m2.top and mp[m1.bottom] == m2.bottom
-            and np.array_equal(mp[ng1], ng2[mp]) and np.array_equal(des2[mp], des1)):
+    mp = _lift(m1, moved, m2, _point_sets(m2))
+    if mp is None:
         raise RuntimeError("internal: dual frame isomorphism did not lift to the matrices")
-    return tuple(mp.tolist())
+    return mp
 
 
 def _find_isomorphism_generic(m1: FinMatrix, m2: FinMatrix) -> Optional[tuple[int, ...]]:
@@ -208,19 +202,24 @@ def split_at(m: FinMatrix, a: int) -> tuple[FinMatrix, FinMatrix, tuple[int, ...
     Returns the interval matrices [bottom, a] and [bottom, ~a], whose
     negations are a & ~x and ~a & ~x, and the witness mapping sending x to
     the product element (a & x, ~a & x); the witness is verified to be an
-    isomorphism before returning.
+    isomorphism before returning.  MatrixError unless x is designated
+    exactly when a & x and ~a & x are designated in their intervals.
     """
     if "demorgan" not in m.flags:
         raise MatrixError("split_at needs a De Morgan matrix")
     na = m.neg[a]
     if m.join(a, na) != m.top:
         raise MatrixError("split_at needs a | ~a = top")
+    des = {c: {m.meet(c, f) for f in m.designated} for c in (a, na)}  # of the intervals
+    if any((x in m.designated) != (m.meet(a, x) in des[a] and m.meet(na, x) in des[na])
+           for x in range(m.n)):
+        raise MatrixError(f"split_at: the designated set does not split at {m.label(a)}")
 
     def interval(c: int) -> tuple[FinMatrix, dict[int, int]]:
         elems = [x for x in range(m.n) if m.leq(x, c)]
         pos = {e: i for i, e in enumerate(elems)}
         neg = [pos[m.meet(c, m.neg[x])] for x in elems]
-        designated = sorted({pos[m.meet(c, f)] for f in m.designated})
+        designated = sorted(pos[f] for f in des[c])
         mm = FinMatrix._trusted(
             lambda x: m.label(elems[x]), neg, pos[c], pos[m.bottom], designated,
             ["demorgan"], _pack([m.enc[e] for e in elems], m.enc[c]),

@@ -808,16 +808,24 @@ def grid_leaves(n: int, k: int, planes: Sequence[int]) -> list[int]:
 # the leaves of the two-element matrix's packed sweep (one plane holding
 # its top, element 1) for k < 11 atoms, at most 1024 bits each
 _TRUTH_LEAVES = [grid_leaves(2, k, (0b10,)) for k in range(11)]
+# a value of the two-valued sweep holds 2^k bits: 128 KiB at 20 atoms
+_CLASSICAL_ATOM_LIMIT = 20
+
+
+def _truth_leaves(k: int) -> list[int]:
+    if k > _CLASSICAL_ATOM_LIMIT:
+        raise ValueError(f"classical_status guard: at most {_CLASSICAL_ATOM_LIMIT} atoms, got {k}")
+    return grid_leaves(2, k, (0b10,))
 
 
 def classical_status(f: Formula) -> str:
     """Tautology/contradiction/contingent by exhaustive two-valued evaluation:
     the packed sweep of the two-element matrix, whose negation complements
-    its one plane."""
+    its one plane.  ValueError above _CLASSICAL_ATOM_LIMIT atoms."""
     prog = f.program()
     k = len(prog.names)
+    leaves = _TRUTH_LEAVES[k] if k < len(_TRUTH_LEAVES) else _truth_leaves(k)
     full = (1 << (1 << k)) - 1
-    leaves = _TRUTH_LEAVES[k] if k < len(_TRUTH_LEAVES) else grid_leaves(2, k, (0b10,))
     (table,) = fold(prog, leaves, full.__xor__, operator.and_, operator.or_, full, 0)
     return TAUTOLOGY if table == full else CONTRADICTION if table == 0 else CONTINGENT
 

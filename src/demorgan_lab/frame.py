@@ -279,44 +279,37 @@ def dual_frame(m: FinMatrix) -> Frame:
 
 
 def roundtrip_check(m: FinMatrix) -> bool:
-    """True iff the complex matrix of the dual frame is isomorphic to m.
-
-    The candidate isomorphism is the canonical one sending a to the set of
-    prime filters containing a; it is checked to be a designation- and
-    negation-preserving lattice bijection (on all pairs of elements up to
-    64 elements, on a deterministic sample of 4096 pairs beyond that).
-    False also when the dual is not a frame, which happens only to a
-    matrix built unchecked whose negation breaks a De Morgan law.
-    """
+    """True iff the complex matrix of the dual frame is isomorphic to m, by
+    the canonical map sending a to the set of prime filters containing a:
+    _lift checks it, and says why meet and join need no check.  False
+    also when the dual is not a frame, which happens only to a matrix
+    built unchecked whose negation breaks a De Morgan law."""
     try:
         p = dual_frame(m)
     except FrameError:
         return False
     c = complex_matrix(p)
-    if c.n != m.n:
-        return False
-    eta_np = _point_sets(m)
-    idx = c._enc_index()
-    h = [idx.get(x, -1) for x in eta_np.tolist()]  # the element of c with that point set
-    if -1 in h or len(set(h)) != m.n:
-        return False
-    if h[m.top] != c.top or h[m.bottom] != c.bottom:
-        return False
-    if [h[x] for x in m.neg] != [c.neg[y] for y in h]:
-        return False
-    # h is a bijection, so it keeps designation iff it maps one set onto the other
-    if {h[d] for d in m.designated} != c.designated:
-        return False
-    # Lattice-hom check for eta.  For matrices carried by a powerset
-    # encoding this is a theorem (the bit below each join-irreducible
-    # distributes over bitwise meets and joins), so a sample suffices.
-    if m.n * m.n <= 4096:
-        a, b = np.divmod(np.arange(m.n * m.n), m.n)
-    else:
-        a, b = np.random.default_rng(0).integers(0, m.n, size=(2, 4096), dtype=np.int64)
-    e = m._enc_np()
-    return (np.array_equal(eta_np[m._mask_lookup(e[a] & e[b])], eta_np[a] & eta_np[b])
-            and np.array_equal(eta_np[m._mask_lookup(e[a] | e[b])], eta_np[a] | eta_np[b]))
+    return c.n == m.n and _lift(m, _point_sets(m), c, c._enc_np()) is not None
+
+
+def _lift(m1: FinMatrix, keys: np.ndarray, m2: FinMatrix,
+          target: np.ndarray) -> Optional[tuple[int, ...]]:
+    """The map sending each element x of m1 to the element of m2 whose
+    entry in target is keys[x], if it is a bijection keeping the bounds,
+    negation and designation; else None.  The keys are point sets, the
+    join-irreducibles below each element (in find_isomorphism, moved by a
+    permutation of the points).  Every element of a finite lattice is the
+    join of the join-irreducibles below it, so a bijection matching point
+    sets keeps the order both ways, and an order isomorphism of lattices
+    keeps meet and join."""
+    order = np.argsort(target)
+    h = order[np.minimum(np.searchsorted(target[order], keys), m2.n - 1)]
+    ok = (np.array_equal(target[h], keys)
+          and np.array_equal(np.bincount(h, minlength=m2.n), np.ones(m2.n))
+          and h[m1.top] == m2.top and h[m1.bottom] == m2.bottom
+          and np.array_equal(h[np.array(m1.neg)], np.array(m2.neg)[h])
+          and np.array_equal(np.sort(h[list(m1.designated)]), sorted(m2.designated)))
+    return tuple(h.tolist()) if ok else None
 
 
 def counit_check(p: Frame) -> bool:

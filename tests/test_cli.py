@@ -192,6 +192,13 @@ def test_witness_command(capsys):
     assert code == 1 and "no witness" in out
 
 
+def test_witness_command_refuses_too_many_atoms(capsys):
+    premise = " & ".join(f"p{i}" for i in range(200))
+    code, out, err = run(capsys, "witness-kminus", "--premises", premise, "--conclusion", "q")
+    assert (code, out) == (2, "")
+    assert err == "error: classical_status guard: at most 20 atoms, got 200\n"
+
+
 def test_internal_failure_exit_3(capsys, monkeypatch):
     from demorgan_lab import logics
 

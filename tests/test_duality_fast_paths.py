@@ -7,8 +7,12 @@ frames to matrices; the search itself is checked against all permutations
 in test_order, test_matrix and test_frame."""
 
 import functools
+import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -176,6 +180,94 @@ def test_fast_isomorphism_of_relabelled_copies():
                          enc=[m.enc[p] for p in perm])
         mapping = find_isomorphism(m, copy)
         assert mapping is not None and is_matrix_isomorphism(m, copy, mapping)
+
+
+def test_fast_isomorphism_maps_are_frozen():
+    # the maps of the pairs of test_fast_isomorphism_agrees_with_generic_search
+    by_size: dict[int, list] = {}
+    for m in filter_matrices() + [dm4_designating(["n", "b"])]:
+        by_size.setdefault(m.n, []).append(m)
+    maps = [find_isomorphism(m1, m2) for group in by_size.values()
+            for m1, m2 in itertools.combinations(group[:8], 2)]
+    assert hashlib.sha256(repr(maps).encode()).hexdigest()[:16] == "b06d162de47a861f"
+
+
+def roundtrip_corpus():
+    """Matrices whose round trip is decided: the catalog, two products, the
+    graph presentations of verify's criterion 4 of at most 100 elements,
+    complex matrices of random frames, and complex matrices built unchecked
+    with one designation flipped, two negation values swapped, a negation
+    pair swapped into two fixpoints, or top's negation moved."""
+    out = list(catalog().values())
+    out += [product([etl4(), bd4()]), product([cl2(), lp3()])]
+    graphs = all_graphs(3, allow_isolated=True, allow_empty=True)
+    presented = (mu_triple(TriplePresentation(gp, gm, k))
+                 for gp, gm, k in itertools.product(graphs, graphs, range(3)))
+    out += [m for m in presented if m.n <= 100]
+    rng = random.Random(5)
+    out += [complex_matrix(random_frame(rng, 7)) for _ in range(30)]
+    for _ in range(40):
+        m = complex_matrix(random_frame(rng, 6))
+        x, y = rng.randrange(m.n), rng.randrange(m.n)
+        swapped, top_neg = list(m.neg), list(m.neg)
+        swapped[x], swapped[y] = swapped[y], swapped[x]
+        top_neg[m.top] = x
+        mutants = [(m.designated ^ {x}, m.neg), (m.designated, swapped),
+                   (m.designated, top_neg)]
+        off = [a for a in range(m.n) if m.neg[a] != a]
+        if off:
+            a = rng.choice(off)
+            pair = list(m.neg)
+            pair[a], pair[m.neg[a]] = pair[m.neg[a]], pair[a]
+            mutants.append((m.designated, pair))
+        out += [FinMatrix._trusted(m.label, ng, m.top, m.bottom, des, m.flags, m.enc)
+                for des, ng in mutants]
+    return out
+
+
+def test_roundtrip_verdicts_are_frozen_and_their_maps_are_isomorphisms():
+    # where the round trip holds, the map sending each element to the
+    # element of the complex matrix whose mask is its point set (the
+    # join-irreducibles below it) is an isomorphism, checked on all pairs
+    corpus = roundtrip_corpus()
+    verdicts = [roundtrip_check(m) for m in corpus]
+    assert (len(verdicts), sum(verdicts)) == (494, 358)
+    digest = hashlib.sha256(bytes(verdicts)).hexdigest()[:16]
+    assert digest == "3486d02ea4a6b449"
+    assert max(m.n for m, ok in zip(corpus, verdicts) if ok) > 64
+    for m, ok in zip(corpus, verdicts):
+        if ok:
+            c = complex_matrix(dual_frame(m))
+            jis = [m.enc[j] for j in m.join_irreducibles()]
+            at = {mask: i for i, mask in enumerate(c.enc)}
+            h = [at[sum(1 << a for a, j in enumerate(jis) if j & x == j)] for x in m.enc]
+            assert is_matrix_isomorphism(m, c, h), m
+
+
+# A fresh interpreter runs the round trip and the dual-frame isomorphism
+# search on a reduced matrix of 72 elements and a copy of it, and reports
+# whether numpy.random was loaded.
+RANDOM_CHILD = """
+import sys
+from demorgan_lab.bridge import TriplePresentation, mu_triple
+from demorgan_lab.frame import roundtrip_check
+from demorgan_lab.graph import complete, point
+from demorgan_lab.matrix import FinMatrix, find_isomorphism
+m = mu_triple(TriplePresentation(complete(2), point(), 1))
+assert m.n == 72 and m.is_bd_model() and roundtrip_check(m)
+assert find_isomorphism(m, FinMatrix.from_json(m.to_json())) is not None
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_duality_checks_load_no_numpy_random():
+    src = os.path.dirname(os.path.dirname(matrix.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", RANDOM_CHILD], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def dual_partner(m, ej):

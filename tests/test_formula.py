@@ -282,6 +282,16 @@ def test_classical_status():
     assert classical_status(BOT) == CONTRADICTION
 
 
+def test_classical_status_guards_its_atom_count():
+    # past the precomputed leaves the sweep builds its own, up to the
+    # guard; beyond it a value would hold 2^k bits, and 200 atoms overflow
+    assert classical_status(chi(12)) == CONTRADICTION
+    assert classical_status(conj(Atom(f"p{i}") for i in range(12))) == CONTINGENT
+    for n in (21, 200):
+        with pytest.raises(ValueError, match=f"classical_status guard: at most 20 atoms, got {n}"):
+            classical_status(chi(n))
+
+
 def test_chi():
     assert chi(1) == parse("p1 & ~p1")
     assert chi(2) == parse("p1 & ~p1 | p2 & ~p2")

@@ -1041,6 +1041,17 @@ def test_split_at():
     assert is_matrix_isomorphism(q, product([s1, s2]), w2)
 
 
+def test_split_at_needs_a_designated_set_that_splits():
+    # CL2 x CL2 designating its two atoms: top is not designated, though
+    # its parts a & top and ~a & top, the atoms, are designated in the
+    # intervals below a = (top,bot) and ~a = (bot,top)
+    p = product([cl2(), cl2()])
+    m = FinMatrix(p.labels, p.neg, p.top, p.bottom, [1, 2], p.flags, enc=p.enc)
+    assert {m.labels[d] for d in m.designated} == {"(top,bot)", "(bot,top)"}
+    with pytest.raises(MatrixError, match=r"does not split at \(top,bot\)$"):
+        split_at(m, m.labels.index("(top,bot)"))
+
+
 def test_failed_self_checks_are_internal_errors(monkeypatch):
     from demorgan_lab import _constructions, frame
     k3_copy = FinMatrix.from_json(k3().to_json())
