@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 import json
 import math
@@ -1071,6 +1072,38 @@ def test_split_at_all_eligible_catalog_elements():
                 assert is_matrix_isomorphism(m, product([m1, m2]), w)
 
 
+def test_split_at_is_frozen():
+    # every element of the catalog, of its 36 ordered products and of 40
+    # random complex matrices, and the 66-element chain at its bounds (masks
+    # wider than a machine word): the witness and both intervals' masks, or
+    # the error; 346 splits, the rest refused
+    cat = list(catalog().values())
+    rng = random.Random(5)
+    cases = [(m, range(m.n)) for m in [*cat, *(product([a, b]) for a in cat for b in cat),
+                                       *(complex_matrix(random_frame(rng, 6)) for _ in range(40))]]
+    chain = wide_chain()
+    cases.append((chain, [chain.bottom, chain.top]))
+    h = hashlib.sha256()
+    for m, elems in cases:
+        for a in elems:
+            try:
+                m1, m2, w = split_at(m, a)
+                h.update(repr((w, m1.enc, m2.enc)).encode())
+            except MatrixError as e:
+                h.update(str(e).encode())
+    assert h.hexdigest() == "95fdfc3cf9c7958fe0eae7280ed84ef8e3f3cb46d3acc4000311bc3f9b2b2456"
+
+
+def test_submatrices_order_is_frozen():
+    h = hashlib.sha256()
+    for m, count in [(product([bd4(), etl4(), cl2()]), 132), (kminus8(), 11)]:
+        subs = list(submatrices(m))
+        assert len(subs) == count
+        for s in subs:
+            h.update(repr((s.labels, s.enc)).encode())
+    assert h.hexdigest() == "de49ef73e1b9044fab5bec0726335267ea0ea8960f56f90b6f7c5b99a7e82468"
+
+
 def test_free_algebra_counts():
     a, b = parse("a"), parse("b")
     assert free_dm_algebra(["a", "b"], [(b, a), (a, parse("~a|b"))]).n == 10
@@ -1419,15 +1452,21 @@ def test_quotient_rejects_named_failures():
         quotient_by(m, Partition.of([0, 0, 1, 1]))
 
 
+def wide_chain(n=66):
+    """An n-element chain from tables, its elements from c40 up designated."""
+    idx = np.arange(n)
+    return FinMatrix([f"c{i}" for i in range(n)], [n - 1 - i for i in range(n)], n - 1, 0,
+                     range(40, n), ["demorgan"],
+                     meet=np.minimum.outer(idx, idx).tolist(),
+                     join=np.maximum.outer(idx, idx).tolist())
+
+
 def test_chain_above_64_mask_bits():
     # 66 elements from tables: 65 join-irreducibles, so 65 mask bits and
     # the paths for masks wider than a machine word
-    n = 66
+    m = wide_chain()
+    n = m.n
     idx = np.arange(n)
-    m = FinMatrix([f"c{i}" for i in range(n)], [n - 1 - i for i in range(n)], n - 1, 0,
-                  range(40, n), ["demorgan"],
-                  meet=np.minimum.outer(idx, idx).tolist(),
-                  join=np.maximum.outer(idx, idx).tolist())
     assert m.nbits == 65
     assert np.array_equal(m.meet_table(), np.minimum.outer(idx, idx))
     assert np.array_equal(m.join_table(), np.maximum.outer(idx, idx))
