@@ -12,8 +12,8 @@ import functools
 import itertools
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from ._order import Record, Structure, isomorphism
-from .formula import Formula
+from ._order import Record, Structure, explore, isomorphism
+from .formula import Atom, Formula
 from .matrix import (_DM4_HASSE, _DM4_LABELS, _DM4_NEGP, FinMatrix, MatrixError, _LazyModule,
                      _lattice_from_order, _pack, _point_sets, _row_chunks, evaluate)
 
@@ -51,21 +51,14 @@ def submatrices(m: FinMatrix) -> Iterator[FinMatrix]:
     """All submatrices: subuniverses containing top and bottom, closed under
     the three operations, with the induced designated sets.
 
-    Breadth first from the least one, each closed set extended by each
-    element outside it in index order; the order is deterministic.
+    Breadth first (_order.explore) from the least one, each closed set
+    extended by each element outside it in index order: a fixed order.
     """
     neg = {m.enc[x]: m.enc[y] for x, y in enumerate(m.neg)}.__getitem__
     base = _closed([m.enc[m.top], m.enc[m.bottom]], neg)
-    seen = {base}
-    queue = [base]
-    for s in queue:  # appended to while read: breadth first
+    for s, _ in explore([base], lambda s: (_closed(s | {x}, neg) for x in m.enc if x not in s),
+                        frozenset):
         yield _induced_submatrix(m, sorted(map(m._enc_index().__getitem__, s)))
-        for x in m.enc:
-            if x not in s:
-                t = _closed(s | {x}, neg)
-                if t not in seen:
-                    seen.add(t)
-                    queue.append(t)
 
 
 def _closed(seed: Iterable[int], neg: Callable[[int], int],
@@ -201,9 +194,11 @@ def split_at(m: FinMatrix, a: int) -> tuple[FinMatrix, FinMatrix, tuple[int, ...
 
     Returns the interval matrices [bottom, a] and [bottom, ~a], whose
     negations are a & ~x and ~a & ~x, and the witness mapping sending x to
-    the product element (a & x, ~a & x); the witness is verified to be an
-    isomorphism before returning.  MatrixError unless x is designated
-    exactly when a & x and ~a & x are designated in their intervals.
+    the product element (a & x, ~a & x), found by frame._lift: x's key,
+    its mask's bits under a beside those under ~a, keeps and reflects
+    containment as a | ~a = top, so the lift's order argument covers meet
+    and join.  MatrixError unless x is designated exactly when a & x and
+    ~a & x are designated in their intervals.
     """
     if "demorgan" not in m.flags:
         raise MatrixError("split_at needs a De Morgan matrix")
@@ -215,27 +210,22 @@ def split_at(m: FinMatrix, a: int) -> tuple[FinMatrix, FinMatrix, tuple[int, ...
            for x in range(m.n)):
         raise MatrixError(f"split_at: the designated set does not split at {m.label(a)}")
 
-    def interval(c: int) -> tuple[FinMatrix, dict[int, int]]:
+    def interval(c: int) -> FinMatrix:
         elems = [x for x in range(m.n) if m.leq(x, c)]
         pos = {e: i for i, e in enumerate(elems)}
         neg = [pos[m.meet(c, m.neg[x])] for x in elems]
         designated = sorted(pos[f] for f in des[c])
-        mm = FinMatrix._trusted(
+        return FinMatrix._trusted(
             lambda x: m.label(elems[x]), neg, pos[c], pos[m.bottom], designated,
-            ["demorgan"], _pack([m.enc[e] for e in elems], m.enc[c]),
-        )
-        return mm, pos
+            ["demorgan"], _pack([m.enc[e] for e in elems], m.enc[c]))
 
-    m1, pos1 = interval(a)
-    m2, pos2 = interval(na)
+    from .frame import _lift
+    m1, m2 = interval(a), interval(na)
     prod = product([m1, m2])
-    pair_pos = {}
-    for i, t in enumerate(itertools.product(range(m1.n), range(m2.n))):
-        pair_pos[t] = i
-    witness = tuple(
-        pair_pos[(pos1[m.meet(a, x)], pos2[m.meet(na, x)])] for x in range(m.n)
-    )
-    if not is_matrix_isomorphism(m, prod, witness):
+    target = prod._enc_np()
+    halves = zip(_pack(m.enc, m.enc[a]), _pack(m.enc, m.enc[na]))
+    witness = _lift(m, np.array([x | y << m1.nbits for x, y in halves], target.dtype), prod, target)
+    if witness is None:
         raise RuntimeError("internal: split witness failed verification")
     return m1, m2, witness
 
@@ -250,7 +240,8 @@ def free_dm_algebra(
     gens: Sequence[str],
     relations: Sequence[tuple[Formula, Formula]] = (),
 ) -> FinMatrix:
-    """Free De Morgan algebra on the generators modulo inequalities lhs <= rhs.
+    """Free De Morgan algebra on the generators, distinct atom names (else
+    MatrixError), modulo inequalities lhs <= rhs.
 
     Realized as the subalgebra of DM4^S generated by the generator
     projections, where S is the set of DM4 valuations of the generators
@@ -260,11 +251,17 @@ def free_dm_algebra(
     """
     if len(gens) > 3:
         raise MatrixError("free algebra guard: at most 3 generators")
-    gen_list = list(gens)
+    for i, g in enumerate(gens):
+        try:
+            Atom(g)  # a relation names g only as an atom
+        except ValueError:
+            raise MatrixError(f"generator {g!r} is not an atom name") from None
+        if g in gens[:i]:
+            raise MatrixError(f"generator {g!r} is given twice")
     dm4 = dm4_algebra()
     S = []
-    for vals in itertools.product(range(4), repeat=len(gen_list)):
-        v = dict(zip(gen_list, vals))
+    for vals in itertools.product(range(4), repeat=len(gens)):
+        v = dict(zip(gens, vals))
         if all(dm4.leq(evaluate(dm4, v, l), evaluate(dm4, v, r)) for l, r in relations):
             S.append(v)
     if not S:
@@ -280,7 +277,7 @@ def free_dm_algebra(
         return full & ~((x >> 1 & low) | (x & low) << 1)
 
     names = {sum(dm4.enc[v[g]] << (width - 2 - 2 * i) for i, v in enumerate(S)): g
-             for g in gen_list}
+             for g in gens}
     order = sorted(_closed([0, full, *names], neg, FREE_SIZE_CAP))
     pos = {t: i for i, t in enumerate(order)}
     return FinMatrix._trusted(lambda i: names.get(order[i], "e%d" % i),

@@ -3,16 +3,17 @@ closure, and the one isomorphism search for frames, matrices and graphs:
 each is a relation, a unary map and a colour per point.  Beside it, one
 canonical form of such a structure, whose value is the same exactly for
 isomorphic ones: graphs and frames are listed and compared up to
-isomorphism by it (Graph.canonical_key, log_leq).  Also Record, the base
-of the package's record classes, and derived, its memo of derived data."""
+isomorphism by it (Graph.canonical_key, log_leq).  Also explore, the one
+breadth-first search (s_star_reachable, log_leq, submatrices), Record,
+the base of the package's record classes, and derived, its memo."""
 
 from __future__ import annotations
 
 import builtins
 import functools
 import operator
-from collections import Counter
-from typing import Any, Callable, Hashable, Iterator, NamedTuple, Optional, Sequence
+from collections import Counter, deque
+from typing import Any, Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 #: sets a field of a frozen Record, in the record's __init__
 set_field = object.__setattr__
@@ -105,6 +106,28 @@ def bits(x: int) -> Iterator[int]:
         low = x & -x
         yield low.bit_length() - 1
         x ^= low
+
+
+def explore(starts: Iterable[Any], moves: Callable[[Any], Iterable[Any]],
+            key: Callable[[Any], Hashable], steps: Optional[int] = None) -> Iterator[tuple[Any, int]]:
+    """Each item reachable from the starts, one per key, with its depth:
+    the fewest moves from its start.  Breadth first from each start in
+    turn; an item whose key was met before, a start's included, is
+    skipped.  An item is yielded before its moves are computed, and items
+    at depth `steps` are not moved on from."""
+    seen: set[Hashable] = set()
+
+    def fresh(item: Any) -> bool:  # set.add returns None
+        k = key(item)
+        return k not in seen and not seen.add(k)
+
+    for start in filter(fresh, starts):
+        queue = deque([(start, 0)])
+        while queue:
+            item, depth = queue.popleft()
+            yield item, depth
+            if steps is None or depth < steps:
+                queue.extend((nxt, depth + 1) for nxt in moves(item) if fresh(nxt))
 
 
 def closure(up: Sequence[int]) -> list[int]:

@@ -296,12 +296,12 @@ def _lift(m1: FinMatrix, keys: np.ndarray, m2: FinMatrix,
           target: np.ndarray) -> Optional[tuple[int, ...]]:
     """The map sending each element x of m1 to the element of m2 whose
     entry in target is keys[x], if it is a bijection keeping the bounds,
-    negation and designation; else None.  The keys are point sets, the
-    join-irreducibles below each element (in find_isomorphism, moved by a
-    permutation of the points).  Every element of a finite lattice is the
-    join of the join-irreducibles below it, so a bijection matching point
-    sets keeps the order both ways, and an order isomorphism of lattices
-    keeps meet and join."""
+    negation and designation; else None.  The keys are m1's masks under a
+    bit map that keeps and reflects containment: point sets (the
+    join-irreducibles below each element), point sets moved by a frame
+    isomorphism (find_isomorphism), or packed interval masks (split_at).
+    So a bijection matching keys keeps the order both ways, and an order
+    isomorphism of lattices keeps meet and join."""
     order = np.argsort(target)
     h = order[np.minimum(np.searchsorted(target[order], keys), m2.n - 1)]
     ok = (np.array_equal(target[h], keys)

@@ -9,7 +9,8 @@ import itertools
 import json
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from ._order import Record, Structure, bits, canonical, closure, isomorphism, set_field
+from ._order import (Record, Structure, bits, canonical, closure, derived, explore, isomorphism,
+                     set_field)
 from .matrix import _json_object
 
 __all__ = [
@@ -104,6 +105,7 @@ class GraphPair(Record, frozen=True):
         if counter < 0:
             raise GraphError("counter must be non-negative")
 
+    @derived
     def key(self) -> tuple:
         return (*self.graph.canonical_key(), self.counter)
 
@@ -335,26 +337,13 @@ def s_star_step(pair: GraphPair) -> list[GraphPair]:
 def s_star_reachable(pair: GraphPair, steps: Optional[int] = None) -> dict[GraphPair, int]:
     """The pairs reachable from pair by at most `steps` rewriting steps (any
     number when None), up to isomorphism, each with its depth: the fewest
-    steps that reach it.  Breadth first, each class kept as the pair that
-    first reaches it; the dict lists the pairs in key order.
+    steps that reach it.  Breadth first (_order.explore), each class kept
+    as the pair that first reaches it; the dict lists them in key order.
 
     The counter is bounded by the start counter plus the component count,
     and graphs never grow, so the closure is finite.
     """
-    seen = {pair.key(): (pair, 0)}
-    frontier = [pair]
-    depth = 0
-    while frontier and (steps is None or depth < steps):
-        depth += 1
-        nxt = []
-        for p in frontier:
-            for q in s_star_step(p):
-                key = q.key()
-                if key not in seen:
-                    seen[key] = (q, depth)
-                    nxt.append(q)
-        frontier = nxt
-    return dict(seen[k] for k in sorted(seen))
+    return dict(sorted(explore([pair], s_star_step, GraphPair.key, steps), key=lambda t: t[0].key()))
 
 
 def all_graphs(max_vertices: int, allow_isolated: bool = True,

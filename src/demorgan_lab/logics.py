@@ -15,7 +15,7 @@ import functools
 import itertools
 from typing import Iterable, Optional, Sequence
 
-from ._order import Record, canonical, set_field
+from ._order import Record, canonical, explore, set_field
 from .formula import (
     Atom, BOT, CONTRADICTION, Formula, Neg, Or, RuleInstance, TOP,
     _normal_clauses, chi, classical_status, conj, disj, nnf, parse_rule,
@@ -201,7 +201,6 @@ def probe_pool() -> list[RuleInstance]:
 def product_pool() -> list[RuleInstance]:
     """The fixed forty-rule pool used for the product-decomposition sweep."""
     out = _small_named_rules()
-    menu = _clause_menu(["p", "q", "r"])
     gen = clause_pool()
     # deterministic straggle through the clause pool for variety
     step = len(gen) // (40 - len(out)) or 1
@@ -414,11 +413,12 @@ def log_leq(a: Sequence[FinMatrix], b: FinMatrix, max_power: Optional[int] = Non
 
     The search runs dually: the reduct of a submatrix corresponds to the
     Leibniz subframe of a quotient frame, and products to disjoint unions
-    of dual frames.  Frames are compared by their canonical forms
-    (_order.canonical), and one set of the frames visited serves every
-    combination and power: a frame explored without reaching the target
-    reaches nothing new later.  A negative answer is only "not found up to
-    the bound": no effective bound is known, so none is invented.
+    of dual frames.  _order.explore searches breadth first from the union
+    of each combination and power in turn, built when reached, skipping a
+    frame whose canonical form (_order.canonical) it met before: a frame
+    explored without reaching the target reaches nothing new later.  A
+    negative answer is only "not found up to the bound": no effective
+    bound is known, so none is invented.
     """
     if max_power is None:
         max_power = b.n
@@ -432,20 +432,11 @@ def log_leq(a: Sequence[FinMatrix], b: FinMatrix, max_power: Optional[int] = Non
 
     target = key(dual_frame(leibniz_reduct(b)))
     duals = [dual_frame(m) for m in a]
-    seen: set[tuple[int, ...]] = set()
-    for power in range(1, max_power + 1):
-        for combo in itertools.combinations_with_replacement(range(len(a)), power):
-            frontier = [frame_union([duals[i] for i in combo])]
-            while frontier:
-                f = frontier.pop()
-                for nxt in [leibniz_subframe(f), *immediate_quotients(f)]:
-                    k = key(nxt)
-                    if k not in seen:
-                        seen.add(k)
-                        if key(leibniz_subframe(nxt)) == target:
-                            return LOG_LEQ_YES
-                        frontier.append(nxt)
-    return LOG_LEQ_NOT_FOUND
+    unions = (frame_union([duals[i] for i in combo]) for power in range(1, max_power + 1)
+              for combo in itertools.combinations_with_replacement(range(len(a)), power))
+    reached = explore(unions, lambda f: [leibniz_subframe(f), *immediate_quotients(f)], key)
+    found = any(key(leibniz_subframe(f)) == target for f, _ in reached)
+    return LOG_LEQ_YES if found else LOG_LEQ_NOT_FOUND
 
 
 def separation_search(

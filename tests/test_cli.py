@@ -178,6 +178,14 @@ def test_free_command(capsys):
     assert code == 0 and json.loads(out)["size"] == 10
 
 
+def test_free_command_refuses_bad_generators(capsys):
+    for argv, err in [(["--gens", "T", "--rel", "T<=~T"], "generator 'T' is not an atom name"),
+                      (["--gens", "a", "a"], "generator 'a' is given twice"),
+                      (["--gens", "A"], "generator 'A' is not an atom name")]:
+        code, out, stderr = run(capsys, "free", *argv)
+        assert (code, out, stderr) == (2, "", f"error: {err}\n")
+
+
 def test_logleq_command(capsys):
     assert run(capsys, "logleq", "--from", "BD4", "--to", "K3", "--bound", "1")[0] == 0
     assert run(capsys, "logleq", "--from", "K3", "--to", "LP3", "--bound", "2")[0] == 1

@@ -1054,12 +1054,12 @@ def test_split_at_needs_a_designated_set_that_splits():
 
 
 def test_failed_self_checks_are_internal_errors(monkeypatch):
-    from demorgan_lab import _constructions, frame
+    from demorgan_lab import frame
     k3_copy = FinMatrix.from_json(k3().to_json())
     monkeypatch.setattr(frame, "frame_isomorphism", lambda p, q: (1, 0))  # reverses a chain
     with pytest.raises(RuntimeError, match="internal: dual frame isomorphism did not lift"):
         find_isomorphism(k3(), k3_copy)
-    monkeypatch.setattr(_constructions, "is_matrix_isomorphism", lambda m1, m2, mapping: False)
+    monkeypatch.setattr(frame, "_lift", lambda m1, keys, m2, target: None)
     with pytest.raises(RuntimeError, match="internal: split witness failed verification"):
         split_at(bd4(), bd4().top)
 
@@ -1112,6 +1112,16 @@ def test_free_algebra_counts():
     assert free_dm_algebra(["a"], []).n == 6
     with pytest.raises(MatrixError):
         free_dm_algebra(["a", "b", "c", "d"], [])
+
+
+def test_free_algebra_generators_are_distinct_atom_names():
+    # "T" would read as the constant in a relation, and "A" could not be
+    # named in one at all
+    for gens in (["T"], ["A"], ["a", "1b"]):
+        with pytest.raises(MatrixError, match=f"^generator {gens[-1]!r} is not an atom name$"):
+            free_dm_algebra(gens)
+    with pytest.raises(MatrixError, match="^generator 'a' is given twice$"):
+        free_dm_algebra(["a", "b", "a"])
 
 
 def test_free_algebra_size_cap(monkeypatch):

@@ -10,7 +10,8 @@ import random
 import pytest
 
 from demorgan_lab._order import (
-    Record, Structure, canonical, closure, derived, isomorphism, pairs, set_field, transpose,
+    Record, Structure, canonical, closure, derived, explore, isomorphism, pairs, set_field,
+    transpose,
 )
 
 
@@ -251,3 +252,43 @@ def test_catalog_and_registry_are_built_once():
     # memo by matrix identity
     assert registry("KO").semantics[0] is k3() and registry("KO").semantics[1] is lp3()
     assert registry("ko") is registry("KO") and registry("KOVECQ").semantics[1] is k3()
+
+
+# a small move graph: 3 is reached from 0 by two paths, 4 is a dead end
+MOVES = {0: [1, 2], 1: [3], 2: [3, 4], 3: [0], 4: [], 5: [4, 6], 6: []}
+
+
+def test_explore_is_breadth_first_with_depths():
+    assert list(explore([0], MOVES.__getitem__, lambda x: x)) == [
+        (0, 0), (1, 1), (2, 1), (3, 2), (4, 2)]
+    # one item per key: 3 shares 2's key, and 2 is met first
+    assert list(explore([0], MOVES.__getitem__, {0: 0, 1: 1, 2: 2, 3: 2, 4: 4}.get)) == [
+        (0, 0), (1, 1), (2, 1), (4, 2)]
+
+
+def test_explore_does_not_move_on_from_depth_steps():
+    def moves(x):
+        assert x < 2, x  # the chain's item at depth 2 is never moved on from
+        return [x + 1]
+
+    assert list(explore([0], moves, lambda x: x, steps=2)) == [(0, 0), (1, 1), (2, 2)]
+    assert list(explore([0], moves, lambda x: x, steps=0)) == [(0, 0)]
+
+
+def test_explore_skips_a_start_whose_key_was_met():
+    # 3 was reached from 0 and 0 was the first start; 5 is new, and its
+    # move to 4 is known
+    assert list(explore([0, 3, 0, 5], MOVES.__getitem__, lambda x: x)) == [
+        (0, 0), (1, 1), (2, 1), (3, 2), (4, 2), (5, 0), (6, 1)]
+
+
+def test_explore_yields_before_computing_moves():
+    def moves(x):
+        raise AssertionError("moves computed")
+
+    def starts():
+        yield "a"
+        raise AssertionError("second start built")
+
+    search = explore(starts(), moves, lambda x: x)
+    assert next(search) == ("a", 0)
