@@ -162,9 +162,6 @@ class MatrixMap(Record):
     target: FinMatrix
     mapping: tuple[int, ...]
 
-    def __init__(self, source: FinMatrix, target: FinMatrix, mapping: tuple[int, ...]):
-        self.source, self.target, self.mapping = source, target, mapping
-
     def is_homomorphism(self) -> bool:
         h, s, t = self.mapping, self.source, self.target
         if h[s.top] != t.top or h[s.bottom] != t.bottom:

@@ -9,9 +9,7 @@ the base of the package's record classes, and derived, its memo."""
 
 from __future__ import annotations
 
-import builtins
 import functools
-import operator
 from collections import Counter, deque
 from typing import Any, Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -21,13 +19,15 @@ set_field = object.__setattr__
 
 class Record:
     """Base of the package's record classes: a class whose fields are the
-    names annotated in its body, in order, and whose __init__ sets them
-    (through set_field when the class is frozen).  Records are equal when
-    they are of one class and their fields are equal.  A class made with
+    names annotated in its body, in order.  Its __init__ takes them by
+    position or keyword (a field's class attribute is its default), sets
+    them in order, through set_field when the class is frozen, and last
+    calls __post_init__ if the class has one.  Records are equal when they
+    are of one class and their fields are equal.  A class made with
     `frozen=True`, and its subclasses, refuse assignment and hash as the
     tuple of their fields; other records are unhashable.  repr is
-    Name(field=value, ...).  Equality and hashing read the fields with one
-    operator.attrgetter per class."""
+    Name(field=value, ...).  As dataclasses does, each class compiles its
+    __init__ (unless it writes one), __eq__ and hash from source."""
 
     _fields: tuple[str, ...] = ()
     _frozen = False
@@ -35,27 +35,25 @@ class Record:
     def __init_subclass__(cls, frozen: bool = False, **kwargs):
         super().__init_subclass__(**kwargs)
         fields = cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
-        get = operator.attrgetter(*fields) if fields else _no_fields
-
-        def __eq__(self, other):
-            if other.__class__ is self.__class__:
-                return get(self) == get(other)
-            return NotImplemented
-
-        if len(fields) == 1:  # an attrgetter of one name gives the bare value
-
-            def hash(self) -> int:
-                return builtins.hash((get(self),))
-        else:
-
-            def hash(self) -> int:
-                return builtins.hash(get(self))
-
         if frozen:
             cls._frozen = True
             cls.__setattr__ = cls.__delattr__ = _refuse
-        cls.__eq__ = __eq__
-        cls.__hash__ = hash if cls._frozen else None
+        params = "".join(f", {f}=cls.{f}" if f in cls.__dict__ else f", {f}" for f in fields)
+        sets = [f"set_field(self, {f!r}, {f})" if cls._frozen else f"self.{f} = {f}" for f in fields]
+        if hasattr(cls, "__post_init__"):
+            sets.append("self.__post_init__()")
+        mine, theirs = (f"({''.join(f'{x}.{f}, ' for f in fields)})" for x in ("self", "other"))
+        made = {"cls": cls, "set_field": set_field, "builtin_hash": hash}
+        exec(f"def __init__(self{params}):\n    {'; '.join(sets) or 'pass'}\n"
+             "def __eq__(self, other):\n"
+             f"    return {mine} == {theirs} if other.__class__ is self.__class__ else NotImplemented\n"
+             f"def hash(self):\n    return builtin_hash({mine})\n", made)
+        for name in ("__init__", "__eq__", "hash"):
+            made[name].__qualname__ = f"{cls.__qualname__}.{name}"
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = made["__init__"]
+        cls.__eq__ = made["__eq__"]
+        cls.__hash__ = made["hash"] if cls._frozen else None
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -90,10 +88,6 @@ def derived(fn: Callable[[Any], Any]) -> Callable[[Any], Any]:
     get.__code__ = code.replace(co_names=tuple(
         key if name == "_derived_key" else name for name in code.co_names))
     return functools.wraps(fn)(get)
-
-
-def _no_fields(record: Record) -> tuple:
-    return ()
 
 
 def _refuse(self: Record, name: str, value: object = None) -> None:

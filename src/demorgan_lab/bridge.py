@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from typing import TYPE_CHECKING
 
-from ._order import Record, bits, set_field
+from ._order import Record, bits
 from .formula import Atom, Formula, Neg, RuleInstance, conj, disj
 from .frame import Frame, complex_matrix, components, disjoint_union, dual_frame, frame_isomorphic, singleton_frame
 from .graph import Graph, empty_graph
@@ -43,11 +43,8 @@ class TriplePresentation(Record, frozen=True):
     minus_graph: Graph
     singletons: int
 
-    def __init__(self, plus_graph: Graph, minus_graph: Graph, singletons: int):
-        set_field(self, "plus_graph", plus_graph)
-        set_field(self, "minus_graph", minus_graph)
-        set_field(self, "singletons", singletons)
-        if singletons < 0:
+    def __post_init__(self) -> None:
+        if self.singletons < 0:
             raise ValueError("singleton count must be non-negative")
 
 

@@ -17,7 +17,7 @@ import operator
 import re
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from ._order import Record, derived, set_field
+from ._order import Record, derived
 
 __all__ = [
     "Formula", "Atom", "Neg", "And", "Or", "TOP", "BOT",
@@ -87,10 +87,9 @@ _NEG, _AND, _OR, _TOP, _BOT = range(-1, -6, -1)
 class Atom(Formula):
     name: str
 
-    def __init__(self, name: str):
-        set_field(self, "name", name)
-        if not re.fullmatch(r"[a-z][a-z0-9_]*", name):
-            raise ValueError(f"bad atom name: {name!r}")
+    def __post_init__(self) -> None:
+        if not re.fullmatch(r"[a-z][a-z0-9_]*", self.name):
+            raise ValueError(f"bad atom name: {self.name!r}")
 
     def _emit(self, nodes: list) -> None:
         nodes.append(self.name)
@@ -99,9 +98,6 @@ class Atom(Formula):
 @_node
 class Neg(Formula):
     arg: Formula
-
-    def __init__(self, arg: Formula):
-        set_field(self, "arg", arg)
 
     def _emit(self, nodes: list) -> None:
         self.arg._emit(nodes)
@@ -112,10 +108,6 @@ class Neg(Formula):
 class And(Formula):
     left: Formula
     right: Formula
-
-    def __init__(self, left: Formula, right: Formula):
-        set_field(self, "left", left)
-        set_field(self, "right", right)
 
     def _emit(self, nodes: list) -> None:
         if type(self.left) is And:
@@ -129,10 +121,6 @@ class And(Formula):
 class Or(Formula):
     left: Formula
     right: Formula
-
-    def __init__(self, left: Formula, right: Formula):
-        set_field(self, "left", left)
-        set_field(self, "right", right)
 
     def _emit(self, nodes: list) -> None:
         if type(self.left) is Or:
@@ -529,10 +517,6 @@ class RuleInstance(Record, frozen=True):
 
     premises: frozenset[Formula]
     conclusions: frozenset[Formula]
-
-    def __init__(self, premises: frozenset[Formula], conclusions: frozenset[Formula]):
-        set_field(self, "premises", premises)
-        set_field(self, "conclusions", conclusions)
 
     @staticmethod
     def of(premises: Iterable[Formula], conclusions: Iterable[Formula]) -> "RuleInstance":

@@ -9,8 +9,7 @@ import itertools
 import json
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from ._order import (Record, Structure, bits, canonical, closure, derived, explore, isomorphism,
-                     set_field)
+from ._order import Record, Structure, bits, canonical, closure, derived, explore, isomorphism
 from .matrix import _json_object
 
 __all__ = [
@@ -99,10 +98,8 @@ class GraphPair(Record, frozen=True):
     graph: Graph
     counter: int
 
-    def __init__(self, graph: Graph, counter: int):
-        set_field(self, "graph", graph)
-        set_field(self, "counter", counter)
-        if counter < 0:
+    def __post_init__(self) -> None:
+        if self.counter < 0:
             raise GraphError("counter must be non-negative")
 
     @derived

@@ -15,7 +15,7 @@ import functools
 import itertools
 from typing import Iterable, Optional, Sequence
 
-from ._order import Record, canonical, explore, set_field
+from ._order import Record, canonical, explore
 from .formula import (
     Atom, BOT, CONTRADICTION, Formula, Neg, Or, RuleInstance, TOP,
     _normal_clauses, chi, classical_status, conj, disj, nnf, parse_rule,
@@ -233,14 +233,7 @@ class NamedLogic(Record, frozen=True):
     name: str
     semantics: tuple[FinMatrix, ...]
     axioms: tuple[RuleInstance, ...]
-    exact: bool  # False: sound finite stand-in, faithful on the pools
-
-    def __init__(self, name: str, semantics: tuple[FinMatrix, ...],
-                 axioms: tuple[RuleInstance, ...], exact: bool = True):
-        set_field(self, "name", name)
-        set_field(self, "semantics", semantics)
-        set_field(self, "axioms", axioms)
-        set_field(self, "exact", exact)
+    exact: bool = True  # False: sound finite stand-in, faithful on the pools
 
     def valid(self, r: RuleInstance) -> bool:
         return all(validates(m, r) for m in self.semantics)
@@ -464,11 +457,6 @@ class ProbeResult(Record):
     inclusions: list[tuple[str, str]]  # L1 included in L2, at pool resolution
     hasse: list[tuple[str, str]]       # covering edges between classes
     equivalent: list[tuple[str, str]]  # pool-indistinguishable pairs
-
-    def __init__(self, names: list[str], inclusions: list[tuple[str, str]],
-                 hasse: list[tuple[str, str]], equivalent: list[tuple[str, str]]):
-        self.names, self.inclusions, self.hasse, self.equivalent = (
-            names, inclusions, hasse, equivalent)
 
     def includes(self, a: str, b: str) -> bool:
         return (a, b) in set(self.inclusions)

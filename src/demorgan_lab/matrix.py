@@ -53,7 +53,7 @@ from importlib import import_module
 from itertools import compress
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from ._order import Record, bits, closure, derived, set_field, transpose
+from ._order import Record, bits, closure, derived, transpose
 from .formula import Formula, Program, RuleInstance, fold, grid_leaves
 
 
@@ -128,9 +128,6 @@ class Partition(Record, frozen=True):
     """Element-indexed block ids, normalized by first occurrence."""
 
     blocks: tuple[int, ...]
-
-    def __init__(self, blocks: tuple[int, ...]):
-        set_field(self, "blocks", blocks)
 
     @staticmethod
     def of(ids: Sequence[int]) -> "Partition":

@@ -37,10 +37,6 @@ class VerifyResult(Record):
     detail: str
     seconds: float
 
-    def __init__(self, number: int, name: str, passed: bool, detail: str, seconds: float):
-        self.number, self.name, self.passed, self.detail, self.seconds = (
-            number, name, passed, detail, seconds)
-
 
 def _c01_catalog_validity() -> tuple[bool, str]:
     ds, em, res, ecq, ko = (ds_rule(), em_rule(), resolution_rule(),
