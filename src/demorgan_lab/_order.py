@@ -5,7 +5,8 @@ canonical form of such a structure, whose value is the same exactly for
 isomorphic ones: graphs and frames are listed and compared up to
 isomorphism by it (Graph.canonical_key, log_leq).  Also explore, the one
 breadth-first search (s_star_reachable, log_leq, submatrices), Record,
-the base of the package's record classes, and derived, its memo."""
+the base of the package's record classes, which writes their __init__,
+__eq__ and hash from the annotated fields, and derived, its memo."""
 
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ class Record:
     `frozen=True`, and its subclasses, refuse assignment and hash as the
     tuple of their fields; other records are unhashable.  repr is
     Name(field=value, ...).  As dataclasses does, each class compiles its
-    __init__ (unless it writes one), __eq__ and hash from source."""
+    __init__, __eq__ and hash from source."""
 
     _fields: tuple[str, ...] = ()
     _frozen = False
@@ -44,14 +45,14 @@ class Record:
             sets.append("self.__post_init__()")
         mine, theirs = (f"({''.join(f'{x}.{f}, ' for f in fields)})" for x in ("self", "other"))
         made = {"cls": cls, "set_field": set_field, "builtin_hash": hash}
-        exec(f"def __init__(self{params}):\n    {'; '.join(sets) or 'pass'}\n"
-             "def __eq__(self, other):\n"
-             f"    return {mine} == {theirs} if other.__class__ is self.__class__ else NotImplemented\n"
-             f"def hash(self):\n    return builtin_hash({mine})\n", made)
+        exec(_compiled(f"def __init__(self{params}):\n    {'; '.join(sets) or 'pass'}\n"
+                       "def __eq__(self, other):\n"
+                       f"    return {mine} == {theirs} if other.__class__ is self.__class__"
+                       " else NotImplemented\n"
+                       f"def hash(self):\n    return builtin_hash({mine})\n"), made)
         for name in ("__init__", "__eq__", "hash"):
             made[name].__qualname__ = f"{cls.__qualname__}.{name}"
-        if "__init__" not in cls.__dict__:
-            cls.__init__ = made["__init__"]
+        cls.__init__ = made["__init__"]
         cls.__eq__ = made["__eq__"]
         cls.__hash__ = made["hash"] if cls._frozen else None
 
@@ -88,6 +89,13 @@ def derived(fn: Callable[[Any], Any]) -> Callable[[Any], Any]:
     get.__code__ = code.replace(co_names=tuple(
         key if name == "_derived_key" else name for name in code.co_names))
     return functools.wraps(fn)(get)
+
+
+@functools.cache
+def _compiled(source: str) -> Any:
+    """The code of a Record class's methods, compiled once per source:
+    classes of one shape (And and Or, the field-less formulas) share it."""
+    return compile(source, "<record>", "exec")
 
 
 def _refuse(self: Record, name: str, value: object = None) -> None:
