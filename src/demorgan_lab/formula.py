@@ -670,7 +670,10 @@ def rename_apart(r1: RuleInstance, r2: RuleInstance) -> tuple[RuleInstance, Rule
 
 
 def nnf(f: Formula) -> Formula:
-    """Push negations to atoms using the De Morgan laws and involution."""
+    """Push negations to atoms using the De Morgan laws and involution.  An
+    &/| chain down the left side is walked by a loop (_operands) and
+    rebuilt by conj/disj, so a long conj or disj costs no recursion per
+    operand, and the result hashes without one either."""
     def go(g: Formula, negated: bool) -> Formula:
         if isinstance(g, Atom):
             return Neg(g) if negated else g
@@ -680,15 +683,23 @@ def nnf(f: Formula) -> Formula:
             return TOP if negated else BOT
         if isinstance(g, Neg):
             return go(g.arg, not negated)
-        if isinstance(g, And):
-            l, r = go(g.left, negated), go(g.right, negated)
-            return Or(l, r) if negated else And(l, r)
-        if isinstance(g, Or):
-            l, r = go(g.left, negated), go(g.right, negated)
-            return And(l, r) if negated else Or(l, r)
+        if isinstance(g, (And, Or)):
+            rebuild = conj if (type(g) is And) != negated else disj
+            return rebuild(go(h, negated) for h in _operands(g))
         raise TypeError(g)
 
     return go(f, False)
+
+
+def _operands(g: Formula) -> list[Formula]:
+    """The operands, left to right, of the chain of g's connective down g's
+    left side: (g.left, g.right) when g.left has another connective."""
+    out, chain = [], type(g)
+    while type(g) is chain:
+        out.append(g.right)
+        g = g.left
+    out.append(g)
+    return out[::-1]
 
 
 # A literal is (name, positive); clauses are frozensets of literals.
@@ -713,19 +724,16 @@ def _clauses(f: Formula, mode: str) -> frozenset[frozenset[Literal]] | None:
             return frozenset() if outer_and else None
         if isinstance(g, _Bot):
             return None if outer_and else frozenset()
-        outer = And if outer_and else Or
-        if isinstance(g, outer):
-            l, r = go(g.left), go(g.right)
-            if l is None or r is None:
-                return None
-            return l | r
-        # inner connective: distribute
-        l, r = go(g.left), go(g.right)
-        if l is None:
-            return r
-        if r is None:
-            return l
-        return frozenset(cl | cr for cl in l for cr in r)
+        parts = [go(h) for h in _operands(g)]
+        if isinstance(g, And if outer_and else Or):
+            return None if None in parts else frozenset().union(*parts)
+        # inner connective: distribute; None, absorbing for the outer
+        # connective, is the unit of the inner one
+        out = None
+        for cs in parts:
+            if cs is not None:
+                out = cs if out is None else frozenset(cl | cr for cl in out for cr in cs)
+        return out
 
     cs = go(nnf(f))
     if cs is None:
@@ -789,17 +797,17 @@ def grid_leaves(n: int, k: int, planes: Sequence[int]) -> list[int]:
     return leaves
 
 
-# the leaves of the two-element matrix's packed sweep (one plane holding
-# its top, element 1) for k < 11 atoms, at most 1024 bits each
-_TRUTH_LEAVES = [grid_leaves(2, k, (0b10,)) for k in range(11)]
 # a value of the two-valued sweep holds 2^k bits: 128 KiB at 20 atoms
 _CLASSICAL_ATOM_LIMIT = 20
 
 
-def _truth_leaves(k: int) -> list[int]:
+@functools.cache
+def _truth_leaves(k: int) -> tuple[int, ...]:
+    """The leaves of the two-element matrix's packed sweep (one plane
+    holding its top, element 1) for k atoms, built on first use and kept."""
     if k > _CLASSICAL_ATOM_LIMIT:
         raise ValueError(f"classical_status guard: at most {_CLASSICAL_ATOM_LIMIT} atoms, got {k}")
-    return grid_leaves(2, k, (0b10,))
+    return tuple(grid_leaves(2, k, (0b10,)))
 
 
 def classical_status(f: Formula) -> str:
@@ -808,7 +816,7 @@ def classical_status(f: Formula) -> str:
     its one plane.  ValueError above _CLASSICAL_ATOM_LIMIT atoms."""
     prog = f.program()
     k = len(prog.names)
-    leaves = _TRUTH_LEAVES[k] if k < len(_TRUTH_LEAVES) else _truth_leaves(k)
+    leaves = _truth_leaves(k)  # the guard, before full takes 2^k bits
     full = (1 << (1 << k)) - 1
     (table,) = fold(prog, leaves, full.__xor__, operator.and_, operator.or_, full, 0)
     return TAUTOLOGY if table == full else CONTRADICTION if table == 0 else CONTINGENT

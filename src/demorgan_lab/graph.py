@@ -290,6 +290,13 @@ def homomorphic_images(g: Graph) -> list[Graph]:
     return _classes(itertools.chain.from_iterable(images), Graph.canonical_key)
 
 
+@derived
+def _images(g: Graph) -> tuple[Graph, ...]:
+    """homomorphic_images(g), kept on g: s_star_step meets one graph in
+    pairs that differ only in the counter."""
+    return tuple(homomorphic_images(g))
+
+
 def _supergraphs(k: int, prefix: str, base: set[tuple[int, int]]) -> Iterator[Graph]:
     """Every graph on the vertices prefix + "0", ... whose edges include base."""
     extra = [(i, j) for i in range(k) for j in range(i, k) if (i, j) not in base]
@@ -315,7 +322,7 @@ def s_star_step(pair: GraphPair) -> list[GraphPair]:
     last counter when the graph has a loop.
     """
     g, i = pair.graph, pair.counter
-    out = [GraphPair(h, i) for h in homomorphic_images(g)]
+    out = [GraphPair(h, i) for h in _images(g)]
     c = contract_isolated_edge(g)
     if c is not None:
         out.append(GraphPair(c, i))

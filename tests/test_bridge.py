@@ -14,7 +14,7 @@ from demorgan_lab.graph import (
     graph_isomorphic, hom_search, loop_graph, point,
 )
 from demorgan_lab.matrix import (
-    MatrixError, _leibniz_refine, bd4, cl2, etl4, find_isomorphism, k3,
+    FinMatrix, MatrixError, _leibniz_refine, bd4, cl2, etl4, find_isomorphism, k3,
     kminus8, leibniz_reduct, product, quotient_by, validates,
 )
 
@@ -100,6 +100,27 @@ def test_gamma_examples():
     assert "demorgan" not in gk3.flags
     with pytest.raises(MatrixError):
         gamma(E)
+
+
+def test_gamma_flag_is_the_validators_verdict():
+    # ~(U | V) = ~U & ~V holds for every graph, so gamma sets the flag when
+    # its negation is an involution; on up to four vertices that agrees with
+    # validating the matrix as De Morgan, on five with the involution alone
+    graphs4 = all_graphs(4)
+    flagged = 0
+    for g in graphs4:
+        m = gamma(g)
+        try:
+            FinMatrix(m.labels, m.neg, m.top, m.bottom, m.designated, ["demorgan"], enc=m.enc)
+            valid = True
+        except MatrixError:
+            valid = False
+        assert ("demorgan" in m.flags) == valid, g
+        flagged += valid
+    assert flagged > 0 and flagged < len(graphs4)
+    for g in all_graphs(5):
+        m = gamma(g)
+        assert ("demorgan" in m.flags) == all(m.neg[m.neg[x]] == x for x in range(m.n)), g
 
 
 def test_alpha_examples():

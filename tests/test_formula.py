@@ -401,6 +401,18 @@ def test_long_chains_hash_and_compare_without_recursion():
     assert hash(Or(p, q)) == hash((p, q)) and Or(Or(p, q), q) != Or(Or(p, q), p)
 
 
+def test_nnf_and_normal_forms_of_long_chains():
+    # nnf and the clause sets walk a chain's left side by a loop; nnf
+    # rebuilds it with disj/conj, so its result hashes without recursion
+    lits = [Atom(f"p{i}") for i in range(3000)]
+    chain = disj(lits)
+    assert nnf(chain) == chain and hash(nnf(chain)) == hash(chain)
+    negated = nnf(Neg(chain))
+    assert negated == conj([Neg(a) for a in lits]) and isinstance(hash(negated), int)
+    ordered = disj(sorted(lits, key=lambda a: a.name))
+    assert normal_form(chain, "cnf") == ordered and normal_form(chain, "dnf") == ordered
+
+
 def test_rule_programs_do_not_depend_on_str_hashes():
     # a frozenset lists formulas in an order set by str hashes; program()
     # and sweep_program() order each side by its formulas' programs, so two

@@ -181,6 +181,25 @@ def test_s_star_reachable_closure():
             assert q.key() in keys
 
 
+def test_s_star_reachable_computes_the_images_of_a_graph_once(monkeypatch):
+    from demorgan_lab import graph
+
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return homomorphic_images(g)
+
+    monkeypatch.setattr(graph, "homomorphic_images", counted)
+    reach = s_star_reachable(GraphPair(cycle(4), 2))
+    # pairs that differ only in the counter share their graph, and its
+    # images are computed for the first of them
+    assert len(calls) == len({id(g) for g in calls}) < len(reach) == 101
+    g = cycle(4)
+    a, b = homomorphic_images(g), homomorphic_images(g)  # each call a fresh list
+    assert type(a) is list and a is not b and [h.to_json() for h in a] == [h.to_json() for h in b]
+
+
 def test_graph_isomorphic():
     assert graph_isomorphic(complete(3), complete(3))
     assert not graph_isomorphic(complete(2), disjoint_union([point(), point()]))

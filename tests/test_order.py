@@ -123,6 +123,25 @@ def test_records_keep_the_dataclass_contract(case):
         cls(*values, None)
 
 
+def test_record_cases_name_every_record_class():
+    # a record class added later cannot skip the contract above; the
+    # field-less Formula, _Top and _Bot are checked below
+    import importlib
+    import pkgutil
+
+    import demorgan_lab
+
+    for info in pkgutil.iter_modules(demorgan_lab.__path__):
+        importlib.import_module(f"demorgan_lab.{info.name}")
+    found, todo = set(), [Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls._fields and cls.__module__.startswith("demorgan_lab."):
+                found.add(cls)
+    assert found == {cls for cls, _, _ in record_cases()}
+
+
 def test_record_equality_checks_and_reprs():
     from demorgan_lab.bridge import TriplePresentation
     from demorgan_lab.formula import BOT, TOP, And, Atom, Or, parse_rule
