@@ -14,8 +14,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ._order import Record, Structure, explore, isomorphism
 from .formula import Atom, Formula
-from .matrix import (_DM4_HASSE, _DM4_LABELS, _DM4_NEGP, FinMatrix, MatrixError, _LazyModule,
-                     _lattice_from_order, _pack, _point_sets, _row_chunks, evaluate)
+from .matrix import FinMatrix, MatrixError, _dm4, _LazyModule, _lift, _pack, _row_chunks, evaluate
 
 np = _LazyModule(globals(), "np", "numpy")
 
@@ -100,10 +99,11 @@ def find_isomorphism(m1: FinMatrix, m2: FinMatrix) -> Optional[tuple[int, ...]]:
     When both are De Morgan matrices whose non-empty designated sets are
     filters (FinMatrix.is_bd_model), each is the complex matrix of its
     dual frame, so an isomorphism of the dual frames, lifted to elements
-    by permuting the join-irreducibles below each element, is one of the
-    matrices.  frame._lift checks the lift; matching moved point sets, it
-    keeps the order both ways, so meet and join need no check.  Other
-    pairs go through _find_isomorphism_generic.
+    by sending the join-irreducibles below each element to their images,
+    is one of the matrices.  matrix._lift finds each element's image by
+    its mask and checks the lift; it keeps the order both ways, so meet
+    and join need no check.  Other pairs go through
+    _find_isomorphism_generic.
     """
     if m1 is m2:
         return tuple(range(m1.n))
@@ -111,15 +111,12 @@ def find_isomorphism(m1: FinMatrix, m2: FinMatrix) -> Optional[tuple[int, ...]]:
         return None
     if not (m1.is_bd_model() and m2.is_bd_model()):
         return _find_isomorphism_generic(m1, m2)
-    from .frame import _lift, dual_frame, frame_isomorphism
+    from .frame import dual_frame, frame_isomorphism
     phi = frame_isomorphism(dual_frame(m1), dual_frame(m2))
     if phi is None:
         return None
-    src = _point_sets(m1)
-    moved = np.zeros_like(src)
-    for a, b in enumerate(phi):
-        moved |= (src >> a & 1) << b
-    mp = _lift(m1, moved, m2, _point_sets(m2))
+    jis2 = m2.join_irreducibles()
+    mp = _lift(m1, [m2.enc[jis2[b]] for b in phi], m2)
     if mp is None:
         raise RuntimeError("internal: dual frame isomorphism did not lift to the matrices")
     return mp
@@ -191,10 +188,10 @@ def split_at(m: FinMatrix, a: int) -> tuple[FinMatrix, FinMatrix, tuple[int, ...
 
     Returns the interval matrices [bottom, a] and [bottom, ~a], whose
     negations are a & ~x and ~a & ~x, and the witness mapping sending x to
-    the product element (a & x, ~a & x), found by frame._lift: x's key,
-    its mask's bits under a beside those under ~a, keeps and reflects
-    containment as a | ~a = top, so the lift's order argument covers meet
-    and join.  MatrixError unless x is designated exactly when a & x and
+    the product element (a & x, ~a & x), found by matrix._lift: each
+    join-irreducible's image is its mask's bits under a beside those under
+    ~a, packed, which keeps and reflects containment as a | ~a = top, so
+    the lift's order argument covers meet and join.  MatrixError unless x is designated exactly when a & x and
     ~a & x are designated in their intervals.
     """
     if "demorgan" not in m.flags:
@@ -216,12 +213,10 @@ def split_at(m: FinMatrix, a: int) -> tuple[FinMatrix, FinMatrix, tuple[int, ...
             lambda x: m.label(elems[x]), neg, pos[c], pos[m.bottom], designated,
             ["demorgan"], _pack([m.enc[e] for e in elems], m.enc[c]))
 
-    from .frame import _lift
     m1, m2 = interval(a), interval(na)
-    prod = product([m1, m2])
-    target = prod._enc_np()
-    halves = zip(_pack(m.enc, m.enc[a]), _pack(m.enc, m.enc[na]))
-    witness = _lift(m, np.array([x | y << m1.nbits for x, y in halves], target.dtype), prod, target)
+    ji_masks = [m.enc[j] for j in m.join_irreducibles()]
+    halves = zip(_pack(ji_masks, m.enc[a]), _pack(ji_masks, m.enc[na]))
+    witness = _lift(m, [x | y << m1.nbits for x, y in halves], product([m1, m2]))
     if witness is None:
         raise RuntimeError("internal: split witness failed verification")
     return m1, m2, witness
@@ -289,5 +284,4 @@ def free_dm_algebra(
 def dm4_algebra() -> FinMatrix:
     """The four-element De Morgan algebra with everything designated; used
     as a term-function oracle, not as a logic."""
-    return _lattice_from_order(_DM4_LABELS, _DM4_HASSE, _DM4_NEGP,
-                               ["bot", "n", "b", "top"], "top", "bot")
+    return _dm4(range(4))

@@ -15,8 +15,8 @@ import random
 from typing import Iterable, Iterator, Optional, Sequence
 
 from ._order import Structure, bits, closure, derived, isomorphism, pairs, transpose
-from .matrix import (FinMatrix, MatrixError, _is_index, _json_object, _LazyModule, _pack,
-                     _point_involution, _point_sets)
+from .matrix import (FinMatrix, MatrixError, _is_index, _json_object, _LazyModule, _lift, _pack,
+                     _point_involution)
 
 # numpy on first use, as in matrix: dual_frame and the frame operations run
 # without it; complex_matrix and roundtrip_check load it
@@ -281,35 +281,16 @@ def dual_frame(m: FinMatrix) -> Frame:
 def roundtrip_check(m: FinMatrix) -> bool:
     """True iff the complex matrix of the dual frame is isomorphic to m, by
     the canonical map sending a to the set of prime filters containing a:
-    _lift checks it, and says why meet and join need no check.  False
-    also when the dual is not a frame, which happens only to a matrix
-    built unchecked whose negation breaks a De Morgan law."""
+    matrix._lift keys each element by the points below it, bit a for point
+    a as in the complex matrix's masks, and checks the map; it says why
+    meet and join need no check.  False also when the dual is not a frame,
+    which happens only to a matrix built unchecked whose negation breaks a
+    De Morgan law."""
     try:
         p = dual_frame(m)
     except FrameError:
         return False
-    c = complex_matrix(p)
-    return c.n == m.n and _lift(m, _point_sets(m), c, c._enc_np()) is not None
-
-
-def _lift(m1: FinMatrix, keys: np.ndarray, m2: FinMatrix,
-          target: np.ndarray) -> Optional[tuple[int, ...]]:
-    """The map sending each element x of m1 to the element of m2 whose
-    entry in target is keys[x], if it is a bijection keeping the bounds,
-    negation and designation; else None.  The keys are m1's masks under a
-    bit map that keeps and reflects containment: point sets (the
-    join-irreducibles below each element), point sets moved by a frame
-    isomorphism (find_isomorphism), or packed interval masks (split_at).
-    So a bijection matching keys keeps the order both ways, and an order
-    isomorphism of lattices keeps meet and join."""
-    order = np.argsort(target)
-    h = order[np.minimum(np.searchsorted(target[order], keys), m2.n - 1)]
-    ok = (np.array_equal(target[h], keys)
-          and np.array_equal(np.bincount(h, minlength=m2.n), np.ones(m2.n))
-          and h[m1.top] == m2.top and h[m1.bottom] == m2.bottom
-          and np.array_equal(h[np.array(m1.neg)], np.array(m2.neg)[h])
-          and np.array_equal(np.sort(h[list(m1.designated)]), sorted(m2.designated)))
-    return tuple(h.tolist()) if ok else None
+    return _lift(m, [1 << a for a in range(p.n)], complex_matrix(p)) is not None
 
 
 def counit_check(p: Frame) -> bool:

@@ -14,16 +14,20 @@ powerset lattice (Birkhoff).  That embedding is the only representation a
 FinMatrix stores: one bitmask per element, a Python int of any width.  Meet
 and join are bitwise AND/OR, and the n x n operation tables are caches
 derived from the masks when something asks for them.  So is the tuple of
-element names: a matrix keeps a function naming one element.  A congruence of a De Morgan matrix is the set of mask bits it keeps (see
-"congruences"): principal and Leibniz congruences are found on the masks,
-and a quotient's masks are the kept bits, packed.
+element names: a matrix keeps a function naming one element.  A congruence
+of a De Morgan matrix is the set of mask bits it keeps (see "congruences"):
+principal and Leibniz congruences are found on the masks, and a quotient's
+masks are the kept bits, packed.  The maps along the duality
+(roundtrip_check, find_isomorphism, split_at) find each element's image by
+its mask, through one lift (_lift).
 
 Data from outside is checked once, where it enters: the public constructor
-(and so from_json and the catalog) runs FinMatrix.validate, on Python ints
-in O(n * bits) for the laws.  Matrices that this package builds from
-matrices it already holds (products, quotients, submatrices, split
-intervals, free algebras, complex matrices, gamma) hold the laws by
-construction and go through FinMatrix._trusted, unchecked.
+(and so from_json and the catalog, written as masks) runs
+FinMatrix.validate, on Python ints in O(n * bits) for the laws.  Matrices
+that this package builds from matrices it already holds (products,
+quotients, submatrices, split intervals, free algebras, complex matrices,
+gamma) hold the laws by construction and go through FinMatrix._trusted,
+unchecked.
 
 Code that a one-shot command may not run lives in modules of its own,
 loaded on first use, so that a cold command neither imports nor compiles
@@ -53,7 +57,7 @@ from importlib import import_module
 from itertools import compress
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from ._order import Record, bits, closure, derived, transpose
+from ._order import Record, bits, derived
 from .formula import Formula, Program, RuleInstance, fold, grid_leaves
 
 
@@ -891,106 +895,85 @@ def principal_congruence(m: FinMatrix, a: int, b: int) -> Partition:
     return _kept_partition(m, sum(orbit for orbit in _orbits(m) if not orbit & differ))
 
 
-# -- point sets ---------------------------------------------------------------
+# -- the lift along the duality ----------------------------------------------
 
 
-@derived
-def _point_sets(m: FinMatrix) -> np.ndarray:
-    """Per element, the points of the dual frame below it, as a bitmask (bit
-    a: the a-th join-irreducible lies below it), uint64 up to 64 points and
-    Python ints (object dtype) beyond."""
-    e = m._enc_np()
-    ej = e[m.join_irreducibles()]
-    dtype = np.uint64 if len(ej) <= 64 else object
-    shifts = np.arange(len(ej)).astype(dtype)
-    out = np.empty(m.n, dtype=dtype)
-    for rows in _row_chunks(m.n, len(ej)):
-        out[rows] = (((e[rows, None] & ej) == ej) << shifts).sum(axis=1, dtype=dtype)
-    return out
+def _lift(m1: FinMatrix, images: Sequence[int], m2: FinMatrix) -> Optional[tuple[int, ...]]:
+    """The map sending each element x of m1 to the element of m2 whose mask
+    is the OR of images[a] over the points a below x (those whose
+    representative bit x's mask holds, FinMatrix._join_irreducibles), if
+    it is a bijection keeping the bounds, negation and designation; else
+    None.  The images (points' own bits, masks of their frame-isomorphism
+    images, or packed interval masks) keep and reflect containment, so a
+    bijection matching keys keeps the order both ways, and an order
+    isomorphism of lattices keeps meet and join."""
+    e = m1._enc_np()
+    keys = np.zeros(m1.n, dtype=m2._enc_np().dtype)
+    for r, image in zip(m1._join_irreducibles()[1], images):
+        keys[e >> r & 1 == 1] |= image
+    h = m2._positions(keys)
+    ok = ((h >= 0).all()
+          and np.array_equal(np.bincount(h, minlength=m2.n), np.ones(m2.n))
+          and h[m1.top] == m2.top and h[m1.bottom] == m2.bottom
+          and np.array_equal(h[np.array(m1.neg)], np.array(m2.neg)[h])
+          and np.array_equal(np.sort(h[list(m1.designated)]), sorted(m2.designated)))
+    return tuple(h.tolist()) if ok else None
 
 
-# -- the catalog --------------------------------------------------------------
+# -- the catalog: masks, validated by the public constructor -----------------
 
 
-def _lattice_from_order(labels, hasse, neg_pairs, designated, name_top, name_bot):
-    """A De Morgan matrix from a Hasse diagram given as label pairs (a < b),
-    by its meet and join tables read off the order; the constructor derives
-    the masks from them."""
-    pos = {l: i for i, l in enumerate(labels)}
-    n = len(labels)
-    up = [0] * n
-    for a, b in hasse:
-        up[pos[a]] |= 1 << pos[b]
-    up = closure(up)
-    if len(set(up)) != n:
-        raise MatrixError("not a lattice: the Hasse diagram has a cycle")
-    # the meet of x and y is the element whose downset is their common
-    # downset, if there is one; the join likewise with upsets
-    tables = {}
-    for rows, name in ((transpose(up), "meet"), (up, "join")):
-        of_row = {r: z for z, r in enumerate(rows)}
-        tables[name] = [[of_row.get(r & s) for s in rows] for r in rows]
-        for x, row in enumerate(tables[name]):
-            if None in row:
-                raise MatrixError(f"not a lattice: {labels[x]!r} and "
-                                  f"{labels[row.index(None)]!r} have no {name}")
-    neg = [None] * n
-    for a, b in neg_pairs:
-        neg[pos[a]] = pos[b]
-        neg[pos[b]] = pos[a]
-    return FinMatrix(labels, neg, pos[name_top], pos[name_bot],
-                     [pos[d] for d in designated], ["demorgan"], **tables)
+def _dm4(designated: Sequence[int]) -> FinMatrix:
+    """The four-element De Morgan lattice bot < n, b < top, its negation
+    fixing n and b."""
+    return FinMatrix(("bot", "n", "b", "top"), (3, 1, 2, 0), 3, 0, designated, ["demorgan"],
+                     enc=(0, 1, 2, 3))
 
 
-_DM4_LABELS = ("bot", "n", "b", "top")
-_DM4_HASSE = (("bot", "n"), ("bot", "b"), ("n", "top"), ("b", "top"))
-_DM4_NEGP = (("bot", "top"), ("n", "n"), ("b", "b"))
+def _chain3(designated: Sequence[int]) -> FinMatrix:
+    """The chain bot < n < top, its negation fixing n."""
+    return FinMatrix(("bot", "n", "top"), (2, 1, 0), 2, 0, designated, ["demorgan"],
+                     enc=(0, 1, 3))
 
 
 @functools.cache
 def bd4() -> FinMatrix:
     """Four truth values, the top and the 'both' fixpoint designated."""
-    return _lattice_from_order(_DM4_LABELS, _DM4_HASSE, _DM4_NEGP, ["b", "top"], "top", "bot")
+    return _dm4([2, 3])
 
 
 @functools.cache
 def etl4() -> FinMatrix:
     """Four truth values, only the top designated."""
-    return _lattice_from_order(_DM4_LABELS, _DM4_HASSE, _DM4_NEGP, ["top"], "top", "bot")
+    return _dm4([3])
 
 
 @functools.cache
 def k3() -> FinMatrix:
     """Three-element chain with the middle fixpoint, top designated."""
-    return _lattice_from_order(
-        ("bot", "n", "top"), (("bot", "n"), ("n", "top")),
-        (("bot", "top"), ("n", "n")), ["top"], "top", "bot")
+    return _chain3([2])
 
 
 @functools.cache
 def lp3() -> FinMatrix:
     """Three-element chain, middle and top designated."""
-    return _lattice_from_order(
-        ("bot", "n", "top"), (("bot", "n"), ("n", "top")),
-        (("bot", "top"), ("n", "n")), ["n", "top"], "top", "bot")
+    return _chain3([1, 2])
 
 
 @functools.cache
 def cl2() -> FinMatrix:
     """The two-element Boolean matrix."""
-    return _lattice_from_order(
-        ("bot", "top"), (("bot", "top"),), (("bot", "top"),), ["top"], "top", "bot")
+    return FinMatrix(("bot", "top"), (1, 0), 1, 0, [1], ["demorgan"], enc=(0, 1))
 
 
 @functools.cache
 def kminus8() -> FinMatrix:
     """The eight-element matrix with top designated whose logic sits just
-    below the resolution logic; built from its Hasse diagram."""
-    labels = ("bot", "x", "c", "a", "d", "e", "b", "top")
-    hasse = (("bot", "x"), ("bot", "c"), ("x", "a"), ("x", "d"), ("c", "d"),
-             ("a", "e"), ("d", "e"), ("d", "b"), ("e", "top"), ("b", "top"))
-    negp = (("bot", "top"), ("x", "e"), ("c", "b"), ("a", "a"), ("d", "d"))
-    return _lattice_from_order(labels, hasse, negp, ["top"], "top", "bot")
+    below the resolution logic.  Its order: bot < x, c; x < a, d; c < d;
+    a, d < e; d < b; e, b < top.  Its negation swaps bot and top, x and e,
+    c and b, and fixes a and d."""
+    return FinMatrix(("bot", "x", "c", "a", "d", "e", "b", "top"), (7, 5, 6, 3, 4, 1, 2, 0),
+                     7, 0, [7], ["demorgan"], enc=(0, 1, 2, 5, 3, 7, 11, 15))
 
 
 def catalog() -> dict[str, FinMatrix]:

@@ -336,6 +336,18 @@ def test_command_loads_only_its_modules(tmp_path, argv, extra):
     assert modules == BASE | extra
 
 
+def test_split_at_loads_constructions_but_no_frame():
+    # the split witness is lifted by masks (matrix._lift), with no frame
+    code = ("import sys; from demorgan_lab.matrix import bd4, split_at; "
+            "print(split_at(bd4(), bd4().top)[2], "
+            "sorted(m for m in sys.modules if m.startswith('demorgan_lab.')))")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out == ("(0, 1, 2, 3) ['demorgan_lab._constructions', 'demorgan_lab._order', "
+                   "'demorgan_lab.formula', 'demorgan_lab.matrix']\n")
+
+
 def test_registry_fallback_loads_logics(capsys):
     rule = "p, ~p |- q"
     want = validates(registry("LPVECQ").semantics[0], parse_rule(rule))

@@ -24,7 +24,7 @@ from demorgan_lab.frame import (Frame, FrameError, complex_matrix, dual_frame, r
                                 roundtrip_check)
 from demorgan_lab.graph import Graph, all_graphs
 from demorgan_lab.matrix import (
-    FinMatrix, MatrixError, Partition, _dual_partners, _leibniz_refine, _point_sets, bd4,
+    FinMatrix, MatrixError, Partition, _dual_partners, _leibniz_refine, _lift, bd4,
     catalog, cl2, etl4, find_isomorphism, is_matrix_isomorphism, k3, kminus8,
     leibniz_congruence, lp3, product,
 )
@@ -260,6 +260,18 @@ print("numpy.random" in sys.modules)
 """
 
 
+def test_lift_keys_each_element_by_the_points_below_it():
+    # with point a sent to bit a, the lift sends x to the element of the
+    # complex matrix whose mask holds bit a iff the a-th join-irreducible
+    # lies below x, read off the order alone
+    for m in filter_matrices():
+        jis = m.join_irreducibles()
+        c = complex_matrix(dual_frame(m))
+        at = {mask: i for i, mask in enumerate(c.enc)}
+        want = [at[sum(1 << a for a, j in enumerate(jis) if m.leq(j, x))] for x in range(m.n)]
+        assert _lift(m, [1 << a for a in range(len(jis))], c) == tuple(want), m
+
+
 def test_duality_checks_load_no_numpy_random():
     src = os.path.dirname(os.path.dirname(matrix.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -290,9 +302,6 @@ def test_batched_dual_partners_match_one_at_a_time(monkeypatch, chunk):
         masks = [m.enc[j] for j in jis]
         assert _dual_partners(m, masks) == [dual_partner(m, ej) for ej in masks]
         assert _dual_partners(m, masks[::-1]) == [dual_partner(m, ej) for ej in masks[::-1]]
-        # bit a of an element's point set: the a-th join-irreducible is below it
-        assert _point_sets(m).tolist() == [
-            sum(1 << a for a, j in enumerate(jis) if m.leq(j, x)) for x in range(m.n)]
 
 
 def test_join_irreducibles_and_their_bits_by_definition():

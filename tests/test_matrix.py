@@ -784,18 +784,11 @@ def test_leibniz_examples():
 
 
 def test_catalog_masks_from_the_hasse_diagrams():
-    from demorgan_lab.matrix import _lattice_from_order
     encs = {name: m.enc for name, m in catalog().items()}
     encs["DM4"] = dm4_algebra().enc
     assert encs == {"BD4": (0, 1, 2, 3), "K3": (0, 1, 3), "LP3": (0, 1, 3), "CL2": (0, 1),
                     "ETL4": (0, 1, 2, 3), "KMINUS8": (0, 1, 2, 5, 3, 7, 11, 15),
                     "DM4": (0, 1, 2, 3)}
-    with pytest.raises(MatrixError, match="'a' and 'b' have no join"):
-        _lattice_from_order("xab", [("x", "a"), ("x", "b")], [], [], "a", "x")
-    with pytest.raises(MatrixError, match="'a' and 'b' have no meet"):
-        _lattice_from_order("abx", [("a", "x"), ("b", "x")], [], [], "x", "a")
-    with pytest.raises(MatrixError, match="cycle"):
-        _lattice_from_order("ab", [("a", "b"), ("b", "a")], [], [], "b", "a")
 
 
 def test_leibniz_reduct_properties():
@@ -1054,12 +1047,12 @@ def test_split_at_needs_a_designated_set_that_splits():
 
 
 def test_failed_self_checks_are_internal_errors(monkeypatch):
-    from demorgan_lab import frame
+    from demorgan_lab import _constructions, frame
     k3_copy = FinMatrix.from_json(k3().to_json())
     monkeypatch.setattr(frame, "frame_isomorphism", lambda p, q: (1, 0))  # reverses a chain
     with pytest.raises(RuntimeError, match="internal: dual frame isomorphism did not lift"):
         find_isomorphism(k3(), k3_copy)
-    monkeypatch.setattr(frame, "_lift", lambda m1, keys, m2, target: None)
+    monkeypatch.setattr(_constructions, "_lift", lambda m1, images, m2: None)
     with pytest.raises(RuntimeError, match="internal: split witness failed verification"):
         split_at(bd4(), bd4().top)
 
@@ -1387,13 +1380,6 @@ def test_entry_reads_tables_without_numpy():
                          capture_output=True, text=True, check=True).stdout
     want = find_countervaluation(kminus8(), parse_rule("p |- p & q"))
     assert want is not None and out == f"{want} False\n"
-
-
-def test_catalog_rejects_non_lattice_order():
-    from demorgan_lab.matrix import _lattice_from_order
-    with pytest.raises(MatrixError, match="'a' and 'b' have no join"):
-        _lattice_from_order(("bot", "a", "b"), (("bot", "a"), ("bot", "b")),
-                            (("bot", "a"), ("b", "b")), ["a"], "a", "bot")
 
 
 def test_trusted_constructions_validate():
