@@ -321,6 +321,10 @@ def cmd_separate(args) -> int:
     return EXIT_TRUE
 
 
+# all_graphs(5) lists 543 graphs in about 1.5 s; all_graphs(6) takes minutes
+MUPLUS_POOL_GUARD = 5
+
+
 def _matrix_pool(spec: str):
     s = spec.strip().lower()
     if s == "catalog":
@@ -329,6 +333,8 @@ def _matrix_pool(spec: str):
     if m:
         from . import bridge, graph
         bound = int(m.group(1))
+        if bound > MUPLUS_POOL_GUARD:
+            raise InputError(f"muplus pool guard exceeded ({bound} > {MUPLUS_POOL_GUARD})")
         return [bridge.mu_plus(g) for g in graph.all_graphs(bound, allow_isolated=False)]
     raise InputError(f"unknown pool {spec!r}: use 'catalog' or 'muplus:<n>'")
 
@@ -397,7 +403,8 @@ COMMANDS = {
         _arg("--suite", default="all"), _arg("--seed", type=int, default=0)]),
     "separate": ("search a pool for a separating matrix", cmd_separate, [
         _arg("--hold", nargs="*", default=[]), _arg("--fail", nargs="*", default=[]),
-        _arg("--pool", default="catalog")]),
+        _arg("--pool", default="catalog",
+             help=f"'catalog' or 'muplus:<n>', n <= {MUPLUS_POOL_GUARD}")]),
 }
 
 

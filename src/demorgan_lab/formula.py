@@ -395,9 +395,12 @@ class ParseError(ValueError):
         super().__init__(f"syntax error at offset {pos} (near {got!r}): " + "; ".join(parts))
 
 
-# The parser rejects a formula with more operators than this on a path from
-# the root to a leaf, or with more ~ and ( open at once: printing, hashing
-# and compiling a formula recurse once per level.
+# The parser rejects a formula with more levels than this on a path from
+# the root to a leaf, or with more ~ and ( open at once.  A ~ is a level,
+# and so is a chain of & or of |, however long: printing, hashing and
+# compiling a formula recurse once per level and walk a chain by a loop.
+# (Hashing recurses through a chain's nodes down to one already hashed:
+# conj and disj hash every 64th, and the parser each chain it builds.)
 MAX_DEPTH = 256
 
 
@@ -422,8 +425,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 class _Parser:
     """Recursive descent; each method returns a formula and its depth (the
-    operators on its longest path to a leaf), and `open` counts the ~ and (
-    that the descent is inside."""
+    levels, ~ or chains, on its longest path to a leaf), and `open` counts
+    the ~ and ( that the descent is inside."""
 
     def __init__(self, text: str):
         self.text = text
@@ -449,25 +452,25 @@ class _Parser:
         return ParseError(self.text, self.toks[token][2], (),
                           f"formula nested deeper than {MAX_DEPTH}")
 
-    def form(self) -> tuple[Formula, int]:
-        f, depth = self.conj()
-        while self.eat("|"):
+    def chain(self, op: str = "|") -> tuple[Formula, int]:
+        """The operands joined by op, read into a list and built by disj
+        (op "|", operands & chains) or conj (op "&", operands negations):
+        a chain counts as one level however long it is."""
+        f, top = self.chain("&") if op == "|" else self.neg()
+        fs = [f]
+        while self.eat(op):
             at = self.i - 1
-            g, d = self.conj()
-            f, depth = Or(f, g), (depth if depth > d else d) + 1
-            if depth > MAX_DEPTH:
+            g, d = self.chain("&") if op == "|" else self.neg()
+            fs.append(g)
+            if d > top:
+                top = d
+            if top >= MAX_DEPTH:
                 raise self.too_deep(at)
-        return f, depth
-
-    def conj(self) -> tuple[Formula, int]:
-        f, depth = self.neg()
-        while self.eat("&"):
-            at = self.i - 1
-            g, d = self.neg()
-            f, depth = And(f, g), (depth if depth > d else d) + 1
-            if depth > MAX_DEPTH:
-                raise self.too_deep(at)
-        return f, depth
+        if len(fs) == 1:
+            return f, top
+        f = (disj if op == "|" else conj)(fs)
+        hash(f)  # kept: hashing a chain around f stops at f (see MAX_DEPTH)
+        return f, top + 1
 
     def neg(self) -> tuple[Formula, int]:
         t = self.peek()
@@ -491,7 +494,7 @@ class _Parser:
             if depth > MAX_DEPTH:
                 raise self.too_deep(at)
         else:
-            f, depth = self.form()
+            f, depth = self.chain()
             if not self.eat(")"):
                 raise ParseError(self.text, self.pos(), [")", "|", "&"])
         self.open -= 1
@@ -502,7 +505,7 @@ def parse(text: str) -> Formula:
     """Parse a formula; grammar: disjunction of conjunctions of negations,
     at most MAX_DEPTH deep."""
     p = _Parser(text)
-    f, _ = p.form()
+    f, _ = p.chain()
     if p.peek() is not None:
         raise ParseError(text, p.pos(), ["|", "&", "end of input"])
     return f
@@ -736,11 +739,18 @@ def _clauses(f: Formula, mode: str) -> frozenset[frozenset[Literal]] | None:
         return out
 
     cs = go(nnf(f))
-    if cs is None:
-        return None
-    # drop subsumed clauses (absorption: x & (x | y) = x, dually for joins)
-    minimal = frozenset(c for c in cs if not any(d < c for d in cs))
-    return minimal
+    return None if cs is None else _minimal(cs)
+
+
+def _minimal(cs: frozenset[frozenset[Literal]]) -> frozenset[frozenset[Literal]]:
+    """The clauses of cs with no proper subset in cs (absorption:
+    x & (x | y) = x, dually for joins).  Taken smallest first, each clause
+    is compared with the smaller clauses kept alone: a proper subset is
+    smaller, and a dropped one contains a kept one."""
+    kept: list[frozenset[Literal]] = []
+    for _, same_size in itertools.groupby(sorted(cs, key=len), len):
+        kept += [c for c in same_size if not any(d < c for d in kept)]
+    return frozenset(kept)
 
 
 def _clause_formula(clause: frozenset[Literal], inner_or: bool) -> Formula:

@@ -133,6 +133,10 @@ def commands() -> list[list[str]]:
         ["logleq", "--from", "ETL4,K3", "--to", "KMINUS8", "--bound", "2"],
         ["separate", "--hold", "p, ~p | q |- q", "--fail", "|- p | ~p"],
         ["separate", "--hold", "|- p | ~p", "--fail", "p |- p"],
+        # alpha(K2) holds in mu+ of the loop, the one graph of muplus:1, and
+        # fails in mu+(K2), the second graph of muplus:2
+        ["separate", "--fail", "pv0 & ~pv0 | pv1 & ~pv1 |-", "--pool", "muplus:1"],
+        ["separate", "--fail", "pv0 & ~pv0 | pv1 & ~pv1 |-", "--pool", "muplus:2"],
         ["probe"],
         ["probe", "--dot"],  # --dot wins over --json
         # nested past formula.MAX_DEPTH: a parse error

@@ -137,6 +137,12 @@ def test_alpha_examples():
     assert prem == parse("pu")
 
 
+def test_alpha_rule_of_a_long_cycle_parses_back():
+    # its premise is a chain of 200 disjuncts, which `alpha` prints
+    r = alpha_rule(cycle(200))
+    assert parse_rule(str(r)) == r
+
+
 def test_alpha_law_small():
     pool = [g for g in all_graphs(3, allow_isolated=False)]
     for g, h in itertools.product(pool, repeat=2):

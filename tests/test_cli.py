@@ -131,10 +131,10 @@ def from_depth(frames, fn):
     return fn() if frames == 0 else from_depth(frames - 1, fn)
 
 
-@pytest.mark.parametrize("shape", ["or", "neg", "paren"])
+@pytest.mark.parametrize("shape", ["neg", "paren"])
 def test_nesting_bound_is_bad_input(capsys, shape):
     def rule(depth):
-        return {"or": "|".join(["p"] * (depth + 1)), "neg": "~" * depth + "p",
+        return {"neg": "~" * depth + "p",
                 "paren": "(" * depth + "p" + ")" * depth}[shape] + " |- p"
 
     for matrix in ("BD4", "KMINUS8"):
@@ -142,6 +142,18 @@ def test_nesting_bound_is_bad_input(capsys, shape):
             capsys, "check", "--matrix", matrix, "--rule", rule(MAX_DEPTH)))
         assert code in (0, 1) and out and err == ""
         code, out, err = run(capsys, "check", "--matrix", matrix, "--rule", rule(MAX_DEPTH + 1))
+        assert code == 2 and out == "" and f"nested deeper than {MAX_DEPTH}" in err
+
+
+def test_a_chain_is_one_level_of_input(capsys):
+    # a 3000-operand chain is good input, and a chain still passes the
+    # bound by the levels of its operands
+    for matrix in ("BD4", "KMINUS8"):
+        code, out, err = from_depth(120, lambda: run(
+            capsys, "check", "--matrix", matrix, "--rule", "|".join(["p"] * 3000) + " |- p"))
+        assert code == 0 and out and err == ""
+        code, out, err = run(capsys, "check", "--matrix", matrix,
+                             "--rule", "~" * MAX_DEPTH + "p | p |- p")
         assert code == 2 and out == "" and f"nested deeper than {MAX_DEPTH}" in err
 
 
@@ -250,6 +262,21 @@ def test_separate_command(capsys):
     assert code == 0 and len(json.loads(out)["separating"]["elements"]) == 3
     code, _, _ = run(capsys, "separate", "--hold", "p |- q", "--pool", "catalog")
     assert code == 1
+
+
+def test_separate_bounds_the_muplus_pool(capsys):
+    # alpha(K2) holds in mu+ of the loop, the one graph of muplus:1, and
+    # fails in the 9-element mu+(K2), one of muplus:2
+    alpha_k2 = "pv0 & ~pv0 | pv1 & ~pv1 |-"
+    code, out, _ = run(capsys, "--json", "separate", "--fail", alpha_k2, "--pool", "muplus:1")
+    assert code == 1 and json.loads(out) == {"separating": None}
+    code, out, _ = run(capsys, "--json", "separate", "--fail", alpha_k2, "--pool", "muplus:2")
+    assert code == 0 and len(json.loads(out)["separating"]["elements"]) == 9
+    # all_graphs(6) would take minutes: refused before any graph is listed
+    code, out, err = run(capsys, "separate", "--fail", alpha_k2, "--pool", "muplus:6")
+    assert code == 2 and out == "" and "muplus pool guard exceeded (6 > 5)" in err
+    code, out, err = run(capsys, "separate", "--fail", alpha_k2, "--pool", "muplus:x")
+    assert code == 2 and out == "" and "unknown pool 'muplus:x'" in err
 
 
 def test_verify_subset(capsys):

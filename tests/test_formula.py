@@ -2,16 +2,18 @@ import itertools
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
 import demorgan_lab
+from demorgan_lab import formula
 from demorgan_lab.formula import (
     And, Atom, Neg, Or, BOT, TOP, MAX_DEPTH, ParseError, RuleInstance,
     CONTINGENT, CONTRADICTION, TAUTOLOGY,
     atoms, chi, classical_status, conj, disj, fresh_renaming, nnf, normal_form,
-    parse, parse_rule, rename_apart, substitute, _OR,
+    parse, parse_rule, rename_apart, substitute, _OR, _clauses, _minimal,
 )
 
 # Independent DM4 oracle: the four-element De Morgan algebra as plain dicts,
@@ -254,6 +256,18 @@ def test_normal_form_idempotent(f):
         assert normal_form(g, mode) == g
 
 
+@given(small_formulas)
+def test_minimal_clauses_match_the_all_pairs_scan(f):
+    # the clause sets before subsumption (_clauses with _minimal switched
+    # off), reduced by the all-pairs scan as the oracle
+    for mode in ("cnf", "dnf"):
+        with mock.patch.object(formula, "_minimal", lambda cs: cs):
+            raw = _clauses(f, mode)
+        if raw is not None:
+            want = frozenset(c for c in raw if not any(d < c for d in raw))
+            assert _minimal(raw) == want and _clauses(f, mode) == want
+
+
 def test_normal_form_shapes():
     def is_literal(h):
         return isinstance(h, Atom) or (isinstance(h, Neg) and isinstance(h.arg, Atom))
@@ -346,13 +360,11 @@ def test_rule_parsing():
 
 
 def nested(shape, depth):
-    """A formula of the given depth: a chain of |, stacked ~, or nested ()."""
-    return {"or": "|".join(["p"] * (depth + 1)), "neg": "~" * depth + "p",
-            "paren": "(" * depth + "p" + ")" * depth}[shape]
+    """A formula of the given depth: stacked ~, or nested ()."""
+    return {"neg": "~" * depth + "p", "paren": "(" * depth + "p" + ")" * depth}[shape]
 
 
-@pytest.mark.parametrize("shape, offset", [("or", 2 * MAX_DEPTH + 1), ("neg", MAX_DEPTH),
-                                           ("paren", MAX_DEPTH)])
+@pytest.mark.parametrize("shape, offset", [("neg", MAX_DEPTH), ("paren", MAX_DEPTH)])
 def test_parse_bounds_the_nesting(shape, offset):
     # printing, hashing and compiling recurse once per level: the parser
     # refuses what they could not take
@@ -362,11 +374,33 @@ def test_parse_bounds_the_nesting(shape, offset):
         parse(nested(shape, MAX_DEPTH + 1))
     assert e.value.pos == offset and e.value.expected == []
     assert f"nested deeper than {MAX_DEPTH}" in str(e.value)
-    # inside ~( ... ), the chain passes the bound at the ~, the others at
-    # their own 255th level (the 257th ~ or ( open)
+    # inside ~( ... ), each passes the bound at its own 255th level (the
+    # 257th ~ or ( open)
     with pytest.raises(ParseError) as e:
         parse("~(" + nested(shape, MAX_DEPTH) + ")")
-    assert e.value.pos == (0 if shape == "or" else MAX_DEPTH)
+    assert e.value.pos == MAX_DEPTH
+
+
+def test_parse_counts_a_chain_as_one_level():
+    # a chain of | or & is one level however long, as printing, hashing and
+    # compiling walk it by a loop; an operand's own levels still count
+    lits = [Atom(f"p{i}") for i in range(3000)]
+    for chained in (disj, conj):
+        f = parse(str(chained(lits)))
+        assert f == chained(lits) and parse(str(f)) == f
+        assert hash(f) == hash(chained(lits)) and len(f.program().nodes) == 2 * 3000 - 1
+    text = "~" * MAX_DEPTH + "p | p"
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert e.value.pos == text.index("|") and e.value.expected == []
+    assert f"nested deeper than {MAX_DEPTH}" in str(e.value)
+    # chains nested in one another, none hashed by conj or disj (63
+    # operands each), hash and compare within the recursion limit
+    text = "p"
+    for _ in range(MAX_DEPTH - 1):
+        text = "(" + text + ")|" + "|".join(["q"] * 62)
+    f = parse(text)
+    assert hash(f) == hash(parse(str(f))) and f == parse(str(f))
 
 
 def test_long_chains_print_and_compile_without_recursion():
