@@ -191,8 +191,9 @@ def split_at(m: FinMatrix, a: int) -> tuple[FinMatrix, FinMatrix, tuple[int, ...
     the product element (a & x, ~a & x), found by matrix._lift: each
     join-irreducible's image is its mask's bits under a beside those under
     ~a, packed, which keeps and reflects containment as a | ~a = top, so
-    the lift's order argument covers meet and join.  MatrixError unless x is designated exactly when a & x and
-    ~a & x are designated in their intervals.
+    the lift's order argument covers meet and join.  MatrixError unless x
+    is designated exactly when a & x and ~a & x are designated in their
+    intervals.
     """
     if "demorgan" not in m.flags:
         raise MatrixError("split_at needs a De Morgan matrix")
