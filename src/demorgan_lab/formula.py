@@ -2,8 +2,10 @@
 
 The object language is the one all rules in this package are written in:
 atoms, ``~``, ``&``, ``|``, ``T`` and ``F``, with precedence ``~ > & > |``.
-Formulas compile to postfix programs (compile_program) that one fold
-evaluates; a rule compiles each side in the order of its formulas'
+Compiling (compile_program) is the one walk down a formula: it writes a
+postfix program, and everything else that reads a formula (evaluation,
+printing, nnf, clause sets, substitution, atoms) is one fold of that
+program.  A rule compiles each side in the order of its formulas'
 programs, so its program does not depend on str hashes.  Normal forms are
 built from clause lists (_normal_clauses), which the consequence witness
 of logics walks.
@@ -15,7 +17,7 @@ import functools
 import itertools
 import operator
 import re
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import AbstractSet, Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from ._order import Record, derived
 
@@ -39,11 +41,13 @@ class Formula(Record, frozen=True):
     def __invert__(self) -> "Formula":
         return Neg(self)
 
+    @derived
     def __str__(self) -> str:
+        """The formula printed (_print), on first call, and kept."""
         return _print(self)
 
     def __repr__(self) -> str:
-        return f"parse({_print(self)!r})"
+        return f"parse({str(self)!r})"
 
     @derived
     def program(self) -> Program:
@@ -168,7 +172,7 @@ CONTINGENT = "contingent"
 
 def atoms(f: Formula) -> frozenset[str]:
     """Set of atom names occurring in f."""
-    return frozenset(compile_program([f]).names)
+    return frozenset(f.program().names)
 
 
 class Program(NamedTuple):
@@ -346,39 +350,41 @@ def split_program(prog: Program, first: int) -> tuple[Program, Program]:
     return Program(prog.names, tuple(inner), 0), Program(prog.names, tuple(outer), prog.n_premises)
 
 
-def _print(g: Formula, level: int = 0) -> str:
-    """The text of g in a context of the given level: 0 inside |, 1 inside
-    &, 2 under ~.  Parenthesized so parse(_print(f)) == f: same-operator
-    right nesting needs parens because the parser associates to the left."""
-    if isinstance(g, Atom):
-        return g.name
-    if isinstance(g, Neg):
-        return "~" + _print(g.arg, 2)
-    if isinstance(g, And):
-        s = (_chain_print(g, 1, " & ") if isinstance(g.left, And) else
-             _print(g.left, 1) + " & " + _print(g.right, 2 if isinstance(g.right, And) else 1))
-        return "(" + s + ")" if level >= 2 else s
-    if isinstance(g, Or):
-        s = (_chain_print(g, 0, " | ") if isinstance(g.left, Or) else
-             _print(g.left, 0) + " | " + _print(g.right, 1 if isinstance(g.right, Or) else 0))
-        return "(" + s + ")" if level >= 1 else s
-    if isinstance(g, _Top):
-        return "T"
-    if isinstance(g, _Bot):
-        return "F"
-    raise TypeError(g)
+def _print(f: Formula) -> str:
+    """The text of f, parenthesized so parse(_print(f)) == f: the fold of
+    f's program whose value is the text of a formula that is no &/| chain,
+    and for a chain its separator and its operands' texts, a list that
+    grows in place, so a long conj or disj costs no copy per operand.  An
+    operand is parenthesized when it is a chain binding looser than its
+    context, or one of its chain's connective on the right: the parser
+    associates to the left."""
+    prog = f.program()
+    return _text(fold(prog, prog.names, _print_neg, _print_and, _print_or, "T", "F")[0])
 
 
-def _chain_print(g: Formula, level: int, op: str) -> str:
-    """_print of an &/| node whose left operand has its connective, without
-    parens: the operands down its left side are walked by a loop, so a long
-    conj or disj costs no recursion per operand."""
-    kind, parts = type(g), []
-    while isinstance(g, kind):
-        parts.append(_print(g.right, level + 1 if isinstance(g.right, kind) else level))
-        g = g.left
-    parts.append(_print(g, level))
-    return op.join(reversed(parts))
+Printed = str | tuple[str, list[str]]
+
+
+def _text(v: Printed) -> str:
+    return v if type(v) is str else v[0].join(v[1])
+
+
+def _print_neg(a: Printed) -> Printed:
+    return "~" + a if type(a) is str else "~(" + _text(a) + ")"
+
+
+def _print_and(a: Printed, b: Printed) -> Printed:
+    if type(a) is str or a[0] != " & ":
+        a = " & ", [a if type(a) is str else "(" + _text(a) + ")"]
+    a[1].append(b if type(b) is str else "(" + _text(b) + ")")
+    return a
+
+
+def _print_or(a: Printed, b: Printed) -> Printed:
+    if type(a) is str or a[0] != " | ":
+        a = " | ", [_text(a)]
+    a[1].append("(" + _text(b) + ")" if type(b) is tuple and b[0] == " | " else _text(b))
+    return a
 
 
 class ParseError(ValueError):
@@ -397,10 +403,11 @@ class ParseError(ValueError):
 
 # The parser rejects a formula with more levels than this on a path from
 # the root to a leaf, or with more ~ and ( open at once.  A ~ is a level,
-# and so is a chain of & or of |, however long: printing, hashing and
-# compiling a formula recurse once per level and walk a chain by a loop.
-# (Hashing recurses through a chain's nodes down to one already hashed:
-# conj and disj hash every 64th, and the parser each chain it builds.)
+# and so is a chain of & or of |, however long: compiling a formula
+# recurses once per level and walks a chain by a loop, and printing and
+# the normal forms fold the program it writes.  (Hashing recurses through
+# a chain's nodes down to one already hashed: conj and disj hash every
+# 64th, the parser each chain it builds, and substitute every node.)
 MAX_DEPTH = 256
 
 
@@ -629,7 +636,7 @@ def _hashed(f: Formula) -> Formula:
 
 def substitute(f: Formula, s: Substitution) -> Formula:
     """Homomorphic image of f; atoms not in s are left alone."""
-    (out,) = _substituted(compile_program([f]), s)
+    (out,) = _substituted(f.program(), s)
     return out
 
 
@@ -673,40 +680,31 @@ def rename_apart(r1: RuleInstance, r2: RuleInstance) -> tuple[RuleInstance, Rule
 
 
 def nnf(f: Formula) -> Formula:
-    """Push negations to atoms using the De Morgan laws and involution.  An
-    &/| chain down the left side is walked by a loop (_operands) and
-    rebuilt by conj/disj, so a long conj or disj costs no recursion per
-    operand, and the result hashes without one either."""
-    def go(g: Formula, negated: bool) -> Formula:
-        if isinstance(g, Atom):
-            return Neg(g) if negated else g
-        if isinstance(g, _Top):
-            return BOT if negated else TOP
-        if isinstance(g, _Bot):
-            return TOP if negated else BOT
-        if isinstance(g, Neg):
-            return go(g.arg, not negated)
-        if isinstance(g, (And, Or)):
-            rebuild = conj if (type(g) is And) != negated else disj
-            return rebuild(go(h, negated) for h in _operands(g))
-        raise TypeError(g)
-
-    return go(f, False)
+    """Push negations to atoms using the De Morgan laws and involution: the
+    fold of f's program whose value is (nnf(g), nnf(~g)).  Each node is
+    hashed as it is built, as in _substituted."""
+    prog = f.program()
+    ((out, _),) = fold(prog, [_literals(name) for name in prog.names], _swapped,
+                       lambda a, b: (_hashed(And(a[0], b[0])), _hashed(Or(a[1], b[1]))),
+                       lambda a, b: (_hashed(Or(a[0], b[0])), _hashed(And(a[1], b[1]))),
+                       (TOP, BOT), (BOT, TOP))
+    return out
 
 
-def _operands(g: Formula) -> list[Formula]:
-    """The operands, left to right, of the chain of g's connective down g's
-    left side: (g.left, g.right) when g.left has another connective."""
-    out, chain = [], type(g)
-    while type(g) is chain:
-        out.append(g.right)
-        g = g.left
-    out.append(g)
-    return out[::-1]
+_swapped = operator.itemgetter(1, 0)
 
 
-# A literal is (name, positive); clauses are frozensets of literals.
+@functools.lru_cache(maxsize=1 << 12)
+def _literals(name: str) -> tuple[Formula, Formula]:
+    """The atom of name and its negation, kept for the names last used."""
+    a = Atom(name)
+    return a, Neg(a)
+
+
+# A literal is (name, positive); clauses are frozensets of literals, and a
+# clause set is a set of them, or None for the absorbing constant.
 Literal = tuple[str, bool]
+Clauses = AbstractSet[frozenset[Literal]] | None
 
 
 def _clauses(f: Formula, mode: str) -> frozenset[frozenset[Literal]] | None:
@@ -714,35 +712,37 @@ def _clauses(f: Formula, mode: str) -> frozenset[frozenset[Literal]] | None:
 
     For CNF the result is a set of disjunctive clauses (empty set = T,
     None = F); for DNF a set of conjunctive clauses (empty set = F,
-    None = T).
+    None = T).  The fold of nnf(f)'s program, where ~ meets atoms only:
+    the outer connective unites its operands' clause sets, the inner one
+    distributes them.
     """
-    outer_and = mode == "cnf"
-
-    def go(g: Formula) -> frozenset[frozenset[Literal]] | None:
-        if isinstance(g, Atom):
-            return frozenset([frozenset([(g.name, True)])])
-        if isinstance(g, Neg):  # nnf: argument is an atom
-            return frozenset([frozenset([(g.arg.name, False)])])
-        if isinstance(g, _Top):
-            return frozenset() if outer_and else None
-        if isinstance(g, _Bot):
-            return None if outer_and else frozenset()
-        parts = [go(h) for h in _operands(g)]
-        if isinstance(g, And if outer_and else Or):
-            return None if None in parts else frozenset().union(*parts)
-        # inner connective: distribute; None, absorbing for the outer
-        # connective, is the unit of the inner one
-        out = None
-        for cs in parts:
-            if cs is not None:
-                out = cs if out is None else frozenset(cl | cr for cl in out for cr in cs)
-        return out
-
-    cs = go(nnf(f))
+    prog = nnf(f).program()
+    pos = [frozenset([frozenset([(name, True)])]) for name in prog.names]
+    neg = {p: frozenset([frozenset([(name, False)])]) for p, name in zip(pos, prog.names)}
+    (cs,) = (fold(prog, pos, neg.__getitem__, _unite, _distribute, frozenset(), None)
+             if mode == "cnf" else
+             fold(prog, pos, neg.__getitem__, _distribute, _unite, None, frozenset()))
     return None if cs is None else _minimal(cs)
 
 
-def _minimal(cs: frozenset[frozenset[Literal]]) -> frozenset[frozenset[Literal]]:
+def _unite(a: Clauses, b: Clauses) -> Clauses:
+    """The clauses of a and b, None if either is.  The larger set grows in
+    place, unless it is a frozenset: a leaf's, shared by its occurrences."""
+    if a is None or b is None:
+        return None
+    a, b = (a, b) if len(a) >= len(b) else (b, a)
+    a = a if type(a) is set else set(a)
+    a |= b
+    return a
+
+
+def _distribute(a: Clauses, b: Clauses) -> Clauses:
+    """The unions of a clause of a with one of b; None, absorbing for the
+    outer connective, is the unit of the inner one."""
+    return a if b is None else b if a is None else {cl | cr for cl in a for cr in b}
+
+
+def _minimal(cs: AbstractSet[frozenset[Literal]]) -> frozenset[frozenset[Literal]]:
     """The clauses of cs with no proper subset in cs (absorption:
     x & (x | y) = x, dually for joins).  Taken smallest first, each clause
     is compared with the smaller clauses kept alone: a proper subset is
@@ -751,11 +751,6 @@ def _minimal(cs: frozenset[frozenset[Literal]]) -> frozenset[frozenset[Literal]]
     for _, same_size in itertools.groupby(sorted(cs, key=len), len):
         kept += [c for c in same_size if not any(d < c for d in kept)]
     return frozenset(kept)
-
-
-def _clause_formula(clause: frozenset[Literal], inner_or: bool) -> Formula:
-    return (disj if inner_or else conj)(
-        Atom(n) if pos else Neg(Atom(n)) for n, pos in sorted(clause))
 
 
 def normal_form(f: Formula, mode: str = "cnf") -> Formula:
@@ -775,7 +770,8 @@ def _normal_clauses(f: Formula, mode: str) -> list[Formula]:
     cs = _clauses(f, mode)
     if cs is None:
         return [BOT if mode == "cnf" else TOP]
-    return [_clause_formula(c, inner_or=(mode == "cnf")) for c in sorted(cs, key=sorted)]
+    inner = disj if mode == "cnf" else conj
+    return [inner(_literals(n)[not pos] for n, pos in sorted(c)) for c in sorted(cs, key=sorted)]
 
 
 def grid_leaves(n: int, k: int, planes: Sequence[int]) -> list[int]:

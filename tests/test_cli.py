@@ -117,7 +117,7 @@ def test_colorings_of_long_cycles(capsys):
 def test_alpha_rule_of_a_long_cycle(capsys):
     # conj and disj hash each node as they build it: hashing the 200-deep
     # disjunction of 198-deep conjunctions does not recurse per operand; and
-    # printing walks a chain's left side by a loop, so C500 prints too
+    # printing folds each formula's program, with no recursion: C500 prints too
     for n in (200, 500):
         for argv in (["alpha"], ["--json", "alpha"]):
             code, out, err = run(capsys, *argv, "--graph", f"C{n}")
@@ -217,6 +217,16 @@ def test_witness_command_refuses_too_many_atoms(capsys):
     code, out, err = run(capsys, "witness-kminus", "--premises", premise, "--conclusion", "q")
     assert (code, out) == (2, "")
     assert err == "error: classical_status guard: at most 20 atoms, got 200\n"
+
+
+@pytest.mark.parametrize("n", [10, 3000])
+def test_witness_command_refuses_too_many_premise_clauses(capsys, n):
+    # the witness recursion is exponential in the premises' DNF clauses and
+    # one level deep per clause: past the guard the input is refused at once
+    premise = " | ".join(f"p{i}" for i in range(n))
+    code, out, err = run(capsys, "witness-kminus", "--premises", premise, "--conclusion", "q")
+    assert (code, out) == (2, "")
+    assert err == f"error: kminus_witness guard: at most 8 DNF clauses of the premises, got {n}\n"
 
 
 def test_internal_failure_exit_3(capsys, monkeypatch):

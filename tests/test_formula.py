@@ -196,6 +196,81 @@ def test_substitute_and_atoms_match_structural_recursion(f, g):
         assert substitute(f, s) == struct_substitute(f, s)
 
 
+def struct_print(g, level=0):
+    # level 0 inside |, 1 inside &, 2 under ~; a chain's connective nested
+    # on its right keeps its parentheses, as the parser associates left
+    if isinstance(g, Atom):
+        return g.name
+    if isinstance(g, Neg):
+        return "~" + struct_print(g.arg, 2)
+    if isinstance(g, And):
+        s = struct_print(g.left, 1) + " & " + struct_print(g.right, 2 if isinstance(g.right, And) else 1)
+        return "(" + s + ")" if level >= 2 else s
+    if isinstance(g, Or):
+        s = struct_print(g.left, 0) + " | " + struct_print(g.right, 1 if isinstance(g.right, Or) else 0)
+        return "(" + s + ")" if level >= 1 else s
+    return "T" if g is TOP else "F"
+
+
+def struct_nnf(g, negated=False):
+    if isinstance(g, Atom):
+        return Neg(g) if negated else g
+    if isinstance(g, Neg):
+        return struct_nnf(g.arg, not negated)
+    if isinstance(g, (And, Or)):
+        op = type(g) if not negated else (Or if isinstance(g, And) else And)
+        return op(struct_nnf(g.left, negated), struct_nnf(g.right, negated))
+    return (BOT if g is TOP else TOP) if negated else g
+
+
+def struct_clauses(f, mode):
+    # the clause sets of struct_nnf(f) node by node: the outer connective
+    # unites, the inner one distributes (None, absorbing for the outer, is
+    # the inner one's unit); then the clauses without a proper subset
+    outer = And if mode == "cnf" else Or
+
+    def go(g):
+        if isinstance(g, Atom):
+            return {frozenset([(g.name, True)])}
+        if isinstance(g, Neg):
+            return {frozenset([(g.arg.name, False)])}
+        if isinstance(g, (And, Or)):
+            a, b = go(g.left), go(g.right)
+            if isinstance(g, outer):
+                return None if a is None or b is None else a | b
+            return a if b is None else b if a is None else {x | y for x in a for y in b}
+        return set() if (g is TOP) == (mode == "cnf") else None
+
+    cs = go(struct_nnf(f))
+    return None if cs is None else frozenset(c for c in cs if not any(d < c for d in cs))
+
+
+@given(formulas)
+def test_print_and_nnf_match_structural_recursion(f):
+    assert str(f) == struct_print(f) and repr(f) == f"parse({struct_print(f)!r})"
+    g = nnf(f)
+    assert g == struct_nnf(f) and hash(g) == hash(struct_nnf(f))
+
+
+@given(small_formulas)
+def test_clauses_match_structural_recursion(f):
+    for mode in ("cnf", "dnf"):
+        assert _clauses(f, mode) == struct_clauses(f, mode)
+
+
+def test_pickles_leave_the_derived_data_behind():
+    import pickle
+
+    f = parse("~(r & q) | p & ~r")
+    kept = (str(f), f.program(), hash(f))
+    assert {"___str__", "_program", "_hash"} <= set(f.__dict__)
+    state = f.__getstate__()
+    assert state == {"left": f.left, "right": f.right}
+    g = pickle.loads(pickle.dumps(f))
+    assert not [k for k in g.__dict__ if k.startswith("_")]
+    assert g == f and (str(g), g.program(), hash(g)) == kept
+
+
 def test_substitute():
     assert substitute(parse("p|q"), {"p": TOP}) == parse("T|q")
     assert substitute(parse("~p"), {"p": parse("q&r")}) == parse("~(q&r)")
@@ -366,8 +441,8 @@ def nested(shape, depth):
 
 @pytest.mark.parametrize("shape, offset", [("neg", MAX_DEPTH), ("paren", MAX_DEPTH)])
 def test_parse_bounds_the_nesting(shape, offset):
-    # printing, hashing and compiling recurse once per level: the parser
-    # refuses what they could not take
+    # hashing and compiling recurse once per level (printing folds the
+    # program): the parser refuses what they could not take
     f = parse(nested(shape, MAX_DEPTH))
     assert parse(str(f)) == f and f.program() and isinstance(hash(f), int)
     with pytest.raises(ParseError) as e:
@@ -382,8 +457,8 @@ def test_parse_bounds_the_nesting(shape, offset):
 
 
 def test_parse_counts_a_chain_as_one_level():
-    # a chain of | or & is one level however long, as printing, hashing and
-    # compiling walk it by a loop; an operand's own levels still count
+    # a chain of | or & is one level however long, as hashing and compiling
+    # walk it by a loop; an operand's own levels still count
     lits = [Atom(f"p{i}") for i in range(3000)]
     for chained in (disj, conj):
         f = parse(str(chained(lits)))
