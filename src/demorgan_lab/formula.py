@@ -684,14 +684,11 @@ def nnf(f: Formula) -> Formula:
     fold of f's program whose value is (nnf(g), nnf(~g)).  Each node is
     hashed as it is built, as in _substituted."""
     prog = f.program()
-    ((out, _),) = fold(prog, [_literals(name) for name in prog.names], _swapped,
+    ((out, _),) = fold(prog, [_literals(name) for name in prog.names], operator.itemgetter(1, 0),
                        lambda a, b: (_hashed(And(a[0], b[0])), _hashed(Or(a[1], b[1]))),
                        lambda a, b: (_hashed(Or(a[0], b[0])), _hashed(And(a[1], b[1]))),
                        (TOP, BOT), (BOT, TOP))
     return out
-
-
-_swapped = operator.itemgetter(1, 0)
 
 
 @functools.lru_cache(maxsize=1 << 12)
@@ -719,9 +716,9 @@ def _clauses(f: Formula, mode: str) -> frozenset[frozenset[Literal]] | None:
     prog = nnf(f).program()
     pos = [frozenset([frozenset([(name, True)])]) for name in prog.names]
     neg = {p: frozenset([frozenset([(name, False)])]) for p, name in zip(pos, prog.names)}
-    (cs,) = (fold(prog, pos, neg.__getitem__, _unite, _distribute, frozenset(), None)
-             if mode == "cnf" else
-             fold(prog, pos, neg.__getitem__, _distribute, _unite, None, frozenset()))
+    meet, join, top, bot = ((_unite, _distribute, frozenset(), None) if mode == "cnf" else
+                            (_distribute, _unite, None, frozenset()))
+    (cs,) = fold(prog, pos, neg.__getitem__, meet, join, top, bot)
     return None if cs is None else _minimal(cs)
 
 

@@ -118,7 +118,8 @@ def commands() -> list[list[str]]:
         ["witness-kminus", "--premises", "p", "--conclusion", "T"],
         ["witness-kminus", "--premises", "p", "--conclusion", "F"],
         # nine DNF clauses of the premises: past logics.KMINUS_CLAUSE_GUARD
-        ["witness-kminus", "--premises", " | ".join(f"p{i}" for i in range(9)), "--conclusion", "q"],
+        ["witness-kminus", "--premises", " | ".join(f"p{i}" for i in range(9)),
+         "--conclusion", "q"],
         ["sstar", "--graph", "K2", "--steps", "1"],
         ["sstar", "--graph", "G2", "--k", "1"],
         ["sstar", "--graph", "K2"],

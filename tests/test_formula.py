@@ -204,10 +204,12 @@ def struct_print(g, level=0):
     if isinstance(g, Neg):
         return "~" + struct_print(g.arg, 2)
     if isinstance(g, And):
-        s = struct_print(g.left, 1) + " & " + struct_print(g.right, 2 if isinstance(g.right, And) else 1)
+        right = struct_print(g.right, 2 if isinstance(g.right, And) else 1)
+        s = struct_print(g.left, 1) + " & " + right
         return "(" + s + ")" if level >= 2 else s
     if isinstance(g, Or):
-        s = struct_print(g.left, 0) + " | " + struct_print(g.right, 1 if isinstance(g.right, Or) else 0)
+        right = struct_print(g.right, 1 if isinstance(g.right, Or) else 0)
+        s = struct_print(g.left, 0) + " | " + right
         return "(" + s + ")" if level >= 1 else s
     return "T" if g is TOP else "F"
 
