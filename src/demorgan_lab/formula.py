@@ -704,20 +704,27 @@ Literal = tuple[str, bool]
 Clauses = AbstractSet[frozenset[Literal]] | None
 
 
-def _clauses(f: Formula, mode: str) -> frozenset[frozenset[Literal]] | None:
+class ClauseCapError(ValueError):
+    """A capped clause build (_normal_clauses with a cap) passed its cap."""
+
+
+def _clauses(f: Formula, mode: str,
+             cap: int | None = None) -> frozenset[frozenset[Literal]] | None:
     """Clause sets of nnf(f); None encodes the absorbing constant.
 
     For CNF the result is a set of disjunctive clauses (empty set = T,
     None = F); for DNF a set of conjunctive clauses (empty set = F,
     None = T).  The fold of nnf(f)'s program, where ~ meets atoms only:
     the outer connective unites its operands' clause sets, the inner one
-    distributes them.
+    distributes them.  With a cap, a distribution that would build more
+    than cap clauses raises ClauseCapError (_capped_distribute).
     """
     prog = nnf(f).program()
     pos = [frozenset([frozenset([(name, True)])]) for name in prog.names]
     neg = {p: frozenset([frozenset([(name, False)])]) for p, name in zip(pos, prog.names)}
-    meet, join, top, bot = ((_unite, _distribute, frozenset(), None) if mode == "cnf" else
-                            (_distribute, _unite, None, frozenset()))
+    inner = _distribute if cap is None else functools.partial(_capped_distribute, cap)
+    meet, join, top, bot = ((_unite, inner, frozenset(), None) if mode == "cnf" else
+                            (inner, _unite, None, frozenset()))
     (cs,) = fold(prog, pos, neg.__getitem__, meet, join, top, bot)
     return None if cs is None else _minimal(cs)
 
@@ -739,6 +746,17 @@ def _distribute(a: Clauses, b: Clauses) -> Clauses:
     return a if b is None else b if a is None else {cl | cr for cl in a for cr in b}
 
 
+def _capped_distribute(cap: int, a: Clauses, b: Clauses) -> Clauses:
+    """_distribute, raising ClauseCapError before it would build more than
+    cap clauses from its operands' clauses, each set taken after
+    absorption; so no step builds more than cap clauses."""
+    if a is not None and b is not None and len(a) * len(b) > cap:
+        a, b = _minimal(a), _minimal(b)
+        if len(a) * len(b) > cap:
+            raise ClauseCapError(f"more than {cap} clauses")
+    return _distribute(a, b)
+
+
 def _minimal(cs: AbstractSet[frozenset[Literal]]) -> frozenset[frozenset[Literal]]:
     """The clauses of cs with no proper subset in cs (absorption:
     x & (x | y) = x, dually for joins).  Taken smallest first, each clause
@@ -758,13 +776,14 @@ def normal_form(f: Formula, mode: str = "cnf") -> Formula:
     return (conj if mode == "cnf" else disj)(_normal_clauses(f, mode))
 
 
-def _normal_clauses(f: Formula, mode: str) -> list[Formula]:
+def _normal_clauses(f: Formula, mode: str, cap: int | None = None) -> list[Formula]:
     """The clauses of f's normal form, as formulas: duplicate-free sorted
     literal sets, listed in sorted order.  The absorbing constant (F for
-    "cnf", T for "dnf") is the one clause of its own normal form."""
+    "cnf", T for "dnf") is the one clause of its own normal form.  A cap
+    bounds each distribution step (_clauses)."""
     if mode not in ("cnf", "dnf"):
         raise ValueError("mode must be 'cnf' or 'dnf'")
-    cs = _clauses(f, mode)
+    cs = _clauses(f, mode, cap)
     if cs is None:
         return [BOT if mode == "cnf" else TOP]
     inner = disj if mode == "cnf" else conj

@@ -19,7 +19,7 @@ from .matrix import (FinMatrix, MatrixError, _is_index, _json_object, _LazyModul
                      _point_involution)
 
 # numpy on first use, as in matrix: dual_frame and the frame operations run
-# without it; complex_matrix and roundtrip_check load it
+# without it; complex_matrix above _SMALL_COMPLEX_POINTS points loads it
 np = _LazyModule(globals(), "np", "numpy")
 
 __all__ = [
@@ -32,6 +32,13 @@ __all__ = [
 ]
 
 MAX_COMPLEX_POINTS = 20
+# Frames of at most this many points list their upsets on Python ints, at
+# a cost that grows with the upsets; numpy's sweep grows with the 2^n point
+# sets.  Per call on a 2-core VM (Python 3.11, numpy 2.4), ints were faster
+# on every frame of at most 6 points measured, the 6-point antichain's 64
+# upsets included (25 vs 35 us), and not on 7-point frames with 128 upsets
+# (42-44 vs 39-42 us).
+_SMALL_COMPLEX_POINTS = 6
 
 
 class FrameError(ValueError):
@@ -221,10 +228,58 @@ def components(p: Frame) -> list[Frame]:
 def complex_matrix(p: Frame) -> FinMatrix:
     """The matrix of all upsets: meet/join are intersection/union, the
     negation of U is the complement of the involution image of U, and the
-    designated upsets are those containing the designated points."""
+    designated upsets are those containing the designated points.  The
+    elements are the upsets' point masks in ascending order.  A frame of at
+    most _SMALL_COMPLEX_POINTS points lists its upsets on Python ints
+    (_int_upsets); a larger one sweeps all 2^n point sets with numpy
+    (_swept_upsets)."""
     n = p.n
     if n > MAX_COMPLEX_POINTS:
         raise FrameError(f"complex matrix of {n} points would be too large")
+    found = _int_upsets(p) if n <= _SMALL_COMPLEX_POINTS else None
+    elem, neg, designated = found or _swept_upsets(p)
+    names = p.labels
+
+    def label(i: int) -> str:
+        return "{" + ",".join(names[u] for u in bits(elem[i])) + "}"
+
+    # set-notation labels are for reading; skip them on huge carriers
+    return FinMatrix._trusted(
+        label if len(elem) <= 2048 else "U{}".format, neg, len(elem) - 1, 0,
+        designated, ["demorgan"], elem,
+    )
+
+
+def _int_upsets(p: Frame) -> Optional[tuple[list[int], list[int], list[int]]]:
+    """complex_matrix's carrier on Python ints: the upset masks in ascending
+    order, the index of each one's negation, and the designated indices.
+    The points are taken maximal first (fewest points above them), each
+    upset arising once, from the upset of the points taken before its last
+    point, which is minimal in it; each carries its involution image.  None
+    when that order is no linear extension, which happens only to rows
+    built unchecked that are no partial order."""
+    up, invol = p.up, p.invol
+    image = {0: 0}  # each upset of the points taken so far: its involution image
+    taken = 0
+    for u in sorted(range(p.n), key=lambda u: up[u].bit_count()):
+        bit, above = 1 << u, up[u] & taken
+        if up[u] ^ above != bit:
+            return None
+        flip = 1 << invol[u]
+        image.update([(s | bit, i | flip) for s, i in image.items() if s & above == above])
+        taken |= bit
+    elem = sorted(image)
+    at = {s: k for k, s in enumerate(elem)}
+    neg = [at.get(taken ^ image[s]) for s in elem]
+    if None in neg:
+        raise FrameError("negation left the upset lattice")
+    dmask = sum(1 << d for d in p.designated)
+    return elem, neg, [k for k, s in enumerate(elem) if s & dmask == dmask]
+
+
+def _swept_upsets(p: Frame) -> tuple[list[int], list[int], list[int]]:
+    """_int_upsets by a numpy sweep over all 2^n point sets."""
+    n = p.n
     # for every point set S, indexed by its mask and built up one point at a
     # time: the union of the principal upsets of its points, which is S iff
     # S is an upset, and its involution image
@@ -239,18 +294,7 @@ def complex_matrix(p: Frame) -> FinMatrix:
         raise FrameError("negation left the upset lattice")
     dmask = np.uint32(sum(1 << d for d in p.designated))
     designated = np.flatnonzero((upsets & dmask) == dmask)
-
-    elem = tuple(upsets.tolist())
-    names = p.labels
-
-    def label(i: int) -> str:
-        return "{" + ",".join(names[u] for u in bits(elem[i])) + "}"
-
-    # set-notation labels are for reading; skip them on huge carriers
-    return FinMatrix._trusted(
-        label if len(elem) <= 2048 else "U{}".format, neg_idx.tolist(), len(elem) - 1, 0,
-        designated.tolist(), ["demorgan"], elem,
-    )
+    return upsets.tolist(), neg_idx.tolist(), designated.tolist()
 
 
 @derived
@@ -294,8 +338,23 @@ def roundtrip_check(m: FinMatrix) -> bool:
 
 
 def counit_check(p: Frame) -> bool:
-    """True iff the dual frame of the complex matrix is isomorphic to p."""
-    return frame_isomorphic(dual_frame(complex_matrix(p)), p)
+    """True iff the dual frame of the complex matrix is isomorphic to p, by
+    the canonical map sending point u to the prime filter of the upsets
+    holding u: the dual point whose join-irreducible is the principal upset
+    of u, mask p.up[u].  It must be a bijection carrying each order row
+    onto the image's row, and keeping the involution and designation.  On
+    a valid frame the duality theorem makes that map an isomorphism, so
+    the verdict is frame_isomorphic's, without its search.  A FrameError
+    from complex_matrix or dual_frame (rows built unchecked that break a
+    law) propagates."""
+    c = complex_matrix(p)
+    q = dual_frame(c)
+    at = {c.enc[j]: a for a, j in enumerate(c.join_irreducibles())}
+    h = [at.get(row) for row in p.up]
+    return (None not in h and len(set(h)) == q.n == p.n
+            and all(q.up[h[u]] == sum(1 << h[v] for v in bits(row)) for u, row in enumerate(p.up))
+            and all(q.invol[a] == h[v] for a, v in zip(h, p.invol))
+            and {h[d] for d in p.designated} == q.designated)
 
 
 # -- Leibniz subframes ---------------------------------------------------------

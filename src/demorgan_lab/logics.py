@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 from ._order import Record, canonical, explore
 from .formula import (
-    Atom, BOT, CONTRADICTION, Formula, Neg, Or, RuleInstance, TOP,
+    Atom, BOT, CONTRADICTION, ClauseCapError, Formula, Neg, Or, RuleInstance, TOP,
     _normal_clauses, chi, classical_status, conj, disj, nnf, parse_rule,
 )
 from .frame import (
@@ -333,6 +333,14 @@ def _certifies(premises: Sequence[Formula], conclusion: Formula, psi: Formula,
 # kminus_witness([f], f) takes 0.6-0.9 s at n = 8 and 14 s at n = 10 on a
 # 2-core VM.  Every clause_pool rule has at most 4 clauses.
 KMINUS_CLAUSE_GUARD = 8
+# The premises' DNF can be exponential in the premises:
+# (a0 | b0) & ... & (a{n-1} | b{n-1}) has 2^n clauses.  So its build refuses
+# a conjunction whose operands' clause sets, after absorption, would make
+# more than this many clauses.  A clause set shrinks past a conjunction
+# only where other operands' clauses absorb its own, so with the cap far
+# above the guard it refuses no premises the guard would take but for such
+# absorption.
+KMINUS_CONJUNCTION_CAP = 512
 
 
 def kminus_witness(
@@ -349,10 +357,16 @@ def kminus_witness(
     a conjunction split combining componentwise, and clause-level base
     cases.  Every returned pair is re-verified before being handed back.
     ValueError when the premises' DNF has more than KMINUS_CLAUSE_GUARD
-    clauses.
+    clauses, or when a conjunction met in building it would make more than
+    KMINUS_CONJUNCTION_CAP.
     """
     gamma = sorted(set(gamma), key=str)
-    clauses = _normal_clauses(conj(gamma), "dnf")
+    try:
+        clauses = _normal_clauses(conj(gamma), "dnf", KMINUS_CONJUNCTION_CAP)
+    except ClauseCapError:
+        raise ValueError(f"kminus_witness guard: at most {KMINUS_CLAUSE_GUARD} DNF clauses "
+                         f"of the premises, got a conjunction of more than "
+                         f"{KMINUS_CONJUNCTION_CAP}") from None
     if len(clauses) > KMINUS_CLAUSE_GUARD:
         raise ValueError(f"kminus_witness guard: at most {KMINUS_CLAUSE_GUARD} DNF clauses "
                          f"of the premises, got {len(clauses)}")

@@ -40,7 +40,8 @@ names this module resolves on first read (__getattr__).  Isomorphism
 search there needs no tables: it compares the orders read off the masks
 (_order).  numpy too is imported on first use (_LazyModule), so entry, the
 catalog, the packed sweep, the dual involution, the congruences and
-quotients of a De Morgan matrix and to_json run without it: a cold
+quotients of a De Morgan matrix, the lift of a carrier of at most
+_SMALL_LIFT_ELEMENTS elements and to_json run without it: a cold
 `demorgan-lab check` on a catalog or small @file matrix loads neither
 numpy nor the two modules, nor do `leibniz`, `dual` and `classify` on a De
 Morgan matrix of any size.
@@ -115,6 +116,11 @@ _PAIR_CHUNK = 1 << 18
 # masks of at most this many bits are looked up in tables of 2^bits entries
 # (_leibniz_refine, _sweep._Engine); wider ones among the sorted masks
 _LUT_BITS = 16
+# Carriers of at most this many elements are lifted on Python ints.  Per
+# round-trip lift on a 2-core VM (Python 3.11, numpy 2.4), ints were faster
+# up to here (65-100 elements: 60 vs 69 us) and slower above (101-128: 82
+# vs 80 us, 161-200: 130 vs 94 us).
+_SMALL_LIFT_ELEMENTS = 100
 
 
 class MatrixError(ValueError):
@@ -906,7 +912,31 @@ def _lift(m1: FinMatrix, images: Sequence[int], m2: FinMatrix) -> Optional[tuple
     None.  The images (points' own bits, masks of their frame-isomorphism
     images, or packed interval masks) keep and reflect containment, so a
     bijection matching keys keeps the order both ways, and an order
-    isomorphism of lattices keeps meet and join."""
+    isomorphism of lattices keeps meet and join.  Carriers of at most
+    _SMALL_LIFT_ELEMENTS elements are keyed on Python ints and find their
+    images in m2's mask index; larger ones go through numpy
+    (_lift_swept)."""
+    if m1.n > _SMALL_LIFT_ELEMENTS:
+        return _lift_swept(m1, images, m2)
+    pairs = list(zip(m1._join_irreducibles()[1], images))
+    at = m2._enc_index()
+    h = []
+    for s in m1.enc:
+        key = 0
+        for r, image in pairs:
+            if s >> r & 1:
+                key |= image
+        h.append(at.get(key))
+    ok = (None not in h and len(set(h)) == len(h) == m2.n
+          and h[m1.top] == m2.top and h[m1.bottom] == m2.bottom
+          and all(h[y] == m2.neg[hx] for hx, y in zip(h, m1.neg))
+          and {h[d] for d in m1.designated} == m2.designated)
+    return tuple(h) if ok else None
+
+
+def _lift_swept(m1: FinMatrix, images: Sequence[int], m2: FinMatrix) -> Optional[tuple[int, ...]]:
+    """_lift on numpy arrays: the keys by a masked OR per point, the images
+    by a binary search over m2's sorted masks (FinMatrix._positions)."""
     e = m1._enc_np()
     keys = np.zeros(m1.n, dtype=m2._enc_np().dtype)
     for r, image in zip(m1._join_irreducibles()[1], images):

@@ -229,6 +229,15 @@ def test_witness_command_refuses_too_many_premise_clauses(capsys, n):
     assert err == f"error: kminus_witness guard: at most 8 DNF clauses of the premises, got {n}\n"
 
 
+def test_witness_command_refuses_an_exponential_premise_dnf(capsys):
+    # 2^16 DNF clauses: refused at the conjunction that passes the cap
+    premise = " & ".join(f"(a{i} | b{i})" for i in range(16))
+    code, out, err = run(capsys, "witness-kminus", "--premises", premise, "--conclusion", "q")
+    assert (code, out) == (2, "")
+    assert err == ("error: kminus_witness guard: at most 8 DNF clauses of the premises, "
+                   "got a conjunction of more than 512\n")
+
+
 def test_internal_failure_exit_3(capsys, monkeypatch):
     from demorgan_lab import logics
 

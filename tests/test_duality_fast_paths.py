@@ -17,16 +17,16 @@ import sys
 import numpy as np
 import pytest
 
-from demorgan_lab import matrix
+from demorgan_lab import _constructions, frame, matrix
 from demorgan_lab._constructions import _find_isomorphism_generic
-from demorgan_lab.bridge import TriplePresentation, mu_minus, mu_plus, mu_triple
-from demorgan_lab.frame import (Frame, FrameError, complex_matrix, dual_frame, random_frame,
-                                roundtrip_check)
+from demorgan_lab.bridge import TriplePresentation, mu_minus, mu_plus, mu_triple, p_triple
+from demorgan_lab.frame import (MAX_COMPLEX_POINTS, Frame, FrameError, complex_matrix, dual_frame,
+                                random_frame, roundtrip_check)
 from demorgan_lab.graph import Graph, all_graphs
 from demorgan_lab.matrix import (
     FinMatrix, MatrixError, Partition, _dual_partners, _leibniz_refine, _lift, bd4,
     catalog, cl2, etl4, find_isomorphism, is_matrix_isomorphism, k3, kminus8,
-    leibniz_congruence, lp3, product,
+    leibniz_congruence, lp3, product, split_at,
 )
 
 
@@ -272,6 +272,24 @@ def test_lift_keys_each_element_by_the_points_below_it():
         assert _lift(m, [1 << a for a in range(len(jis))], c) == tuple(want), m
 
 
+# The same on a frame and a carrier small enough for the Python-int paths
+# of complex_matrix and _lift, with no numpy at all.
+SMALL_CHILD = """
+import random, sys
+from demorgan_lab import frame, matrix
+from demorgan_lab.frame import complex_matrix, counit_check, random_frame, roundtrip_check
+from demorgan_lab.matrix import FinMatrix, find_isomorphism
+rng = random.Random(3)
+ps = [random_frame(rng, frame._SMALL_COMPLEX_POINTS) for _ in range(20)]
+for p in ps:
+    m = complex_matrix(p)
+    assert m.n <= matrix._SMALL_LIFT_ELEMENTS and roundtrip_check(m) and counit_check(p)
+    assert find_isomorphism(m, FinMatrix.from_json(m.to_json())) is not None
+assert max(p.n for p in ps) == frame._SMALL_COMPLEX_POINTS
+print("numpy" in sys.modules)
+"""
+
+
 def test_duality_checks_load_no_numpy_random():
     src = os.path.dirname(os.path.dirname(matrix.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -280,6 +298,122 @@ def test_duality_checks_load_no_numpy_random():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_small_duality_loads_no_numpy():
+    src = os.path.dirname(os.path.dirname(matrix.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", SMALL_CHILD], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def complex_fields(p):
+    """complex_matrix(p)'s fields, or the error it raises; the labels of
+    carriers above 64 elements, which take the most time, at their ends."""
+    try:
+        m = complex_matrix(p)
+    except FrameError as e:
+        return str(e)
+    labels = m.labels if m.n <= 64 else (m.label(0), m.label(1), m.label(m.n - 1))
+    return m.enc, m.neg, m.top, m.bottom, m.designated, labels
+
+
+def test_complex_matrix_on_ints_matches_the_numpy_sweep(monkeypatch):
+    # random frames of 1-9 points, the frame of every presentation by graphs
+    # of at most 3 vertices (up to 14 points), the 17-point chain, and rows
+    # built unchecked that break a frame law: with the threshold at either
+    # end, both paths build the same matrix, or raise the same error
+    rng = random.Random(11)
+    frames = [random_frame(rng, points) for points in range(1, 10) for _ in range(15)]
+    graphs = all_graphs(3, allow_isolated=True, allow_empty=True)
+    frames += [p_triple(TriplePresentation(gp, gm, k))
+               for gp, gm, k in itertools.product(graphs, graphs, range(3))]
+    frames.append(Frame([f"c{i}" for i in range(17)], itertools.combinations(range(17), 2),
+                        range(16, -1, -1), range(9, 17)))
+    assert max(p.n for p in frames) == 17 and {p.n for p in frames} >= set(range(10))
+    bad = [Frame._of_rows("abc", [0b011, 0b110, 0b100], [0, 1, 2], [2]),  # not transitive
+           Frame._of_rows("abc", [0b011, 0b110, 0b100], [2, 1, 0], [2]),
+           Frame._of_rows("ab", [0b11, 0b11], [1, 0], []),  # not antisymmetric
+           Frame._of_rows("ab", [0b01, 0b11], [0, 1], [1]),  # not order-inverting
+           Frame._of_rows("abc", [0b001, 0b111, 0b101], [1, 0, 2], [2])]  # no upset
+    swept = []
+    sweep = frame._swept_upsets
+    monkeypatch.setattr(frame, "_swept_upsets", lambda p: swept.append(p) or sweep(p))
+    outcomes, fell_back = [], []
+    for p in frames + bad:
+        monkeypatch.setattr(frame, "_SMALL_COMPLEX_POINTS", MAX_COMPLEX_POINTS)
+        ints = complex_fields(p)
+        if swept:  # rows that no order of the points extends
+            fell_back.append(swept.pop())
+        monkeypatch.setattr(frame, "_SMALL_COMPLEX_POINTS", -1)
+        assert complex_fields(p) == ints, p
+        assert swept.pop() is p
+        outcomes.append(ints if isinstance(ints, str) else "built")
+    # the Python path answers every valid frame itself
+    assert fell_back == bad[:3]
+    assert outcomes[-len(bad):] == ["negation left the upset lattice", "built", "built",
+                                    "negation left the upset lattice", "built"]
+
+
+def wide_chain(n=71):
+    """The n-element chain on n - 1 mask bits, c40 and above designated."""
+    return FinMatrix([f"c{i}" for i in range(n)], range(n - 1, -1, -1), n - 1, 0, range(40, n),
+                     ["demorgan"], enc=[(1 << n - 1) - (1 << n - 1 - i) for i in range(n)])
+
+
+def test_lift_on_ints_matches_numpy(monkeypatch):
+    # the lifts of the round trip on roundtrip_corpus (the catalog, two
+    # products, presentations of up to 100 elements, random complex
+    # matrices and mutants built unchecked) and on a presentation of 1296
+    # elements, of split_at on every element of the catalog, its products,
+    # random complex matrices and the ends of a 70-bit chain, and of
+    # find_isomorphism on the pairs of
+    # test_fast_isomorphism_agrees_with_generic_search: with the threshold
+    # at either end, both paths give the same map or None
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return _lift(*args)
+
+    monkeypatch.setattr(_constructions, "_lift", record)
+    cat = list(catalog().values())
+    rng = random.Random(5)
+    chain = wide_chain()
+    for m, elems in [(m, range(m.n)) for m in [*cat, *(product([a, b]) for a in cat for b in cat),
+                                               *(complex_matrix(random_frame(rng, 6))
+                                                 for _ in range(20))]] + [(chain, [0, 70])]:
+        for a in elems:
+            try:
+                split_at(m, a)
+            except MatrixError:
+                pass
+    by_size: dict[int, list] = {}
+    for m in filter_matrices() + [dm4_designating(["n", "b"])]:
+        by_size.setdefault(m.n, []).append(m)
+    for group in by_size.values():
+        for m1, m2 in itertools.combinations(group[:8], 2):
+            find_isomorphism(m1, m2)
+    big = mu_triple(TriplePresentation(Graph("abc", [(0, 1)]), Graph("ab", [(0, 1)]), 2))
+    for m in roundtrip_corpus() + [big]:
+        try:
+            p = dual_frame(m)
+        except FrameError:
+            continue
+        calls.append((m, [1 << a for a in range(p.n)], complex_matrix(p)))
+    found = []
+    for args in calls:
+        monkeypatch.setattr(matrix, "_SMALL_LIFT_ELEMENTS", 1 << 20)
+        ints = _lift(*args)
+        monkeypatch.setattr(matrix, "_SMALL_LIFT_ELEMENTS", -1)
+        assert _lift(*args) == ints
+        found.append(ints is not None)
+    assert len(found) > 700 and 100 < found.count(False) < found.count(True)
+    assert max(args[0].n for args in calls) == big.n == 1296
+    assert max(args[0].nbits for args in calls) == 70
 
 
 def dual_partner(m, ej):

@@ -16,6 +16,7 @@ from demorgan_lab.matrix import (
     FinMatrix, MatrixError, MatrixMap, bd4, catalog, cl2, etl4, find_isomorphism, k3,
     leibniz_reduct, lp3, product,
 )
+from demorgan_lab.verify import _sweep_frames
 
 
 def antichain_pair(designated):
@@ -131,6 +132,78 @@ def test_counit_on_random_frames():
     rng = random.Random(7)
     for _ in range(60):
         assert counit_check(random_frame(rng, 8))
+
+
+def counit_by_search(p):
+    """counit_check as an isomorphism search between the dual frame of the
+    complex matrix and p, the reference for the canonical map."""
+    return frame_isomorphic(dual_frame(complex_matrix(p)), p)
+
+
+def verdict(check, p):
+    try:
+        return check(p)
+    except FrameError as e:
+        return str(e)
+
+
+BROKEN_LAWS = ("order is not transitive", "involution is not order-inverting",
+               "involution is not an involution", "designated set is not an upset")
+
+
+def broken_frames(rng, count):
+    """For each of BROKEN_LAWS, count frames that break it (validate names
+    it), built unchecked from random frames of up to 6 points with an order
+    pair dropped or added, a new random involution or permutation, or a
+    random designated set."""
+    out = {law: [] for law in BROKEN_LAWS}
+    while min(map(len, out.values())) < count:
+        p = random_frame(rng, 6)
+        up, invol, designated = list(p.up), list(p.invol), p.designated
+        u, v = rng.randrange(p.n), rng.randrange(p.n)
+        pts = list(range(p.n))
+        rng.shuffle(pts)
+        how = rng.randrange(5)
+        if how < 2 and u != v:
+            up[u] ^= 1 << v
+        elif how == 2:
+            for a, b in zip(pts[::2], pts[1::2]):
+                invol[a], invol[b] = (b, a) if rng.random() < 0.5 else (a, b)
+        elif how == 3:
+            invol = pts
+        elif how == 4:
+            designated = [a for a in pts if rng.random() < 0.4]
+        q = Frame._of_rows(p.labels, up, invol, designated)
+        try:
+            q.validate()
+        except FrameError as e:
+            if str(e) in out:
+                out[str(e)].append(q)
+    return out
+
+
+def test_counit_by_its_canonical_map_matches_the_search():
+    # valid frames: random ones of 1-8 points and those of verify's
+    # criterion 4, where both hold; frames built unchecked that break a
+    # law, where both raise the same error or both answer False
+    rng = random.Random(19)
+    frames = [random_frame(rng, points) for points in range(1, 9) for _ in range(25)]
+    frames += _sweep_frames(0)
+    assert {p.n for p in frames} == set(range(1, 9))
+    for p in frames:
+        assert counit_check(p) and counit_by_search(p)
+    left = "negation left the upset lattice"
+    want = {"order is not transitive": {left, False},
+            "involution is not order-inverting": {left},
+            "involution is not an involution": {left, "involution is not an involution"},
+            "designated set is not an upset": {False}}
+    for law, broken in broken_frames(rng, 60).items():
+        outcomes = set()
+        for p in broken:
+            got = verdict(counit_check, p)
+            assert got == verdict(counit_by_search, p), (law, p)
+            outcomes.add(got)
+        assert outcomes == want[law]
 
 
 def test_leibniz_subframe_reduced_frame_is_itself():

@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 from demorgan_lab.formula import (
-    Atom, Neg, Or, RuleInstance, chi, conj, disj, parse, parse_rule,
+    Atom, ClauseCapError, Neg, Or, RuleInstance, _normal_clauses, chi, conj, disj, parse,
+    parse_rule,
 )
 from demorgan_lab.logics import (
     LOG_LEQ_NOT_FOUND, LOG_LEQ_YES,
@@ -83,6 +84,28 @@ def test_kminus_witness_certificate_shape():
     assert classical_status(chif) == CONTRADICTION
     assert validates(bd4(), RuleInstance.single(gamma, Or(chif, psi)))
     assert validates(bd4(), RuleInstance.single(gamma, Or(Neg(psi), parse("r"))))
+
+
+def test_kminus_witness_refuses_an_exponential_premise_dnf_while_building_it():
+    # (a0 | b0) & ... & (a15 | b15) has 2^16 DNF clauses, and its first nine
+    # conjuncts with a 3000-atom disjunction have 1.5 million: the
+    # conjunction cap refuses both before building them, where counting
+    # them after took seconds; the normal form itself stays uncapped
+    pairs = [disj([Atom(f"a{i}"), Atom(f"b{i}")]) for i in range(16)]
+    wide = conj(pairs[:9] + [disj([Atom(f"p{i}") for i in range(3000)])])
+    for f in (conj(pairs), wide):
+        with pytest.raises(ValueError, match=r"^kminus_witness guard: at most 8 DNF clauses of "
+                                             r"the premises, got a conjunction of more than 512$"):
+            kminus_witness([f], Atom("q"))
+    assert len(_normal_clauses(conj(pairs[:10]), "dnf")) == 1024
+    # the cap counts clauses after absorption: (a | b0) & ... & (a | b11)
+    # has two DNF clauses, a and b0 & ... & b11, though distributing it
+    # operand by operand makes more than 512 before absorbing them
+    g = conj([disj([Atom("a"), Atom(f"b{i}")]) for i in range(12)])
+    assert _normal_clauses(g, "dnf", 512) == _normal_clauses(g, "dnf") == [
+        Atom("a"), conj([Atom(f"b{i}") for i in sorted(range(12), key=str)])]
+    with pytest.raises(ClauseCapError):
+        _normal_clauses(conj(pairs[:4]), "dnf", 15)
 
 
 def test_kminus_equivalence_sample():
