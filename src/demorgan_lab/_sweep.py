@@ -1,8 +1,10 @@
 """The numpy block sweep of matrix._violation, for the grids that the
-packed sweep (matrix._Packed) does not take: more than _PACKED_GRID
-valuations, or a matrix it cannot pack (no `demorgan` flag, a designated
-set that is no filter, or a negation that permutes no mask planes).
-matrix loads this module, and numpy with it, on the first such grid."""
+packed sweep (matrix._Packed) does not decide: more than _PACKED_GRID
+valuations, except a grid of more than _PACKED_BLOCK_ABOVE whose packed
+first block holds a witness, or a matrix it cannot pack (no `demorgan`
+flag, a designated set that is no filter, or a negation that permutes no
+mask planes).  matrix loads this module, and numpy with it, on the first
+such grid."""
 
 from __future__ import annotations
 
@@ -40,7 +42,8 @@ class _Engine:
     Values are the powerset masks, so meet and join are bitwise at every
     width.  They take the narrowest unsigned dtype that holds them (object
     arrays of Python ints above 64 bits): big sweeps move a lot of them
-    around.  Negation reads a lookup table indexed by the mask itself up to
+    around.  Negation reads a lookup table (`take`, which gathers faster
+    than fancy indexing at every size) indexed by the mask itself up to
     _LUT_BITS mask bits, and by the mask's rank among the sorted carrier
     masks (`ranks`) above that.  Designation is a comparison with `des_v`
     when one element is designated, or (a & g) == g (`des_g` = `des_v` =
@@ -55,11 +58,11 @@ class _Engine:
         self.values = np.array(m.enc, dtype=dt)
         if m.nbits <= _LUT_BITS:
             self.ranks, slots, size = None, self.values, 1 << m.nbits
-            lookup = np.ndarray.__getitem__
+            lookup = np.ndarray.take
         else:
             ranks = self.ranks = np.sort(self.values)
             slots, size = ranks.searchsorted(self.values), m.n
-            lookup = lambda lut, arr: lut[ranks.searchsorted(arr)]
+            lookup = lambda lut, arr: lut.take(ranks.searchsorted(arr))
         neg_lut = np.zeros(size, dtype=dt)
         neg_lut[slots] = self.values[list(m.neg)]
         des_lut = np.zeros(size, dtype=bool)

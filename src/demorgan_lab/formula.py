@@ -699,7 +699,8 @@ def _literals(name: str) -> tuple[Formula, Formula]:
 
 
 # A literal is (name, positive); clauses are frozensets of literals, and a
-# clause set is a set of them, or None for the absorbing constant.
+# clause set is a set of them, or None for the absorbing constant; inside
+# _clauses also a _Clause, the literals of one clause.
 Literal = tuple[str, bool]
 Clauses = AbstractSet[frozenset[Literal]] | None
 
@@ -726,7 +727,18 @@ def _clauses(f: Formula, mode: str,
     meet, join, top, bot = ((_unite, inner, frozenset(), None) if mode == "cnf" else
                             (inner, _unite, None, frozenset()))
     (cs,) = fold(prog, pos, neg.__getitem__, meet, join, top, bot)
-    return None if cs is None else _minimal(cs)
+    return None if cs is None else _minimal(_clause_set(cs))
+
+
+class _Clause(set):
+    """A value of _clauses holding one clause, which no other value holds:
+    the clause's literals, a set that the inner connective grows in place
+    (_distribute)."""
+
+
+def _clause_set(a: Clauses) -> Clauses:
+    """a as a set of clauses."""
+    return {frozenset(a)} if type(a) is _Clause else a
 
 
 def _unite(a: Clauses, b: Clauses) -> Clauses:
@@ -734,6 +746,7 @@ def _unite(a: Clauses, b: Clauses) -> Clauses:
     place, unless it is a frozenset: a leaf's, shared by its occurrences."""
     if a is None or b is None:
         return None
+    a, b = _clause_set(a), _clause_set(b)
     a, b = (a, b) if len(a) >= len(b) else (b, a)
     a = a if type(a) is set else set(a)
     a |= b
@@ -742,19 +755,39 @@ def _unite(a: Clauses, b: Clauses) -> Clauses:
 
 def _distribute(a: Clauses, b: Clauses) -> Clauses:
     """The unions of a clause of a with one of b; None, absorbing for the
-    outer connective, is the unit of the inner one."""
-    return a if b is None else b if a is None else {cl | cr for cl in a for cr in b}
+    outer connective, is the unit of the inner one.  The union of two
+    single clauses is a _Clause, grown in place if either operand is one,
+    so a chain of the inner connective takes linear time."""
+    if a is None or b is None:
+        return a if b is None else b
+    if type(b) is _Clause:
+        a, b = b, a
+    if type(a) is _Clause:
+        if type(b) is _Clause or len(b) == 1:
+            a |= b if type(b) is _Clause else next(iter(b))
+            return a
+        a = {frozenset(a)}
+    elif len(a) == 1 and len(b) == 1:
+        a = _Clause(next(iter(a)))
+        a |= next(iter(b))
+        return a
+    return {cl | cr for cl in a for cr in b}
 
 
 def _capped_distribute(cap: int, a: Clauses, b: Clauses) -> Clauses:
     """_distribute, raising ClauseCapError before it would build more than
     cap clauses from its operands' clauses, each set taken after
     absorption; so no step builds more than cap clauses."""
-    if a is not None and b is not None and len(a) * len(b) > cap:
-        a, b = _minimal(a), _minimal(b)
+    if a is not None and b is not None and _count(a) * _count(b) > cap:
+        a, b = _minimal(_clause_set(a)), _minimal(_clause_set(b))
         if len(a) * len(b) > cap:
             raise ClauseCapError(f"more than {cap} clauses")
     return _distribute(a, b)
+
+
+def _count(a: Clauses) -> int:
+    """The number of clauses of a, which is not None."""
+    return 1 if type(a) is _Clause else len(a)
 
 
 def _minimal(cs: AbstractSet[frozenset[Literal]]) -> frozenset[frozenset[Literal]]:
@@ -790,27 +823,35 @@ def _normal_clauses(f: Formula, mode: str, cap: int | None = None) -> list[Formu
     return [inner(_literals(n)[not pos] for n, pos in sorted(c)) for c in sorted(cs, key=sorted)]
 
 
-def grid_leaves(n: int, k: int, planes: Sequence[int]) -> list[int]:
-    """The leaves of a packed sweep: all n^k valuations of k atoms over n
-    elements at once, valuation v (its digits in base n, atom 0 the most
-    significant) at bit v of each plane.  An element is a mask of
-    len(planes) bits, planes[j] the set of elements (bit x for element x)
-    whose mask has bit j; a value is one int holding its planes side by
-    side, plane j at bits j * n^k to (j + 1) * n^k - 1."""
-    size = n ** k
+def grid_leaves(n: int, k: int, planes: Sequence[int], size: int | None = None) -> list[int]:
+    """The leaves of a packed sweep: the first `size` valuations of k atoms
+    over n elements at once (all n^k by default), valuation v (its digits
+    in base n, atom 0 the most significant) at bit v of each plane.  A
+    size is a block c * n^t, 1 <= c <= n, t < k: the leading atoms at
+    element 0, atom k - 1 - t over the elements below c and the t trailing
+    atoms free; the whole grid is c = n, t = k - 1.  An element is a mask
+    of len(planes) bits, planes[j] the set of elements (bit x for element
+    x) whose mask has bit j; a value is one int holding its planes side by
+    side, plane j at bits j * size to (j + 1) * size - 1."""
+    s = n ** k
+    size = s if size is None else size
     full = (1 << size) - 1
     leaves = []
-    s = size
     for _ in range(k):
         s //= n  # this atom's digit is constant on runs of s valuations
         leaf = 0
-        if s == 1:  # a one at the start of each run of n, times the plane
+        if s == 1 and n <= size:  # a one at the start of each run of n, times the plane
             rep = full // ((1 << n) - 1)
             for j, p in enumerate(planes):
                 leaf |= p * rep << j * size
         else:  # runs of s ones where the digit is 0, shifted once per element
-            base = full // (((1 << n * s) - 1) // ((1 << s) - 1))
+            if n * s <= size:  # a free atom: its digit runs through all n elements
+                base = full // (((1 << n * s) - 1) // ((1 << s) - 1))
+            else:  # one run of each element: below c for the ranged atom, 0 for a leading one
+                base = (1 << min(s, size)) - 1
+            occurs = (1 << min(n, -(-size // s))) - 1
             for j, p in enumerate(planes):
+                p &= occurs
                 while p:
                     low = p & -p
                     leaf |= base << (low.bit_length() - 1) * s + j * size

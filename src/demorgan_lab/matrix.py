@@ -33,7 +33,7 @@ Code that a one-shot command may not run lives in modules of its own,
 loaded on first use, so that a cold command neither imports nor compiles
 it: the numpy block sweep in demorgan_lab._sweep, which _violation reaches
 through the _sweep handle (_LazyModule) for the grids the packed sweep does
-not take; and the constructions and matrix isomorphism (product,
+not decide; and the constructions and matrix isomorphism (product,
 submatrices, split_at, free_dm_algebra, dm4_algebra, find_isomorphism,
 is_matrix_isomorphism, MatrixMap) in demorgan_lab._constructions, whose
 names this module resolves on first read (__getattr__).  Isomorphism
@@ -43,7 +43,8 @@ catalog, the packed sweep, the dual involution, the congruences and
 quotients of a De Morgan matrix, the lift of a carrier of at most
 _SMALL_LIFT_ELEMENTS elements and to_json run without it: a cold
 `demorgan-lab check` on a catalog or small @file matrix loads neither
-numpy nor the two modules, nor do `leibniz`, `dual` and `classify` on a De
+numpy nor the two modules (nor on a bigger grid whose witness lies in the
+packed first block), nor do `leibniz`, `dual` and `classify` on a De
 Morgan matrix of any size.
 """
 
@@ -570,31 +571,47 @@ def evaluate(m: FinMatrix, v: Mapping[str, int], f: Formula) -> int:
 # (_Packed) when the matrix allows it; the rest through the numpy block
 # sweep (_sweep)
 _PACKED_GRID = 1 << 12
+# A grid of more than _PACKED_BLOCK_ABOVE valuations first folds its first
+# block packed (_Packed.block), of at most _PACKED_BLOCK valuations
+# and _PACKED_BLOCK_BITS plane bits, and goes on to the numpy blocks on a
+# miss.  Measured on the alpha-sweep and small-checks benchmark jobs
+# (2-core VM, Python 3.11, numpy 2.4; BENCH_28.json): packed first blocks
+# on the grids of 2^12 to 2^14 valuations too took the 17-bit chain checks
+# from 7.9 to 15.0 ms per pass; blocks of 2048-4096 valuations were best on
+# alpha-sweep's 8-plane matrices, 8192 lost and 16384 more than doubled its
+# median operation.
+_PACKED_BLOCK_ABOVE = 1 << 14
+_PACKED_BLOCK = 1 << 12
+_PACKED_BLOCK_BITS = 1 << 15
 
 
 class _Packed:
-    """The sweep of a whole small grid at once on Python ints, for a De
-    Morgan matrix whose designated set is a filter (the upset of a mask g)
-    and whose negation permutes its mask planes.
+    """The packed sweep on Python ints, for a De Morgan matrix whose
+    designated set is a filter (the upset of a mask g) and whose negation
+    permutes its mask planes: of a whole small grid at once, or of the
+    first block of a big one.
 
-    A value over the grid of N = n^k valuations is one int of bits * N
-    bits: plane j (bits j*N to j*N + N - 1) holds bit j of the value's mask
-    at each valuation, in the sweep's lexicographic order (see
-    formula.grid_leaves).  So & and | are one int operation each.  Plane j
-    of ~a is the complement of plane invol[j] of a, which is a few shifts,
-    one per distinct offset j - invol[j]: in a De Morgan lattice whose mask
-    bits are its points, invol is the dual involution on the points.  A
-    value is designated where every plane of g is set, and the least
-    witness is the lowest set bit of the "bad" int.
+    A value over N valuations (the whole grid of n^k, or a block of them)
+    is one int of bits * N bits: plane j (bits j*N to j*N + N - 1) holds
+    bit j of the value's mask at each valuation, in the sweep's
+    lexicographic order (see formula.grid_leaves).  So & and | are one int
+    operation each.  Plane j of ~a is the complement of plane invol[j] of
+    a, which is a few shifts, one per distinct offset j - invol[j]: in a De
+    Morgan lattice whose mask bits are its points, invol is the dual
+    involution on the points.  A value is designated where every plane of
+    g is set, and the least witness is the lowest set bit of the "bad"
+    int.
 
     `planes[j]` is the set of elements (bit x for element x) whose mask
-    holds bit j; `grids` keeps, per atom count k, the leaves and the
-    operations of the grid, a few ints of bits * n^k bits each."""
+    holds bit j; `grids` and `blocks` keep, per atom count k, the leaves
+    and the operations of the whole grid and of the first block, a few
+    ints of bits * N bits each."""
 
     def __init__(self, n: int, planes: list[int], invol: list[int], g: int):
         self.n, self.planes, self.invol = n, planes, invol
         self.des = [j for j in range(len(planes)) if g >> j & 1]
         self.grids: dict[int, tuple] = {}
+        self.blocks: dict[int, tuple] = {}
 
     @staticmethod
     def of(m: FinMatrix) -> Optional[_Packed]:
@@ -613,33 +630,56 @@ class _Packed:
 
     def grid(self, k: int) -> tuple:
         """(leaves, fold's operations, ones over N bits, shifts of the
-        designating planes) for the grid of k atoms."""
+        designating planes) for the whole grid of k atoms, N = n^k."""
         got = self.grids.get(k)
         if got is None:
-            size = self.n ** k
-            ones = (1 << size) - 1
-            full = (1 << len(self.planes) * size) - 1
-            moves: dict[int, int] = {}  # offset -> the planes moved by it
-            for j, src in enumerate(self.invol):
-                moves[j - src] = moves.get(j - src, 0) | ones << src * size
-            if not any(moves):
-                neg = full.__xor__
-            else:
-                parts = [(mask, d * size) for d, mask in moves.items()]
-
-                def neg(a: int) -> int:
-                    out = full
-                    for mask, shift in parts:
-                        out ^= (a & mask) << shift if shift >= 0 else (a & mask) >> -shift
-                    return out
-            got = self.grids[k] = (grid_leaves(self.n, k, self.planes),
-                                   (neg, operator.and_, operator.or_, full, 0),
-                                   ones, [j * size for j in self.des])
+            got = self.grids[k] = self._prepared(k, self.n ** k)
         return got
 
-    def violation(self, prog: Program) -> Optional[dict[str, int]]:
-        """_violation over the whole grid of prog's atoms in one fold."""
-        leaves, ops, ones, shifts = self.grid(len(prog.names))
+    def block(self, k: int) -> tuple:
+        """grid(k) for the first block of the grid of k atoms: the most
+        valuations c * n^t, c <= n, at most _PACKED_BLOCK and at most
+        _PACKED_BLOCK_BITS plane bits, that leave t trailing atoms free."""
+        got = self.blocks.get(k)
+        if got is None:
+            cap = max(1, min(_PACKED_BLOCK, _PACKED_BLOCK_BITS // len(self.planes)))
+            t = 0  # as many trailing atoms free as fit, at most k - 1
+            while t + 1 < k and self.n ** (t + 1) <= cap:
+                t += 1
+            stride = self.n ** t
+            size = min(self.n ** k, cap // stride * stride)
+            got = self.blocks[k] = self._prepared(k, size)
+        return got
+
+    def _prepared(self, k: int, size: int) -> tuple:
+        """grid(k)'s tuple for the first `size` valuations of k atoms."""
+        ones = (1 << size) - 1
+        full = (1 << len(self.planes) * size) - 1
+        moves: dict[int, int] = {}  # offset -> the planes moved by it
+        for j, src in enumerate(self.invol):
+            moves[j - src] = moves.get(j - src, 0) | ones << src * size
+        if not any(moves):
+            neg = full.__xor__
+        else:
+            parts = [(mask, d * size) for d, mask in moves.items()]
+
+            def neg(a: int) -> int:
+                out = full
+                for mask, shift in parts:
+                    out ^= (a & mask) << shift if shift >= 0 else (a & mask) >> -shift
+                return out
+        return (grid_leaves(self.n, k, self.planes, size),
+                (neg, operator.and_, operator.or_, full, 0),
+                ones, [j * size for j in self.des])
+
+    def violation(self, prog: Program, first_block: bool = False) -> Optional[dict[str, int]]:
+        """_violation over the whole grid of prog's atoms in one fold; or,
+        first_block set, the least witness in the grid's first block
+        (block), None when the block holds none.  The block holds the
+        grid's first valuations, so an offset in either reads off its
+        digits in base n."""
+        k = len(prog.names)
+        leaves, ops, ones, shifts = self.block(k) if first_block else self.grid(k)
         bad = ones
         for i, v in enumerate(fold(prog, leaves, *ops)):
             des = ones
@@ -677,13 +717,22 @@ def _violation(m: FinMatrix, r: RuleInstance) -> Optional[dict[str, int]]:
     A grid of at most _PACKED_GRID valuations, on at most as many
     elements, goes through the packed sweep (_Packed) when the matrix
     allows one: it folds r.program() once over the whole grid.  Every
-    other grid goes through the numpy block sweep (_sweep.violation).
+    other grid goes through the numpy block sweep (_sweep.violation), and
+    one of more than _PACKED_BLOCK_ABOVE valuations first through the
+    packed sweep of its first block when the matrix allows one: a witness
+    there is the least one, and on a miss the numpy sweep starts again from
+    the first valuation, so its blocks keep their alignment.
     """
     prog = r.program()
-    if max(m.n ** len(prog.names), m.n) <= _PACKED_GRID:
+    size = m.n ** len(prog.names)
+    if max(size, m.n) <= _PACKED_GRID:
         packed = _packed(m)
         if packed is not None:
             return packed.violation(prog)
+    elif size > _PACKED_BLOCK_ABOVE and (packed := _packed(m)) is not None:
+        hit = packed.violation(prog, first_block=True)
+        if hit is not None:
+            return hit
     return _sweep.violation(m, r)
 
 

@@ -353,8 +353,10 @@ CLASSIFY = {"demorgan_lab.bridge", "demorgan_lab.frame", "demorgan_lab.graph"}
 # leibniz, dual and classify the dual involution and the Leibniz congruence
 # on Python ints: no numpy, no numpy block sweep (_sweep) and no
 # constructions (_constructions); and no module of the package imports
-# dataclasses (or inspect with it).  A grid of 8^5 valuations goes through
-# the numpy block sweep, which imports numpy (and numpy inspect).
+# dataclasses (or inspect with it).  A grid of 8^5 valuations first goes
+# through the packed sweep of its first block: a witness there loads no
+# numpy, and on a miss the numpy block sweep imports numpy (and numpy
+# inspect).
 @pytest.mark.parametrize("argv, extra", [
     (["check", "--matrix", "ETL4", "--rule", "p, ~p|q |- q"], set()),
     (["check", "--matrix", "@{k3}", "--rule", "p, ~p |- q"], set()),
@@ -367,8 +369,9 @@ CLASSIFY = {"demorgan_lab.bridge", "demorgan_lab.frame", "demorgan_lab.graph"}
     (["classify", "--matrix", "@{mu}"], CLASSIFY),
     (["check", "--matrix", "KMINUS8", "--rule", "p & ~q, q | r, ~r | s |- s & t | ~p"],
      {"demorgan_lab._sweep", "numpy", "inspect"}),
+    (["check", "--matrix", "KMINUS8", "--rule", "p | q, r | s |- t"], set()),
 ], ids=["check", "check-file", "leibniz", "leibniz-file", "dual", "dual-file", "classify",
-        "classify-file", "classify-file-72", "check-blocks"])
+        "classify-file", "classify-file-72", "check-blocks", "check-packed-block"])
 def test_command_loads_only_its_modules(tmp_path, argv, extra):
     # the 16-element ETL4 x BD4, whose Leibniz congruence is no identity,
     # and a reduced matrix of 72 elements

@@ -383,6 +383,23 @@ def test_classical_status_guards_its_atom_count():
             classical_status(chi(n))
 
 
+def test_grid_leaves_of_first_blocks():
+    # every block c * n^t of small grids, the whole grid included: bit v of
+    # plane j of atom i's leaf is bit j of the mask of valuation v's digit i
+    for n, k in itertools.product(range(1, 5), range(4)):
+        masks = [(5 * x + 3) % 8 for x in range(n)]
+        planes = [sum(1 << x for x in range(n) if masks[x] >> j & 1) for j in range(3)]
+        sizes = [c * n ** t for t in range(k) for c in range(1, n + 1)]
+        for size in sizes or [1]:
+            leaves = formula.grid_leaves(n, k, planes, size)
+            for v, digits in zip(range(size), itertools.product(range(n), repeat=k)):
+                for leaf, d in zip(leaves, digits):
+                    assert [leaf >> (j * size + v) & 1 for j in range(3)] == \
+                        [masks[d] >> j & 1 for j in range(3)], (n, k, size, v)
+            assert all(leaf >> 3 * size == 0 for leaf in leaves)
+        assert formula.grid_leaves(n, k, planes) == formula.grid_leaves(n, k, planes, n ** k)
+
+
 def test_chi():
     assert chi(1) == parse("p1 & ~p1")
     assert chi(2) == parse("p1 & ~p1 | p2 & ~p2")
@@ -522,6 +539,25 @@ def test_nnf_and_normal_forms_of_long_chains():
     assert negated == conj([Neg(a) for a in lits]) and isinstance(hash(negated), int)
     ordered = disj(sorted(lits, key=lambda a: a.name))
     assert normal_form(chain, "cnf") == ordered and normal_form(chain, "dnf") == ordered
+
+
+def test_an_inner_chain_grows_one_clause_in_place(monkeypatch):
+    # the one clause of disj(p0..pn-1) as "cnf" (conj as "dnf") is made
+    # once and grown by each operand, so the build is linear in n
+    made = []
+
+    class Counted(formula._Clause):
+        def __init__(self, *args):
+            made.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(formula, "_Clause", Counted)
+    lits = [Atom(f"p{i}") for i in range(3000)]
+    ordered = sorted(lits, key=lambda a: a.name)
+    for chain, mode in ((disj, "cnf"), (conj, "dnf")):
+        made.clear()
+        assert normal_form(chain(lits), mode) == chain(ordered)
+        assert len(made) == 1, mode
 
 
 def test_rule_programs_do_not_depend_on_str_hashes():

@@ -135,23 +135,30 @@ def tiny_blocks(monkeypatch):
     return block_sizes(monkeypatch)
 
 
+def sweep_matrices():
+    """The catalog, two products, the complex matrices of eight random
+    5-point frames and, last, that of a 17-point chain (17 mask bits)."""
+    from demorgan_lab.frame import Frame
+    rng = random.Random(7)
+    mats = list(catalog().values()) + [product([cl2(), lp3()]), product([etl4(), bd4()])]
+    mats += [complex_matrix(random_frame(rng, 5)) for _ in range(8)]
+    mats.append(complex_matrix(Frame([f"c{i}" for i in range(17)],
+                                     [(i, j) for i in range(17) for j in range(i, 17)],
+                                     [16 - i for i in range(17)], range(5, 17))))
+    return mats
+
+
 def test_sweep_blocks_keep_the_least_witness(monkeypatch):
     # blocks of 1, 2, 4 and then 7 valuations: every kind of block boundary
     # (ranged atom, realignment, capped blocks) falls inside small grids
     from demorgan_lab import _sweep
-    from demorgan_lab.frame import Frame, complex_matrix, random_frame
     sizes = tiny_blocks(monkeypatch)
-    rng = random.Random(7)
-    mats = list(catalog().values()) + [product([cl2(), lp3()]), product([etl4(), bd4()])]
-    mats += [complex_matrix(random_frame(rng, 5)) for _ in range(8)]
-    c17 = complex_matrix(Frame([f"c{i}" for i in range(17)],
-                               [(i, j) for i in range(17) for j in range(i, 17)],
-                               [16 - i for i in range(17)], range(5, 17)))
+    mats = sweep_matrices()
+    c17 = mats[-1]
     assert c17.nbits == 17 and _sweep._engine(c17).ranks is not None
     # the helper chain() builds the same matrix from its masks
     fields = ("enc", "neg", "top", "bottom", "designated", "flags")
     assert [getattr(c17, x) for x in fields] == [getattr(chain(17), x) for x in fields]
-    mats.append(c17)
     rules = [parse_rule(t) for t in SWEEP_RULES]
     assert {len(r.atom_names()) for r in rules} == {0, 1, 2, 3, 4}
     checked = 0
@@ -399,6 +406,92 @@ def test_packed_sweep_falls_back_to_the_numpy_engine(monkeypatch):
                 assert engines == [m]
     # the same chain packs
     assert matrix._Packed.of(c17).invol == list(range(16, -1, -1))
+
+
+def packed_blocks(monkeypatch, bits):
+    """Every grid of at least one valuation through a packed first block
+    of at most _PACKED_BLOCK valuations and `bits` plane bits (then the
+    numpy blocks on a miss), and none through the whole-grid packed sweep;
+    each matrix's _Packed is built afresh, so it reads the bounds set.
+    Returns a list collecting the size and the witness (None on a miss) of
+    each packed block folded."""
+    from demorgan_lab import matrix
+    monkeypatch.setattr(matrix, "_PACKED_GRID", 0)
+    monkeypatch.setattr(matrix, "_PACKED_BLOCK_ABOVE", 0)
+    monkeypatch.setattr(matrix, "_PACKED_BLOCK_BITS", bits)
+    monkeypatch.setattr(matrix, "_packed", matrix._Packed.of)
+    folded = []
+    real = matrix._Packed.violation
+
+    def violation(packed, prog, first_block=False):
+        got = real(packed, prog, first_block)
+        folded.append((packed.block(len(prog.names))[2].bit_length(), got))
+        return got
+
+    monkeypatch.setattr(matrix._Packed, "violation", violation)
+    return folded
+
+
+def offset(w, n):
+    """The position of the valuation w in the sweep's lexicographic order."""
+    at = 0
+    for name in sorted(w):
+        at = at * n + w[name]
+    return at
+
+
+def test_packed_first_block_keeps_the_least_witness(monkeypatch):
+    # packed first blocks of at most 1, 5, 40 or 300 valuations and 2^8
+    # plane bits (15 valuations on the 17-bit chain): witnesses inside the
+    # block, on its last valuation, on the first one after it and later,
+    # and valid rules
+    from demorgan_lab import matrix
+    folded = packed_blocks(monkeypatch, 1 << 8)
+    rules = [parse_rule(t) for t in SWEEP_RULES]
+    where = collections.Counter()
+    for m in sweep_matrices():
+        assert matrix._Packed.of(m) is not None
+        for r in rules:
+            if m.n ** len(r.atom_names()) > 6000:
+                continue
+            want = brute_witness(m, r)
+            for block in (1, 5, 40, 300):
+                monkeypatch.setattr(matrix, "_PACKED_BLOCK", block)
+                folded.clear()
+                assert find_countervaluation(m, r) == want, (block, m.labels, str(r))
+                ((size, got),) = folded
+                assert size <= max(1, min(block, 256 // m.nbits))
+                at = None if want is None else offset(want, m.n)
+                assert got == (want if at is not None and at < size else None)
+                where["valid" if at is None else "last" if at == size - 1 else
+                      "next" if at == size else "inside" if at < size else "later"] += 1
+    assert min(where[x] for x in ("valid", "inside", "last", "next", "later")) >= 20, where
+
+
+def test_packed_first_block_on_alpha_rules_agrees_with_the_numpy_sweep():
+    # a seeded sample of alpha rules on mu_plus matrices of graphs of at
+    # most 4 vertices, grids above _PACKED_BLOCK_ABOVE valuations at the
+    # default bounds: a witness in the packed first block and one found by
+    # the numpy blocks after a miss are those of the numpy sweep alone
+    from demorgan_lab import _sweep, matrix
+    from demorgan_lab.bridge import alpha_rule, mu_plus
+    from demorgan_lab.graph import all_graphs
+    graphs = all_graphs(4, allow_isolated=False)
+    rng = random.Random(28)
+    hits = misses = 0
+    for h, g in rng.sample([(h, g) for h in graphs for g in graphs], 60):
+        m, r = mu_plus(h), alpha_rule(g)
+        if m.n ** len(r.atom_names()) <= matrix._PACKED_BLOCK_ABOVE:
+            continue
+        in_block = matrix._packed(m).violation(r.program(), first_block=True)
+        want = _sweep.violation(m, r)
+        assert find_countervaluation(m, r) == want, (h, g)
+        if in_block is None:
+            misses += 1
+        else:
+            assert in_block == want
+            hits += 1
+    assert hits >= 5 and misses >= 5, (hits, misses)
 
 
 def test_filter_designation_compares_masks_at_every_width(monkeypatch):
