@@ -1,10 +1,10 @@
 """The numpy block sweep of matrix._violation, for the grids that the
-packed sweep (matrix._Packed) does not decide: more than _PACKED_GRID
-valuations, except a grid of more than _PACKED_BLOCK_ABOVE whose packed
-first block holds a witness, or a matrix it cannot pack (no `demorgan`
-flag, a designated set that is no filter, or a negation that permutes no
-mask planes).  matrix loads this module, and numpy with it, on the first
-such grid."""
+packed sweep (matrix._Packed) does not decide: a grid that its packed
+first block does not cover, unless the grid has more than _FIRST_BLOCK
+valuations and the block holds a witness, and every grid of a matrix it
+cannot pack (no `demorgan` flag, a designated set that is no filter, or a
+negation that permutes no mask planes).  matrix loads this module, and
+numpy with it, on the first such grid."""
 
 from __future__ import annotations
 
@@ -17,16 +17,15 @@ import numpy as np
 
 from ._order import derived
 from .formula import Program, RuleInstance, fold
-from .matrix import _LUT_BITS, FinMatrix
+from .matrix import _FIRST_BLOCK, _LUT_BITS, FinMatrix, _block, _valuation
 
-# Sweep block sizes in valuations: the first block is small, so a witness
-# near the start of the grid costs little; blocks then double up to a cap
-# whose uint8/uint16 intermediates stay in cache.  The blocks after the
-# first write their block-shaped intermediates into one set of buffers per
+# Sweep block sizes in valuations: the first block (_FIRST_BLOCK, from
+# matrix) is small, so a witness near the start of the grid costs little;
+# blocks then double up to a cap whose uint8/uint16 intermediates stay in
+# cache.  The blocks after the first write their block-shaped intermediates into one set of buffers per
 # sweep (_Workspace): malloc serves a fresh array of this size with a new
 # mmap that is zero-filled page by page, so fresh arrays made the big
 # sweeps fault in every page of every intermediate of every block.
-_FIRST_BLOCK = 1 << 14
 _BLOCK_CAP = 1 << 19
 # bytes of hoisted subformula values one sweep keeps (see violation); a key
 # that would pass the cap is recomputed at each of its blocks
@@ -208,10 +207,10 @@ def violation(m: FinMatrix, r: RuleInstance) -> Optional[dict[str, int]]:
 
     The grid of valuations of the sorted atoms, element 0 first, is swept
     in contiguous blocks in lexicographic order, so the witness is the
-    lexicographically least one.  A block fixes the leading atoms, gives
-    the next one a range of values and leaves the rest free; blocks grow by
-    doubling from _FIRST_BLOCK valuations (a smaller grid is one block) to
-    _BLOCK_CAP.  The blocks after the first share one _Workspace, which
+    lexicographically least one.  A block (matrix._block) fixes the leading
+    atoms, gives the next one a range of values and leaves the rest free;
+    blocks grow by doubling from _FIRST_BLOCK valuations (a smaller grid is
+    one block) to _BLOCK_CAP.  The blocks after the first share one _Workspace, which
     lives as long as this call, unless the values are object arrays.
 
     The first block folds r.program().  A later one, whose ranged atom is
@@ -236,13 +235,8 @@ def violation(m: FinMatrix, r: RuleInstance) -> Optional[dict[str, int]]:
     memo: dict[tuple[int, ...], list] = {}
     kept = 0
     while pos < total:
-        # free as many trailing atoms as fit in the block and keep it aligned
-        t = 0
-        while t + 1 < k and n ** (t + 1) <= size and pos % n ** (t + 1) == 0:
-            t += 1
+        t, lo, hi = _block(n, k, pos, size)
         stride = n ** t
-        lo = pos // stride % n
-        hi = min(n, lo + size // stride)
         j = k - 1 - t  # the ranged atom
         leaves = [eng.values[pos // n ** (k - 1 - i) % n] for i in range(j)]
         for i in range(min(k, t + 1)):
@@ -265,11 +259,7 @@ def violation(m: FinMatrix, r: RuleInstance) -> Optional[dict[str, int]]:
                 ws.start((hi - lo,) + (n,) * t)
         hit = eng.first_bad(prog, leaves, ws)
         if hit is not None:
-            hit += pos
-            out = {}
-            for name in reversed(prog.names):
-                hit, out[name] = divmod(hit, n)
-            return out
+            return _valuation(prog.names, n, pos + hit)
         pos += (hi - lo) * stride
         size = min(2 * size, _BLOCK_CAP)
     return None

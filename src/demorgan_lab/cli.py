@@ -103,9 +103,10 @@ def _valuation_text(m: matrix.FinMatrix, v: dict[str, int]) -> str:
     return ", ".join(f"{a}={m.label(v[a])}" for a in sorted(v))
 
 
-def _emit(args, payload: dict, text_lines: list) -> None:
-    """Print payload as JSON with --json, else the text lines; a line that
-    is no string is a JSON value, serialized only here."""
+def _emit(args, payload, text_lines: list) -> None:
+    """Print payload, a JSON value, as JSON with --json, else the text
+    lines; a line that is no string is a JSON value, serialized only here.
+    Every command writes its answer here, except `probe --dot`."""
     if getattr(args, "json", False):
         print(json.dumps(payload))
     else:
@@ -297,13 +298,9 @@ def cmd_probe(args) -> int:
     res = logics.probe_lattice()
     if args.dot:
         print(res.to_dot())
-    elif args.json:
-        print(res.to_json())
     else:
-        for a, b in res.hasse:
-            print(f"{a} < {b}")
-        for a, b in res.equivalent:
-            print(f"{a} = {b}")
+        _emit(args, res._as_dict(), [f"{a} < {b}" for a, b in res.hasse] +
+              [f"{a} = {b}" for a, b in res.equivalent])
     return EXIT_TRUE
 
 
@@ -348,18 +345,11 @@ def cmd_verify(args) -> int:
         except ValueError:
             raise InputError("--suite takes 'all' or criterion numbers like '1,4,8'")
     results = verify.run_all(args.seed, only)
-    rows = []
-    for r in results:
-        rows.append(f"{r.number:2d} {'PASS' if r.passed else 'FAIL'} "
-                    f"{r.name:<32} {r.seconds:6.1f}s  {r.detail}")
-    if args.json:
-        print(json.dumps([r.__dict__ for r in results]))
-    else:
-        for row in rows:
-            print(row)
-        ok = sum(1 for r in results if r.passed)
-        print(f"{ok}/{len(results)} criteria passed")
-    return EXIT_TRUE if all(r.passed for r in results) else EXIT_FALSE
+    rows = [f"{r.number:2d} {'PASS' if r.passed else 'FAIL'} "
+            f"{r.name:<32} {r.seconds:6.1f}s  {r.detail}" for r in results]
+    ok = sum(1 for r in results if r.passed)
+    _emit(args, [r.__dict__ for r in results], rows + [f"{ok}/{len(results)} criteria passed"])
+    return EXIT_TRUE if ok == len(results) else EXIT_FALSE
 
 
 def _arg(*flags: str, **options) -> tuple[tuple[str, ...], dict]:

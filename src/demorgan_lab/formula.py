@@ -823,18 +823,17 @@ def _normal_clauses(f: Formula, mode: str, cap: int | None = None) -> list[Formu
     return [inner(_literals(n)[not pos] for n, pos in sorted(c)) for c in sorted(cs, key=sorted)]
 
 
-def grid_leaves(n: int, k: int, planes: Sequence[int], size: int | None = None) -> list[int]:
+def grid_leaves(n: int, k: int, planes: Sequence[int], size: int) -> list[int]:
     """The leaves of a packed sweep: the first `size` valuations of k atoms
-    over n elements at once (all n^k by default), valuation v (its digits
-    in base n, atom 0 the most significant) at bit v of each plane.  A
-    size is a block c * n^t, 1 <= c <= n, t < k: the leading atoms at
-    element 0, atom k - 1 - t over the elements below c and the t trailing
-    atoms free; the whole grid is c = n, t = k - 1.  An element is a mask
-    of len(planes) bits, planes[j] the set of elements (bit x for element
-    x) whose mask has bit j; a value is one int holding its planes side by
-    side, plane j at bits j * size to (j + 1) * size - 1."""
+    over n elements at once, valuation v (its digits in base n, atom 0 the
+    most significant) at bit v of each plane.  A size is a block c * n^t,
+    1 <= c <= n, t < k: the leading atoms at element 0, atom k - 1 - t over
+    the elements below c and the t trailing atoms free; the whole grid is c
+    = n, t = k - 1.  An element is a mask of len(planes) bits, planes[j]
+    the set of elements (bit x for element x) whose mask has bit j; a value
+    is one int holding its planes side by side, plane j at bits j * size to
+    (j + 1) * size - 1."""
     s = n ** k
-    size = s if size is None else size
     full = (1 << size) - 1
     leaves = []
     for _ in range(k):
@@ -870,7 +869,7 @@ def _truth_leaves(k: int) -> tuple[int, ...]:
     holding its top, element 1) for k atoms, built on first use and kept."""
     if k > _CLASSICAL_ATOM_LIMIT:
         raise ValueError(f"classical_status guard: at most {_CLASSICAL_ATOM_LIMIT} atoms, got {k}")
-    return tuple(grid_leaves(2, k, (0b10,)))
+    return tuple(grid_leaves(2, k, (0b10,), 1 << k))
 
 
 def classical_status(f: Formula) -> str:

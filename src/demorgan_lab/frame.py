@@ -431,11 +431,14 @@ def immediate_quotients(p: Frame) -> Iterator[Frame]:
 
     Every compatible preorder properly extending the order contains the one
     generated by any of its new pairs, so the atoms are the minimal
-    single-pair-generated preorders.
+    single-pair-generated preorders.  A pair and its mirror (invol[v],
+    invol[u]) generate the same one, so only the lesser of the two is
+    closed.
     """
     gen: dict[tuple[int, ...], CompatiblePreorder] = {}
+    invol = p.invol
     for u, v in itertools.product(range(p.n), repeat=2):
-        if not p.le(u, v):
+        if (invol[v], invol[u]) >= (u, v) and not p.le(u, v):
             q = generate_preorder(p, u, v)
             gen.setdefault(q.up, q)
     rels = sorted(gen, key=lambda up: sorted(pairs(up)))

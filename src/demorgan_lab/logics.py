@@ -487,14 +487,13 @@ class ProbeResult(Record):
     def includes(self, a: str, b: str) -> bool:
         return (a, b) in set(self.inclusions)
 
-    def to_json(self) -> str:
-        import json
-        return json.dumps({
+    def _as_dict(self) -> dict:
+        return {
             "names": self.names,
             "inclusions": [list(e) for e in self.inclusions],
             "hasse": [list(e) for e in self.hasse],
             "equivalent": [list(e) for e in self.equivalent],
-        })
+        }
 
     def to_dot(self) -> str:
         lines = ["digraph lattice {", "  rankdir=BT;"]

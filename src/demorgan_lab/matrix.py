@@ -5,9 +5,9 @@ with a set of designated elements.  Rule validity is decided by exhaustive
 valuation of the rule's atoms.  A rule is compiled once to a straight-line
 program (formula.compile_program) and one fold (formula.fold) runs every
 program: evaluate's over the elements, the packed sweep's over Python ints
-that hold a small grid's values bit by bit (classical_status is its
-two-element case), and the numpy block sweep's over arrays of masks for
-every other grid.
+that hold the values of a grid's first block, the whole of a small grid,
+bit by bit (classical_status is its two-element case), and the numpy block
+sweep's over arrays of masks for the grids that block does not decide.
 
 Every matrix here is a bounded distributive lattice, so it embeds into a
 powerset lattice (Birkhoff).  That embedding is the only representation a
@@ -567,31 +567,51 @@ def evaluate(m: FinMatrix, v: Mapping[str, int], f: Formula) -> int:
     return value
 
 
-# grids of at most this many valuations go through the packed sweep
-# (_Packed) when the matrix allows it; the rest through the numpy block
-# sweep (_sweep)
-_PACKED_GRID = 1 << 12
-# A grid of more than _PACKED_BLOCK_ABOVE valuations first folds its first
-# block packed (_Packed.block), of at most _PACKED_BLOCK valuations
-# and _PACKED_BLOCK_BITS plane bits, and goes on to the numpy blocks on a
-# miss.  Measured on the alpha-sweep and small-checks benchmark jobs
-# (2-core VM, Python 3.11, numpy 2.4; BENCH_28.json): packed first blocks
-# on the grids of 2^12 to 2^14 valuations too took the 17-bit chain checks
-# from 7.9 to 15.0 ms per pass; blocks of 2048-4096 valuations were best on
-# alpha-sweep's 8-plane matrices, 8192 lost and 16384 more than doubled its
-# median operation.
-_PACKED_BLOCK_ABOVE = 1 << 14
+# The packed sweep (_Packed) folds the first block of a grid on Python ints,
+# of at most _PACKED_BLOCK valuations and _PACKED_BLOCK_BITS plane bits:
+# the whole grid when it fits.  The numpy block sweep (_sweep) takes every
+# other grid, from a first block of _FIRST_BLOCK valuations; one of more
+# than that folds its packed block first.  Measured on the alpha-sweep and
+# small-checks benchmark jobs (2-core VM, Python 3.11, numpy 2.4;
+# BENCH_28.json): packed first blocks on the grids of 2^12 to 2^14
+# valuations too took the 17-bit chain checks from 7.9 to 15.0 ms per
+# pass; blocks of 2048-4096 valuations were best on alpha-sweep's 8-plane
+# matrices, 8192 lost and 16384 more than doubled its median operation.
 _PACKED_BLOCK = 1 << 12
 _PACKED_BLOCK_BITS = 1 << 15
+_FIRST_BLOCK = 1 << 14
+
+
+def _block(n: int, k: int, pos: int, size: int) -> tuple[int, int, int]:
+    """The block of a sweep of k atoms over n elements that starts at
+    valuation pos and holds at most `size` valuations, at least one: (t,
+    lo, hi), the leading atoms fixed, atom k - 1 - t over the elements lo
+    to hi - 1 and the t trailing atoms free, as many as fit with the block
+    aligned."""
+    t = 0
+    while t + 1 < k and n ** (t + 1) <= size and pos % n ** (t + 1) == 0:
+        t += 1
+    stride = n ** t
+    lo = pos // stride % n
+    return t, lo, min(n, lo + size // stride)
+
+
+def _valuation(names: Sequence[str], n: int, at: int) -> dict[str, int]:
+    """The valuation at offset `at` of a sweep's lexicographic order: its
+    digits in base n, the last name's the least significant."""
+    out = {}
+    for name in reversed(names):
+        at, out[name] = divmod(at, n)
+    return out
 
 
 class _Packed:
     """The packed sweep on Python ints, for a De Morgan matrix whose
     designated set is a filter (the upset of a mask g) and whose negation
-    permutes its mask planes: of a whole small grid at once, or of the
-    first block of a big one.
+    permutes its mask planes: of the first block of a grid, which is the
+    whole grid when it fits.
 
-    A value over N valuations (the whole grid of n^k, or a block of them)
+    A value over N valuations (all n^k when the block is the whole grid)
     is one int of bits * N bits: plane j (bits j*N to j*N + N - 1) holds
     bit j of the value's mask at each valuation, in the sweep's
     lexicographic order (see formula.grid_leaves).  So & and | are one int
@@ -603,14 +623,12 @@ class _Packed:
     int.
 
     `planes[j]` is the set of elements (bit x for element x) whose mask
-    holds bit j; `grids` and `blocks` keep, per atom count k, the leaves
-    and the operations of the whole grid and of the first block, a few
-    ints of bits * N bits each."""
+    holds bit j; `blocks` keeps, per atom count k, the leaves and the
+    operations of the first block, a few ints of bits * N bits each."""
 
     def __init__(self, n: int, planes: list[int], invol: list[int], g: int):
         self.n, self.planes, self.invol = n, planes, invol
         self.des = [j for j in range(len(planes)) if g >> j & 1]
-        self.grids: dict[int, tuple] = {}
         self.blocks: dict[int, tuple] = {}
 
     @staticmethod
@@ -628,31 +646,20 @@ class _Packed:
         invol = [at.get(everything ^ p) for p in _planes([m.enc[y] for y in m.neg], m.nbits)]
         return None if None in invol else _Packed(m.n, planes, invol, g)
 
-    def grid(self, k: int) -> tuple:
-        """(leaves, fold's operations, ones over N bits, shifts of the
-        designating planes) for the whole grid of k atoms, N = n^k."""
-        got = self.grids.get(k)
-        if got is None:
-            got = self.grids[k] = self._prepared(k, self.n ** k)
-        return got
-
     def block(self, k: int) -> tuple:
-        """grid(k) for the first block of the grid of k atoms: the most
-        valuations c * n^t, c <= n, at most _PACKED_BLOCK and at most
-        _PACKED_BLOCK_BITS plane bits, that leave t trailing atoms free."""
+        """(leaves, fold's operations, ones over N bits, shifts of the
+        designating planes, whether the block is the whole grid) for the
+        first block of the grid of k atoms: the most valuations N = c *
+        n^t, c <= n (_block), within _PACKED_BLOCK and _PACKED_BLOCK_BITS
+        plane bits."""
         got = self.blocks.get(k)
-        if got is None:
-            cap = max(1, min(_PACKED_BLOCK, _PACKED_BLOCK_BITS // len(self.planes)))
-            t = 0  # as many trailing atoms free as fit, at most k - 1
-            while t + 1 < k and self.n ** (t + 1) <= cap:
-                t += 1
-            stride = self.n ** t
-            size = min(self.n ** k, cap // stride * stride)
-            got = self.blocks[k] = self._prepared(k, size)
-        return got
-
-    def _prepared(self, k: int, size: int) -> tuple:
-        """grid(k)'s tuple for the first `size` valuations of k atoms."""
+        if got is not None:
+            return got
+        n, grid = self.n, self.n ** k
+        # a one-element matrix has no mask planes
+        cap = max(1, min(_PACKED_BLOCK, _PACKED_BLOCK_BITS // (len(self.planes) or 1)))
+        t, _, c = _block(n, k, 0, cap)
+        size = min(c * n ** t, grid)  # a grid of 0 atoms is one valuation
         ones = (1 << size) - 1
         full = (1 << len(self.planes) * size) - 1
         moves: dict[int, int] = {}  # offset -> the planes moved by it
@@ -668,18 +675,16 @@ class _Packed:
                 for mask, shift in parts:
                     out ^= (a & mask) << shift if shift >= 0 else (a & mask) >> -shift
                 return out
-        return (grid_leaves(self.n, k, self.planes, size),
-                (neg, operator.and_, operator.or_, full, 0),
-                ones, [j * size for j in self.des])
+        got = self.blocks[k] = (grid_leaves(n, k, self.planes, size),
+                                (neg, operator.and_, operator.or_, full, 0),
+                                ones, [j * size for j in self.des], size == grid)
+        return got
 
-    def violation(self, prog: Program, first_block: bool = False) -> Optional[dict[str, int]]:
-        """_violation over the whole grid of prog's atoms in one fold; or,
-        first_block set, the least witness in the grid's first block
-        (block), None when the block holds none.  The block holds the
-        grid's first valuations, so an offset in either reads off its
-        digits in base n."""
-        k = len(prog.names)
-        leaves, ops, ones, shifts = self.block(k) if first_block else self.grid(k)
+    def violation(self, prog: Program, block: tuple) -> Optional[dict[str, int]]:
+        """The least witness of prog's rule in `block`, block(k) for prog's
+        k atoms, in one fold; None when the block holds none.  The block
+        holds the grid's first valuations, so its offsets are the grid's."""
+        leaves, ops, ones, shifts, _ = block
         bad = ones
         for i, v in enumerate(fold(prog, leaves, *ops)):
             des = ones
@@ -688,11 +693,7 @@ class _Packed:
             bad = bad & des if i < prog.n_premises else bad & ~des
             if not bad:
                 return None
-        hit = (bad & -bad).bit_length() - 1
-        out = {}
-        for name in reversed(prog.names):
-            hit, out[name] = divmod(hit, self.n)
-        return out
+        return _valuation(prog.names, self.n, (bad & -bad).bit_length() - 1)
 
 
 def _planes(masks: Sequence[int], width: int) -> list[int]:
@@ -714,25 +715,24 @@ def _violation(m: FinMatrix, r: RuleInstance) -> Optional[dict[str, int]]:
     """The lexicographically least valuation of the sorted atoms, element 0
     first, that designates all premises but no conclusion; or None.
 
-    A grid of at most _PACKED_GRID valuations, on at most as many
-    elements, goes through the packed sweep (_Packed) when the matrix
-    allows one: it folds r.program() once over the whole grid.  Every
-    other grid goes through the numpy block sweep (_sweep.violation), and
-    one of more than _PACKED_BLOCK_ABOVE valuations first through the
-    packed sweep of its first block when the matrix allows one: a witness
-    there is the least one, and on a miss the numpy sweep starts again from
-    the first valuation, so its blocks keep their alignment.
+    When the matrix allows the packed sweep (_Packed), a grid that its
+    first block covers is decided there in one fold, and a grid of more
+    than _FIRST_BLOCK valuations returns the witness of its block when
+    there is one: the least one.  Every other grid, and a big one whose
+    block holds no witness, goes through the numpy block sweep
+    (_sweep.violation) from the first valuation, so its blocks keep their
+    alignment.
     """
     prog = r.program()
-    size = m.n ** len(prog.names)
-    if max(size, m.n) <= _PACKED_GRID:
-        packed = _packed(m)
-        if packed is not None:
-            return packed.violation(prog)
-    elif size > _PACKED_BLOCK_ABOVE and (packed := _packed(m)) is not None:
-        hit = packed.violation(prog, first_block=True)
-        if hit is not None:
-            return hit
+    packed = _packed(m)
+    if packed is not None:
+        k = len(prog.names)
+        block = packed.block(k)
+        whole = block[4]
+        if whole or m.n ** k > _FIRST_BLOCK:
+            hit = packed.violation(prog, block)
+            if whole or hit is not None:
+                return hit
     return _sweep.violation(m, r)
 
 

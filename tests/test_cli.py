@@ -304,6 +304,14 @@ def test_verify_subset(capsys):
     assert out.count("PASS") == 3 and "3/3" in out
 
 
+def test_verify_json(capsys):
+    code, out, _ = run(capsys, "--json", "verify", "--suite", "1,10")
+    rows = json.loads(out)
+    assert code == 0 and out.count("\n") == 1
+    assert [sorted(row) for row in rows] == [["detail", "name", "number", "passed", "seconds"]] * 2
+    assert [row["number"] for row in rows] == [1, 10] and all(row["passed"] for row in rows)
+
+
 def test_dual_output_is_frozen(capsys):
     want = {
         "BD4": '{"points": ["n", "b"], "leq": [], "invol": [1, 0], "designated": [1]}',

@@ -397,7 +397,6 @@ def test_grid_leaves_of_first_blocks():
                     assert [leaf >> (j * size + v) & 1 for j in range(3)] == \
                         [masks[d] >> j & 1 for j in range(3)], (n, k, size, v)
             assert all(leaf >> 3 * size == 0 for leaf in leaves)
-        assert formula.grid_leaves(n, k, planes) == formula.grid_leaves(n, k, planes, n ** k)
 
 
 def test_chi():

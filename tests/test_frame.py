@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from demorgan_lab._order import canonical
+from demorgan_lab._order import canonical, pairs
 from demorgan_lab.frame import (
     CompatiblePreorder, Frame, FrameError,
     complex_matrix, components, counit_check, disjoint_union, dual_frame,
@@ -414,6 +414,24 @@ def test_random_frames_and_quotients_are_frozen():
     assert len(quotients) == 133
     assert (_frames_digest(quotients, with_labels=True)
             == "0ca91334932b263eaab4d32fed05e7176db169e29cf546b92832dc9ae70dd190")
+
+
+def test_immediate_quotients_against_every_pair():
+    # the search without the mirror-pair cut: every pair outside the order
+    # generates a compatible preorder, and the atoms among them give the
+    # quotients, in the same order
+    rng = random.Random(29)
+    for _ in range(150):
+        p = random_frame(rng, 8)
+        gen = {}
+        for u, v in itertools.product(range(p.n), repeat=2):
+            if not p.le(u, v):
+                q = generate_preorder(p, u, v)
+                gen.setdefault(q.up, q)
+        rels = sorted(gen, key=lambda up: sorted(pairs(up)))
+        want = [quotient(p, gen[r]) for r in rels
+                if not any(o != r and all(a & ~b == 0 for a, b in zip(o, r)) for o in rels)]
+        assert [q.to_json() for q in immediate_quotients(p)] == [q.to_json() for q in want]
 
 
 def _relabelled(p, perm):

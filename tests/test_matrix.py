@@ -131,8 +131,23 @@ def tiny_blocks(monkeypatch):
     from demorgan_lab import _sweep, matrix
     monkeypatch.setattr(_sweep, "_FIRST_BLOCK", 1)
     monkeypatch.setattr(_sweep, "_BLOCK_CAP", 7)
-    monkeypatch.setattr(matrix, "_PACKED_GRID", 0)
+    monkeypatch.setattr(matrix, "_packed", no_packing)
     return block_sizes(monkeypatch)
+
+
+def no_packing(m):
+    """matrix._packed for a test that sends every grid to the numpy block
+    sweep."""
+    return None
+
+
+def whole_grids(monkeypatch):
+    """Packed blocks as big as any grid: both caps raised, and each
+    matrix's _Packed built afresh, so that it reads them."""
+    from demorgan_lab import matrix
+    monkeypatch.setattr(matrix, "_PACKED_BLOCK", 1 << 40)
+    monkeypatch.setattr(matrix, "_PACKED_BLOCK_BITS", 1 << 40)
+    monkeypatch.setattr(matrix, "_packed", matrix._Packed.of)
 
 
 def sweep_matrices():
@@ -353,7 +368,7 @@ def test_wide_mask_sweeps_keep_the_least_witness(monkeypatch):
 
 def test_packed_and_numpy_sweeps_keep_the_least_witness(monkeypatch):
     # every rule on every matrix through both paths: the packed sweep for
-    # every grid (a large threshold) and for none (threshold 0)
+    # every grid (caps above every grid) and for none
     from demorgan_lab import matrix
     from demorgan_lab.frame import complex_matrix, random_frame
     rng = random.Random(13)
@@ -365,17 +380,18 @@ def test_packed_and_numpy_sweeps_keep_the_least_witness(monkeypatch):
     packed = []
     real = matrix._Packed.violation
     monkeypatch.setattr(matrix._Packed, "violation",
-                        lambda p, prog: packed.append(1) or real(p, prog))
+                        lambda p, prog, block: packed.append(1) or real(p, prog, block))
+    whole_grids(monkeypatch)
     rules = [parse_rule(t) for t in SWEEP_RULES] + split_rules()
     checked = 0
     for m in mats:
         for r in rules:
             if m.n ** len(r.atom_names()) <= 4096:
                 want = brute_witness(m, r)
-                for grid, runs in ((1 << 40, 1), (0, 0)):
-                    monkeypatch.setattr(matrix, "_PACKED_GRID", grid)
+                for packing, runs in ((matrix._Packed.of, 1), (no_packing, 0)):
+                    monkeypatch.setattr(matrix, "_packed", packing)
                     packed.clear()
-                    assert find_countervaluation(m, r) == want, (grid, m.labels, str(r))
+                    assert find_countervaluation(m, r) == want, (runs, m.labels, str(r))
                     assert len(packed) == runs
                 checked += 1
     assert checked > 300
@@ -392,7 +408,7 @@ def test_packed_sweep_falls_back_to_the_numpy_engine(monkeypatch):
     wide = spread(c17, 4)
     nofilter = FinMatrix._trusted(c17.label, c17.neg, c17.top, c17.bottom, [3, c17.top],
                                   c17.flags, c17.enc)
-    monkeypatch.setattr(matrix, "_PACKED_GRID", 1 << 40)
+    whole_grids(monkeypatch)
     engines = []
     real = _sweep._engine
     monkeypatch.setattr(_sweep, "_engine", lambda m: engines.append(m) or real(m))
@@ -411,21 +427,20 @@ def test_packed_sweep_falls_back_to_the_numpy_engine(monkeypatch):
 def packed_blocks(monkeypatch, bits):
     """Every grid of at least one valuation through a packed first block
     of at most _PACKED_BLOCK valuations and `bits` plane bits (then the
-    numpy blocks on a miss), and none through the whole-grid packed sweep;
-    each matrix's _Packed is built afresh, so it reads the bounds set.
-    Returns a list collecting the size and the witness (None on a miss) of
-    each packed block folded."""
+    numpy blocks on a miss, when the block is not the whole grid); each
+    matrix's _Packed is built afresh, so it reads the bounds set.  Returns
+    a list collecting the size and the witness (None on a miss) of each
+    packed block folded."""
     from demorgan_lab import matrix
-    monkeypatch.setattr(matrix, "_PACKED_GRID", 0)
-    monkeypatch.setattr(matrix, "_PACKED_BLOCK_ABOVE", 0)
+    monkeypatch.setattr(matrix, "_FIRST_BLOCK", 0)
     monkeypatch.setattr(matrix, "_PACKED_BLOCK_BITS", bits)
     monkeypatch.setattr(matrix, "_packed", matrix._Packed.of)
     folded = []
     real = matrix._Packed.violation
 
-    def violation(packed, prog, first_block=False):
-        got = real(packed, prog, first_block)
-        folded.append((packed.block(len(prog.names))[2].bit_length(), got))
+    def violation(packed, prog, block):
+        got = real(packed, prog, block)
+        folded.append((block[2].bit_length(), got))
         return got
 
     monkeypatch.setattr(matrix._Packed, "violation", violation)
@@ -470,7 +485,7 @@ def test_packed_first_block_keeps_the_least_witness(monkeypatch):
 
 def test_packed_first_block_on_alpha_rules_agrees_with_the_numpy_sweep():
     # a seeded sample of alpha rules on mu_plus matrices of graphs of at
-    # most 4 vertices, grids above _PACKED_BLOCK_ABOVE valuations at the
+    # most 4 vertices, grids above _FIRST_BLOCK valuations at the
     # default bounds: a witness in the packed first block and one found by
     # the numpy blocks after a miss are those of the numpy sweep alone
     from demorgan_lab import _sweep, matrix
@@ -481,9 +496,12 @@ def test_packed_first_block_on_alpha_rules_agrees_with_the_numpy_sweep():
     hits = misses = 0
     for h, g in rng.sample([(h, g) for h in graphs for g in graphs], 60):
         m, r = mu_plus(h), alpha_rule(g)
-        if m.n ** len(r.atom_names()) <= matrix._PACKED_BLOCK_ABOVE:
+        if m.n ** len(r.atom_names()) <= matrix._FIRST_BLOCK:
             continue
-        in_block = matrix._packed(m).violation(r.program(), first_block=True)
+        packed = matrix._packed(m)
+        block = packed.block(len(r.atom_names()))
+        assert not block[4]  # not the whole grid
+        in_block = packed.violation(r.program(), block)
         want = _sweep.violation(m, r)
         assert find_countervaluation(m, r) == want, (h, g)
         if in_block is None:
@@ -494,13 +512,57 @@ def test_packed_first_block_on_alpha_rules_agrees_with_the_numpy_sweep():
     assert hits >= 5 and misses >= 5, (hits, misses)
 
 
+def test_packed_routes_over_the_three_bands(monkeypatch):
+    # at the default bounds: a grid that its packed block covers folds that
+    # block alone, on a matrix of one element too; the 17-point chain at 3
+    # atoms (5832 valuations, more than its block, at most _FIRST_BLOCK)
+    # goes straight to numpy; and an alpha pair above _FIRST_BLOCK folds
+    # its block, then on a miss numpy
+    from demorgan_lab import _sweep, matrix
+    from demorgan_lab.bridge import alpha_rule, mu_plus
+    from demorgan_lab.frame import Frame
+    from demorgan_lab.graph import Graph
+    folded, numpy = [], []
+    real_packed, real_numpy = matrix._Packed.violation, _sweep.violation
+    monkeypatch.setattr(matrix._Packed, "violation", lambda p, prog, block: (
+        folded.append(block[4]) or real_packed(p, prog, block)))
+    monkeypatch.setattr(_sweep, "violation", lambda m, r: numpy.append(1) or real_numpy(m, r))
+
+    def route(m, r, want):
+        folded.clear()
+        numpy.clear()
+        assert find_countervaluation(m, r) == want, (m.labels, str(r))
+        return folded[:], len(numpy)
+
+    rules = [parse_rule(t) for t in ("p, ~p | q |- q", "p & ~p |- q", "p, q |- p & ~q",
+                                     "p | q, ~p |- q", "|- p, ~p", "T |- F")]
+    one = complex_matrix(Frame([], [], [], []))  # one element, no mask planes
+    assert one.n == 1 and one.nbits == 0
+    for m in (one, bd4(), etl4(), chain(17)):
+        for r in rules:
+            assert route(m, r, brute_witness(m, r)) == ([True], 0)
+    c17 = chain(17)
+    assert not matrix._packed(c17).block(3)[4] and 17 ** 3 <= matrix._FIRST_BLOCK
+    for text in ("p, q, r |- p & q & r", "p, q, r |- ~p | ~q | r", "p, ~q, r |- q"):
+        r = parse_rule(text)
+        assert route(c17, r, brute_witness(c17, r)) == ([], 1)
+    h = Graph("abc", [(0, 2), (1, 1)])
+    m = mu_plus(h)
+    for g, band in [(h, ([False], 0)), (Graph("abc", [(0, 0), (0, 1), (0, 2)]), ([False], 1))]:
+        r = alpha_rule(g)
+        assert m.n ** len(r.atom_names()) > matrix._FIRST_BLOCK
+        want = real_numpy(m, r)
+        assert want is not None and route(m, r, want) == band
+
+
 def test_filter_designation_compares_masks_at_every_width(monkeypatch):
     # chains whose designated sets are filters of several elements: the
     # numpy engine tests (a & g) == g, no rank lookup, on uint32, uint64 and
     # object masks, in blocks of 1, 2, 4 and then 7 valuations; the packed
-    # sweep ANDs g's planes
+    # sweep ANDs g's planes, on blocks as big as the grid
     from demorgan_lab import _sweep, matrix
     sizes = tiny_blocks(monkeypatch)
+    whole_grids(monkeypatch)
     rules = [parse_rule(t) for t in SWEEP_RULES] + split_rules()[len(SPLIT_RULES):]
     for points in (17, 33, 40, 70):
         m = chain(points)
@@ -512,9 +574,9 @@ def test_filter_designation_compares_masks_at_every_width(monkeypatch):
         for r in rules:
             if m.n ** len(r.atom_names()) <= 6000:
                 want = brute_witness(m, r)
-                for grid in (0, 1 << 40):
-                    monkeypatch.setattr(matrix, "_PACKED_GRID", grid)
-                    assert find_countervaluation(m, r) == want, (points, grid, str(r))
+                for packing in (no_packing, matrix._Packed.of):
+                    monkeypatch.setattr(matrix, "_packed", packing)
+                    assert find_countervaluation(m, r) == want, (points, packing, str(r))
                 checked += 1
         assert checked >= 11
     assert max(sizes) == 7
