@@ -210,22 +210,23 @@ def violation(m: FinMatrix, r: RuleInstance) -> Optional[dict[str, int]]:
     lexicographically least one.  A block (matrix._block) fixes the leading
     atoms, gives the next one a range of values and leaves the rest free;
     blocks grow by doubling from _FIRST_BLOCK valuations (a smaller grid is
-    one block) to _BLOCK_CAP.  The blocks after the first share one _Workspace, which
-    lives as long as this call, unless the values are object arrays.
+    one block) to _BLOCK_CAP.  The blocks after the first share one
+    _Workspace, which lives as long as this call, unless the values are
+    object arrays.
 
-    The first block folds r.program().  A later one, whose ranged atom is
-    j, folds the outer part of r.sweep_split(s), s = max(j, 1).  The sweep
-    program is r's formulas factored and re-nested (formula._regrouped) to
-    the same values, so that operands over few atoms combine before
-    block-sized ones and disjuncts sharing their literals at the least atom
-    meet them once; the witness is the same.  Its subformulas over the
-    atoms from s on depend only on the block's shape
-    (t, and for j >= 1 the range lo..hi), not on the fixed leading atoms, so
-    their values are computed once per shape, by plain numpy operations
-    into fresh arrays that the workspace never writes, and kept up to
-    _MEMO_CAP bytes.  A key naming a range is kept only at _BLOCK_CAP
-    valuations and for a range starting at a multiple of its width; the
-    others never recur.
+    The first block folds r.program().  A later one, whose ranged atom is j,
+    folds the outer part of r.sweep_split(s), s = max(j, 1), one of the
+    splits the rule keeps.  The sweep program is r's formulas factored and
+    re-nested (formula._regrouped) to the same values, so that operands
+    over few atoms combine before block-sized ones and disjuncts sharing
+    their literals at the least atom meet them once; the witness is the
+    same.  Its subformulas over the atoms from s on depend only on the
+    block's shape (t, and for j >= 1 the range lo..hi), not on the fixed
+    leading atoms, so their values are computed once per shape, by plain
+    numpy operations into fresh arrays that the workspace never writes, and
+    kept up to _MEMO_CAP bytes.  A key naming a range is kept only at
+    _BLOCK_CAP valuations and for a range starting at a multiple of its
+    width; the others never recur.
     """
     prog = r.program()
     k, n = len(prog.names), m.n

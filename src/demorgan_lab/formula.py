@@ -4,11 +4,11 @@ The object language is the one all rules in this package are written in:
 atoms, ``~``, ``&``, ``|``, ``T`` and ``F``, with precedence ``~ > & > |``.
 Compiling (compile_program) is the one walk down a formula: it writes a
 postfix program, and everything else that reads a formula (evaluation,
-printing, nnf, clause sets, substitution, atoms) is one fold of that
-program.  A rule compiles each side in the order of its formulas'
-programs, so its program does not depend on str hashes.  Normal forms are
-built from clause lists (_normal_clauses), which the consequence witness
-of logics walks.
+printing, nnf, clause sets, substitution, atoms, regrouping) is one fold
+of that program; &/| equality compares programs.  A rule compiles each side
+in the order of its formulas' programs, so its program does not depend on
+str hashes.  Normal forms are built from clause lists (_normal_clauses),
+which the consequence witness of logics walks.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import operator
 import re
 from typing import AbstractSet, Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from ._order import Record, derived
+from ._order import _UNSET, Record, derived
 
 __all__ = [
     "Formula", "Atom", "Neg", "And", "Or", "TOP", "BOT",
@@ -62,24 +62,31 @@ class Formula(Record, frozen=True):
 
 def _node(cls: type) -> type:
     """A formula class, whose field hash (Record's, a function named hash,
-    so kept as "_hash"), a walk of the whole tree, is computed on first
-    call and kept like the program.  Equality stays field by field, but an
-    &/| node walks the nodes down both left sides by a loop while they keep
-    its connective, as _emit_chain does, comparing their right operands."""
-    cls.__hash__ = derived(cls.__hash__)
+    so kept as "_hash") is computed on first call and kept like the
+    program.  An &/| node first hashes, bottom up by a loop, the nodes down
+    its left side that keep its connective and are not hashed yet, as
+    _emit_chain walks them, so hashing a chain costs no recursion per
+    operand, however it was built.  Its equality is that of its program:
+    postfix code over the sorted names is injective, so this is structural
+    equality."""
     if cls._fields == ("left", "right"):
-        field_eq = cls.__eq__
+        cls._hash = _UNSET  # derived's mark of an instance not hashed yet
+
+        def chain_hash(self):
+            below, f = [], self.left
+            while f.__class__ is cls and f._hash is _UNSET:
+                below.append(f)
+                f = f.left
+            for f in reversed(below):
+                hash(f)
+            return hash((self.left, self.right))  # the field hash
 
         def __eq__(self, other):
-            if other.__class__ is not cls:
-                return NotImplemented
-            while self is not other and self.left.__class__ is cls and other.left.__class__ is cls:
-                if self.right is not other.right and self.right != other.right:
-                    return False
-                self, other = self.left, other.left
-            return field_eq(self, other)
+            return self.program() == other.program() if other.__class__ is cls else NotImplemented
 
-        cls.__eq__ = __eq__
+        chain_hash.__name__ = "hash"  # kept as "_hash", like Record's
+        cls.__hash__, cls.__eq__ = chain_hash, __eq__
+    cls.__hash__ = derived(cls.__hash__)
     return cls
 
 
@@ -230,11 +237,12 @@ def fold(prog: Program, leaves: Sequence[Any], neg: Callable[[Any], Any],
 
 def _regrouped(f: Formula, leaf: Mapping[str, int]) -> tuple[Formula, int]:
     """f rewritten for the block sweep (see split_program), and f's least
-    leaf index (atomless formulas count as after every atom).  Each &/|
-    chain is flattened (_term) and rebuilt by two rewrites that hold in
-    every distributive lattice, as every matrix is (its meet and join are &
-    and | on masks); negation is left alone, so the value of f is the same
-    in every algebra a rule is swept in.
+    leaf index (atomless formulas count as after every atom).  The fold of
+    f's program whose values are terms flattens each &/| chain and, when
+    the chain closes, rebuilds it by two rewrites that hold in every
+    distributive lattice, as every matrix is (its meet and join are & and |
+    on masks); negation is left alone, so the value of f is the same in
+    every algebra a rule is swept in.
     1. A chain's operands are nested to the left by their least leaf,
        latest first, and the operands sharing a least leaf form one
        subtree: (H & p) & ~p becomes H & (p & ~p), so each part of a chain
@@ -244,32 +252,42 @@ def _regrouped(f: Formula, leaf: Mapping[str, int]) -> tuple[Formula, int]:
        group E are factored, (L1 & E) | (L2 & E) to (L1 | L2) & E, where
        L1 | L2 is over later atoms than E; E | (L & E) is E.  Dually for &
        of |."""
-    term = _term(f, leaf)
+    prog, k = f.program(), len(leaf)
+    (v,) = fold(prog, [(leaf[name], None, _literals(name)[0]) for name in prog.names], _negated,
+                functools.partial(_grown, And), functools.partial(_grown, Or),
+                (k, None, TOP), (k, None, BOT))
+    term = _closed(v)
     return _built(term), term[0]
 
 
-# A term is f flattened: (least leaf, None, f) for an atom, a constant or a
-# negation, and (least leaf, chain, operands) for an &/| chain, whose
-# operands are terms and never chains of the same connective.
+# A term is a formula flattened: (least leaf, None, f) for an atom, a
+# constant or a negation, and (least leaf, chain, operands) for an &/|
+# chain, whose operands are terms and never chains of the same connective.
+# A value of _regrouped's fold is a term, or an open chain: a list of its
+# connective and its operands' terms, which grows in place until the chain
+# closes, as an operand of the other connective or of ~, or at the root.
 
 
-def _term(f: Formula, leaf: Mapping[str, int]) -> tuple:
-    """The term of f, each chain factored by _chain."""
-    if isinstance(f, Atom):
-        return leaf[f.name], None, f
-    if isinstance(f, Neg):
-        arg, lo = _regrouped(f.arg, leaf)
-        return lo, None, Neg(arg)
-    if not isinstance(f, (And, Or)):
-        return len(leaf), None, f
-    chain, operands, todo = type(f), [], [f]
-    while todo:
-        g = todo.pop()
-        if type(g) is chain:
-            todo += (g.right, g.left)
-        else:
-            operands.append(_term(g, leaf))
-    return _chain(chain, operands)
+def _closed(v: tuple | list) -> tuple:
+    """The term of a fold value, an open chain factored by _chain."""
+    return _chain(v[0], v[1:]) if type(v) is list else v
+
+
+def _negated(v: tuple | list) -> tuple:
+    term = _closed(v)
+    return term[0], None, Neg(_built(term))
+
+
+def _grown(chain: type, a: tuple | list, b: tuple | list) -> list:
+    """The open chain of a and b joined by chain: a grown in place when it
+    is an open chain of that connective, with b's operands when b is one."""
+    if type(a) is not list or a[0] is not chain:
+        a = [chain, _closed(a)]
+    if type(b) is list and b[0] is chain:
+        a += b[1:]
+    else:
+        a.append(_closed(b))
+    return a
 
 
 def _parts(chain: type, term: tuple) -> tuple:
@@ -405,9 +423,9 @@ class ParseError(ValueError):
 # the root to a leaf, or with more ~ and ( open at once.  A ~ is a level,
 # and so is a chain of & or of |, however long: compiling a formula
 # recurses once per level and walks a chain by a loop, and printing and
-# the normal forms fold the program it writes.  (Hashing recurses through
-# a chain's nodes down to one already hashed: conj and disj hash every
-# 64th, the parser each chain it builds, and substitute every node.)
+# the normal forms fold the program it writes.  Hashing too recurses once
+# per level: an &/| node first hashes the nodes down its left side by a
+# loop (_node), and equality of &/| nodes compares their programs.
 MAX_DEPTH = 256
 
 
@@ -475,9 +493,7 @@ class _Parser:
                 raise self.too_deep(at)
         if len(fs) == 1:
             return f, top
-        f = (disj if op == "|" else conj)(fs)
-        hash(f)  # kept: hashing a chain around f stops at f (see MAX_DEPTH)
-        return f, top + 1
+        return (disj if op == "|" else conj)(fs), top + 1
 
     def neg(self) -> tuple[Formula, int]:
         t = self.peek()
@@ -571,17 +587,16 @@ class RuleInstance(Record, frozen=True):
         return prog if len(prog.names) == len(leaf) else self.program()
 
     @derived
-    def splits(self) -> dict[int, tuple[Program, Program]]:
-        """sweep_split's splits, by `first`; kept like program()."""
-        return {}
+    def splits(self) -> tuple[tuple[Program, Program], ...]:
+        """split_program(sweep_program(), first) for first = 1..k, the rule's
+        atom count, or 1 alone when k is 0; built on first call and kept like
+        program()."""
+        prog = self.sweep_program()
+        return tuple(split_program(prog, first) for first in range(1, max(len(prog.names), 1) + 1))
 
     def sweep_split(self, first: int) -> tuple[Program, Program]:
-        """split_program(self.sweep_program(), first), kept per `first`."""
-        splits = self.splits()
-        out = splits.get(first)
-        if out is None:
-            out = splits[first] = split_program(self.sweep_program(), first)
-        return out
+        """split_program(self.sweep_program(), first), read off splits()."""
+        return self.splits()[first - 1]
 
     def __str__(self) -> str:
         lhs = ", ".join(sorted(str(f) for f in self.premises))
@@ -621,17 +636,9 @@ Substitution = Mapping[str, Formula]
 
 def _substituted(prog: Program, s: Substitution) -> list[Formula]:
     """The homomorphic images of prog's formulas: the fold that rebuilds
-    each formula, with the atoms in s replaced.  Each node is hashed as it
-    is built, from its operands' kept hashes, so hashing an image later
-    costs no recursion (compare _chained)."""
+    each formula, with the atoms in s replaced."""
     return fold(prog, [s[name] if name in s else Atom(name) for name in prog.names],
-                lambda a: _hashed(Neg(a)), lambda a, b: _hashed(And(a, b)),
-                lambda a, b: _hashed(Or(a, b)), TOP, BOT)
-
-
-def _hashed(f: Formula) -> Formula:
-    hash(f)
-    return f
+                Neg, And, Or, TOP, BOT)
 
 
 def substitute(f: Formula, s: Substitution) -> Formula:
@@ -681,12 +688,11 @@ def rename_apart(r1: RuleInstance, r2: RuleInstance) -> tuple[RuleInstance, Rule
 
 def nnf(f: Formula) -> Formula:
     """Push negations to atoms using the De Morgan laws and involution: the
-    fold of f's program whose value is (nnf(g), nnf(~g)).  Each node is
-    hashed as it is built, as in _substituted."""
+    fold of f's program whose value is (nnf(g), nnf(~g))."""
     prog = f.program()
     ((out, _),) = fold(prog, [_literals(name) for name in prog.names], operator.itemgetter(1, 0),
-                       lambda a, b: (_hashed(And(a[0], b[0])), _hashed(Or(a[1], b[1]))),
-                       lambda a, b: (_hashed(Or(a[0], b[0])), _hashed(And(a[1], b[1]))),
+                       lambda a, b: (And(a[0], b[0]), Or(a[1], b[1])),
+                       lambda a, b: (Or(a[0], b[0]), And(a[1], b[1])),
                        (TOP, BOT), (BOT, TOP))
     return out
 
@@ -892,16 +898,9 @@ def chi(n: int) -> Formula:
 
 
 def _chained(op: type, fs: Iterable[Formula], empty: Formula) -> Formula:
-    """The left-associated chain of fs.  Every 64th node is hashed as it is
-    built, so hashing the chain later recurses through at most 64 of its
-    operators at a time, not through all of them; a shorter chain, often
-    never hashed, costs nothing more."""
-    out = None
-    for i, f in enumerate(fs, 1):
-        out = f if out is None else op(out, f)
-        if i % 64 == 0:
-            hash(out)
-    return empty if out is None else out
+    """The left-associated chain of fs, or empty when there are none."""
+    fs = iter(fs)
+    return functools.reduce(op, fs, next(fs, empty))
 
 
 def conj(fs: Iterable[Formula]) -> Formula:

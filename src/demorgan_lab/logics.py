@@ -303,8 +303,7 @@ def is_antitheorem_of(l: NamedLogic, gamma: Iterable[Formula]) -> bool:
     All registry semantics are non-trivial matrices, where this coincides
     with entailing a fresh atom.
     """
-    r = RuleInstance.explosive(gamma)
-    return all(validates(m, r) for m in l.semantics)
+    return l.valid(RuleInstance.explosive(gamma))
 
 
 def exp_validates(upper: NamedLogic, base: NamedLogic, r: RuleInstance) -> bool:

@@ -354,6 +354,49 @@ def run_child(*argv):
     return code, out, set(modules)
 
 
+@pytest.mark.parametrize("pool, hold, fail", [
+    ("catalog", ["|- p | ~p"], ["p, ~p |- q"]),
+    ("catalog", ["p, ~p | q |- q"], ["|- p | ~p"]),
+    ("catalog", [], ["|- p | ~p", "p | q |- p, q"]),
+    ("catalog", ["p & ~p |- q | ~q"], ["p & ~p |- q & ~q"]),
+    ("muplus:2", [], ["pv0 & ~pv0 | pv1 & ~pv1 |-"]),
+    ("muplus:2", ["pv0 & ~pv0 |-"], ["pv0 & ~pv0 | pv1 & ~pv1 |-"]),
+])
+def test_separate_json_replays(capsys, pool, hold, fail):
+    # the printed matrix, read back, validates every --hold rule and has a
+    # witness for every --fail rule that evaluate confirms
+    from demorgan_lab.matrix import FinMatrix, evaluate, find_countervaluation
+    code, out, _ = run(capsys, "--json", "separate", "--hold", *hold, "--fail", *fail,
+                       "--pool", pool)
+    assert code == 0
+    m = FinMatrix.from_json(json.dumps(json.loads(out)["separating"]))
+    assert all(validates(m, parse_rule(t)) for t in hold)
+    for r in map(parse_rule, fail):
+        w = find_countervaluation(m, r)
+        assert w is not None and all(evaluate(m, w, f) in m.designated for f in r.premises)
+        assert not any(evaluate(m, w, f) in m.designated for f in r.conclusions)
+
+
+@pytest.mark.parametrize("name", ["BD4", "K3", "LP3", "CL2", "ETL4", "KMINUS8", "mu1", "mu2"])
+def test_classify_json_replays(tmp_path, capsys, name):
+    # the printed graphs and count, read back, present a matrix isomorphic
+    # to the input
+    from demorgan_lab.graph import Graph, cycle
+    from demorgan_lab.matrix import catalog, find_isomorphism, is_matrix_isomorphism
+    mus = {"mu1": mu_triple(TriplePresentation(complete(2), point(), 1)),
+           "mu2": mu_triple(TriplePresentation(cycle(3), complete(1), 0))}
+    m = mus[name] if name in mus else catalog()[name]
+    path = tmp_path / "m.json"
+    path.write_text(m.to_json())
+    code, out, _ = run(capsys, "--json", "classify", "--matrix", f"@{path}")
+    data = json.loads(out)
+    t = TriplePresentation(Graph.from_json(json.dumps(data["plus"])),
+                           Graph.from_json(json.dumps(data["minus"])), data["singletons"])
+    rebuilt = mu_triple(t)
+    iso = find_isomorphism(rebuilt, m)
+    assert code == 0 and iso is not None and is_matrix_isomorphism(rebuilt, m, iso)
+
+
 CLASSIFY = {"demorgan_lab.bridge", "demorgan_lab.frame", "demorgan_lab.graph"}
 
 

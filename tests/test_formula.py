@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 import os
 import subprocess
 import sys
@@ -528,9 +530,29 @@ def test_long_chains_hash_and_compare_without_recursion():
     assert hash(Or(p, q)) == hash((p, q)) and Or(Or(p, q), q) != Or(Or(p, q), p)
 
 
+def test_chains_of_any_builder_hash_without_recursion():
+    # an &/| node hashes the unhashed nodes down its left side by a loop,
+    # so a chain hashes, compares and goes into a rule however it was built:
+    # by functools.reduce of the node classes or of Formula's & and |
+    lits = [Atom(f"p{i}") for i in range(3000)]
+    builders = [(lambda op=op: functools.reduce(op, lits), twin)
+                for ops, twin in (((Or, operator.or_), disj), ((And, operator.and_), conj))
+                for op in ops]
+    for build, twin in builders:
+        f = build()
+        assert "_hash" not in f.__dict__ and "_hash" not in f.left.__dict__
+        assert hash(f) == hash(twin(lits)) and f == twin(lits) and f == build()
+        assert f != twin(lits[:-1]) and f.left == twin(lits[:-1])
+        assert RuleInstance.explosive([build()]) == RuleInstance.explosive([twin(lits)])
+        negated = [build(), build()]
+        for _ in range(300):
+            negated = [Neg(g) for g in negated]
+        assert hash(negated[0]) == hash(negated[1]) and negated[0] == negated[1]
+
+
 def test_nnf_and_normal_forms_of_long_chains():
-    # nnf and the clause sets walk a chain's left side by a loop; nnf
-    # rebuilds it with disj/conj, so its result hashes without recursion
+    # nnf and the clause sets are folds of the program, and nnf's result,
+    # a chain built by its fold, hashes without recursion
     lits = [Atom(f"p{i}") for i in range(3000)]
     chain = disj(lits)
     assert nnf(chain) == chain and hash(nnf(chain)) == hash(chain)

@@ -324,7 +324,7 @@ def test_split_sweep_keeps_the_least_witness(monkeypatch):
                 modes.add(_sweep._engine(m).ranks is None)
     assert modes == {True, False} and max(sizes) == 7
     for r in rules:
-        assert any(inner.nodes for inner, _ in r.__dict__.get("_splits", {}).values()), str(r)
+        assert any(inner.nodes for inner, _ in r.__dict__.get("_splits", ())), str(r)
 
 
 def spread(m, step):
@@ -622,7 +622,8 @@ def inner_folds(monkeypatch, r):
     real = _sweep.fold
 
     def fold(prog, leaves, *ops):
-        firsts = [s for s, (inner, _) in r.__dict__.get("_splits", {}).items() if inner is prog]
+        firsts = [s for s, (inner, _) in enumerate(r.__dict__.get("_splits", ()), 1)
+                  if inner is prog]
         if firsts:
             s = firsts[0]
             seen.append((s, tuple((np.shape(x), np.asarray(x).tobytes()) for x in leaves[s:])))
@@ -768,6 +769,28 @@ def test_sweep_program_regroups_exactly():
         "((s | r) & q | ~q) & p | ~p"
     assert [(str(r), r.atom_names(), [substitute(f, sub) for f in r.premises | r.conclusions])
             for r in rules] == before
+
+
+def test_rule_programs_and_sweep_programs_are_frozen():
+    # the programs and sweep programs of the rule pools, the alpha rules of
+    # the 4-vertex graphs and seeded random rules: a change to compiling or
+    # to regrouping that moves one node of one of them shows here
+    from demorgan_lab.bridge import alpha_rule
+    from demorgan_lab.graph import all_graphs
+    from demorgan_lab.logics import clause_pool, mc_pool, named_rules, probe_pool
+    rng = random.Random(23)
+    names = ["s", "q", "p", "r", "t"]
+    rules = clause_pool() + mc_pool() + probe_pool() + list(named_rules().values())
+    rules += [alpha_rule(g) for g in all_graphs(4, allow_isolated=False)]
+    for _ in range(200):
+        pool = []
+        side = lambda: [random_formula(rng, names, rng.randint(1, 6), pool)
+                        for _ in range(rng.randint(0, 3))]
+        rules.append(RuleInstance.of(side(), side()))
+    digest = hashlib.sha256()
+    for r in rules:
+        digest.update(repr((r.program(), r.sweep_program())).encode())
+    assert len(rules) == 5915 and digest.hexdigest()[:16] == "72f1939cf9a0dcd1"
 
 
 def test_evaluate_examples():
